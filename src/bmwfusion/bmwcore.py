@@ -24,8 +24,9 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .errors import (DimensionMismatch, DomainMismatch, NotGeneric,
-                     RewriteLimit)
+from .combinatorics import STRAND_CAP
+from .errors import (CapExceeded, DimensionMismatch, DomainMismatch,
+                     NotGeneric, RewriteLimit)
 from .scalars import (ParamSet, TruncLaurent, format_rational, make_params,
                       parse_rational)
 
@@ -33,7 +34,6 @@ T_KIND, K_KIND = 0, 1
 
 CACHE_FORMAT_VERSION = 1
 DEFAULT_STEP_CAP = 10 ** 6
-DEFAULT_N_CAP = 6
 
 
 def letter(kind: int, i: int) -> int:
@@ -85,10 +85,10 @@ class AlgebraContext:
     """
 
     def __init__(self, n, params, step_cap=DEFAULT_STEP_CAP,
-                 cache_dir=None, verify=True, n_cap=DEFAULT_N_CAP):
-        if n < 1 or n > n_cap:
-            raise DimensionMismatch("n = %d outside supported range 1..%d"
-                                    % (n, n_cap))
+                 cache_dir=None, verify=True):
+        if n < 1 or n > STRAND_CAP:
+            raise CapExceeded("n = %d outside supported range 1..%d"
+                              % (n, STRAND_CAP))
         self.n = n
         self.params = params
         self.step_cap = step_cap
@@ -821,54 +821,101 @@ class AlgebraContext:
         return report
 
 
-class AlgebraElement:
-    """Sparse linear combination of canonical words over one scalar domain.
+class SparseElement:
+    """Sparse linear combination of basis keys over one scalar domain.
 
-    The coefficient domain may be richer than the context's parameter
-    domain (rational-function coefficients over a rational context during
-    fusion); all terms of one element share a single domain.
+    The shared arithmetic of the BMW, Hecke and Brauer elements; each
+    subclass defines its own ``__mul__`` and the basis-key order and
+    names used by ``repr``.  Two elements are compatible when their
+    algebras compare equal, which each algebra class defines.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = {w: c for w, c in terms.items() if c != 0}
+    def __init__(self, algebra, terms):
+        self.algebra = algebra
+        self.terms = {k: c for k, c in terms.items() if c != 0}
 
     def _check(self, other):
-        if not isinstance(other, AlgebraElement):
-            raise DomainMismatch("expected an algebra element")
-        if other.ctx is not self.ctx:
-            raise DomainMismatch("elements from different contexts")
+        if type(other) is not type(self):
+            raise DomainMismatch("expected a %s" % type(self).__name__)
+        if other.algebra != self.algebra:
+            raise DomainMismatch("elements of different algebras")
 
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-        return AlgebraElement(self.ctx, out)
+        for k, c in other.terms.items():
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        return type(self)(self.algebra, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = -c if prev is None else prev - c
-        return AlgebraElement(self.ctx, out)
+        for k, c in other.terms.items():
+            prev = out.get(k)
+            out[k] = -c if prev is None else prev - c
+        return type(self)(self.algebra, out)
 
     def __neg__(self):
-        return AlgebraElement(self.ctx, {w: -c for w, c in self.terms.items()})
+        return type(self)(self.algebra,
+                          {k: -c for k, c in self.terms.items()})
 
     def scale(self, x):
-        return AlgebraElement(self.ctx,
-                              {w: c * x for w, c in self.terms.items()})
+        return type(self)(self.algebra,
+                          {k: c * x for k, c in self.terms.items()})
+
+    def map_coefficients(self, f):
+        """Apply f to every coefficient (e.g. evaluation of rational
+        functions at a point)."""
+        return type(self)(self.algebra,
+                          {k: f(c) for k, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def equals(self, other):
+        self._check(other)
+        return (self - other).is_zero()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.algebra == other.algebra and (self - other).is_zero()
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    _key_order = None
+    _key_name = staticmethod(str)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join("(%s)*%s" % (self.terms[k], self._key_name(k))
+                          for k in sorted(self.terms, key=self._key_order))
+
+
+class AlgebraElement(SparseElement):
+    """Sparse linear combination of canonical words over one scalar domain.
+
+    ``algebra`` is the :class:`AlgebraContext`.  The coefficient domain
+    may be richer than the context's parameter domain (rational-function
+    coefficients over a rational context during fusion); all terms of one
+    element share a single domain.
+    """
+
+    __slots__ = ()
+
+    _key_order = staticmethod(lambda w: (len(w), w))
+    _key_name = staticmethod(word_name)
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check(other)
-        ctx = self.ctx
+        ctx = self.algebra
         out = {}
         # fold the right factor's words through the left vector, sharing
         # common prefixes via a trie
@@ -903,44 +950,15 @@ class AlgebraElement:
                     stack.append((child, fold(vec, l)))
         return AlgebraElement(ctx, out)
 
-    def is_zero(self):
-        return not self.terms
-
-    def equals(self, other):
-        self._check(other)
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.ctx is other.ctx and (self - other).is_zero()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def map_coefficients(self, f):
-        """Apply f to every coefficient (e.g. evaluation of rational
-        functions at a point)."""
-        return AlgebraElement(self.ctx,
-                              {w: f(c) for w, c in self.terms.items()})
-
     def coefficient(self, word):
         c = self.terms.get(tuple(word))
         if c is None:
-            return self.ctx._one * 0
+            return self.algebra._one * 0
         return c
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda x: (len(x), x)):
-            bits.append("(%s)*%s" % (self.terms[w], word_name(w)))
-        return " + ".join(bits)
 
 
 def build_context(n, params=None, q=None, nu=None, step_cap=DEFAULT_STEP_CAP,
-                  cache_dir=None, verify=True, n_cap=DEFAULT_N_CAP):
+                  cache_dir=None, verify=True):
     """Build an algebra context for n strands.
 
     Either pass a ParamSet/LaurentParams, or q and nu as rationals (which
@@ -949,4 +967,4 @@ def build_context(n, params=None, q=None, nu=None, step_cap=DEFAULT_STEP_CAP,
     if params is None:
         params = make_params(q, nu, n)
     return AlgebraContext(n, params, step_cap=step_cap, cache_dir=cache_dir,
-                          verify=verify, n_cap=n_cap)
+                          verify=verify)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainMismatch
+from .bmwcore import SparseElement
 
 Diagram = frozenset  # of sorted 2-tuples covering {0..2n-1}
 
@@ -117,6 +117,14 @@ class BrauerAlgebra:
         self.omega = Fraction(omega)
         self._mul_cache = {}
 
+    def __eq__(self, other):
+        if not isinstance(other, BrauerAlgebra):
+            return NotImplemented
+        return (self.n, self.omega) == (other.n, other.omega)
+
+    def __hash__(self):
+        return hash((self.n, self.omega))
+
     def one(self) -> "BrauerElement":
         return BrauerElement(self, {identity_diagram(self.n): Fraction(1)})
 
@@ -141,44 +149,16 @@ class BrauerAlgebra:
         return hit
 
 
-class BrauerElement:
+class BrauerElement(SparseElement):
     """Sparse rational combination of Brauer diagrams."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
+
+    _key_order = staticmethod(sorted)
+    _key_name = staticmethod(lambda d: str(sorted(d)))
 
     def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = {d: Fraction(c) for d, c in terms.items() if c != 0}
-
-    def _check(self, other):
-        if not isinstance(other, BrauerElement):
-            raise DomainMismatch("expected a Brauer element")
-        if other.algebra.n != self.algebra.n or \
-                other.algebra.omega != self.algebra.omega:
-            raise DomainMismatch("mixed Brauer algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return BrauerElement(self.algebra, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out.get(d, Fraction(0)) - c
-        return BrauerElement(self.algebra, out)
-
-    def __neg__(self):
-        return BrauerElement(self.algebra,
-                             {d: -c for d, c in self.terms.items()})
-
-    def scale(self, x) -> "BrauerElement":
-        x = Fraction(x)
-        return BrauerElement(self.algebra,
-                             {d: c * x for d, c in self.terms.items()})
+        super().__init__(algebra, {d: Fraction(c) for d, c in terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -198,23 +178,3 @@ class BrauerElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, BrauerElement):
-            return self.algebra.n == other.algebra.n and \
-                self.algebra.omega == other.algebra.omega and \
-                self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("%s*%s" % (c, sorted(d))
-                          for d, c in sorted(self.terms.items(),
-                                             key=lambda t: sorted(t[0])))

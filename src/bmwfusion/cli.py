@@ -15,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -50,7 +49,6 @@ def _add_common(p):
     p.add_argument("--cache-dir", default=None,
                    help="structure-constant cache (env BMWF_CACHE)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="output JSON path")
 
 
@@ -70,13 +68,6 @@ def _context(args, verify=True):
                          verify=verify)
 
 
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -88,15 +79,11 @@ def cmd_idempotents(args) -> int:
         want = set(args.tableau)
         tabs = [t for t in tabs if t.encode() in want]
 
-    def work(tab):
-        if args.method == "fusion":
-            idem = fusion_idempotent(tab, ctx)
-        else:
-            idem = jm_oracle_idempotent(tab, ctx)
+    build = fusion_idempotent if args.method == "fusion" \
+        else jm_oracle_idempotent
+    idems = [build(tab, ctx) for tab in tabs]
+    for idem in idems:
         verify_idempotent(idem, ctx)
-        return idem
-
-    idems = _parallel_map(work, tabs, args.jobs)
     system = complete_system_checks(idems, ctx) \
         if len(idems) == len(enumerate_tableaux(args.n)) else {}
     payload = {
@@ -366,8 +353,12 @@ def cmd_params_suggest(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ctx = _context(args)
     kind = args.kind
+    if kind.endswith("idempotent") and args.tableau is None:
+        raise ValueError("--kind %s needs --tableau" % kind)
+    if kind == "jm" and not 1 <= args.index <= args.n:
+        raise ValueError("--index %d outside 1..%d" % (args.index, args.n))
+    ctx = _context(args)
     if kind == "idempotent":
         from .combinatorics import UpDownTableau
         tab = UpDownTableau.decode(args.tableau)

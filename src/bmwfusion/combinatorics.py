@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, NotGeneric
-from .scalars import ParamSet
 
 Partition = tuple  # weakly decreasing tuple of positive ints; () is empty
 
-DEFAULT_CAP = 6
+STRAND_CAP = 6  # the largest supported strand count n
 
 
 def check_partition(p) -> Partition:
@@ -158,7 +157,7 @@ class UpDownTableau:
         return "UpDownTableau(%s)" % self.encode()
 
 
-def enumerate_tableaux(n: int, cap: int = DEFAULT_CAP):
+def enumerate_tableaux(n: int, cap: int = STRAND_CAP):
     """All up-down tableaux of length n, depth-first, added boxes before
     removed, boxes ordered by (row, column).  Deterministic."""
     if n < 1:
@@ -186,7 +185,7 @@ def enumerate_tableaux(n: int, cap: int = DEFAULT_CAP):
     return out
 
 
-def count_tableaux(n: int, cap: int = DEFAULT_CAP) -> int:
+def count_tableaux(n: int, cap: int = STRAND_CAP) -> int:
     """Number of up-down tableaux of length n (by shape recursion)."""
     if n > cap:
         raise CapExceeded("n = %d exceeds the cap %d" % (n, cap))
@@ -208,9 +207,10 @@ def count_tableaux(n: int, cap: int = DEFAULT_CAP) -> int:
 # content sequences
 # ---------------------------------------------------------------------------
 
-def quantum_contents(tab: UpDownTableau, params: ParamSet):
+def quantum_contents(tab: UpDownTableau, params):
     """Quantum contents: q^(2(b-a)) for an added box (a,b), nu^2 q^(2(a-b))
-    for a removed one.  The first value is always 1."""
+    for a removed one.  The first value is always 1.  ``params`` is any
+    object with ``q`` and ``nu``: rationals or truncated Laurent series."""
     q, nu = params.q, params.nu
     out = []
     for st in tab.steps:
@@ -238,16 +238,18 @@ def classical_contents(tab: UpDownTableau, omega, t_classical=False):
     return tuple(out)
 
 
-def extension_spectrum(shape: Partition, params: ParamSet):
+def extension_spectrum(shape: Partition, params):
     """Quantum contents of all one-box extensions/removals of a diagram:
     the eigenvalues of the next Jucys-Murphy element on the image of the
-    current idempotent.  Pairwise distinct under certified parameters."""
+    current idempotent.  Pairwise distinct under certified parameters; a
+    collision raises NOT_GENERIC.  The values are compared with ``==``
+    (truncated Laurent series are unhashable)."""
     q, nu = params.q, params.nu
     vals = []
     for (a, b) in addable_boxes(shape):
         vals.append(q ** (2 * (b - a)))
     for (a, b) in removable_boxes(shape):
         vals.append(nu * nu * q ** (2 * (a - b)))
-    if len(set(vals)) != len(vals):
+    if any(vals[a] == vals[b] for a in range(len(vals)) for b in range(a)):
         raise NotGeneric("extension spectrum collision on %r" % (shape,))
     return tuple(vals)

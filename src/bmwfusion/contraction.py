@@ -23,9 +23,8 @@ from .bmwcore import (AlgebraContext, K_KIND, LaurentParams, letter_index,
                       letter_kind)
 from .brauer import BrauerAlgebra, BrauerElement, diagram_mul, e_diagram, \
     identity_diagram, s_diagram
-from .combinatorics import (UpDownTableau, addable_boxes,
-                            removable_boxes)
-from .errors import NotGeneric
+from .combinatorics import UpDownTableau
+from .fusion import _jm_interpolation
 from .scalars import TruncLaurent
 
 DEFAULT_TRUNCATION = 4
@@ -121,7 +120,7 @@ def word_to_diagram(n: int, word):
 
 def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
     """h^0 part of a Laurent-coefficient BMW element as a Brauer element."""
-    n = elem.ctx.n
+    n = elem.algebra.n
     terms = {}
     for w, coeff in elem.terms.items():
         c0 = coeff.constant_term()
@@ -173,39 +172,6 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
 # Brauer idempotents as constant terms of BMW computations
 # ---------------------------------------------------------------------------
 
-def _laurent_quantum_contents(tab, params: LaurentParams):
-    q, nu = params.q, params.nu
-    out = []
-    for st in tab.steps:
-        e = 2 * (st.col - st.row)
-        if st.added:
-            out.append(_tl_pow(q, e))
-        else:
-            out.append(nu * nu * _tl_pow(q, -e))
-    return out
-
-
-def _tl_pow(x: TruncLaurent, e: int) -> TruncLaurent:
-    if e == 0:
-        return TruncLaurent.const(1, x.prec)
-    out = None
-    base = x if e > 0 else x.invert()
-    for _ in range(abs(e)):
-        out = base if out is None else out * base
-    return out
-
-
-def _laurent_extension_spectrum(shape, params: LaurentParams):
-    """[(added, box, series value)] over all one-box moves from shape."""
-    q, nu = params.q, params.nu
-    vals = []
-    for (a, b) in addable_boxes(shape):
-        vals.append((True, (a, b), _tl_pow(q, 2 * (b - a))))
-    for (a, b) in removable_boxes(shape):
-        vals.append((False, (a, b), nu * nu * _tl_pow(q, 2 * (a - b))))
-    return vals
-
-
 def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
                                       omega, prec: int = DEFAULT_TRUNCATION,
                                       ctx: AlgebraContext = None
@@ -213,33 +179,12 @@ def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
     """Constant term of the Jucys-Murphy interpolation run over Laurent
     parameters; the result is an idempotent of B_n(omega).
 
-    Distinctness of the limiting (t-)classical contents is required;
-    collisions raise NOT_GENERIC."""
+    The extension spectra must be pairwise distinct as series, as on the
+    rational path; collisions raise NOT_GENERIC."""
     n = len(tab)
     omega = Fraction(omega)
     if ctx is None:
         params = laurent_params(regime, omega, prec)
         ctx = AlgebraContext(n, params, verify=False)
-    params = ctx.params
-    contents = _laurent_quantum_contents(tab, params)
-    steps = tab.steps
-    E = ctx.one()
-    for k in range(2, n + 1):
-        shape = tab.shapes[k - 2]
-        ck = contents[k - 1]
-        st = steps[k - 1]
-        y = ctx.jm_element(k)
-        for added, box, Y in _laurent_extension_spectrum(shape, params):
-            if added == st.added and box == (st.row, st.col):
-                continue  # the eigenvalue c_k itself
-            den = ck - Y
-            if den.is_zero():
-                raise NotGeneric(
-                    "classical content collision at step %d" % k)
-            E = E * (y - ctx.one().scale(Y)).scale(den.invert())
-    brauer = BrauerAlgebra(n, omega)
-    return constant_term_element(E, brauer)
-
-
-def _tl_same(a: TruncLaurent, b: TruncLaurent) -> bool:
-    return (a - b).is_zero()
+    _, E = _jm_interpolation(tab, ctx)
+    return constant_term_element(E, BrauerAlgebra(n, omega))

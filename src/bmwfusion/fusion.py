@@ -19,7 +19,7 @@ from fractions import Fraction
 from .bmwcore import AlgebraContext, AlgebraElement
 from .combinatorics import (UpDownTableau, extension_spectrum,
                             quantum_contents)
-from .errors import NonInvertible, NotGeneric, PoleError
+from .errors import NonInvertible, PoleError
 from .scalars import ParamSet, RatFunc, q_factorial, q_number
 
 
@@ -134,41 +134,44 @@ def baxterized_Q(ctx, i, u, v, view, starred: bool = False):
         ctx.one().scale(a) + ctx.gen_K(i).scale(b)
 
 
+def _y_fold(E, ctx, j: int, contents, u, view):
+    """E * Y_j(c_1, ..., c_{j-1}, u), multiplied one factor at a time:
+    descending Q-factors, the scalar (c u - 1)/(u - 1) coming from
+    y_1 = 1, then ascending inverse baxterized factors."""
+    for m in range(j - 1, 0, -1):
+        E = E * baxterized_Q(ctx, m, contents[m - 1], u, view)
+    E = E.scale(_frac_or_ratfunc_div(view.c * u - 1, u - 1,
+                                     "Y_1 scalar (c u - 1)/(u - 1)"))
+    for m in range(1, j):
+        E = E * baxterized_T_inverse(ctx, m, u, contents[m - 1], view)
+    return E
+
+
 def Y_script(ctx, j: int, contents, u, view) -> AlgebraElement:
-    """Y_j(c_1, ..., c_{j-1}, u): descending Q-factors, the scalar
-    (c u - 1)/(u - 1) coming from y_1 = 1, then ascending inverse
-    baxterized factors."""
+    """Y_j(c_1, ..., c_{j-1}, u) as an element."""
     if len(contents) != j - 1:
         raise ValueError("need j-1 evaluated contents")
     one = _one_like(u)
-    out = ctx.one().map_coefficients(lambda c: one * c)
-    for m in range(j - 1, 0, -1):
-        out = out * baxterized_Q(ctx, m, contents[m - 1], u, view)
-    scal = _frac_or_ratfunc_div(view.c * u - 1, u - 1,
-                                "Y_1 scalar (c u - 1)/(u - 1)")
-    out = out.scale(scal)
-    for m in range(1, j):
-        out = out * baxterized_T_inverse(ctx, m, u, contents[m - 1], view)
-    return out
+    return _y_fold(ctx.one().map_coefficients(lambda c: one * c), ctx, j,
+                   contents, u, view)
 
 
-def fusion_step(E_prev: AlgebraElement, contents, k: int, ctx,
-                view) -> AlgebraElement:
+def fusion_step(E_prev, contents, k: int, ctx, view):
     """One consecutive-evaluation step: assemble
     (u - c_k)/(c u c_k - 1) * E_prev * Y_k and evaluate at u = c_k.
 
-    Every coefficient is gcd-normalized as a rational function before
-    substituting; the combined coefficient is regular at c_k even when
-    individual factors are not."""
+    ``ctx`` is a BMW context or, for the kappa = 0 image, a Hecke
+    algebra.  Every coefficient is gcd-normalized as a rational function
+    before substituting; the combined coefficient is regular at c_k even
+    when individual factors are not."""
+    if k == 1:
+        return ctx.one()
     u = RatFunc.variable("u")
     one_u = RatFunc.const(1, "u")
     ck = contents[k - 1]
-    if k == 1:
-        return ctx.one()
     phi = E_prev.map_coefficients(lambda c: one_u * c)
-    phi = phi * Y_script(ctx, k, contents[:k - 1], u, view)
-    pref = (u - ck) / (view.c * ck * u - 1)
-    phi = phi.scale(pref)
+    phi = _y_fold(phi, ctx, k, contents, u, view)
+    phi = phi.scale((u - ck) / (view.c * ck * u - 1))
     return phi.map_coefficients(lambda c: c.evaluate_at(ck))
 
 
@@ -198,26 +201,28 @@ def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext,
                       contents=contents)
 
 
-def jm_oracle_idempotent(tab: UpDownTableau,
-                         ctx: AlgebraContext) -> Idempotent:
-    """The same idempotent through the Jucys-Murphy interpolation: at each
-    step multiply by prod_{Y != c_k} (y_k - Y)/(c_k - Y) over the spectrum
-    of y_k on the image of the previous idempotent."""
-    n = len(tab)
+def _jm_interpolation(tab: UpDownTableau, ctx: AlgebraContext):
+    """(contents, E): at each step multiply by
+    prod_{Y != c_k} (y_k - Y)/(c_k - Y) over the spectrum of y_k on the
+    image of the previous idempotent.  Runs over rational or truncated
+    Laurent parameters alike."""
     params = ctx.params
     contents = quantum_contents(tab, params)
     E = ctx.one()
-    for k in range(2, n + 1):
-        shape = tab.shapes[k - 2]
+    for k in range(2, len(tab) + 1):
         ck = contents[k - 1]
         y = ctx.jm_element(k)
-        for Y in extension_spectrum(shape, params):
+        for Y in extension_spectrum(tab.shapes[k - 2], params):
             if Y == ck:
                 continue
-            den = ck - Y
-            if den == 0:
-                raise NotGeneric("spectrum collision at step %d" % k)
-            E = E * (y - ctx.one().scale(Y)).scale(1 / den)
+            E = E * (y - ctx.one().scale(Y)).scale(1 / (ck - Y))
+    return contents, E
+
+
+def jm_oracle_idempotent(tab: UpDownTableau,
+                         ctx: AlgebraContext) -> Idempotent:
+    """The same idempotent through the Jucys-Murphy interpolation."""
+    contents, E = _jm_interpolation(tab, ctx)
     return Idempotent(tableau=tab, element=E, method="jm-oracle",
                       contents=contents)
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bmwcore import AlgebraElement, K_KIND, letter_index, letter_kind
+from .bmwcore import (AlgebraElement, K_KIND, SparseElement, letter_index,
+                      letter_kind)
 from .combinatorics import UpDownTableau, quantum_contents
-from .errors import DomainMismatch, PoleError
-from .scalars import RatFunc
+from .errors import DomainMismatch
+from .fusion import SpectralView, fusion_step
 
 
 def identity_perm(n: int):
@@ -69,11 +70,23 @@ class HeckeAlgebra:
         self.delta = self.q - 1 / self.q
         self._rmul = {}
 
+    def __eq__(self, other):
+        if not isinstance(other, HeckeAlgebra):
+            return NotImplemented
+        return (self.n, self.q) == (other.n, other.q)
+
+    def __hash__(self):
+        return hash((self.n, self.q))
+
     def one(self):
         return HeckeElement(self, {identity_perm(self.n): Fraction(1)})
 
     def zero(self):
         return HeckeElement(self, {})
+
+    def gen_K(self, i: int):
+        """The image of kappa_i: zero in the quotient."""
+        return self.zero()
 
     def gen_T(self, i: int):
         if not 1 <= i <= self.n - 1:
@@ -102,46 +115,13 @@ class HeckeAlgebra:
         return hit
 
 
-class HeckeElement:
+class HeckeElement(SparseElement):
     """Sparse combination of T_w; coefficients rational or rational
     functions of the active spectral variable."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ()
 
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = {w: c for w, c in terms.items() if c != 0}
-
-    def _check(self, other):
-        if not isinstance(other, HeckeElement):
-            raise DomainMismatch("expected a Hecke element")
-        if other.algebra.n != self.algebra.n or \
-                other.algebra.q != self.algebra.q:
-            raise DomainMismatch("mixed Hecke algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-        return HeckeElement(self.algebra, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = -c if prev is None else prev - c
-        return HeckeElement(self.algebra, out)
-
-    def __neg__(self):
-        return HeckeElement(self.algebra,
-                            {w: -c for w, c in self.terms.items()})
-
-    def scale(self, x):
-        return HeckeElement(self.algebra,
-                            {w: c * x for w, c in self.terms.items()})
+    _key_name = staticmethod(lambda w: "T%s" % list(w))
 
     def __mul__(self, other):
         if not isinstance(other, HeckeElement):
@@ -165,38 +145,11 @@ class HeckeElement:
                 out[w] = nc
         return HeckeElement(alg, out)
 
-    def is_zero(self):
-        return not self.terms
-
-    def equals(self, other):
-        self._check(other)
-        return (self - other).is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, HeckeElement):
-            return self.algebra.n == other.algebra.n and \
-                self.algebra.q == other.algebra.q and \
-                (self - other).is_zero()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def map_coefficients(self, f):
-        return HeckeElement(self.algebra,
-                            {w: f(c) for w, c in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%s)*T%s" % (c, list(w))
-                          for w, c in sorted(self.terms.items()))
-
 
 def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
     """Image in the quotient by the ideal (kappa_1): canonical words with a
     kappa letter map to 0, T-words map to the corresponding product."""
-    if hecke.n != elem.ctx.n:
+    if hecke.n != elem.algebra.n:
         raise DomainMismatch("strand counts differ")
     out = hecke.zero()
     for w, c in elem.terms.items():
@@ -213,81 +166,22 @@ def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
 # one-parameter family of fusion idempotents
 # ---------------------------------------------------------------------------
 
-def _hk_bax_T(hecke, i, u, v, one_u):
-    """T_i + delta/(v/u - 1), kappa-free baxterized element."""
-    r = (one_u * v) / u
-    den = r - 1
-    if isinstance(den, Fraction) and den == 0:
-        raise PoleError("baxterized Hecke element at v/u = 1")
-    if isinstance(den, RatFunc) and den.is_zero():
-        raise PoleError("baxterized Hecke element at v/u = 1")
-    a = (one_u * hecke.delta) / den
-    return hecke.gen_T(i).map_coefficients(lambda c: one_u * c) + \
-        hecke.one().map_coefficients(lambda c: a * c)
-
-
-def _hk_bax_T_inv(hecke, i, u, v, one_u, q):
-    """Inverse of T_i + delta/(v/u - 1): equals T_i(v,u) f(u,v) with the
-    same pole factor f as in the full algebra."""
-    num = (u - v) * (u - v)
-    den = (u - q * q * v) * (u - v / (q * q))
-    if isinstance(den, Fraction):
-        if den == 0:
-            raise PoleError("f(u,v) undefined: u = q^{+-2} v")
-        f = num / den
-        if f == 0:
-            raise PoleError("f(u,v) = 0: u = v")
-    else:
-        if den.is_zero():
-            raise PoleError("f(u,v) undefined: u = q^{+-2} v")
-        f = num / den
-        if f.is_zero():
-            raise PoleError("f(u,v) = 0: u = v")
-    return _hk_bax_T(hecke, i, v, u, one_u).scale(f)
-
-
-def _hk_bax_Q(hecke, i, x, u, c_param, one_u):
-    """T_i + delta/(c x u - 1); at c = 0 this is T_i^-1."""
-    den = one_u * c_param * x * u - 1
-    if isinstance(den, Fraction) and den == 0:
-        raise PoleError("Q-element pole: c x u = 1")
-    if isinstance(den, RatFunc) and den.is_zero():
-        raise PoleError("Q-element pole: c x u = 1")
-    a = (one_u * hecke.delta) / den
-    return hecke.gen_T(i).map_coefficients(lambda c: one_u * c) + \
-        hecke.one().map_coefficients(lambda c: a * c)
-
-
 def hecke_family_idempotent(tab: UpDownTableau, c_param, hecke: HeckeAlgebra,
                             params) -> HeckeElement:
     """Primitive idempotent of H_n for a standard tableau via the
     one-parameter family of fusion functions; independent of c_param.
 
-    Evaluation is stepwise: at step k all earlier variables are already
-    the contents, so coefficients stay univariate.
+    This is the BMW consecutive evaluation run in the kappa = 0 quotient
+    (``gen_K`` is zero there), with c_param in place of c = -1/(q nu).
     """
     if not tab.is_standard():
         raise ValueError("the Hecke family needs a standard tableau")
     n = len(tab)
     if hecke.n != n:
         raise DomainMismatch("tableau length != algebra size")
-    q = hecke.q
-    c_param = Fraction(c_param)
+    view = SpectralView(q=hecke.q, nu=params.nu, c=Fraction(c_param))
     contents = quantum_contents(tab, params)
-    u = RatFunc.variable("u")
-    one_u = RatFunc.const(1, "u")
-    E = hecke.one().map_coefficients(lambda c: one_u * c)
+    E = hecke.one()
     for k in range(2, n + 1):
-        ck = contents[k - 1]
-        phi = E
-        for m in range(k - 1, 0, -1):
-            phi = phi * _hk_bax_Q(hecke, m, contents[m - 1], u, c_param,
-                                  one_u)
-        scal = ((c_param * u - 1) / (u - 1)) * \
-            ((u - ck) / (c_param * ck * u - 1))
-        phi = phi.scale(scal)
-        for m in range(1, k):
-            phi = phi * _hk_bax_T_inv(hecke, m, u, contents[m - 1], one_u, q)
-        E = phi.map_coefficients(
-            lambda c: one_u * c.evaluate_at(ck))
-    return E.map_coefficients(lambda c: c.as_rational())
+        E = fusion_step(E, contents, k, hecke, view)
+    return E

@@ -33,7 +33,7 @@ def _sorted_words(terms):
 
 
 def element_to_json(elem: AlgebraElement) -> dict:
-    ctx = elem.ctx
+    ctx = elem.algebra
     if ctx.rational:
         params = {"q": format_rational(ctx.params.q),
                   "nu": format_rational(ctx.params.nu)}

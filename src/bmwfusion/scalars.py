@@ -355,6 +355,9 @@ class TruncLaurent:
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
             val += 1
+        if val > prec:
+            raise NegativeValuation(
+                "valuation %d above the precision bound %d" % (val, prec))
         while len(coeffs) > prec - val:
             coeffs.pop()
         while coeffs and len(coeffs) < prec - val:
@@ -466,6 +469,18 @@ class TruncLaurent:
         return TruncLaurent(val, out, prec)
 
     __rmul__ = __mul__
+
+    def __pow__(self, e):
+        """Integer power by repeated multiplication; e < 0 inverts first."""
+        if not isinstance(e, int):
+            return NotImplemented
+        if e == 0:
+            return TruncLaurent.const(1, self.prec)
+        base = self if e > 0 else self.invert()
+        out = base
+        for _ in range(abs(e) - 1):
+            out = out * base
+        return out
 
     def invert(self):
         if self.is_zero():

@@ -3,8 +3,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (HeckeAlgebra, NotGeneric, build_context,
-                       hecke_quotient)
+from bmwfusion import (BrauerAlgebra, DomainMismatch, HeckeAlgebra,
+                       NotGeneric, build_context, hecke_quotient)
 from bmwfusion.bmwcore import double_factorial, word_name, T_KIND
 
 
@@ -150,3 +150,34 @@ def test_cache_round_trip(tmp_path):
     a = ctx_a.gen_T(1) * ctx_a.gen_K(2) * ctx_a.gen_T(2)
     b = ctx_b.gen_T(1) * ctx_b.gen_K(2) * ctx_b.gen_T(2)
     assert sorted(a.terms.items()) == sorted(b.terms.items())
+
+
+def _elements_of_two_algebras(kind, ctx2):
+    if kind == "bmw":
+        # equal parameters, but elements never mix across contexts
+        other = build_context(2, q=Fr(6, 5), nu=Fr(7, 3))
+        return ctx2.gen_T(1), other.gen_T(1)
+    if kind == "hecke":
+        return HeckeAlgebra(2, Fr(6, 5)).gen_T(1), \
+            HeckeAlgebra(2, Fr(5, 6)).gen_T(1)
+    return BrauerAlgebra(2, 5).s(1), BrauerAlgebra(2, 7).s(1)
+
+
+@pytest.mark.parametrize("kind", ["bmw", "hecke", "brauer"])
+def test_mixed_algebras_raise_domain_mismatch(kind, ctx2):
+    a, b = _elements_of_two_algebras(kind, ctx2)
+    with pytest.raises(DomainMismatch):
+        a + b
+    with pytest.raises(DomainMismatch):
+        a - b
+    with pytest.raises(DomainMismatch):
+        a * b
+    assert a != b
+
+
+def test_equal_parameter_algebras_mix():
+    h1, h2 = HeckeAlgebra(3, Fr(6, 5)), HeckeAlgebra(3, Fr(6, 5))
+    assert h1 == h2
+    assert (h1.gen_T(1) * h2.gen_T(2)) == h2.gen_T(1) * h1.gen_T(2)
+    b1, b2 = BrauerAlgebra(3, 5), BrauerAlgebra(3, 5)
+    assert (b1.e(1) + b2.s(2)) == b2.e(1) + b1.s(2)

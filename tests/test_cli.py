@@ -92,8 +92,19 @@ def test_determinism_and_cache(tmp_path):
     assert nocache.stdout == cold.stdout
 
 
-def test_jobs_deterministic():
-    a = run_cli("idempotents", "--n", "2", "--jobs", "1")
-    b = run_cli("idempotents", "--n", "2", "--jobs", "3")
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+def test_strand_cap_exit_2():
+    r = run_cli("idempotents", "--n", "7")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
+
+
+def test_export_jm_index_out_of_range_exit_2():
+    r = run_cli("export", "--n", "3", "--kind", "jm", "--index", "9")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "BAD_INPUT"
+
+
+def test_export_idempotent_needs_tableau_exit_2():
+    r = run_cli("export", "--n", "3", "--kind", "idempotent")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "BAD_INPUT"

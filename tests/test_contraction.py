@@ -3,8 +3,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (BrauerAlgebra, NegativeValuation, TruncLaurent,
-                       brauer_idempotent_via_contraction,
+from bmwfusion import (BrauerAlgebra, NegativeValuation, NotGeneric,
+                       TruncLaurent, brauer_idempotent_via_contraction,
                        contraction_block_check, enumerate_tableaux,
                        laurent_params, structure_constant_oracle)
 from bmwfusion.bmwcore import AlgebraContext
@@ -74,6 +74,15 @@ def test_contraction_idempotents_complete_system():
                     if i != j:
                         assert (e * f).is_zero()
             assert (total - brauer.one()).is_zero()
+
+
+def test_laurent_spectrum_collision_not_generic():
+    # regime 1 at omega = 2 has nu = q^-1 exactly: in the step-2 spectrum
+    # the removed box's nu^2 equals the content q^-2 of the box (2, 1),
+    # whichever box the tableau itself takes
+    for tab in enumerate_tableaux(2):
+        with pytest.raises(NotGeneric):
+            brauer_idempotent_via_contraction(tab, 1, 2)
 
 
 def test_pi_analogue_is_cup_over_omega():

@@ -115,6 +115,20 @@ def test_laurent_invert():
         TruncLaurent.zero(4).invert()
 
 
+@pytest.mark.parametrize("x, prec", [(1, -1), (0, 0)])
+def test_laurent_precision_below_valuation(x, prec):
+    with pytest.raises(NegativeValuation):
+        TruncLaurent.const(x, prec)
+
+
+def test_laurent_integer_powers():
+    q = TruncLaurent.exp_h(1, 4)
+    assert q ** 3 == TruncLaurent.exp_h(3, 4)
+    assert q ** -2 == TruncLaurent.exp_h(-2, 4)
+    assert q ** 0 == TruncLaurent.const(1, 4)
+    assert (q ** 0).prec == 4
+
+
 def test_laurent_constant_term_errors():
     x = TruncLaurent(-1, (1, 2), 3)
     with pytest.raises(NegativeValuation):
