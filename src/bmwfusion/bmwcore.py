@@ -20,6 +20,7 @@ Laurent parameters for the classical-limit mode.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -114,16 +115,32 @@ class AlgebraContext:
         self._dyn = {}
         self._jm = {}
         self._cache_path = self._cache_file(cache_dir)
-        self._load_cache()
+        loaded = self._load_cache()
         self.words = self._close()
         self.word_index = {w: k for k, w in enumerate(self.words)}
+        # right action of each letter on each basis index, built on first
+        # use: (den, ((j, numerator), ...)) in a rational context and
+        # ((j, coeff), ...) for any coefficient domain
+        self._int_rows = {l: [None] * len(self.words) for l in self.letters}
+        self._rows = {l: [None] * len(self.words) for l in self.letters}
+        self._built = False
         if verify:
             report = self.verify_relations()
             bad = [r for r in report if not r["ok"]]
             if bad:
                 raise DimensionMismatch(
                     "relation suite failed after build: %s" % bad[0])
-        self._save_cache()
+        if not loaded:
+            # a build from the cache reproduces the file it was read from
+            self._save_cache()
+        # from now on a row replaces the memo entry it was read from, so a
+        # context keeps one copy of each product w * l
+        self._built = True
+        built = self._int_rows if self.rational else self._rows
+        for l, row_of in built.items():
+            for i, row in enumerate(row_of):
+                if row is not None:
+                    self._memo.pop(self.words[i] + (l,), None)
 
     # ------------------------------------------------------------------
     # rewriting rules (each an exact consequence of the defining relations)
@@ -525,6 +542,40 @@ class AlgebraContext:
     def _red(self, word):
         return self._renormalize(self.reduce_word(word))
 
+    def _row_source(self, l, i):
+        """_red(words[i] + (l,)); after the build it leaves the memo."""
+        word = self.words[i] + (l,)
+        red = self._red(word)
+        if self._built:
+            self._memo.pop(word, None)
+        return red
+
+    def _int_row(self, l, i):
+        """words[i] * l as (den, ((j, numerator), ...)); rational only."""
+        row = self._int_rows[l][i]
+        if row is None:
+            red = self._row_source(l, i)
+            den = math.lcm(*(c.denominator for c in red.values()))
+            widx = self.word_index
+            row = (den, tuple((widx[u], c.numerator * (den // c.denominator))
+                              for u, c in red.items()))
+            self._int_rows[l][i] = row
+        return row
+
+    def _row(self, l, i):
+        """words[i] * l as ((j, coeff), ...) over basis indices."""
+        row = self._rows[l][i]
+        if row is None:
+            if self.rational:      # the integer row owns the memo entry
+                den, nums = self._int_row(l, i)
+                row = tuple((j, Fraction(x, den)) for j, x in nums)
+            else:
+                widx = self.word_index
+                row = tuple((widx[u], c)
+                            for u, c in self._row_source(l, i).items())
+            self._rows[l][i] = row
+        return row
+
     def _mul_vec_letter(self, vec, l):
         out = {}
         for w, c in vec.items():
@@ -674,7 +725,28 @@ class AlgebraContext:
         return AlgebraElement(self, {(): self._one})
 
     def from_terms(self, terms):
-        return AlgebraElement(self, dict(terms))
+        """The element sum c * w over {word: c}, reduced onto the basis.
+
+        A letter outside this algebra's generators raises DomainMismatch.
+        """
+        widx = self.word_index
+        letters = set(self.letters)
+        out = {}
+        for w, c in terms.items():
+            w = tuple(w)
+            if w in widx:
+                red = ((w, c),)
+            else:
+                bad = [l for l in w if l not in letters]
+                if bad:
+                    raise DomainMismatch(
+                        "letter %r outside the generators of BMW_%d"
+                        % (bad[0], self.n))
+                red = [(u, c * cu) for u, cu in self._red(w).items()]
+            for u, cu in red:
+                prev = out.get(u)
+                out[u] = cu if prev is None else prev + cu
+        return AlgebraElement(self, out)
 
     def scalar(self, x):
         return AlgebraElement(self, {(): self._one * x})
@@ -897,6 +969,41 @@ class SparseElement:
                           for k in sorted(self.terms, key=self._key_order))
 
 
+def _rational_terms(terms):
+    return all(type(c) is Fraction for c in terms.values())
+
+
+def _over_common_denominator(terms):
+    """(D, {key: numerator}) with terms[key] = numerator / D."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in terms.items()}
+
+
+def _fold(terms, root, step, leaf):
+    """Fold the words of ``terms`` through ``root`` letter by letter.
+
+    The words share their common prefixes in a trie, so each prefix is
+    applied once: ``step(vec, l)`` is the vector times letter ``l``, and
+    ``leaf(vec, c)`` receives the vector of a whole word with that word's
+    coefficient.
+    """
+    trie = {}
+    for w, c in terms.items():
+        node = trie
+        for l in w:
+            node = node.setdefault(l, {})
+        node[None] = c
+    stack = [(trie, root)]
+    while stack:
+        node, vec = stack.pop()
+        for l, child in node.items():
+            if l is None:
+                leaf(vec, child)
+            else:
+                stack.append((child, step(vec, l)))
+
+
 class AlgebraElement(SparseElement):
     """Sparse linear combination of canonical words over one scalar domain.
 
@@ -916,39 +1023,94 @@ class AlgebraElement(SparseElement):
             return NotImplemented
         self._check(other)
         ctx = self.algebra
+        if (ctx.rational and _rational_terms(self.terms)
+                and _rational_terms(other.terms)):
+            return self._mul_fraction_free(other)
+        widx = ctx.word_index
+        rows = ctx._rows
         out = {}
-        # fold the right factor's words through the left vector, sharing
-        # common prefixes via a trie
-        trie = {}
-        for w2, c2 in other.terms.items():
-            node = trie
-            for l in w2:
-                node = node.setdefault(l, {})
-            node[None] = c2
 
-        def fold(vec, l):
+        def step(vec, l):
+            row_of = rows[l]
             nxt = {}
-            red = ctx._red
-            for w, c in vec.items():
-                for u, cu in red(w + (l,)).items():
-                    prev = nxt.get(u)
-                    nc = c * cu if prev is None else prev + c * cu
-                    nxt[u] = nc
+            get = nxt.get
+            for i, c in vec.items():
+                row = row_of[i]
+                if row is None:
+                    row = ctx._row(l, i)
+                for j, cu in row:
+                    prev = get(j)
+                    nxt[j] = c * cu if prev is None else prev + c * cu
             return nxt
 
-        stack = [(trie, self.terms)]
-        while stack:
-            node, vec = stack.pop()
-            for l, child in node.items():
-                if l is None:
-                    c2 = child
-                    for w, c in vec.items():
-                        prev = out.get(w)
-                        nc = c * c2 if prev is None else prev + c * c2
-                        out[w] = nc
-                else:
-                    stack.append((child, fold(vec, l)))
-        return AlgebraElement(ctx, out)
+        def leaf(vec, c2):
+            get = out.get
+            for j, c in vec.items():
+                prev = get(j)
+                out[j] = c * c2 if prev is None else prev + c * c2
+
+        _fold(other.terms, {widx[w]: c for w, c in self.terms.items()},
+              step, leaf)
+        words = ctx.words
+        return AlgebraElement(ctx, {words[j]: c for j, c in out.items()})
+
+    def _mul_fraction_free(self, other):
+        """The product over integer numerators: each vector of the fold is
+        (denominator, {index: numerator}) with its content divided out."""
+        ctx = self.algebra
+        widx = ctx.word_index
+        rows = ctx._int_rows
+        den1, left = _over_common_denominator(self.terms)
+        den2, right = _over_common_denominator(other.terms)
+        groups = {}     # leaf denominator -> {index: numerator}
+        gcd, lcm = math.gcd, math.lcm
+
+        def step(vec, l):
+            den, nums = vec
+            row_of = rows[l]
+            got = []
+            row_den = 1
+            for i, a in nums.items():
+                row = row_of[i]
+                if row is None:
+                    row = ctx._int_row(l, i)
+                got.append((a, row))
+                if row_den % row[0]:
+                    row_den = lcm(row_den, row[0])
+            nxt = {}
+            get = nxt.get
+            for a, (d, row) in got:
+                if d != row_den:
+                    a *= row_den // d
+                for j, x in row:
+                    nxt[j] = get(j, 0) + a * x
+            den *= row_den
+            g = gcd(den, *nxt.values())
+            if g == 1:
+                return den, {j: a for j, a in nxt.items() if a}
+            return den // g, {j: a // g for j, a in nxt.items() if a}
+
+        def leaf(vec, c2):
+            den, nums = vec
+            acc = groups.get(den)
+            if acc is None:
+                acc = groups[den] = {}
+            get = acc.get
+            for j, a in nums.items():
+                acc[j] = get(j, 0) + a * c2
+
+        _fold(right, (den1, {widx[w]: a for w, a in left.items()}),
+              step, leaf)
+        common = lcm(*groups)
+        out = {}
+        for den, acc in groups.items():
+            s = common // den
+            for j, a in acc.items():
+                out[j] = out.get(j, 0) + a * s
+        words = ctx.words
+        den = common * den2
+        return AlgebraElement(ctx, {words[j]: Fraction(a, den)
+                                    for j, a in out.items() if a})
 
     def coefficient(self, word):
         c = self.terms.get(tuple(word))

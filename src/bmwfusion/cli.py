@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import __version__
 from .bmwcore import build_context
-from .combinatorics import (classical_contents, enumerate_tableaux,
-                            quantum_contents)
+from .combinatorics import (UpDownTableau, classical_contents,
+                            enumerate_tableaux, quantum_contents)
 from .contraction import (brauer_idempotent_via_contraction,
                           contraction_block_check, laurent_params,
                           structure_constant_oracle)
@@ -169,7 +169,7 @@ def _suite_baxterized(ctx, rnd, report, tuples=10):
     view = SpectralView.of(ctx.params)
     checked, failed, first = 0, 0, None
     maxi = ctx.n - 1
-    for _ in range(tuples):
+    for _ in range(tuples if maxi else 0):   # BMW_1 has no generators
         u1, u2, u3 = (_rand_rational(rnd) for _ in range(3))
         i = rnd.randint(1, max(1, maxi - 1))
         try:
@@ -354,14 +354,21 @@ def cmd_params_suggest(args) -> int:
 
 def cmd_export(args) -> int:
     kind = args.kind
-    if kind.endswith("idempotent") and args.tableau is None:
-        raise ValueError("--kind %s needs --tableau" % kind)
+    tab = None
+    if kind.endswith("idempotent"):
+        if args.tableau is None:
+            raise ValueError("--kind %s needs --tableau" % kind)
+        tab = UpDownTableau.decode(args.tableau)
+        if len(tab) != args.n:
+            raise ValueError("--tableau %s has length %d, --n is %d"
+                             % (args.tableau, len(tab), args.n))
     if kind == "jm" and not 1 <= args.index <= args.n:
         raise ValueError("--index %d outside 1..%d" % (args.index, args.n))
+    if kind == "brauer-idempotent" and args.truncation < 2:
+        # q - q^-1 = 2h + O(h^2) vanishes on a shorter window
+        raise ValueError("--truncation %d below 2" % args.truncation)
     ctx = _context(args)
     if kind == "idempotent":
-        from .combinatorics import UpDownTableau
-        tab = UpDownTableau.decode(args.tableau)
         idem = fusion_idempotent(tab, ctx) if args.method == "fusion" \
             else jm_oracle_idempotent(tab, ctx)
         verify_idempotent(idem, ctx)
@@ -373,14 +380,10 @@ def cmd_export(args) -> int:
     elif kind == "antisymmetrizer":
         _emit(args, element_to_json(antisymmetrizer(args.n, ctx, "chain")))
     elif kind == "brauer-idempotent":
-        from .combinatorics import UpDownTableau
-        tab = UpDownTableau.decode(args.tableau)
         e = brauer_idempotent_via_contraction(
             tab, args.regime, parse_rational(args.omega), args.truncation)
         _emit(args, brauer_to_json(e))
     elif kind == "hecke-idempotent":
-        from .combinatorics import UpDownTableau
-        tab = UpDownTableau.decode(args.tableau)
         hk = HeckeAlgebra(args.n, parse_rational(args.q))
         e = hecke_family_idempotent(tab, parse_rational(args.c_param), hk,
                                     ctx.params)

@@ -38,6 +38,12 @@ def ctx4():
     return build_context(4, q=Q, nu=NU)
 
 
+@pytest.fixture(scope="session")
+def ctx5():
+    """The n = 5 context, built cold once for the whole session."""
+    return build_context(5, q=Q, nu=NU)
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "stretch: opt-in long-running suite (BMWF_STRETCH=1)")

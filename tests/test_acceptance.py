@@ -13,7 +13,7 @@ import pytest
 
 from conftest import Q, NU, record_acceptance
 
-from bmwfusion import (BrauerAlgebra, HeckeAlgebra, build_context,
+from bmwfusion import (BrauerAlgebra, HeckeAlgebra,
                        brauer_idempotent_via_contraction, check_reflection,
                        contraction_block_check, enumerate_tableaux,
                        fusion_idempotent, hecke_family_idempotent,
@@ -87,12 +87,12 @@ def test_criterion_2_complete_systems(n, ctx2, ctx3, ctx4):
 
 
 @pytest.mark.stretch
-def test_criterion_2_stretch_n5():
+def test_criterion_2_stretch_n5(ctx5):
     """Opt-in n=5 suite (BMWF_STRETCH=1): tableau count by enumeration,
     idempotency, JM eigenvalues and completeness directly; pairwise
     orthogonality via the two-sided eigenvalue separation (exact), with a
     sampled direct-product cross-check."""
-    ctx = build_context(5, q=Q, nu=NU)
+    ctx = ctx5
     tabs = enumerate_tableaux(5)
     idems = [jm_oracle_idempotent(t, ctx) for t in tabs]
     ok = len(tabs) == len({quantum_contents(t, ctx.params) for t in tabs})
@@ -285,10 +285,9 @@ def test_criterion_7_contraction():
             "on transposes")
 
 
-def test_criterion_8_structural_counts(ctx2, ctx3, ctx4):
+def test_criterion_8_structural_counts(ctx2, ctx3, ctx4, ctx5):
     ok = True
-    contexts = {2: ctx2, 3: ctx3, 4: ctx4,
-                5: build_context(5, q=Q, nu=NU)}
+    contexts = {2: ctx2, 3: ctx3, 4: ctx4, 5: ctx5}
     for n, ctx in contexts.items():
         ok = ok and len(ctx.words) == double_factorial(2 * n - 1)
         kfree = sum(1 for w in ctx.words

@@ -3,9 +3,12 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (BrauerAlgebra, DomainMismatch, HeckeAlgebra,
-                       NotGeneric, build_context, hecke_quotient)
-from bmwfusion.bmwcore import double_factorial, word_name, T_KIND
+from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
+                       DomainMismatch, HeckeAlgebra, NotGeneric, RatFunc,
+                       TruncLaurent, build_context, hecke_quotient,
+                       laurent_params)
+from bmwfusion.bmwcore import (double_factorial, letter, word_name, K_KIND,
+                               T_KIND)
 
 
 def test_dimensions(ctx2, ctx3, ctx4):
@@ -40,8 +43,7 @@ def test_relation_suite(ctx4):
     assert report and all(r["ok"] for r in report)
 
 
-def test_relation_suite_n5_counts():
-    ctx5 = build_context(5, q=Fr(6, 5), nu=Fr(7, 3))
+def test_relation_suite_n5_counts(ctx5):
     assert len(ctx5.words) == double_factorial(9)
 
 
@@ -75,23 +77,114 @@ def test_jm_elements(ctx3):
     assert (K1 * y2 * ctx.jm_element(1) - K1.scale(nu2)).is_zero()
 
 
-def _random_element(ctx, rnd, nterms=3):
+def _random_element(ctx, rnd, nterms=3, coeff=None):
     terms = {}
     for _ in range(nterms):
         w = rnd.choice(ctx.words)
-        terms[w] = Fr(rnd.randint(-6, 6) or 1, rnd.randint(1, 4))
+        terms[w] = coeff(rnd) if coeff else \
+            Fr(rnd.randint(-6, 6) or 1, rnd.randint(1, 4))
     return ctx.from_terms(terms)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_associativity_random(n, ctx2, ctx3, ctx4):
-    ctx = {2: ctx2, 3: ctx3, 4: ctx4}[n]
-    rnd = random.Random(n)
+def _laurent_coeff(rnd):
+    return TruncLaurent.exp_h(rnd.randint(-3, 3), 4) * \
+        Fr(rnd.randint(-6, 6) or 1, rnd.randint(1, 4))
+
+
+def _ratfunc_coeff(rnd):
+    return RatFunc((rnd.randint(-3, 3), rnd.randint(1, 3)),
+                   (rnd.randint(1, 4), rnd.choice((-1, 1))))
+
+
+@pytest.fixture(scope="module")
+def lctx3():
+    return AlgebraContext(3, laurent_params(1, 5), verify=False)
+
+
+# (label, strand count, coefficient sampler; None = rationals)
+_DOMAINS = [("rational", 2, None), ("rational", 3, None),
+            ("rational", 4, None), ("laurent", 3, _laurent_coeff),
+            ("ratfunc", 3, _ratfunc_coeff)]
+
+
+def _domain_id(d):
+    return str(d[1]) if d[0] == "rational" else "%s-%d" % d[:2]
+
+
+@pytest.fixture(params=_DOMAINS, ids=_domain_id)
+def domain(request, ctx2, ctx3, ctx4):
+    kind, n, coeff = request.param
+    if kind == "laurent":
+        return request.getfixturevalue("lctx3"), coeff
+    return {2: ctx2, 3: ctx3, 4: ctx4}[n], coeff
+
+
+def _jm_word(k):
+    """The word of y_k = T_{k-1}...T_1 T_1...T_{k-1}, not a basis word."""
+    down = tuple(letter(T_KIND, i) for i in range(k - 1, 0, -1))
+    return down + down[::-1]
+
+
+def _reference_product(a, b):
+    """sum c1 c2 w1 w2 with each w1 w2 rewritten from scratch."""
+    ctx = a.algebra
+    out = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            red = ctx._renormalize(ctx.reduce_word(w1 + w2))
+            for u, cu in red.items():
+                prev = out.get(u)
+                out[u] = c1 * c2 * cu if prev is None \
+                    else prev + c1 * c2 * cu
+    return AlgebraElement(ctx, out)
+
+
+def test_product_matches_reference(domain):
+    ctx, coeff = domain
+    rnd = random.Random(ctx.n)
+    for _ in range(20):
+        a = _random_element(ctx, rnd, coeff=coeff)
+        b = _random_element(ctx, rnd, coeff=coeff)
+        assert a * b == _reference_product(a, b)
+    # right factors on words outside the basis, e.g. y_k spelled out
+    for k in range(2, ctx.n + 1):
+        a = _random_element(ctx, rnd, nterms=5, coeff=coeff)
+        c = coeff(rnd) if coeff else Fr(rnd.randint(1, 6), 7)
+        y = AlgebraElement(ctx, {_jm_word(k): c, (): c})
+        assert _jm_word(k) not in ctx.word_index
+        assert a * y == _reference_product(a, y)
+        assert a * y == a * (ctx.jm_element(k) + ctx.one()).scale(c)
+
+
+def test_associativity_random(domain):
+    ctx, coeff = domain
+    rnd = random.Random(ctx.n)
     for _ in range(100):
-        a = _random_element(ctx, rnd)
-        b = _random_element(ctx, rnd)
-        c = _random_element(ctx, rnd)
+        a = _random_element(ctx, rnd, coeff=coeff)
+        b = _random_element(ctx, rnd, coeff=coeff)
+        c = _random_element(ctx, rnd, coeff=coeff)
         assert ((a * b) * c - a * (b * c)).is_zero()
+
+
+def test_from_terms_reduces_onto_basis(ctx3):
+    T1 = letter(T_KIND, 1)
+    a = ctx3.from_terms({(T1, T1): 1})
+    assert set(a.terms) <= set(ctx3.word_index)
+    assert a == ctx3.gen_T(1) * ctx3.gen_T(1)
+    one = ctx3.one()
+    assert a * one == one * a == a
+    # two spellings of one word accumulate
+    b = ctx3.from_terms({(T1, letter(K_KIND, 1)): 1,
+                         (letter(K_KIND, 1), T1): -1})
+    assert b.is_zero()
+
+
+@pytest.mark.parametrize("word", [(99,), (letter(T_KIND, 3),),
+                                  (letter(K_KIND, 0),),
+                                  (letter(T_KIND, 1), letter(K_KIND, 3))])
+def test_from_terms_rejects_foreign_letters(ctx3, word):
+    with pytest.raises(DomainMismatch):
+        ctx3.from_terms({word: 1})
 
 
 def test_unit(ctx3):
@@ -144,8 +237,10 @@ def test_cache_round_trip(tmp_path):
                           cache_dir=str(tmp_path))
     files = list(tmp_path.iterdir())
     assert files, "cache file written"
+    inode = files[0].stat().st_ino
     ctx_b = build_context(3, q=Fr(6, 5), nu=Fr(7, 3),
                           cache_dir=str(tmp_path))
+    assert files[0].stat().st_ino == inode, "warm build rewrote the cache"
     assert ctx_a.words == ctx_b.words
     a = ctx_a.gen_T(1) * ctx_a.gen_K(2) * ctx_a.gen_T(2)
     b = ctx_b.gen_T(1) * ctx_b.gen_K(2) * ctx_b.gen_T(2)

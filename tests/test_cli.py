@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "bmwfusion.cli"]
 
 
@@ -106,5 +108,29 @@ def test_export_jm_index_out_of_range_exit_2():
 
 def test_export_idempotent_needs_tableau_exit_2():
     r = run_cli("export", "--n", "3", "--kind", "idempotent")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "BAD_INPUT"
+
+
+def test_verify_n1_runs_without_generators():
+    r = run_cli("verify", "--n", "1")
+    assert r.returncode == 0
+    data = json.loads(r.stdout)
+    assert data["pass"]
+    assert data["suites"]["baxterized"]["checked"] == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("--kind", "brauer-idempotent", "--tableau", "1;2;3",
+     "--truncation", "0"),
+    ("--kind", "brauer-idempotent", "--tableau", "1;2;3",
+     "--truncation", "-3"),
+    ("--kind", "hecke-idempotent", "--tableau", "1;2"),
+    ("--kind", "idempotent", "--tableau", "1;2"),
+    ("--kind", "brauer-idempotent", "--tableau", "1;2"),
+], ids=["truncation-0", "truncation-negative", "hecke-tableau-length",
+        "idempotent-tableau-length", "brauer-tableau-length"])
+def test_export_bad_input_exit_2(args):
+    r = run_cli("export", "--n", "3", *args)
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
