@@ -662,24 +662,36 @@ class AlgebraContext:
         return os.path.join(cache_dir, key)
 
     def _load_cache(self):
+        """Fill ``_dyn`` and ``_memo`` from the cache file.  A missing,
+        unreadable, other-version or malformed file is a miss (False),
+        and the build then rewrites it."""
         path = self._cache_path
         if path is None or not os.path.exists(path):
             return False
+        letters = set(self.letters)
+
+        def word(x):
+            w = tuple(x)
+            if not letters.issuperset(w):
+                raise ValueError("letter outside the algebra")
+            return w
+
+        def entries(key):
+            return {word(ent["word"]): {word(u): parse_rational(c)
+                                        for u, c in ent["expansion"]}
+                    for ent in data.get(key, [])}
+
         try:
             with open(path) as f:
                 data = json.load(f)
-        except (OSError, ValueError):
+            if data.get("version") != CACHE_FORMAT_VERSION:
+                return False
+            dyn, memo = entries("dyn"), entries("table")
+        except (OSError, ValueError, AttributeError, KeyError, TypeError,
+                ZeroDivisionError):
             return False
-        if data.get("version") != CACHE_FORMAT_VERSION:
-            return False
-        for ent in data.get("dyn", []):
-            w = tuple(ent["word"])
-            self._dyn[w] = {tuple(u): parse_rational(c)
-                            for u, c in ent["expansion"]}
-        for ent in data.get("table", []):
-            w = tuple(ent["word"])
-            self._memo[w] = {tuple(u): parse_rational(c)
-                             for u, c in ent["expansion"]}
+        self._dyn.update(dyn)
+        self._memo.update(memo)
         return True
 
     def _save_cache(self):

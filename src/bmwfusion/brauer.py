@@ -116,6 +116,8 @@ class BrauerAlgebra:
         self.n = n
         self.omega = Fraction(omega)
         self._mul_cache = {}
+        # (n, BMW word) -> (diagram, loops), filled by the contraction map
+        self._word_diagrams = {}
 
     def __eq__(self, other):
         if not isinstance(other, BrauerAlgebra):

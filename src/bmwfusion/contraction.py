@@ -118,6 +118,15 @@ def word_to_diagram(n: int, word):
     return d, loops
 
 
+def _word_diagram(brauer: BrauerAlgebra, n: int, w):
+    """``word_to_diagram(n, w)``, memoised on ``brauer``."""
+    memo = brauer._word_diagrams
+    hit = memo.get((n, w))
+    if hit is None:
+        hit = memo[n, w] = word_to_diagram(n, w)
+    return hit
+
+
 def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
     """h^0 part of a Laurent-coefficient BMW element as a Brauer element."""
     n = elem.algebra.n
@@ -126,7 +135,7 @@ def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
         c0 = coeff.constant_term()
         if c0 == 0:
             continue
-        d, loops = word_to_diagram(n, w)
+        d, loops = _word_diagram(brauer, n, w)
         c0 = c0 * brauer.omega ** loops
         terms[d] = terms.get(d, Fraction(0)) + c0
     return BrauerElement(brauer, terms)
@@ -143,7 +152,7 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     diag_of = {}
     seen = {}
     for w in ctx.words:
-        d, loops = word_to_diagram(n, w)
+        d, loops = _word_diagram(brauer, n, w)
         if loops:
             return {"ok": False, "reason": "loop in canonical word image"}
         if d in seen:
@@ -151,12 +160,11 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
                     "reason": "canonical words not diagram-bijective"}
         seen[d] = w
         diag_of[w] = d
+    basis = [ctx.from_terms({w: ctx._one}) for w in ctx.words]
     checked = 0
-    for w1 in ctx.words:
-        e1 = ctx.from_terms({w1: ctx._one})
-        for w2 in ctx.words:
-            prod = e1 * ctx.from_terms({w2: ctx._one})
-            got = constant_term_element(prod, brauer)
+    for w1, e1 in zip(ctx.words, basis):
+        for w2, e2 in zip(ctx.words, basis):
+            got = constant_term_element(e1 * e2, brauer)
             d, loops = diagram_mul(n, diag_of[w1], diag_of[w2])
             want = BrauerElement(
                 brauer, {d: brauer.omega ** loops})

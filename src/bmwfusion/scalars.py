@@ -7,7 +7,9 @@ Three coefficient domains are used throughout the package:
 * :class:`RatFunc` -- univariate rational functions over the rationals,
   used for the single active spectral variable during fusion;
 * :class:`TruncLaurent` -- truncated Laurent series in the contraction
-  parameter ``h``.
+  parameter ``h``, stored fraction-free: integer numerators over one
+  positive denominator, with their common content divided out, so a
+  product is one integer convolution and one gcd.
 
 All values are immutable.
 """
@@ -20,8 +22,6 @@ from fractions import Fraction
 
 from .errors import (DivisionByZero, NegativeValuation, NonInvertible,
                      NotGeneric, PoleAtEvaluation)
-
-Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:
@@ -225,16 +225,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) <= 1
-
-    def as_rational(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        if not self.num:
-            return Fraction(0)
-        return Fraction(self.num[0], self.den[0])
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -338,45 +328,63 @@ class RatFunc:
 # truncated Laurent series in h
 # ---------------------------------------------------------------------------
 
+def _window(val, prec, den, nums):
+    """(val, prec, den, nums) of the series nums / den from h^val on, under
+    the constructor's window rules, with the common content divided out."""
+    lead, n = 0, len(nums)
+    while lead < n and not nums[lead]:
+        lead += 1
+    val += lead
+    if val > prec:
+        raise NegativeValuation(
+            "valuation %d above the precision bound %d" % (val, prec))
+    if lead == n or val == prec:
+        return prec, prec, 1, ()
+    nums = nums[lead:lead + prec - val]
+    nums += [0] * (prec - val - len(nums))
+    g = math.gcd(den, *nums)
+    if g > 1:
+        return val, prec, den // g, tuple(x // g for x in nums)
+    return val, prec, den, tuple(nums)
+
+
 class TruncLaurent:
     """Truncated Laurent series sum_k c_k h^k known on [val, prec).
 
-    ``coeffs`` stores the exponent window [val, prec); the leading stored
-    coefficient is nonzero unless the element is zero on the whole window
-    (then coeffs is empty and val == prec).
+    Stored fraction-free: c_k = nums[k - val] / den on the whole window,
+    with den > 0 and gcd(den, *nums) = 1, so one value has one storage.
+    The leading numerator is nonzero unless the element is zero on the
+    whole window; then nums is empty, den is 1 and val == prec.
+    ``coeffs`` builds the window's Fractions on demand.
     """
 
-    __slots__ = ("val", "coeffs", "prec")
+    __slots__ = ("val", "prec", "den", "nums")
 
     def __init__(self, val, coeffs, prec=None):
-        coeffs = list(coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if prec is None:
             prec = val + len(coeffs)
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            val += 1
-        if val > prec:
-            raise NegativeValuation(
-                "valuation %d above the precision bound %d" % (val, prec))
-        while len(coeffs) > prec - val:
-            coeffs.pop()
-        while coeffs and len(coeffs) < prec - val:
-            coeffs.append(Fraction(0))
-        if not coeffs:
-            val = prec
-        self.val = val
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self.prec = prec
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self.val, self.prec, self.den, self.nums = _window(
+            val, prec, den,
+            [c.numerator * (den // c.denominator) for c in coeffs])
+
+    @classmethod
+    def _make(cls, val, prec, den, nums):
+        """An already-normalised series (see the class invariants)."""
+        x = object.__new__(cls)
+        x.val, x.prec, x.den, x.nums = val, prec, den, nums
+        return x
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, prec):
-        return cls(prec, (), prec)
+        return cls._make(prec, prec, 1, ())
 
     @classmethod
     def const(cls, x, prec):
-        return cls(0, (Fraction(x),), prec)
+        return cls(0, (x,), prec)
 
     @classmethod
     def exp_h(cls, r, prec):
@@ -388,8 +396,13 @@ class TruncLaurent:
             c = c * r / (k + 1)
         return cls(0, out, prec)
 
+    @property
+    def coeffs(self):
+        """The window's coefficients as Fractions, from h^val on."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def __getitem__(self, k):
         """Coefficient of h^k (must lie below the precision bound)."""
@@ -398,7 +411,7 @@ class TruncLaurent:
                 "coefficient h^%d beyond precision %d" % (k, self.prec))
         if k < self.val:
             return Fraction(0)
-        return self.coeffs[k - self.val]
+        return Fraction(self.nums[k - self.val], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -409,64 +422,54 @@ class TruncLaurent:
             return TruncLaurent.const(other, self.prec)
         return None
 
+    def _add(self, o, sign):
+        """self + sign * o on the common window."""
+        prec = min(self.prec, o.prec)
+        val = min(self.val, o.val, prec)
+        d1, d2 = self.den, o.den
+        g = math.gcd(d1, d2)
+        out = [0] * (prec - val)
+        for x, f in ((self, d2 // g), (o, sign * (d1 // g))):
+            for k, a in enumerate(x.nums[:max(prec - x.val, 0)], x.val - val):
+                out[k] += a * f
+        return TruncLaurent._make(*_window(val, prec, d1 // g * d2, out))
+
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = min(self.prec, o.prec)
-        if self.is_zero() and o.is_zero():
-            return TruncLaurent.zero(prec)
-        val = min(self.val if self.coeffs else self.prec,
-                  o.val if o.coeffs else o.prec, prec)
-        out = [Fraction(0)] * (prec - val)
-        for i, c in enumerate(self.coeffs):
-            k = self.val + i
-            if k < prec:
-                out[k - val] += c
-        for i, c in enumerate(o.coeffs):
-            k = o.val + i
-            if k < prec:
-                out[k - val] += c
-        return TruncLaurent(val, out, prec)
+        return NotImplemented if o is None else self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncLaurent(self.val, tuple(-c for c in self.coeffs),
-                            self.prec)
+        return TruncLaurent._make(self.val, self.prec, self.den,
+                                  tuple(-x for x in self.nums))
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self._add(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o._add(self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            # zero with the correct propagated precision
-            prec = min(self.prec + (o.val if o.coeffs else o.prec),
-                       o.prec + (self.val if self.coeffs else self.prec))
+        # a zero factor keeps this precision rule too
+        prec = min(self.prec + o.val, o.prec + self.val)
+        a, b = self.nums, o.nums
+        if not a or not b:
             return TruncLaurent.zero(prec)
         val = self.val + o.val
-        prec = min(self.prec + o.val, o.prec + self.val)
-        out = [Fraction(0)] * (prec - val)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                k = i + j
-                if k < len(out) and b != 0:
-                    out[k] += a * b
-        return TruncLaurent(val, out, prec)
+        n = prec - val
+        out = [0] * n
+        for i in range(n):
+            x = a[i]
+            if x:
+                for j in range(n - i):
+                    out[i + j] += x * b[j]
+        return TruncLaurent._make(*_window(val, prec, self.den * o.den, out))
 
     __rmul__ = __mul__
 
@@ -485,37 +488,32 @@ class TruncLaurent:
     def invert(self):
         if self.is_zero():
             raise NonInvertible("zero truncated Laurent series")
-        n = len(self.coeffs)
-        a0 = self.coeffs[0]
-        inv = [Fraction(1) / a0]
-        for k in range(1, n):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                c = self.coeffs[j] if j < n else Fraction(0)
-                s += c * inv[k - j]
-            inv.append(-s / a0)
-        return TruncLaurent(-self.val, inv, -self.val + n)
+        c = self.coeffs
+        inv = [1 / c[0]]
+        for k in range(1, len(c)):
+            inv.append(-sum(c[j] * inv[k - j] for j in range(1, k + 1))
+                       / c[0])
+        return TruncLaurent(-self.val, inv, -self.val + len(c))
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.invert()
+        return NotImplemented if o is None else self * o.invert()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.invert()
+        return NotImplemented if o is None else o * self.invert()
 
     def __eq__(self, other):
+        if other.__class__ is int and not other and self.prec > 0:
+            # x == 0 on the window; at prec <= 0 the zero constant raises
+            return not self.nums
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         # equality on the common window
         prec = min(self.prec, o.prec)
-        lo = min(self.val if self.coeffs else prec,
-                 o.val if o.coeffs else prec)
+        lo = min(self.val if self.nums else prec,
+                 o.val if o.nums else prec)
         for k in range(lo, prec):
             if self[k] != o[k]:
                 return False
@@ -525,15 +523,16 @@ class TruncLaurent:
         raise TypeError("TruncLaurent is not hashable (window equality)")
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.nums)
 
     def shift(self, k):
         """Multiply by h^k."""
-        return TruncLaurent(self.val + k, self.coeffs, self.prec + k)
+        return TruncLaurent._make(self.val + k, self.prec + k, self.den,
+                                  self.nums)
 
     def constant_term(self) -> Fraction:
         """The h^0 coefficient; genuine h-poles raise NEGATIVE_VALUATION."""
-        if self.coeffs and self.val < 0:
+        if self.nums and self.val < 0:
             raise NegativeValuation(
                 "true pole in h: valuation %d" % self.val)
         if self.prec < 1:
@@ -542,7 +541,7 @@ class TruncLaurent:
         return self[0]
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "O(h^%d)" % self.prec
         parts = []
         for i, c in enumerate(self.coeffs):

@@ -44,20 +44,6 @@ def ctx5():
     return build_context(5, q=Q, nu=NU)
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "stretch: opt-in long-running suite (BMWF_STRETCH=1)")
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("BMWF_STRETCH"):
-        return
-    skip = pytest.mark.skip(reason="stretch suite: set BMWF_STRETCH=1")
-    for item in items:
-        if "stretch" in item.keywords:
-            item.add_marker(skip)
-
-
 def pytest_terminal_summary(terminalreporter):
     if _ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -86,9 +86,8 @@ def test_criterion_2_complete_systems(n, ctx2, ctx3, ctx4):
                                                            took))
 
 
-@pytest.mark.stretch
 def test_criterion_2_stretch_n5(ctx5):
-    """Opt-in n=5 suite (BMWF_STRETCH=1): tableau count by enumeration,
+    """The n=5 system: tableau count by enumeration,
     idempotency, JM eigenvalues and completeness directly; pairwise
     orthogonality via the two-sided eigenvalue separation (exact), with a
     sampled direct-product cross-check."""

@@ -134,3 +134,30 @@ def test_export_bad_input_exit_2(args):
     r = run_cli("export", "--n", "3", *args)
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
+
+
+def _drop_expansion(data):
+    del data["table"][0]["expansion"]
+    return data
+
+
+def _bad_coefficient(data):
+    data["table"][1]["expansion"][0][1] = "x"
+    return data
+
+
+@pytest.mark.parametrize("corrupt", [lambda data: [], _drop_expansion,
+                                     _bad_coefficient],
+                         ids=["list", "missing-expansion", "bad-coefficient"])
+def test_malformed_cache_is_a_miss(tmp_path, corrupt):
+    args = ("idempotents", "--n", "2")
+    cache = tmp_path / "cache"
+    assert run_cli(*args, "--cache-dir", str(cache)).returncode == 0
+    (path,) = cache.iterdir()
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    r = run_cli(*args, "--cache-dir", str(cache))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli(*args).stdout
+    # the build rewrote the file
+    assert json.loads(path.read_text()) == good

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from bmwfusion import (DivisionByZero, NotGeneric, PoleAtEvaluation, RatFunc,
                        TruncLaurent, make_params, q_factorial, q_number)
-from bmwfusion.errors import NegativeValuation
+from bmwfusion.errors import NegativeValuation, NonInvertible
+from bmwfusion.jsonio import laurent_from_json, laurent_to_json
 from bmwfusion.scalars import (format_rational, genericity_check,
                                parse_rational, suggest_params)
 
@@ -211,3 +212,174 @@ def test_laurent_shift():
     x = TruncLaurent(0, (1, 2), 3)
     y = x.shift(2)
     assert y.val == 2 and y[2] == 1 and y[3] == 2
+
+
+# ---------------------------------------------------------------------------
+# differential test against a naive truncated Laurent series
+# ---------------------------------------------------------------------------
+
+class _RefLaurent:
+    """A Fraction list on [val, prec) with the window rules of TruncLaurent:
+    leading zeros raise val, a valuation above prec raises, a nonzero list
+    is cut or zero-padded to the window, an empty one has val == prec."""
+
+    def __init__(self, val, coeffs, prec=None):
+        c = [Fr(x) for x in coeffs]
+        if prec is None:
+            prec = val + len(c)
+        while c and c[0] == 0:
+            c.pop(0)
+            val += 1
+        if val > prec:
+            raise NegativeValuation("valuation above precision")
+        del c[prec - val:]
+        if c:
+            c += [Fr(0)] * (prec - val - len(c))
+        else:
+            val = prec
+        self.val, self.c, self.prec = val, c, prec
+
+    def at(self, k):
+        return self.c[k - self.val] if 0 <= k - self.val < len(self.c) \
+            else Fr(0)
+
+    def coerce(self, other):
+        if isinstance(other, _RefLaurent):
+            return other
+        return _RefLaurent(0, [other], self.prec)
+
+    def __add__(self, other):
+        o = self.coerce(other)
+        prec = min(self.prec, o.prec)
+        val = min(self.val, o.val, prec)
+        return _RefLaurent(val, [self.at(k) + o.at(k)
+                                 for k in range(val, prec)], prec)
+
+    def __neg__(self):
+        return _RefLaurent(self.val, [-x for x in self.c], self.prec)
+
+    def __sub__(self, other):
+        return self + (-self.coerce(other))
+
+    def __mul__(self, other):
+        o = self.coerce(other)
+        prec = min(self.prec + o.val, o.prec + self.val)
+        if not self.c or not o.c:
+            return _RefLaurent(prec, [], prec)
+        val = self.val + o.val
+        return _RefLaurent(val, [sum(self.c[i] * o.c[k - i]
+                                     for i in range(k + 1))
+                                 for k in range(prec - val)], prec)
+
+    def invert(self):
+        a = self.c
+        if not a:
+            raise NonInvertible("zero series")
+        inv = [1 / a[0]]
+        for k in range(1, len(a)):
+            inv.append(-sum(a[j] * inv[k - j] for j in range(1, k + 1))
+                       / a[0])
+        return _RefLaurent(-self.val, inv, -self.val + len(a))
+
+    def __pow__(self, e):
+        if e == 0:
+            return _RefLaurent(0, [1], self.prec)
+        base = self if e > 0 else self.invert()
+        out = base
+        for _ in range(abs(e) - 1):
+            out = out * base
+        return out
+
+    def shift(self, k):
+        return _RefLaurent(self.val + k, self.c, self.prec + k)
+
+    def __eq__(self, other):
+        o = self.coerce(other)
+        prec = min(self.prec, o.prec)
+        lo = min(self.val if self.c else prec, o.val if o.c else prec)
+        return all(self.at(k) == o.at(k) for k in range(lo, prec))
+
+
+def _outcome(f, *args):
+    try:
+        out = f(*args)
+    except (NegativeValuation, NonInvertible) as exc:
+        return type(exc)
+    if isinstance(out, (TruncLaurent, _RefLaurent)):
+        coeffs = out.coeffs if isinstance(out, TruncLaurent) else out.c
+        assert all(type(c) is Fr for c in coeffs)
+        return out.val, out.prec, tuple(coeffs)
+    return out
+
+
+laurent_args = st.tuples(
+    st.integers(-3, 3),
+    st.lists(st.one_of(st.just(Fr(0)), rationals), max_size=6),
+    st.one_of(st.none(), st.integers(-2, 6)))
+
+
+def _both(args):
+    val, coeffs, width = args
+    prec = None if width is None else val + width
+    return (_outcome(TruncLaurent, val, coeffs, prec),
+            _outcome(_RefLaurent, val, coeffs, prec))
+
+
+def _pair(args):
+    val, coeffs, width = args
+    prec = None if width is None else val + width
+    try:
+        return (TruncLaurent(val, coeffs, prec),
+                _RefLaurent(val, coeffs, prec))
+    except NegativeValuation:
+        return None
+
+
+@given(args=laurent_args)
+@settings(max_examples=300, deadline=None)
+def test_laurent_constructor_matches_reference(args):
+    got, want = _both(args)
+    assert got == want
+
+
+@pytest.mark.parametrize("args, want", [
+    ((0, (0, 0, 3, 1), 5), (2, 5, (3, 1, 0))),
+    ((2, (), 5), (5, 5, ())),
+    ((1, (Fr(1, 2),), 4), (1, 4, (Fr(1, 2), 0, 0))),
+    ((0, (1, 2, 3), 1), (0, 1, (1,))),
+    ((0, (0, 0, 0, 0, 0, 1), 3), NegativeValuation),
+    ((4, (), 2), NegativeValuation),
+])
+def test_laurent_constructor_window_rules(args, want):
+    assert _outcome(TruncLaurent, *args) == want
+    assert _outcome(_RefLaurent, *args) == want
+
+
+_BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "eq": lambda a, b: a == b,
+}
+
+
+@given(x=laurent_args, y=laurent_args, c=rationals, e=st.integers(-3, 3),
+       k=st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_laurent_arithmetic_matches_reference(x, y, c, e, k):
+    x, y = _pair(x), _pair(y)
+    if x is None or y is None:
+        return
+    (a, ra), (b, rb) = x, y
+    for name, f in _BINARY.items():
+        assert _outcome(f, a, b) == _outcome(f, ra, rb), name
+        assert _outcome(f, a, c) == _outcome(f, ra, c), name + " scalar"
+    assert _outcome(lambda: c - a) == _outcome(lambda: -ra + c)
+    assert _outcome(lambda: a == 0) == _outcome(lambda: ra == 0)
+    assert _outcome(lambda: a != 0) == _outcome(lambda: not ra == 0)
+    assert _outcome(lambda: a.invert()) == _outcome(lambda: ra.invert())
+    assert _outcome(lambda: a ** e) == _outcome(lambda: ra ** e)
+    assert _outcome(lambda: a.shift(k)) == _outcome(lambda: ra.shift(k))
+    back = laurent_from_json(laurent_to_json(a))
+    assert _outcome(lambda: back) == _outcome(lambda: ra)
+
