@@ -115,7 +115,10 @@ class AlgebraContext:
         self._dyn = {}
         self._jm = {}
         self._cache_path = self._cache_file(cache_dir)
-        loaded = self._load_cache()
+        # what the build did; plain values, never printed
+        self.stats = {"closure_rounds": 0, "triples_checked": 0,
+                      "triples_skipped": 0, "rules_added": 0,
+                      "cache": self._load_cache()}
         self.words = self._close()
         self.word_index = {w: k for k, w in enumerate(self.words)}
         # right action of each letter on each basis index, built on first
@@ -130,7 +133,7 @@ class AlgebraContext:
             if bad:
                 raise DimensionMismatch(
                     "relation suite failed after build: %s" % bad[0])
-        if not loaded:
+        if self.stats["cache"] != "hit":
             # a build from the cache reproduces the file it was read from
             self._save_cache()
         # from now on a row replaces the memo entry it was read from, so a
@@ -600,11 +603,24 @@ class AlgebraContext:
         return sorted(basis, key=lambda w: (len(w), w))
 
     def _close(self):
+        """Add elimination rules until the basis has (2n-1)!! words.
+
+        Each round turns the associativity defects (w.g).h - w.(g.h) over
+        basis words w and letters g, h into rules.  When the pair (g, h)
+        is canonical, w.(g.h) is computed by the very products that give
+        (w.g).h, so the defect is zero and the triple is skipped.  That
+        holds only while vg = w.g is fresh: once a rule is set, vg no
+        longer reduces through every rule, the two sides can differ, and
+        the defect is itself a rule that must not be lost.
+        """
+        stats = self.stats
+        known = len(self._dyn)
         want = double_factorial(2 * self.n - 1)
         basis = self._closure_once()
         rounds = 0
         while len(basis) != want:
             rounds += 1
+            stats["closure_rounds"] = rounds
             if rounds > 60:
                 raise DimensionMismatch(
                     "closure stuck at %d words (expected %d) for n=%d"
@@ -617,10 +633,16 @@ class AlgebraContext:
             for w in basis:
                 for g in self.letters:
                     vg = self._red(w + (g,))
+                    fresh = found
                     for h in self.letters:
+                        gh = self._red((g, h))
+                        if found == fresh and gh == {(g, h): 1}:
+                            stats["triples_skipped"] += 1
+                            continue
+                        stats["triples_checked"] += 1
                         A = self._mul_vec_letter(vg, h)
                         B = {}
-                        for v, cv in self._red((g, h)).items():
+                        for v, cv in gh.items():
                             t = {w: cv}
                             for l in v:
                                 t = self._mul_vec_letter(t, l)
@@ -645,6 +667,7 @@ class AlgebraContext:
                     "no associativity defects but %d words != %d for n=%d"
                     % (len(basis), want, self.n))
             basis = self._closure_once()
+            stats["rules_added"] = len(self._dyn) - known
         return basis
 
     # ------------------------------------------------------------------
@@ -662,12 +685,15 @@ class AlgebraContext:
         return os.path.join(cache_dir, key)
 
     def _load_cache(self):
-        """Fill ``_dyn`` and ``_memo`` from the cache file.  A missing,
-        unreadable, other-version or malformed file is a miss (False),
-        and the build then rewrites it."""
+        """Fill ``_dyn`` and ``_memo`` from the cache file and return the
+        cache state: "off" without a cache file, "hit", "miss" for a
+        missing or other-version file, "corrupt" for an unreadable or
+        malformed one.  The build rewrites the file unless it was a hit."""
         path = self._cache_path
-        if path is None or not os.path.exists(path):
-            return False
+        if path is None:
+            return "off"
+        if not os.path.exists(path):
+            return "miss"
         letters = set(self.letters)
 
         def word(x):
@@ -685,14 +711,14 @@ class AlgebraContext:
             with open(path) as f:
                 data = json.load(f)
             if data.get("version") != CACHE_FORMAT_VERSION:
-                return False
+                return "miss"
             dyn, memo = entries("dyn"), entries("table")
         except (OSError, ValueError, AttributeError, KeyError, TypeError,
                 ZeroDivisionError):
-            return False
+            return "corrupt"
         self._dyn.update(dyn)
         self._memo.update(memo)
-        return True
+        return "hit"
 
     def _save_cache(self):
         path = self._cache_path

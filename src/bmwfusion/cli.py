@@ -25,7 +25,7 @@ from .contraction import (brauer_idempotent_via_contraction,
                           contraction_block_check, laurent_params,
                           structure_constant_oracle)
 from .bmwcore import AlgebraContext
-from .errors import BmwError, NotGeneric, CapExceeded
+from .errors import BmwError, CapExceeded, DomainMismatch, NotGeneric
 from .fusion import (SpectralView, antisymmetrizer, check_reflection,
                      complete_system_checks, fusion_idempotent,
                      jm_oracle_idempotent, symmetrizer,
@@ -459,7 +459,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (NotGeneric, CapExceeded, ValueError) as exc:
+    except (NotGeneric, CapExceeded, DomainMismatch, ValueError) as exc:
         print(json.dumps({"error": getattr(exc, "code", "BAD_INPUT"),
                           "message": str(exc)}), file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -24,26 +24,30 @@ from .bmwcore import (AlgebraContext, K_KIND, LaurentParams, letter_index,
 from .brauer import BrauerAlgebra, BrauerElement, diagram_mul, e_diagram, \
     identity_diagram, s_diagram
 from .combinatorics import UpDownTableau
+from .errors import DomainMismatch
 from .fusion import _jm_interpolation
 from .scalars import TruncLaurent
 
 DEFAULT_TRUNCATION = 4
 
 
+def _regime_label(regime: int, omega: Fraction) -> str:
+    if regime not in (1, 2):
+        raise ValueError("regime must be 1 or 2")
+    return "regime%d(omega=%s)" % (regime, omega)
+
+
 def laurent_params(regime: int, omega, prec: int = DEFAULT_TRUNCATION
                    ) -> LaurentParams:
     """The (q, nu) series of the chosen contraction regime."""
     omega = Fraction(omega)
+    label = _regime_label(regime, omega)
     if regime == 1:
         q = TruncLaurent.exp_h(1, prec)
         nu = TruncLaurent.exp_h(1 - omega, prec)
-        label = "regime1(omega=%s)" % omega
-    elif regime == 2:
+    else:
         q = TruncLaurent.exp_h(1, prec) * TruncLaurent.const(-1, prec)
         nu = TruncLaurent.exp_h(omega - 1, prec)
-        label = "regime2(omega=%s)" % omega
-    else:
-        raise ValueError("regime must be 1 or 2")
     return LaurentParams(q=q, nu=nu, label=label)
 
 
@@ -188,11 +192,21 @@ def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
     parameters; the result is an idempotent of B_n(omega).
 
     The extension spectra must be pairwise distinct as series, as on the
-    rational path; collisions raise NOT_GENERIC."""
+    rational path; collisions raise NOT_GENERIC.  A given ``ctx`` must be
+    the Laurent context of this regime and omega on len(tab) strands, or
+    DOMAIN_MISMATCH is raised."""
     n = len(tab)
     omega = Fraction(omega)
     if ctx is None:
-        params = laurent_params(regime, omega, prec)
-        ctx = AlgebraContext(n, params, verify=False)
+        ctx = AlgebraContext(n, laurent_params(regime, omega, prec),
+                             verify=False)
+    elif ctx.n != n:
+        raise DomainMismatch("tableau of length %d on a context with n = %d"
+                             % (n, ctx.n))
+    elif ctx.rational:
+        raise DomainMismatch("the contraction needs a Laurent context")
+    elif ctx.params.label != _regime_label(regime, omega):
+        raise DomainMismatch("context %s, expected %s" % (
+            ctx.params.label, _regime_label(regime, omega)))
     _, E = _jm_interpolation(tab, ctx)
     return constant_term_element(E, BrauerAlgebra(n, omega))

@@ -39,9 +39,11 @@ def ctx4():
 
 
 @pytest.fixture(scope="session")
-def ctx5():
-    """The n = 5 context, built cold once for the whole session."""
-    return build_context(5, q=Q, nu=NU)
+def ctx5(tmp_path_factory):
+    """The n = 5 context, built cold once for the whole session; it writes
+    its cache file into a fresh directory."""
+    cache = tmp_path_factory.mktemp("cache5")
+    return build_context(5, q=Q, nu=NU, cache_dir=str(cache))
 
 
 def pytest_terminal_summary(terminalreporter):

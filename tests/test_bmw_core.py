@@ -1,3 +1,5 @@
+import hashlib
+import os
 import random
 from fractions import Fraction as Fr
 
@@ -245,6 +247,51 @@ def test_cache_round_trip(tmp_path):
     a = ctx_a.gen_T(1) * ctx_a.gen_K(2) * ctx_a.gen_T(2)
     b = ctx_b.gen_T(1) * ctx_b.gen_K(2) * ctx_b.gen_T(2)
     assert sorted(a.terms.items()) == sorted(b.terms.items())
+
+
+# sha256 of the n = 5 cache file at (6/5, 7/3): it pins the closure's rules
+N5_CACHE_SHA256 = \
+    "af4b6d8fb4398ea90e00df60296eaeb25a8db63570f7af613aea8e650add8f82"
+
+
+def test_n5_cache_file_pinned(ctx5):
+    path = ctx5._cache_path
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == N5_CACHE_SHA256
+    assert len(ctx5._dyn) == 164
+    inode = os.stat(path).st_ino
+    warm = build_context(5, q=Fr(6, 5), nu=Fr(7, 3),
+                         cache_dir=os.path.dirname(path))
+    assert warm.words == ctx5.words
+    assert os.stat(path).st_ino == inode, "warm build rewrote the cache"
+    assert warm.stats["cache"] == "hit"
+    assert warm.stats["closure_rounds"] == 0
+
+
+def test_build_stats(ctx4, ctx5):
+    st = ctx5.stats
+    assert st["cache"] == "miss"
+    assert st["closure_rounds"] == 4
+    assert st["rules_added"] == 164
+    assert st["triples_skipped"] > 0 and st["triples_checked"] > 0
+    assert ctx4.stats["closure_rounds"] == 0
+    assert ctx4.stats["rules_added"] == 0
+
+
+def test_build_stats_cache_states(tmp_path, monkeypatch):
+    monkeypatch.delenv("BMWF_CACHE", raising=False)
+
+    def cache_state():
+        return build_context(3, q=Fr(6, 5), nu=Fr(7, 3),
+                             cache_dir=str(tmp_path)).stats["cache"]
+
+    assert build_context(3, q=Fr(6, 5), nu=Fr(7, 3)).stats["cache"] == "off"
+    assert cache_state() == "miss"
+    assert cache_state() == "hit"
+    (path,) = tmp_path.iterdir()
+    path.write_text("[]")
+    assert cache_state() == "corrupt"
+    assert cache_state() == "hit"
 
 
 def _elements_of_two_algebras(kind, ctx2):

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from bmwfusion import DomainMismatch
+
 CLI = [sys.executable, "-m", "bmwfusion.cli"]
 
 
@@ -134,6 +136,18 @@ def test_export_bad_input_exit_2(args):
     r = run_cli("export", "--n", "3", *args)
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
+
+
+def test_domain_mismatch_exit_2(monkeypatch, capsys):
+    from bmwfusion import cli
+
+    def mismatch(*args, **kwargs):
+        raise DomainMismatch("context of another algebra")
+
+    monkeypatch.setattr(cli, "brauer_idempotent_via_contraction", mismatch)
+    assert cli.main(["export", "--n", "2", "--kind", "brauer-idempotent",
+                     "--tableau", "1;"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DOMAIN_MISMATCH"
 
 
 def _drop_expansion(data):

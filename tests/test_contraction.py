@@ -3,8 +3,9 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (BrauerAlgebra, NegativeValuation, NotGeneric,
-                       TruncLaurent, brauer_idempotent_via_contraction,
+from bmwfusion import (BrauerAlgebra, DomainMismatch, NegativeValuation,
+                       NotGeneric, TruncLaurent,
+                       brauer_idempotent_via_contraction,
                        contraction_block_check, enumerate_tableaux,
                        laurent_params, structure_constant_oracle)
 from bmwfusion.bmwcore import AlgebraContext
@@ -93,6 +94,28 @@ def test_pi_analogue_is_cup_over_omega():
     e = brauer_idempotent_via_contraction(tab, 1, omega, ctx=ctx)
     brauer = BrauerAlgebra(2, omega)
     assert (e - brauer.e(1).scale(1 / omega)).is_zero()
+
+
+def test_contraction_rejects_a_context_of_other_size():
+    # a length-3 tableau used to give diagrams on 4 strands in B_3
+    ctx = AlgebraContext(4, laurent_params(1, 5, 4), verify=False)
+    with pytest.raises(DomainMismatch):
+        brauer_idempotent_via_contraction(enumerate_tableaux(3)[0], 1, 5,
+                                          ctx=ctx)
+
+
+def test_contraction_rejects_a_rational_context(ctx3):
+    with pytest.raises(DomainMismatch):
+        brauer_idempotent_via_contraction(enumerate_tableaux(3)[0], 1, 5,
+                                          ctx=ctx3)
+
+
+@pytest.mark.parametrize("regime, omega", [(1, 5), (2, 7)])
+def test_contraction_rejects_a_context_of_other_parameters(regime, omega):
+    ctx = AlgebraContext(2, laurent_params(2, 5, 4), verify=False)
+    with pytest.raises(DomainMismatch):
+        brauer_idempotent_via_contraction(enumerate_tableaux(2)[0], regime,
+                                          omega, ctx=ctx)
 
 
 def test_regime2_equals_regime1_on_transpose():

@@ -44,3 +44,10 @@ def test_jm_complete_system_n4_second_pair():
             idem.tableau.encode()
     assert complete_system_checks(idems, ctx) == {"orthogonal": True,
                                                   "complete": True}
+
+
+def test_n5_closure_words_second_pair(ctx5, monkeypatch):
+    monkeypatch.delenv("BMWF_CACHE", raising=False)
+    ctx = build_context(5, q=Fr(-5, 6), nu=Fr(3, 7))
+    assert ctx.stats["closure_rounds"] > 0
+    assert ctx.words == ctx5.words
