@@ -1046,9 +1046,10 @@ class AlgebraElement(SparseElement):
     """Sparse linear combination of canonical words over one scalar domain.
 
     ``algebra`` is the :class:`AlgebraContext`.  The coefficient domain
-    may be richer than the context's parameter domain (rational-function
-    coefficients over a rational context during fusion); all terms of one
-    element share a single domain.
+    may be richer than the context's parameter domain (polynomials in the
+    spectral variable during the fusion step, or rational functions of a
+    RatFunc spectral argument), and it may mix with the rationals it
+    contains.
     """
 
     __slots__ = ()

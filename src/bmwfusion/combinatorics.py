@@ -16,7 +16,7 @@ from .errors import CapExceeded, NotGeneric
 
 Partition = tuple  # weakly decreasing tuple of positive ints; () is empty
 
-STRAND_CAP = 6  # the largest supported strand count n
+STRAND_CAP = 5  # the largest supported strand count n
 
 
 def check_partition(p) -> Partition:

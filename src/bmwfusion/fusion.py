@@ -6,9 +6,12 @@ evaluation and the Jucys-Murphy interpolation), closed-form
 Evaluation is always stepwise: when the idempotent for the length-k
 prefix is produced, all earlier spectral variables have already been
 replaced by the contents, so every coefficient is a univariate rational
-function in the single active variable.  Individual factors may be
-singular at the evaluation point; only the assembled, gcd-normalized
-coefficient is regular there.
+function in the single active variable u.  Its denominator is a product
+of known linear factors in u, read off the closed forms of the factors,
+so the step keeps polynomial numerators (``scalars.Poly``) over that
+factored denominator and takes no polynomial gcd.  Individual factors
+may vanish at the evaluation point; the assembled numerators are
+divisible by them there, and a Taylor coefficient gives the value.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from fractions import Fraction
 from .bmwcore import AlgebraContext, AlgebraElement
 from .combinatorics import (UpDownTableau, extension_spectrum,
                             quantum_contents)
-from .errors import NonInvertible, PoleError
-from .scalars import ParamSet, RatFunc, q_factorial, q_number
+from .errors import NonInvertible, PoleAtEvaluation, PoleError
+from .scalars import (ParamSet, Poly, format_rational, q_factorial,
+                      q_number)
 
 
 @dataclass(frozen=True)
@@ -62,16 +66,20 @@ class Idempotent:
     verified: dict = field(default_factory=dict)
 
 
-def _nonzero(x):
-    if isinstance(x, RatFunc):
-        return not x.is_zero()
-    return x != 0
-
-
-def _frac_or_ratfunc_div(delta, den, what):
-    if not _nonzero(den):
+def _div(num, den, what):
+    """num / den for rational or rational-function values; a vanishing
+    denominator is a pole."""
+    if den == 0:
         raise PoleError("%s: vanishing denominator" % what)
-    return delta / den
+    return num / den
+
+
+def _baxterized(ctx, i, r, view, what):
+    """T_i + d/(r - 1) + d/(1 + nu^-1 q r) kappa_i."""
+    d = view.delta
+    a = _div(d, r - 1, what + " scalar part")
+    b = _div(d, 1 + (view.q / view.nu) * r, what + " kappa part")
+    return ctx.gen_T(i) + ctx.one().scale(a) + ctx.gen_K(i).scale(b)
 
 
 def baxterized_T(ctx: AlgebraContext, i: int, u, v,
@@ -81,36 +89,20 @@ def baxterized_T(ctx: AlgebraContext, i: int, u, v,
     ``starred`` applies q -> -1/q in the two scalar coefficients."""
     if starred:
         view = view.starred()
-    d, q, nu = view.delta, view.q, view.nu
-    r = v / u  # Fraction or RatFunc via operator promotion
-    one = _one_like(r)
-    a = _frac_or_ratfunc_div(one * d, r - 1, "T_i(u,v) scalar part")
-    b = _frac_or_ratfunc_div(one * d, one + (q / nu) * r,
-                             "T_i(u,v) kappa part")
-    return ctx.gen_T(i).map_coefficients(lambda c: one * c) + \
-        ctx.one().scale(a) + ctx.gen_K(i).scale(b)
+    return _baxterized(ctx, i, v / u, view, "T_i(u,v)")
 
 
 def baxterized_T_one_arg(ctx, i, x, view):
     """T_i(x) := T_i(x, 1)."""
-    return baxterized_T(ctx, i, x, _one_like(x), view)
-
-
-def _one_like(x):
-    if isinstance(x, RatFunc):
-        return RatFunc.const(1, x.var)
-    return Fraction(1)
+    return baxterized_T(ctx, i, x, 1, view)
 
 
 def pole_factor_f(u, v, view):
     """f(u, v) = (u-v)^2 / ((u - q^2 v)(u - q^-2 v)) = f(v, u)."""
     q = view.q
-    num = (u - v) * (u - v)
-    den = (u - q * q * v) * (u - v / (q * q))
-    if not _nonzero(den):
-        raise PoleError("f(u,v): u = q^{+-2} v")
-    f = num / den
-    if not _nonzero(f):
+    f = _div((u - v) * (u - v), (u - q * q * v) * (u - v / (q * q)),
+             "f(u,v) at u = q^{+-2} v")
+    if f == 0:
         raise PoleError("f(u,v) = 0 at u = v")
     return f
 
@@ -125,54 +117,95 @@ def baxterized_Q(ctx, i, u, v, view, starred: bool = False):
     view: T_i + d/(c u v - 1) + d/(1 + nu^-1 q c u v) kappa_i."""
     if starred:
         view = view.starred()
-    d, q, nu, c = view.delta, view.q, view.nu, view.c
-    x = c * u * v
-    one = _one_like(x)
-    a = _frac_or_ratfunc_div(one * d, x - 1, "Q_i scalar part")
-    b = _frac_or_ratfunc_div(one * d, one + (q / nu) * x, "Q_i kappa part")
-    return ctx.gen_T(i).map_coefficients(lambda cc: one * cc) + \
-        ctx.one().scale(a) + ctx.gen_K(i).scale(b)
+    return _baxterized(ctx, i, view.c * u * v, view, "Q_i")
 
 
-def _y_fold(E, ctx, j: int, contents, u, view):
-    """E * Y_j(c_1, ..., c_{j-1}, u), multiplied one factor at a time:
-    descending Q-factors, the scalar (c u - 1)/(u - 1) coming from
+def Y_script(ctx, j: int, contents, u, view) -> AlgebraElement:
+    """Y_j(c_1, ..., c_{j-1}, u) as an element, multiplied one factor at a
+    time: descending Q-factors, the scalar (c u - 1)/(u - 1) coming from
     y_1 = 1, then ascending inverse baxterized factors."""
+    if len(contents) != j - 1:
+        raise ValueError("need j-1 evaluated contents")
+    E = ctx.one()
     for m in range(j - 1, 0, -1):
         E = E * baxterized_Q(ctx, m, contents[m - 1], u, view)
-    E = E.scale(_frac_or_ratfunc_div(view.c * u - 1, u - 1,
-                                     "Y_1 scalar (c u - 1)/(u - 1)"))
+    E = E.scale(_div(view.c * u - 1, u - 1, "Y_1 scalar (c u - 1)/(u - 1)"))
     for m in range(1, j):
         E = E * baxterized_T_inverse(ctx, m, u, contents[m - 1], view)
     return E
 
 
-def Y_script(ctx, j: int, contents, u, view) -> AlgebraElement:
-    """Y_j(c_1, ..., c_{j-1}, u) as an element."""
-    if len(contents) != j - 1:
-        raise ValueError("need j-1 evaluated contents")
-    one = _one_like(u)
-    return _y_fold(ctx.one().map_coefficients(lambda c: one * c), ctx, j,
-                   contents, u, view)
+def _evaluate(num, den, x):
+    """The element num(u) / prod(den) at u = x, where num has Poly
+    coefficients and den is a list of Polys of degree <= 1.
+
+    With m factors vanishing at x, each coefficient is its m-th Taylor
+    coefficient at x over the product of the other factors' values and
+    the vanishing factors' slopes; a nonzero lower Taylor coefficient is
+    a true pole."""
+    m, scale = 0, Fraction(1)
+    for f in den:
+        value, slope = f.taylor(x, 2)
+        if value:
+            scale *= value
+        else:
+            m += 1
+            scale *= slope
+
+    def at(c):
+        t = c.taylor(x, m + 1)
+        if any(t[:m]):
+            raise PoleAtEvaluation("pole of the fusion function at u = %s"
+                                   % format_rational(x))
+        return t[m] / scale
+
+    return num.map_coefficients(at)
 
 
 def fusion_step(E_prev, contents, k: int, ctx, view):
     """One consecutive-evaluation step: assemble
-    (u - c_k)/(c u c_k - 1) * E_prev * Y_k and evaluate at u = c_k.
+    phi(u) = (u - c_k)/(c u c_k - 1) * E_prev * Y_k(c_1, ..., c_{k-1}, u)
+    and evaluate it at u = c_k.
 
-    ``ctx`` is a BMW context or, for the kappa = 0 image, a Hecke
-    algebra.  Every coefficient is gcd-normalized as a rational function
-    before substituting; the combined coefficient is regular at c_k even
-    when individual factors are not."""
+    ``ctx`` is a BMW context or, for the kappa = 0 image, a Hecke algebra.
+    Every factor of Y_k is a numerator element with polynomial
+    coefficients over a product of known linear factors in u, read off
+    its closed form, so phi is one element with Poly coefficients (ring
+    operations only, no polynomial gcd) over a factored denominator,
+    multiplied by the existing element kernels.  Individual factors may
+    vanish at c_k; the assembled coefficients are divisible by their
+    product, and ``_evaluate`` divides it out exactly."""
     if k == 1:
         return ctx.one()
-    u = RatFunc.variable("u")
-    one_u = RatFunc.const(1, "u")
+    d, q, c = view.delta, view.q, view.c
+    r = q / view.nu
     ck = contents[k - 1]
-    phi = E_prev.map_coefficients(lambda c: one_u * c)
-    phi = _y_fold(phi, ctx, k, contents, u, view)
-    phi = phi.scale((u - ck) / (view.c * ck * u - 1))
-    return phi.map_coefficients(lambda c: c.evaluate_at(ck))
+    one = ctx.one()
+
+    def block(m, t, s, kap):
+        """t T_m + s + kap kappa_m."""
+        return ctx.gen_T(m).scale(t) + one.scale(s) + ctx.gen_K(m).scale(kap)
+
+    num = E_prev.map_coefficients(Poly.const)
+    den = []
+    for m in range(k - 1, 0, -1):
+        # Q_m(c_m, u) with x = c c_m u, over (x - 1)(1 + (q/nu) x)
+        x = Poly((0, c * contents[m - 1]))
+        a, b = x - 1, 1 + r * x
+        num = num * block(m, a * b, d * b, d * a)
+        den += (a, b)
+    num = num.scale(Poly((-1, c)))       # the Y_1 scalar (c u - 1)/(u - 1)
+    den.append(Poly((-1, 1)))
+    for m in range(1, k):
+        # T_m(c_m, u) f(c_m, u) with one (u - c_m) cancelled, over
+        # (c_m + (q/nu) u)(u - q^2 c_m)(u - q^-2 c_m)
+        cm = contents[m - 1]
+        a, b = Poly((-cm, 1)), Poly((cm, r))
+        num = num * block(m, a * a * b, d * cm * a * b, d * cm * a * a)
+        den += (b, Poly((-q * q * cm, 1)), Poly((-cm / (q * q), 1)))
+    num = num.scale(Poly((-ck, 1)))      # the prefactor's numerator u - c_k
+    den.append(Poly((-1, c * ck)))
+    return _evaluate(num, den, ck)
 
 
 def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext,

@@ -13,8 +13,9 @@ from fractions import Fraction
 from .bmwcore import (AlgebraElement, K_KIND, SparseElement, letter_index,
                       letter_kind)
 from .combinatorics import UpDownTableau, quantum_contents
-from .errors import DomainMismatch
+from .errors import DomainMismatch, NotGeneric
 from .fusion import SpectralView, fusion_step
+from .scalars import format_rational
 
 
 def identity_perm(n: int):
@@ -116,8 +117,8 @@ class HeckeAlgebra:
 
 
 class HeckeElement(SparseElement):
-    """Sparse combination of T_w; coefficients rational or rational
-    functions of the active spectral variable."""
+    """Sparse combination of T_w; coefficients rational, or polynomials
+    in the active spectral variable during the fusion step."""
 
     __slots__ = ()
 
@@ -171,6 +172,10 @@ def hecke_family_idempotent(tab: UpDownTableau, c_param, hecke: HeckeAlgebra,
     """Primitive idempotent of H_n for a standard tableau via the
     one-parameter family of fusion functions; independent of c_param.
 
+    A c_param with c_param c_a c_b = 1 for two contents of the tableau
+    (a <= b) puts a pole of the fusion function on a content, the
+    analogue of genericity constraint (c), and raises NotGeneric.
+
     This is the BMW consecutive evaluation run in the kappa = 0 quotient
     (``gen_K`` is zero there), with c_param in place of c = -1/(q nu).
     """
@@ -179,8 +184,17 @@ def hecke_family_idempotent(tab: UpDownTableau, c_param, hecke: HeckeAlgebra,
     n = len(tab)
     if hecke.n != n:
         raise DomainMismatch("tableau length != algebra size")
-    view = SpectralView(q=hecke.q, nu=params.nu, c=Fraction(c_param))
+    c = Fraction(c_param)
     contents = quantum_contents(tab, params)
+    for a, ca in enumerate(contents):
+        for cb in contents[a:]:
+            if c * ca * cb == 1:
+                # a pole of a Q-factor or of the prefactor at a content
+                raise NotGeneric(
+                    "c_param c_a c_b = 1",
+                    "c_param = %s: c_param c_a c_b = 1 on the contents "
+                    "of %s" % (format_rational(c), tab.encode()))
+    view = SpectralView(q=hecke.q, nu=params.nu, c=c)
     E = hecke.one()
     for k in range(2, n + 1):
         E = fusion_step(E, contents, k, hecke, view)

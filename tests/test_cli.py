@@ -102,6 +102,27 @@ def test_strand_cap_exit_2():
     assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
 
 
+@pytest.mark.parametrize("args", [
+    ("idempotents", "--n", "6"),
+    ("params", "suggest", "--n", "6"),
+], ids=["idempotents", "params-suggest"])
+def test_n6_is_above_the_strand_cap(args):
+    # n = 6 does not close at (2n-1)!! words; it fails before any build
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
+
+
+def test_hecke_family_pole_exit_2():
+    # c_param c_a c_b = 1 on two contents of the tableau
+    r = run_cli("export", "--n", "4", "--kind", "hecke-idempotent",
+                "--tableau", "1;1,1;2,1;2,2", "--c-param", "1296/625")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "NOT_GENERIC"
+
+
 def test_export_jm_index_out_of_range_exit_2():
     r = run_cli("export", "--n", "3", "--kind", "jm", "--index", "9")
     assert r.returncode == 2

@@ -3,12 +3,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (PoleError, SpectralView, Y_script, antisymmetrizer,
+from bmwfusion import (HeckeAlgebra, PoleAtEvaluation, PoleError,
+                       SpectralView, Y_script, antisymmetrizer,
                        baxterized_Q, baxterized_T, baxterized_T_inverse,
                        check_reflection, complete_system_checks,
                        enumerate_tableaux, fusion_idempotent,
-                       jm_oracle_idempotent, symmetrizer, verify_idempotent)
-from bmwfusion.fusion import baxterized_T_one_arg, pole_factor_f
+                       hecke_family_idempotent, jm_oracle_idempotent,
+                       quantum_contents, symmetrizer, verify_idempotent)
+from bmwfusion.fusion import baxterized_T_one_arg, fusion_step, pole_factor_f
 from bmwfusion.scalars import RatFunc
 
 
@@ -232,3 +234,70 @@ def test_inverse_identity_at_spec_point():
     prod = baxterized_T(ctx, 1, v, u, view) * \
         baxterized_T_inverse(ctx, 1, v, u, view)
     assert (prod - ctx.one()).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the factored fusion step against a rational-function reference
+# ---------------------------------------------------------------------------
+
+def reference_step(E_prev, contents, k, ctx, view):
+    """The fusion step with every coefficient a gcd-normalised RatFunc:
+    (u - c_k)/(c u c_k - 1) E_prev Y_k(c_1, ..., c_{k-1}, u) at u = c_k."""
+    if k == 1:
+        return ctx.one()
+    u = RatFunc.variable("u")
+    ck = contents[k - 1]
+    phi = E_prev.map_coefficients(RatFunc.const)
+    for m in range(k - 1, 0, -1):
+        phi = phi * baxterized_Q(ctx, m, contents[m - 1], u, view)
+    phi = phi.scale((view.c * u - 1) / (u - 1))
+    for m in range(1, k):
+        phi = phi * baxterized_T_inverse(ctx, m, u, contents[m - 1], view)
+    phi = phi.scale((u - ck) / (view.c * ck * u - 1))
+    return phi.map_coefficients(lambda c: c.evaluate_at(ck))
+
+
+def chain(step, contents, ctx, view):
+    E = ctx.one()
+    for k in range(1, len(contents) + 1):
+        E = step(E, contents, k, ctx, view)
+    return E
+
+
+@pytest.mark.parametrize("starred", [False, True], ids=["plain", "starred"])
+def test_fusion_step_matches_ratfunc_reference(ctx4, starred):
+    view = SpectralView.of(ctx4.params)
+    if starred:
+        view = view.starred()
+    tabs = enumerate_tableaux(4)
+    assert len(tabs) == 25
+    for tab in tabs:
+        got = fusion_idempotent(tab, ctx4, starred=starred)
+        want = chain(reference_step, quantum_contents(tab, view), ctx4, view)
+        assert got.element == want, tab.encode()
+
+
+def test_hecke_family_matches_ratfunc_reference(params4):
+    hk = HeckeAlgebra(4, params4.q)
+    tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
+    assert len(tabs) == 10
+    for c in (Fr(0), Fr(1, 2), params4.c):
+        view = SpectralView(q=hk.q, nu=params4.nu, c=c)
+        for tab in tabs:
+            got = hecke_family_idempotent(tab, c, hk, params4)
+            want = chain(reference_step, quantum_contents(tab, params4), hk,
+                         view)
+            assert got == want, (tab.encode(), c)
+
+
+def test_fusion_step_true_pole_matches_reference(ctx3):
+    # no tableau has these contents (c c_1 c_2 = 1 and c_2 c_3 = nu^2);
+    # the first two steps are regular and the third has a true pole
+    view = SpectralView.of(ctx3.params)
+    contents = (Fr(2), 1 / (2 * view.c), -2 * view.nu / view.q)
+    prefix = [chain(step, contents[:2], ctx3, view)
+              for step in (reference_step, fusion_step)]
+    assert prefix[0] == prefix[1]
+    for step, E in zip((reference_step, fusion_step), prefix):
+        with pytest.raises(PoleAtEvaluation):
+            step(E, contents, 3, ctx3, view)

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as Fr
 from itertools import permutations
 
-from bmwfusion import (HeckeAlgebra, enumerate_tableaux,
+import pytest
+
+from bmwfusion import (HeckeAlgebra, NotGeneric, enumerate_tableaux,
                        fusion_idempotent, hecke_family_idempotent,
-                       hecke_quotient)
+                       hecke_quotient, quantum_contents)
 from bmwfusion.hecke import lex_min_reduced_word, perm_inversions
 
 Q = Fr(6, 5)
@@ -82,3 +84,18 @@ def test_family_idempotent_system(ctx3):
             if i != j:
                 assert (e * f).is_zero()
     assert (total - hk.one()).is_zero()
+
+
+def test_family_rejects_a_pole_on_the_contents(params4):
+    # c_param c_a c_b = 1 for two contents (a <= b) is the Hecke analogue of
+    # genericity constraint (c)
+    hk = HeckeAlgebra(4, Q)
+    tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
+    assert len(tabs) == 10
+    for tab in tabs:
+        cs = quantum_contents(tab, params4)
+        for a in range(4):
+            for b in range(a, 4):
+                with pytest.raises(NotGeneric):
+                    hecke_family_idempotent(tab, 1 / (cs[a] * cs[b]), hk,
+                                            params4)

@@ -8,7 +8,7 @@ from bmwfusion import (DivisionByZero, NotGeneric, PoleAtEvaluation, RatFunc,
                        TruncLaurent, make_params, q_factorial, q_number)
 from bmwfusion.errors import NegativeValuation, NonInvertible
 from bmwfusion.jsonio import laurent_from_json, laurent_to_json
-from bmwfusion.scalars import (format_rational, genericity_check,
+from bmwfusion.scalars import (Poly, format_rational, genericity_check,
                                parse_rational, suggest_params)
 
 rationals = st.fractions(
@@ -88,6 +88,40 @@ def test_ratfunc_mul_div_roundtrip(b):
     a = (u * 3 - 1) / (u + 7)
     g = u * b + b
     assert (a * g) / g == a
+
+
+# ---------------------------------------------------------------------------
+# fraction-free polynomials
+# ---------------------------------------------------------------------------
+
+def _ratfunc(coeffs):
+    u, out, power = RatFunc.variable(), RatFunc.const(0), RatFunc.const(1)
+    for c in coeffs:
+        out = out + power * c
+        power = power * u
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5),
+       rationals)
+def test_poly_ring_ops_match_ratfunc(a, b, x):
+    pa, pb, fa, fb = Poly(a), Poly(b), _ratfunc(a), _ratfunc(b)
+    for got, want in ((pa + pb, fa + fb), (pa - pb, fa - fb),
+                      (pa * pb, fa * fb), (pa * x, fa * x), (-pa, -fa)):
+        assert got.taylor(x, 1) == [want.evaluate_at(x)]
+    assert pa - pa == 0 and not pa - pa
+    assert Poly([3 * c for c in a]) == pa * 3 == 3 * pa
+
+
+def test_poly_taylor_coefficients():
+    # (u - 2)^2 (3u + 1) / 5 = (3u^3 - 11u^2 + 8u + 4) / 5
+    p = Poly((Fr(4, 5), Fr(8, 5), Fr(-11, 5), Fr(3, 5)))
+    assert p.den == 5 and p.nums == [4, 8, -11, 3]
+    assert p.taylor(2, 5) == [0, 0, Fr(7, 5), Fr(3, 5), 0]
+    assert p.taylor(Fr(1, 3), 2) == [Fr(10, 9), Fr(1, 3)]
+    assert Poly(()).taylor(Fr(1, 2), 3) == [0, 0, 0]
+    assert Poly((7,)).taylor(Fr(-3, 4), 2) == [7, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +242,19 @@ def test_laurent_inverse_axiom(a, b, s):
     assert (x * x.invert() - one).is_zero()
 
 
+def test_laurent_equals_a_scalar_at_nonpositive_precision():
+    # the scalar sits at h^0, outside a window [val, prec) with prec <= 0
+    x = TruncLaurent(-2, (1, 2), 0)
+    z = TruncLaurent.zero(-1)
+    assert not x == 0 and x != 0 and not x == 3
+    assert z == 0 and not z != 0 and z == 3 and z == Fr(1, 2)
+    # inside the window h^0 must match and the rest vanish
+    assert TruncLaurent.const(3, 2) == 3 and TruncLaurent.const(3, 2) != 0
+    assert TruncLaurent(0, (3, 1)) != 3
+    assert TruncLaurent(-1, (1, 3)) != 3
+    assert TruncLaurent.zero(2) == 0 and TruncLaurent.zero(2) != 3
+
+
 def test_laurent_shift():
     x = TruncLaurent(0, (1, 2), 3)
     y = x.shift(2)
@@ -294,7 +341,11 @@ class _RefLaurent:
         return _RefLaurent(self.val + k, self.c, self.prec + k)
 
     def __eq__(self, other):
-        o = self.coerce(other)
+        if not isinstance(other, _RefLaurent):
+            # the scalar is other * h^0, compared on this series' window
+            return all(self.at(k) == (other if k == 0 else 0)
+                       for k in range(min(self.val, 0), self.prec))
+        o = other
         prec = min(self.prec, o.prec)
         lo = min(self.val if self.c else prec, o.val if o.c else prec)
         return all(self.at(k) == o.at(k) for k in range(lo, prec))
