@@ -34,7 +34,7 @@ from .scalars import (ParamSet, TruncLaurent, format_rational, make_params,
 T_KIND, K_KIND = 0, 1
 
 CACHE_FORMAT_VERSION = 1
-DEFAULT_STEP_CAP = 10 ** 6
+STEP_CAP = 10 ** 6   # rewrite steps allowed for one word
 
 
 def letter(kind: int, i: int) -> int:
@@ -85,14 +85,12 @@ class AlgebraContext:
     Use :func:`build_context`; the constructor itself performs the closure.
     """
 
-    def __init__(self, n, params, step_cap=DEFAULT_STEP_CAP,
-                 cache_dir=None, verify=True):
+    def __init__(self, n, params, cache_dir=None, verify=True):
         if n < 1 or n > STRAND_CAP:
             raise CapExceeded("n = %d outside supported range 1..%d"
                               % (n, STRAND_CAP))
         self.n = n
         self.params = params
-        self.step_cap = step_cap
         if isinstance(params, ParamSet):
             if params.certified_n < n:
                 raise NotGeneric("certified_n",
@@ -501,9 +499,9 @@ class AlgebraContext:
             else:
                 lo, hi, rep = red
             steps += 1
-            if steps > self.step_cap:
+            if steps > STEP_CAP:
                 raise RewriteLimit("step cap %d exceeded reducing %s"
-                                   % (self.step_cap, word_name(word)))
+                                   % (STEP_CAP, word_name(word)))
             if red is None:
                 items = rep.items() if isinstance(rep, dict) else rep
                 for nw, coeff in items:
@@ -985,10 +983,6 @@ class SparseElement:
     def is_zero(self):
         return not self.terms
 
-    def equals(self, other):
-        self._check(other)
-        return (self - other).is_zero()
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -1042,6 +1036,43 @@ def _fold(terms, root, step, leaf):
                 stack.append((child, step(vec, l)))
 
 
+def fold_product(alg, left, right):
+    """The product of two {key: coeff} dicts as {key: coeff}.
+
+    ``alg`` has a basis list ``words`` with its ``word_index``, and for
+    each letter ``l`` the right action on basis index ``i``: the cached
+    ``alg._rows[l][i]``, else ``alg._row(l, i)``, as ((j, coeff), ...).
+    ``left`` is keyed by basis elements, ``right`` by words in the
+    letters; any coefficient domain that mixes with the rows' works.
+    """
+    widx = alg.word_index
+    rows = alg._rows
+    out = {}
+
+    def step(vec, l):
+        row_of = rows[l]
+        nxt = {}
+        get = nxt.get
+        for i, c in vec.items():
+            row = row_of[i]
+            if row is None:
+                row = alg._row(l, i)
+            for j, cu in row:
+                prev = get(j)
+                nxt[j] = c * cu if prev is None else prev + c * cu
+        return nxt
+
+    def leaf(vec, c2):
+        get = out.get
+        for j, c in vec.items():
+            prev = get(j)
+            out[j] = c * c2 if prev is None else prev + c * c2
+
+    _fold(right, {widx[w]: c for w, c in left.items()}, step, leaf)
+    words = alg.words
+    return {words[j]: c for j, c in out.items()}
+
+
 class AlgebraElement(SparseElement):
     """Sparse linear combination of canonical words over one scalar domain.
 
@@ -1065,33 +1096,8 @@ class AlgebraElement(SparseElement):
         if (ctx.rational and _rational_terms(self.terms)
                 and _rational_terms(other.terms)):
             return self._mul_fraction_free(other)
-        widx = ctx.word_index
-        rows = ctx._rows
-        out = {}
-
-        def step(vec, l):
-            row_of = rows[l]
-            nxt = {}
-            get = nxt.get
-            for i, c in vec.items():
-                row = row_of[i]
-                if row is None:
-                    row = ctx._row(l, i)
-                for j, cu in row:
-                    prev = get(j)
-                    nxt[j] = c * cu if prev is None else prev + c * cu
-            return nxt
-
-        def leaf(vec, c2):
-            get = out.get
-            for j, c in vec.items():
-                prev = get(j)
-                out[j] = c * c2 if prev is None else prev + c * c2
-
-        _fold(other.terms, {widx[w]: c for w, c in self.terms.items()},
-              step, leaf)
-        words = ctx.words
-        return AlgebraElement(ctx, {words[j]: c for j, c in out.items()})
+        return AlgebraElement(ctx, fold_product(ctx, self.terms,
+                                                other.terms))
 
     def _mul_fraction_free(self, other):
         """The product over integer numerators: each vector of the fold is
@@ -1151,15 +1157,9 @@ class AlgebraElement(SparseElement):
         return AlgebraElement(ctx, {words[j]: Fraction(a, den)
                                     for j, a in out.items() if a})
 
-    def coefficient(self, word):
-        c = self.terms.get(tuple(word))
-        if c is None:
-            return self.algebra._one * 0
-        return c
 
-
-def build_context(n, params=None, q=None, nu=None, step_cap=DEFAULT_STEP_CAP,
-                  cache_dir=None, verify=True):
+def build_context(n, params=None, q=None, nu=None, cache_dir=None,
+                  verify=True):
     """Build an algebra context for n strands.
 
     Either pass a ParamSet/LaurentParams, or q and nu as rationals (which
@@ -1167,5 +1167,4 @@ def build_context(n, params=None, q=None, nu=None, step_cap=DEFAULT_STEP_CAP,
     """
     if params is None:
         params = make_params(q, nu, n)
-    return AlgebraContext(n, params, step_cap=step_cap, cache_dir=cache_dir,
-                          verify=verify)
+    return AlgebraContext(n, params, cache_dir=cache_dir, verify=verify)

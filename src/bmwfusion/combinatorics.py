@@ -130,9 +130,6 @@ class UpDownTableau:
     def shape(self) -> Partition:
         return self.shapes[-1]
 
-    def prefix(self, k: int) -> "UpDownTableau":
-        return UpDownTableau(self.shapes[:k])
-
     def transpose(self) -> "UpDownTableau":
         return UpDownTableau(tuple(transpose_partition(s)
                                    for s in self.shapes))

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bmwcore import AlgebraContext, AlgebraElement
-from .combinatorics import (UpDownTableau, extension_spectrum,
-                            quantum_contents)
-from .errors import NonInvertible, PoleAtEvaluation, PoleError
+from .combinatorics import (UpDownTableau, enumerate_tableaux,
+                            extension_spectrum, quantum_contents)
+from .errors import BmwError, NonInvertible, PoleAtEvaluation, PoleError
 from .scalars import (ParamSet, Poly, format_rational, q_factorial,
                       q_number)
 
@@ -83,12 +83,10 @@ def _baxterized(ctx, i, r, view, what):
 
 
 def baxterized_T(ctx: AlgebraContext, i: int, u, v,
-                 view: SpectralView, starred: bool = False) -> AlgebraElement:
+                 view: SpectralView) -> AlgebraElement:
     """T_i(u, v) = T_i + d/(v/u - 1) + d/(1 + nu^-1 q v/u) kappa_i.
 
-    ``starred`` applies q -> -1/q in the two scalar coefficients."""
-    if starred:
-        view = view.starred()
+    Pass ``view.starred()`` for q -> -1/q in the two scalar coefficients."""
     return _baxterized(ctx, i, v / u, view, "T_i(u,v)")
 
 
@@ -112,11 +110,9 @@ def baxterized_T_inverse(ctx, i, v, u, view):
     return baxterized_T(ctx, i, u, v, view).scale(pole_factor_f(u, v, view))
 
 
-def baxterized_Q(ctx, i, u, v, view, starred: bool = False):
+def baxterized_Q(ctx, i, u, v, view):
     """Q_i(u, v; c) = T_i(1/(c u v)) with the fixed parameter c of the
     view: T_i + d/(c u v - 1) + d/(1 + nu^-1 q c u v) kappa_i."""
-    if starred:
-        view = view.starred()
     return _baxterized(ctx, i, view.c * u * v, view, "Q_i")
 
 
@@ -388,92 +384,35 @@ def Y_product(ctx, us, view) -> AlgebraElement:
 # reflection equation checks
 # ---------------------------------------------------------------------------
 
-def _minimal_polynomial(ctx, elem: AlgebraElement):
-    """Minimal polynomial of an element, by exact linear algebra on the
-    canonical-word coordinates: the first power that depends linearly on
-    the lower ones gives the polynomial."""
-    idx = ctx.word_index
-    dim = len(ctx.words)
-
-    def vec_of(e):
-        v = [Fraction(0)] * dim
-        for w, c in e.terms.items():
-            v[idx[w]] = c
-        return v
-
-    powers = [ctx.one()]
-    vecs = [vec_of(powers[0])]
-    while True:
-        powers.append(powers[-1] * elem)
-        vecs.append(vec_of(powers[-1]))
-        k = len(vecs) - 1
-        # solve sum_r x_r vecs[r] = vecs[k] exactly (r < k)
-        rows = [[vecs[r][t] for r in range(k)] + [vecs[k][t]]
-                for t in range(dim)]
-        sol = _solve_exact(rows, k)
-        if sol is not None:
-            coeffs = [-x for x in sol] + [Fraction(1)]
-            return coeffs
-
-
-def _solve_exact(rows, k):
-    """Solve an overdetermined exact linear system given as rows of
-    length k+1 (augmented); None if inconsistent."""
-    mat = [r[:] for r in rows]
-    piv_rows = []
-    col = 0
-    r0 = 0
-    for col in range(k):
-        piv = None
-        for r in range(r0, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[r0], mat[piv] = mat[piv], mat[r0]
-        f = mat[r0][col]
-        mat[r0] = [x / f for x in mat[r0]]
-        for r in range(len(mat)):
-            if r != r0 and mat[r][col] != 0:
-                g = mat[r][col]
-                mat[r] = [x - g * y for x, y in zip(mat[r], mat[r0])]
-        piv_rows.append((r0, col))
-        r0 += 1
-    # consistency: all-zero coefficient rows must have zero rhs
-    for r in range(len(mat)):
-        if all(x == 0 for x in mat[r][:k]) and mat[r][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for r, c in piv_rows:
-        sol[c] = mat[r][k]
-    return sol
-
-
-def inverse_of_shifted(ctx, elem: AlgebraElement, u):
-    """(u - elem)^-1 as a polynomial in elem via the minimal polynomial:
-    (u - y)^-1 = h(y)/m(u) with h(t) = (m(u) - m(t))/(u - t)."""
-    u = Fraction(u)
-    m = _minimal_polynomial(ctx, elem)
-    mu_val = sum(c * u ** k for k, c in enumerate(m))
-    if mu_val == 0:
-        raise NonInvertible("u is in the spectrum of the element")
-    deg = len(m) - 1
-    h = [Fraction(0)] * deg
-    for r in range(deg):
-        h[r] = sum(m[k] * u ** (k - 1 - r) for k in range(r + 1, deg + 1))
-    out = ctx.zero()
-    p = ctx.one()
-    for r in range(deg):
-        out = out + p.scale(h[r] / mu_val)
-        p = p * elem
-    return out
-
-
 def L_operator(ctx, j, u, view):
-    """L_j(u) = (c u y_j - 1)(u - y_j)^-1 with exact inversion."""
+    """L_j(u) = (c u y_j - 1)(u - y_j)^-1 with exact inversion.
+
+    The spectrum of y_j is the set of j-th quantum contents of the up-down
+    tableaux of length j, so m(t) = prod (t - c) over it annihilates y_j
+    and (u - y_j)^-1 = h(y_j)/m(u) with h(t) = (m(u) - m(t))/(u - t).  A
+    u in the spectrum raises NonInvertible; one more power of y_j checks
+    m(y_j) = 0 exactly."""
     y = ctx.jm_element(j)
-    inv = inverse_of_shifted(ctx, y, u)
+    u = Fraction(u)
+    spectrum = dict.fromkeys(quantum_contents(tab, ctx.params)[j - 1]
+                             for tab in enumerate_tableaux(j))
+    m = [Fraction(1)]             # coefficients of m(t), lowest first
+    for c in spectrum:
+        m = [a - c * b for a, b in zip([Fraction(0)] + m, m + [0])]
+    mu_val = sum(a * u ** k for k, a in enumerate(m))
+    if mu_val == 0:
+        raise NonInvertible("u = %s is in the spectrum of y_%d"
+                            % (format_rational(u), j))
+    inv, m_of_y, p = ctx.zero(), ctx.zero(), ctx.one()
+    for r, a in enumerate(m):        # p = y^r
+        m_of_y = m_of_y + p.scale(a)
+        if r + 1 < len(m):
+            h = sum(m[k] * u ** (k - 1 - r) for k in range(r + 1, len(m)))
+            inv = inv + p.scale(h / mu_val)
+            p = p * y
+    if not m_of_y.is_zero():
+        raise BmwError("the contents of length-%d tableaux do not "
+                       "annihilate y_%d" % (j, j))
     return (y.scale(view.c * u) - ctx.one()) * inv
 
 

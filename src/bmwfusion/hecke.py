@@ -3,28 +3,27 @@ from BMW_n, and the one-parameter family of fusion idempotents.
 
 Permutations are tuples in 0-indexed one-line notation.  The quadratic
 relation is T_i^2 = 1 + (q - q^-1) T_i, matching the image of the BMW
-quadratic relation at kappa = 0.
+quadratic relation at kappa = 0.  Products run on the letter-row fold of
+``bmwcore``: the basis is the n! permutations, the letters are the
+generator indices 1..n-1, and each right-hand T_w is spelled as its
+lexicographically minimal reduced word.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .bmwcore import (AlgebraElement, K_KIND, SparseElement, letter_index,
-                      letter_kind)
-from .combinatorics import UpDownTableau, quantum_contents
-from .errors import DomainMismatch, NotGeneric
+from .bmwcore import (AlgebraElement, T_KIND, SparseElement, fold_product,
+                      letter_index, letter_kind)
+from .combinatorics import STRAND_CAP, UpDownTableau, quantum_contents
+from .errors import CapExceeded, DomainMismatch, NotGeneric
 from .fusion import SpectralView, fusion_step
 from .scalars import format_rational
 
 
 def identity_perm(n: int):
     return tuple(range(n))
-
-
-def perm_mul(u, v):
-    """(u v)(x) = u(v(x))."""
-    return tuple(u[v[x]] for x in range(len(u)))
 
 
 def perm_inversions(w) -> int:
@@ -63,13 +62,19 @@ def lex_min_reduced_word(w):
 
 
 class HeckeAlgebra:
-    """H_n(q) with exact rational q."""
+    """H_n(q) with exact rational q, 1 <= n <= STRAND_CAP."""
 
     def __init__(self, n: int, q):
+        if not 1 <= n <= STRAND_CAP:
+            raise CapExceeded("n = %d outside supported range 1..%d"
+                              % (n, STRAND_CAP))
         self.n = n
         self.q = Fraction(q)
         self.delta = self.q - 1 / self.q
-        self._rmul = {}
+        self.words = list(itertools.permutations(range(n)))
+        self.word_index = {w: k for k, w in enumerate(self.words)}
+        # T_w T_l on basis indices, built on first use by _row
+        self._rows = {l: [None] * len(self.words) for l in range(1, n)}
 
     def __eq__(self, other):
         if not isinstance(other, HeckeAlgebra):
@@ -78,6 +83,15 @@ class HeckeAlgebra:
 
     def __hash__(self):
         return hash((self.n, self.q))
+
+    def _row(self, l, i):
+        """T_w T_l = T_{w s_l}, plus delta T_w when l is a descent of w."""
+        w = self.words[i]
+        row = ((self.word_index[apply_s_right(w, l)], Fraction(1)),)
+        if w[l - 1] > w[l]:
+            row += ((i, self.delta),)
+        self._rows[l][i] = row
+        return row
 
     def one(self):
         return HeckeElement(self, {identity_perm(self.n): Fraction(1)})
@@ -96,24 +110,19 @@ class HeckeAlgebra:
             self, {apply_s_right(identity_perm(self.n), i): Fraction(1)})
 
     def from_terms(self, terms):
-        return HeckeElement(self, dict(terms))
+        """The element sum c * T_w over {w: c}; a key that is not a
+        permutation of range(n) raises DomainMismatch."""
+        out = {}
+        for w, c in terms.items():
+            w = tuple(w)
+            if w not in self.word_index:
+                raise DomainMismatch("%r is not a permutation of 0..%d"
+                                     % (w, self.n - 1))
+            out[w] = c
+        return HeckeElement(self, out)
 
     def basis_perms(self):
-        import itertools
-        return [p for p in itertools.permutations(range(self.n))]
-
-    def _mul_perm_gen(self, w, i):
-        """T_w T_i as [(perm, scalar coeff)], scalars rational."""
-        key = (w, i)
-        hit = self._rmul.get(key)
-        if hit is None:
-            v = apply_s_right(w, i)
-            if w[i - 1] < w[i]:
-                hit = ((v, Fraction(1)),)
-            else:
-                hit = ((v, Fraction(1)), (w, self.delta))
-            self._rmul[key] = hit
-        return hit
+        return list(self.words)
 
 
 class HeckeElement(SparseElement):
@@ -128,23 +137,9 @@ class HeckeElement(SparseElement):
         if not isinstance(other, HeckeElement):
             return NotImplemented
         self._check(other)
-        alg = self.algebra
-        out = {}
-        for w2, c2 in other.terms.items():
-            vec = self.terms
-            for i in lex_min_reduced_word(w2):
-                nxt = {}
-                for w, c in vec.items():
-                    for u, cu in alg._mul_perm_gen(w, i):
-                        prev = nxt.get(u)
-                        nc = c * cu if prev is None else prev + c * cu
-                        nxt[u] = nc
-                vec = nxt
-            for w, c in vec.items():
-                prev = out.get(w)
-                nc = c * c2 if prev is None else prev + c * c2
-                out[w] = nc
-        return HeckeElement(alg, out)
+        right = {lex_min_reduced_word(w): c for w, c in other.terms.items()}
+        return HeckeElement(self.algebra,
+                            fold_product(self.algebra, self.terms, right))
 
 
 def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
@@ -152,15 +147,10 @@ def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
     kappa letter map to 0, T-words map to the corresponding product."""
     if hecke.n != elem.algebra.n:
         raise DomainMismatch("strand counts differ")
-    out = hecke.zero()
-    for w, c in elem.terms.items():
-        if any(letter_kind(l) == K_KIND for l in w):
-            continue
-        img = hecke.one()
-        for l in w:
-            img = img * hecke.gen_T(letter_index(l))
-        out = out + img.scale(c)
-    return out
+    words = {tuple(letter_index(l) for l in w): c
+             for w, c in elem.terms.items()
+             if all(letter_kind(l) == T_KIND for l in w)}
+    return HeckeElement(hecke, fold_product(hecke, hecke.one().terms, words))
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,11 @@ Wire formats:
 
 from __future__ import annotations
 
-from .bmwcore import (AlgebraContext, AlgebraElement, T_KIND,
-                      letter_index, letter_kind)
+from .bmwcore import AlgebraContext, AlgebraElement, letter_name
 from .brauer import BrauerAlgebra, BrauerElement
-from .combinatorics import UpDownTableau
 from .errors import DomainMismatch
 from .hecke import HeckeAlgebra, HeckeElement
 from .scalars import TruncLaurent, format_rational, parse_rational
-
-
-def _letter_to_json(l) -> str:
-    return ("T%d" if letter_kind(l) == T_KIND else "K%d") % letter_index(l)
-
-
-def _sorted_words(terms):
-    return sorted(terms, key=lambda w: (len(w), w))
 
 
 def element_to_json(elem: AlgebraElement) -> dict:
@@ -41,13 +31,13 @@ def element_to_json(elem: AlgebraElement) -> dict:
     else:
         params = {"laurent": ctx.params.label}
         enc = laurent_to_json
+    words = sorted(elem.terms, key=AlgebraElement._key_order)
     return {
         "algebra": "bmw",
         "n": ctx.n,
         "params": params,
-        "terms": [{"word": [_letter_to_json(l) for l in w],
-                   "coeff": enc(elem.terms[w])}
-                  for w in _sorted_words(elem.terms)],
+        "terms": [{"word": [letter_name(l) for l in w],
+                   "coeff": enc(elem.terms[w])} for w in words],
     }
 
 
@@ -140,7 +130,3 @@ def hecke_from_json(data: dict) -> HeckeElement:
     terms = {tuple(x - 1 for x in t["perm"]): parse_rational(t["coeff"])
              for t in data["terms"]}
     return alg.from_terms(terms)
-
-
-def tableau_from_json(text: str) -> UpDownTableau:
-    return UpDownTableau.decode(text)

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from bmwfusion import DomainMismatch
+from bmwfusion import BmwError, DomainMismatch
 
 CLI = [sys.executable, "-m", "bmwfusion.cli"]
 
@@ -171,6 +172,23 @@ def test_domain_mismatch_exit_2(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "DOMAIN_MISMATCH"
 
 
+def test_reflection_suite_internal_error_exit_3(monkeypatch, capsys):
+    # an error that every spectral draw would hit ends the suite with
+    # exit 3 instead of drawing forever
+    from bmwfusion import cli, fusion
+    calls = []
+
+    def annihilation_fails(*args, **kwargs):
+        if calls:
+            pytest.fail("the suite drew again after an internal error")
+        calls.append(args)
+        raise BmwError("m(y_j) != 0")
+
+    monkeypatch.setattr(fusion, "L_operator", annihilation_fails)
+    assert cli.main(["verify", "--suite", "reflection", "--n", "3"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "INTERNAL"
+
+
 def _drop_expansion(data):
     del data["table"][0]["expansion"]
     return data
@@ -196,3 +214,15 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     assert r.stdout == run_cli(*args).stdout
     # the build rewrote the file
     assert json.loads(path.read_text()) == good
+
+
+@pytest.mark.parametrize("args,digest", [
+    (("verify", "--suite", "all", "--n", "3"),
+     "034ac17c3ced27c29a7578281ea4170d56bb6d2bb9674de31d155542a24867ff"),
+    (("verify", "--suite", "reflection", "--n", "4"),
+     "af7ebaa38e961b299acde19630b1d5fb4156133008a56380e2c0935b51eace37"),
+], ids=["all-n3", "reflection-n4"])
+def test_verify_stdout_pinned(tmp_path, args, digest):
+    r = run_cli(*args, "--cache-dir", str(tmp_path))
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest

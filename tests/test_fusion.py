@@ -10,7 +10,9 @@ from bmwfusion import (HeckeAlgebra, PoleAtEvaluation, PoleError,
                        enumerate_tableaux, fusion_idempotent,
                        hecke_family_idempotent, jm_oracle_idempotent,
                        quantum_contents, symmetrizer, verify_idempotent)
-from bmwfusion.fusion import baxterized_T_one_arg, fusion_step, pole_factor_f
+from bmwfusion.errors import BmwError, NonInvertible
+from bmwfusion.fusion import (L_operator, baxterized_T_one_arg, fusion_step,
+                              pole_factor_f)
 from bmwfusion.scalars import RatFunc
 
 
@@ -180,6 +182,40 @@ def test_reflection_noninvertible(ctx3):
     q = ctx3.params.q
     with pytest.raises(NonInvertible):
         check_reflection(ctx3, 2, q ** 2, Fr(3), "L")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_L_operator_inverts_u_minus_y(n, ctx3, ctx4):
+    ctx = {3: ctx3, 4: ctx4}[n]
+    view = SpectralView.of(ctx.params)
+    one = ctx.one()
+    for j in range(1, n + 1):
+        y = ctx.jm_element(j)
+        for u in (Fr(2, 7), Fr(-3), Fr(5, 4)):
+            L = L_operator(ctx, j, u, view)
+            assert L * (one.scale(u) - y) == y.scale(view.c * u) - one
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_L_operator_noninvertible_at_every_content(n, ctx3, ctx4):
+    ctx = {3: ctx3, 4: ctx4}[n]
+    view = SpectralView.of(ctx.params)
+    for j in range(1, n + 1):
+        spectrum = {quantum_contents(t, ctx.params)[j - 1]
+                    for t in enumerate_tableaux(n)}
+        for c in spectrum:
+            with pytest.raises(NonInvertible):
+                L_operator(ctx, j, c, view)
+
+
+def test_L_operator_checks_the_annihilating_polynomial(ctx3, monkeypatch):
+    # with a content missing, m(t) no longer annihilates y_j
+    import bmwfusion.fusion as fusion
+    monkeypatch.setattr(fusion, "enumerate_tableaux",
+                        lambda j: enumerate_tableaux(j)[:1])
+    with pytest.raises(BmwError) as info:
+        L_operator(ctx3, 3, Fr(2, 7), SpectralView.of(ctx3.params))
+    assert info.type is BmwError
 
 
 def test_symmetrizer_forms_and_eigen(ctx3):

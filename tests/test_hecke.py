@@ -4,12 +4,44 @@ from itertools import permutations
 
 import pytest
 
-from bmwfusion import (HeckeAlgebra, NotGeneric, enumerate_tableaux,
-                       fusion_idempotent, hecke_family_idempotent,
-                       hecke_quotient, quantum_contents)
-from bmwfusion.hecke import lex_min_reduced_word, perm_inversions
+from bmwfusion import (CapExceeded, DomainMismatch, HeckeAlgebra,
+                       NotGeneric, enumerate_tableaux, fusion_idempotent,
+                       hecke_family_idempotent, hecke_quotient,
+                       quantum_contents)
+from bmwfusion.bmwcore import K_KIND, letter_index, letter_kind
+from bmwfusion.hecke import (HeckeElement, apply_s_right,
+                             lex_min_reduced_word, perm_inversions)
+from bmwfusion.jsonio import hecke_from_json
+from bmwfusion.scalars import Poly
 
 Q = Fr(6, 5)
+
+
+def reference_mul(a, b):
+    """a * b term by term: each T_w of b as its reduced word, one
+    generator at a time, T_v T_i = T_{v s_i} (+ delta T_v on a descent)."""
+    alg = a.algebra
+    out = {}
+    for w2, c2 in b.terms.items():
+        vec = a.terms
+        for i in lex_min_reduced_word(w2):
+            nxt = {}
+            for v, c in vec.items():
+                u = apply_s_right(v, i)
+                nxt[u] = nxt[u] + c if u in nxt else c
+                if v[i - 1] > v[i]:
+                    nxt[v] = nxt[v] + c * alg.delta if v in nxt \
+                        else c * alg.delta
+            vec = nxt
+        for v, c in vec.items():
+            out[v] = out[v] + c * c2 if v in out else c * c2
+    return HeckeElement(alg, out)
+
+
+def _random_element(hk, rnd, coeff):
+    perms = hk.basis_perms()
+    return hk.from_terms({rnd.choice(perms): coeff()
+                          for _ in range(rnd.randint(1, 6))})
 
 
 def test_basic_relations():
@@ -99,3 +131,60 @@ def test_family_rejects_a_pole_on_the_contents(params4):
                 with pytest.raises(NotGeneric):
                     hecke_family_idempotent(tab, 1 / (cs[a] * cs[b]), hk,
                                             params4)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["fraction", "poly"])
+def test_fold_matches_the_reference_product(n, kind):
+    hk = HeckeAlgebra(n, Q)
+    rnd = random.Random(n)
+
+    def frac():
+        return Fr(rnd.randint(-9, 9), rnd.randint(1, 9))
+
+    def poly():
+        return Poly([frac() for _ in range(rnd.randint(1, 3))])
+
+    coeff = frac if kind == "fraction" else poly
+    for _ in range(40):
+        a = _random_element(hk, rnd, coeff)
+        b = _random_element(hk, rnd, coeff)
+        assert a * b == reference_mul(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quotient_matches_word_by_word_products(n, ctx3, ctx4):
+    ctx = {3: ctx3, 4: ctx4}[n]
+    hk = HeckeAlgebra(n, Q)
+    tabs = enumerate_tableaux(n)
+    # a fusion idempotent has terms on every kind of canonical word
+    elems = [fusion_idempotent(tabs[k], ctx).element for k in (0, 2, -1)]
+    elems.append(ctx.jm_element(n) * ctx.gen_K(n - 1))
+    for elem in elems:
+        want = hk.zero()
+        for w, c in elem.terms.items():
+            if any(letter_kind(l) == K_KIND for l in w):
+                continue
+            img = hk.one()
+            for l in w:
+                img = reference_mul(img, hk.gen_T(letter_index(l)))
+            want = want + img.scale(c)
+        assert hecke_quotient(elem, hk) == want
+
+
+def test_strand_cap():
+    with pytest.raises(CapExceeded):
+        HeckeAlgebra(6, Q)
+    with pytest.raises(CapExceeded):
+        HeckeAlgebra(0, Q)
+
+
+def test_from_terms_rejects_a_non_permutation():
+    hk = HeckeAlgebra(3, Q)
+    for bad in ((0, 1), (0, 1, 1), (1, 2, 3), (0, 1, 2, 3)):
+        with pytest.raises(DomainMismatch):
+            hk.from_terms({bad: Fr(1)})
+    data = {"algebra": "hecke", "n": 3, "q": "6/5",
+            "terms": [{"perm": [1, 2, 2], "coeff": "1"}]}
+    with pytest.raises(DomainMismatch):
+        hecke_from_json(data)
