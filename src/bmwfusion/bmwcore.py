@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 from fractions import Fraction
@@ -116,7 +117,7 @@ class AlgebraContext:
         # what the build did; plain values, never printed
         self.stats = {"closure_rounds": 0, "triples_checked": 0,
                       "triples_skipped": 0, "rules_added": 0,
-                      "cache": self._load_cache()}
+                      "rules_reset": 0, "cache": self._load_cache()}
         self.words = self._close()
         self.word_index = {w: k for k, w in enumerate(self.words)}
         # right action of each letter on each basis index, built on first
@@ -577,23 +578,16 @@ class AlgebraContext:
             self._rows[l][i] = row
         return row
 
-    def _mul_vec_letter(self, vec, l):
-        out = {}
-        for w, c in vec.items():
-            for u, cu in self._red(w + (l,)).items():
-                prev = out.get(u)
-                nc = c * cu if prev is None else prev + c * cu
-                out[u] = nc
-        return {w: c for w, c in out.items() if c != 0}
-
-    def _closure_once(self):
+    def _closure_once(self, support):
+        """The words reached from () by right letter products, in basis
+        order; ``support(word)`` lists the words of _red(word)."""
         basis = {(): None}
         frontier = [()]
         while frontier:
             nxt = []
             for w in frontier:
                 for l in self.letters:
-                    for u in self._red(w + (l,)):
+                    for u in support(w + (l,)):
                         if u not in basis:
                             basis[u] = None
                             nxt.append(u)
@@ -610,11 +604,53 @@ class AlgebraContext:
         holds only while vg = w.g is fresh: once a rule is set, vg no
         longer reduces through every rule, the two sides can differ, and
         the defect is itself a rule that must not be lost.
+
+        The rounds run on vectors (den, {word: numerator}) with the content
+        divided out, as the fraction-free product does; over series the
+        denominator stays 1.  ``red`` memoises _red for the rounds only.  A
+        new rule lead -> rep evicts the entries whose support holds lead:
+        renormalisation is linear, so every other entry is still reduced
+        through all the rules.  A rule set again with the same expansion
+        changes nothing and is not written; one set again with another
+        expansion clears the memo.  A memo hit stands for an
+        earlier _red, so each word meets reduce_word, which fixes its
+        reduction, between the same two rules as without the memo.
         """
         stats = self.stats
         known = len(self._dyn)
         want = double_factorial(2 * self.n - 1)
-        basis = self._closure_once()
+        if self.rational:
+            lift, ratio = _over_common_denominator, Fraction
+        else:
+            lift, ratio = (lambda vec: (1, vec)), operator.truediv
+        memo = {}       # word -> _red(word) as (den, {word: numerator})
+        users = {}      # word -> the memo keys whose support held it
+
+        def red(word):
+            hit = memo.get(word)
+            if hit is None:
+                hit = memo[word] = lift(self._red(word))
+                for u in hit[1]:
+                    users.setdefault(u, []).append(word)
+            return hit
+
+        def times(vec, l):
+            den, nums = vec
+            got = []
+            for u, a in nums.items():
+                d, row = red(u + (l,))
+                got.append((a, (d, row.items())))
+            return _sum_rows(den, got)
+
+        def over(vec, common):
+            # scale only when needed: a series of negative valuation times
+            # 1 loses the top of its window
+            den, nums = vec
+            s = common // den
+            return nums.items() if s == 1 else \
+                [(u, a * s) for u, a in nums.items()]
+
+        basis = self._closure_once(self._red)
         rounds = 0
         while len(basis) != want:
             rounds += 1
@@ -630,41 +666,54 @@ class AlgebraContext:
             found = 0
             for w in basis:
                 for g in self.letters:
-                    vg = self._red(w + (g,))
+                    vg = red(w + (g,))
                     fresh = found
                     for h in self.letters:
-                        gh = self._red((g, h))
-                        if found == fresh and gh == {(g, h): 1}:
+                        gh = red((g, h))
+                        if found == fresh and gh == (1, {(g, h): 1}):
                             stats["triples_skipped"] += 1
                             continue
                         stats["triples_checked"] += 1
-                        A = self._mul_vec_letter(vg, h)
-                        B = {}
-                        for v, cv in gh.items():
-                            t = {w: cv}
+                        A = times(vg, h)
+                        B = []
+                        den, nums = gh
+                        for v, cv in nums.items():
+                            t = (den, {w: cv})
                             for l in v:
-                                t = self._mul_vec_letter(t, l)
-                            for u, cu in t.items():
-                                prev = B.get(u)
-                                B[u] = cu if prev is None else prev + cu
-                        D = dict(A)
-                        for u, cu in B.items():
-                            prev = D.get(u)
-                            D[u] = -cu if prev is None else prev - cu
-                        D = {u: c for u, c in D.items() if c != 0}
-                        if D:
-                            lead = max(D, key=lambda x: (len(x), x))
-                            cl = D.pop(lead)
-                            self._dyn[lead] = {u: -(c / cl)
-                                               for u, c in D.items()}
-                            found += 1
+                                t = times(t, l)
+                            B.append(t)
+                        common = math.lcm(A[0], *(t[0] for t in B))
+                        D = dict(over(A, common))
+                        for t in B:
+                            for u, b in over(t, common):
+                                prev = D.get(u)
+                                D[u] = -b if prev is None else prev - b
+                        D = {u: c for u, c in D.items() if c}
+                        if not D:
+                            continue
+                        found += 1
+                        lead = max(D, key=lambda x: (len(x), x))
+                        cl = D.pop(lead)
+                        rep = {u: ratio(-c, cl) for u, c in D.items()}
+                        old = self._dyn.get(lead)
+                        if old is not None and old == rep:
+                            stats["rules_reset"] += 1
+                            continue
+                        self._dyn[lead] = rep
+                        if old is None:
+                            memo.pop(lead, None)
+                            for u in users.pop(lead, ()):
+                                memo.pop(u, None)
+                        else:
+                            memo.clear()
+                            users.clear()
                 if found >= 80:
                     break
             if found == 0:
                 raise DimensionMismatch(
                     "no associativity defects but %d words != %d for n=%d"
                     % (len(basis), want, self.n))
-            basis = self._closure_once()
+            basis = self._closure_once(lambda word: red(word)[1])
             stats["rules_added"] = len(self._dyn) - known
         return basis
 
@@ -1012,6 +1061,33 @@ def _over_common_denominator(terms):
                  for k, c in terms.items()}
 
 
+def _sum_rows(den, got):
+    """The vector sum a * row / den over got = [(a, (d, pairs))], each row
+    given by (key, numerator) pairs over its integer denominator d.
+
+    Returns (denominator, {key: numerator}) over den times the rows' common
+    denominator, with zero terms dropped and the content divided out.  Over
+    series every denominator is 1 and no gcd is taken.
+    """
+    row_den = 1
+    for _, (d, _) in got:
+        if row_den % d:
+            row_den = math.lcm(row_den, d)
+    nxt = {}
+    get = nxt.get
+    for a, (d, row) in got:
+        if d != row_den:
+            a *= row_den // d
+        for j, x in row:
+            prev = get(j)
+            nxt[j] = a * x if prev is None else prev + a * x
+    den *= row_den
+    g = 1 if den == 1 else math.gcd(den, *nxt.values())
+    if g == 1:
+        return den, {j: a for j, a in nxt.items() if a}
+    return den // g, {j: a // g for j, a in nxt.items() if a}
+
+
 def _fold(terms, root, step, leaf):
     """Fold the words of ``terms`` through ``root`` letter by letter.
 
@@ -1108,32 +1184,17 @@ class AlgebraElement(SparseElement):
         den1, left = _over_common_denominator(self.terms)
         den2, right = _over_common_denominator(other.terms)
         groups = {}     # leaf denominator -> {index: numerator}
-        gcd, lcm = math.gcd, math.lcm
 
         def step(vec, l):
             den, nums = vec
             row_of = rows[l]
             got = []
-            row_den = 1
             for i, a in nums.items():
                 row = row_of[i]
                 if row is None:
                     row = ctx._int_row(l, i)
                 got.append((a, row))
-                if row_den % row[0]:
-                    row_den = lcm(row_den, row[0])
-            nxt = {}
-            get = nxt.get
-            for a, (d, row) in got:
-                if d != row_den:
-                    a *= row_den // d
-                for j, x in row:
-                    nxt[j] = get(j, 0) + a * x
-            den *= row_den
-            g = gcd(den, *nxt.values())
-            if g == 1:
-                return den, {j: a for j, a in nxt.items() if a}
-            return den // g, {j: a // g for j, a in nxt.items() if a}
+            return _sum_rows(den, got)
 
         def leaf(vec, c2):
             den, nums = vec
@@ -1146,7 +1207,7 @@ class AlgebraElement(SparseElement):
 
         _fold(right, (den1, {widx[w]: a for w, a in left.items()}),
               step, leaf)
-        common = lcm(*groups)
+        common = math.lcm(*groups)
         out = {}
         for den, acc in groups.items():
             s = common // den

@@ -31,6 +31,14 @@ from .scalars import TruncLaurent
 DEFAULT_TRUNCATION = 4
 
 
+def default_truncation(n: int) -> int:
+    """The series terms kept by default for a context on n strands.
+
+    The n = 5 closure needs one more term: with 4 it stops at 930 of the
+    945 words and raises DIMENSION_MISMATCH."""
+    return 5 if n >= 5 else DEFAULT_TRUNCATION
+
+
 def _regime_label(regime: int, omega: Fraction) -> str:
     if regime not in (1, 2):
         raise ValueError("regime must be 1 or 2")
@@ -185,7 +193,7 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
 # ---------------------------------------------------------------------------
 
 def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
-                                      omega, prec: int = DEFAULT_TRUNCATION,
+                                      omega, prec: int = None,
                                       ctx: AlgebraContext = None
                                       ) -> BrauerElement:
     """Constant term of the Jucys-Murphy interpolation run over Laurent
@@ -194,10 +202,13 @@ def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
     The extension spectra must be pairwise distinct as series, as on the
     rational path; collisions raise NOT_GENERIC.  A given ``ctx`` must be
     the Laurent context of this regime and omega on len(tab) strands, or
-    DOMAIN_MISMATCH is raised."""
+    DOMAIN_MISMATCH is raised.  ``prec`` defaults to
+    ``default_truncation(len(tab))``."""
     n = len(tab)
     omega = Fraction(omega)
     if ctx is None:
+        if prec is None:
+            prec = default_truncation(n)
         ctx = AlgebraContext(n, laurent_params(regime, omega, prec),
                              verify=False)
     elif ctx.n != n:

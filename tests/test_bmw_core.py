@@ -273,7 +273,10 @@ def test_build_stats(ctx4, ctx5):
     assert st["cache"] == "miss"
     assert st["closure_rounds"] == 4
     assert st["rules_added"] == 164
-    assert st["triples_skipped"] > 0 and st["triples_checked"] > 0
+    assert st["triples_checked"] == 97332
+    assert st["triples_skipped"] == 123468
+    # re-derivations of an existing rule with the same expansion
+    assert st["rules_reset"] == 125
     assert ctx4.stats["closure_rounds"] == 0
     assert ctx4.stats["rules_added"] == 0
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -187,6 +188,48 @@ def test_reflection_suite_internal_error_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(fusion, "L_operator", annihilation_fails)
     assert cli.main(["verify", "--suite", "reflection", "--n", "3"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "INTERNAL"
+
+
+def test_baxterized_suite_internal_error_exit_3(monkeypatch, capsys):
+    # only a pole skips a tuple; an internal error is not a pass
+    from bmwfusion import cli
+
+    def inverse_fails(*args, **kwargs):
+        raise BmwError("T_i(u, v) T_i(v, u) != 1")
+
+    monkeypatch.setattr(cli, "baxterized_T_inverse", inverse_fails)
+    assert cli.main(["verify", "--suite", "baxterized", "--n", "3"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "INTERNAL"
+
+
+N5_TABLEAU = "1;2;2,1;2,1,1;2,1,1,1"
+# the same export at --truncation 8
+N5_BRAUER_SHA256 = \
+    "a028c228ba0b34f297682cd11e1554d0d395000ba77dc2776f554ae69236af1e"
+
+
+def test_export_brauer_idempotent_n5_default_truncation(ctx5, capsys):
+    # the closure rounds over TruncLaurent at n = 5; the rational context
+    # the command also builds is read from the ctx5 cache
+    from bmwfusion import cli
+    assert cli.main(["export", "--n", "5", "--kind", "brauer-idempotent",
+                     "--tableau", N5_TABLEAU, "--omega", "5", "--regime",
+                     "2", "--cache-dir",
+                     os.path.dirname(ctx5._cache_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == N5_BRAUER_SHA256
+
+
+def test_export_brauer_n5_short_truncation_exit_2(monkeypatch, capsys):
+    from bmwfusion import cli
+
+    def no_build(*args, **kwargs):
+        pytest.fail("built a context for a rejected truncation")
+
+    monkeypatch.setattr(cli, "build_context", no_build)
+    assert cli.main(["export", "--n", "5", "--kind", "brauer-idempotent",
+                     "--tableau", N5_TABLEAU, "--truncation", "4"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"
 
 
 def _drop_expansion(data):

@@ -118,6 +118,15 @@ def test_contraction_rejects_a_context_of_other_parameters(regime, omega):
                                           omega, ctx=ctx)
 
 
+def test_laurent_closure_at_n5_matches_the_rational_one(ctx5):
+    # the closure rounds over TruncLaurent reach the same basis by
+    # eliminating the same words
+    lctx = AlgebraContext(5, laurent_params(1, 5, 5), verify=False)
+    assert lctx.stats["closure_rounds"] == 4
+    assert lctx.words == ctx5.words
+    assert sorted(lctx._dyn) == sorted(ctx5._dyn)
+
+
 def test_regime2_equals_regime1_on_transpose():
     omega = Fr(7, 2)
     for n in (2, 3):
