@@ -121,9 +121,7 @@ class AlgebraContext:
         self.words = self._close()
         self.word_index = {w: k for k, w in enumerate(self.words)}
         # right action of each letter on each basis index, built on first
-        # use: (den, ((j, numerator), ...)) in a rational context and
-        # ((j, coeff), ...) for any coefficient domain
-        self._int_rows = {l: [None] * len(self.words) for l in self.letters}
+        # use by _row as (den, ((j, numerator), ...))
         self._rows = {l: [None] * len(self.words) for l in self.letters}
         self._built = False
         if verify:
@@ -138,8 +136,7 @@ class AlgebraContext:
         # from now on a row replaces the memo entry it was read from, so a
         # context keeps one copy of each product w * l
         self._built = True
-        built = self._int_rows if self.rational else self._rows
-        for l, row_of in built.items():
+        for l, row_of in self._rows.items():
             for i, row in enumerate(row_of):
                 if row is not None:
                     self._memo.pop(self.words[i] + (l,), None)
@@ -544,38 +541,22 @@ class AlgebraContext:
     def _red(self, word):
         return self._renormalize(self.reduce_word(word))
 
-    def _row_source(self, l, i):
-        """_red(words[i] + (l,)); after the build it leaves the memo."""
-        word = self.words[i] + (l,)
-        red = self._red(word)
-        if self._built:
-            self._memo.pop(word, None)
-        return red
-
-    def _int_row(self, l, i):
-        """words[i] * l as (den, ((j, numerator), ...)); rational only."""
-        row = self._int_rows[l][i]
-        if row is None:
-            red = self._row_source(l, i)
-            den = math.lcm(*(c.denominator for c in red.values()))
-            widx = self.word_index
-            row = (den, tuple((widx[u], c.numerator * (den // c.denominator))
-                              for u, c in red.items()))
-            self._int_rows[l][i] = row
-        return row
+    def _lift(self, vec):
+        """vec as (den, {key: numerator}): integer numerators over their
+        least common denominator in a rational context, the series
+        themselves over 1 in a Laurent one."""
+        return _over_common_denominator(vec) if self.rational else (1, vec)
 
     def _row(self, l, i):
-        """words[i] * l as ((j, coeff), ...) over basis indices."""
-        row = self._rows[l][i]
-        if row is None:
-            if self.rational:      # the integer row owns the memo entry
-                den, nums = self._int_row(l, i)
-                row = tuple((j, Fraction(x, den)) for j, x in nums)
-            else:
-                widx = self.word_index
-                row = tuple((widx[u], c)
-                            for u, c in self._row_source(l, i).items())
-            self._rows[l][i] = row
+        """words[i] * l as (den, ((j, numerator), ...)) over basis indices;
+        after the build it replaces the memo entry it was read from."""
+        word = self.words[i] + (l,)
+        den, nums = self._lift(self._red(word))
+        if self._built:
+            self._memo.pop(word, None)
+        widx = self.word_index
+        row = self._rows[l][i] = (den, tuple((widx[u], x)
+                                             for u, x in nums.items()))
         return row
 
     def _closure_once(self, support):
@@ -619,17 +600,14 @@ class AlgebraContext:
         stats = self.stats
         known = len(self._dyn)
         want = double_factorial(2 * self.n - 1)
-        if self.rational:
-            lift, ratio = _over_common_denominator, Fraction
-        else:
-            lift, ratio = (lambda vec: (1, vec)), operator.truediv
+        ratio = Fraction if self.rational else operator.truediv
         memo = {}       # word -> _red(word) as (den, {word: numerator})
         users = {}      # word -> the memo keys whose support held it
 
         def red(word):
             hit = memo.get(word)
             if hit is None:
-                hit = memo[word] = lift(self._red(word))
+                hit = memo[word] = self._lift(self._red(word))
                 for u in hit[1]:
                     users.setdefault(u, []).append(word)
             return hit
@@ -771,7 +749,6 @@ class AlgebraContext:
         path = self._cache_path
         if path is None:
             return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         data = {
             "version": CACHE_FORMAT_VERSION,
             "n": self.n,
@@ -787,17 +764,20 @@ class AlgebraContext:
                       for w, v in sorted(self._memo.items())
                       if len(w) <= 1 or w[:-1] in self.word_index],
         }
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   prefix=".bmwf-tmp-")
-        try:
+        tmp = None
+        try:    # a cache that cannot be written is skipped
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                       prefix=".bmwf-tmp-")
             with os.fdopen(fd, "w") as f:
                 json.dump(data, f)
             os.replace(tmp, path)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     # ------------------------------------------------------------------
     # element constructors
@@ -1050,10 +1030,6 @@ class SparseElement:
                           for k in sorted(self.terms, key=self._key_order))
 
 
-def _rational_terms(terms):
-    return all(type(c) is Fraction for c in terms.values())
-
-
 def _over_common_denominator(terms):
     """(D, {key: numerator}) with terms[key] = numerator / D."""
     den = math.lcm(*(c.denominator for c in terms.values()))
@@ -1061,13 +1037,14 @@ def _over_common_denominator(terms):
                  for k, c in terms.items()}
 
 
-def _sum_rows(den, got):
+def _sum_rows(den, got, reduce=True):
     """The vector sum a * row / den over got = [(a, (d, pairs))], each row
     given by (key, numerator) pairs over its integer denominator d.
 
     Returns (denominator, {key: numerator}) over den times the rows' common
-    denominator, with zero terms dropped and the content divided out.  Over
-    series every denominator is 1 and no gcd is taken.
+    denominator.  With ``reduce``, zero terms are dropped and the content
+    is divided out (no gcd over denominator 1); without it the sums stay
+    as they are, since a zero series still bounds the window of its sums.
     """
     row_den = 1
     for _, (d, _) in got:
@@ -1076,12 +1053,17 @@ def _sum_rows(den, got):
     nxt = {}
     get = nxt.get
     for a, (d, row) in got:
-        if d != row_den:
-            a *= row_den // d
+        if d != row_den:        # never scale a series by 1 (see _close)
+            if reduce:
+                a *= row_den // d
+            else:   # scale the integers: one coefficient product per term
+                row = [(j, x * (row_den // d)) for j, x in row]
         for j, x in row:
             prev = get(j)
             nxt[j] = a * x if prev is None else prev + a * x
     den *= row_den
+    if not reduce:
+        return den, nxt
     g = 1 if den == 1 else math.gcd(den, *nxt.values())
     if g == 1:
         return den, {j: a for j, a in nxt.items() if a}
@@ -1112,41 +1094,64 @@ def _fold(terms, root, step, leaf):
                 stack.append((child, step(vec, l)))
 
 
-def fold_product(alg, left, right):
+def fold_product(alg, left, right, integer_rows=False):
     """The product of two {key: coeff} dicts as {key: coeff}.
 
-    ``alg`` has a basis list ``words`` with its ``word_index``, and for
-    each letter ``l`` the right action on basis index ``i``: the cached
-    ``alg._rows[l][i]``, else ``alg._row(l, i)``, as ((j, coeff), ...).
-    ``left`` is keyed by basis elements, ``right`` by words in the
-    letters; any coefficient domain that mixes with the rows' works.
+    ``alg`` has a basis list ``words`` with its ``word_index``, and rows
+    ``alg._rows[l][i]`` (else ``alg._row(l, i)``), the right action of
+    letter ``l`` on basis index ``i`` as (den, ((j, numerator), ...)).
+    ``left`` is keyed by basis elements, ``right`` by words in the letters;
+    every vector of the fold is (den, {index: coeff}).  With integer rows
+    and only rational coefficients, the fold divides out the content at
+    every step and builds one Fraction per output coefficient.  Any other
+    coefficients keep their own arithmetic, with 1/den folded into the
+    right-hand coefficient once per leaf.
     """
     widx = alg.word_index
     rows = alg._rows
-    out = {}
+    exact = integer_rows and all(type(c) is Fraction or type(c) is int
+                                 for t in (left, right) for c in t.values())
+    den1 = den2 = 1
+    if exact:
+        den1, left = _over_common_denominator(left)
+        den2, right = _over_common_denominator(right)
+    groups = {}     # leaf denominator -> {index: coeff}
 
     def step(vec, l):
+        den, nums = vec
         row_of = rows[l]
-        nxt = {}
-        get = nxt.get
-        for i, c in vec.items():
+        got = []
+        for i, a in nums.items():
             row = row_of[i]
             if row is None:
                 row = alg._row(l, i)
-            for j, cu in row:
-                prev = get(j)
-                nxt[j] = c * cu if prev is None else prev + c * cu
-        return nxt
+            got.append((a, row))
+        return _sum_rows(den, got, exact)
 
     def leaf(vec, c2):
-        get = out.get
-        for j, c in vec.items():
+        den, nums = vec
+        if den != 1 and not exact:
+            c2, den = c2 * Fraction(1, den), 1
+        acc = groups.get(den)
+        if acc is None:
+            acc = groups[den] = {}
+        get = acc.get
+        for j, a in nums.items():
             prev = get(j)
-            out[j] = c * c2 if prev is None else prev + c * c2
+            acc[j] = a * c2 if prev is None else prev + a * c2
 
-    _fold(right, {widx[w]: c for w, c in left.items()}, step, leaf)
+    _fold(right, (den1, {widx[w]: a for w, a in left.items()}), step, leaf)
     words = alg.words
-    return {words[j]: c for j, c in out.items()}
+    if not exact:
+        return {words[j]: c for j, c in groups.get(1, {}).items()}
+    common = math.lcm(*groups)
+    out = {}
+    for den, acc in groups.items():
+        s = common // den
+        for j, a in acc.items():
+            out[j] = out.get(j, 0) + a * s
+    den = common * den2
+    return {words[j]: Fraction(a, den) for j, a in out.items() if a}
 
 
 class AlgebraElement(SparseElement):
@@ -1156,7 +1161,8 @@ class AlgebraElement(SparseElement):
     may be richer than the context's parameter domain (polynomials in the
     spectral variable during the fusion step, or rational functions of a
     RatFunc spectral argument), and it may mix with the rationals it
-    contains.
+    contains.  Products run on :func:`fold_product` over the context's
+    one row table.
     """
 
     __slots__ = ()
@@ -1169,54 +1175,8 @@ class AlgebraElement(SparseElement):
             return NotImplemented
         self._check(other)
         ctx = self.algebra
-        if (ctx.rational and _rational_terms(self.terms)
-                and _rational_terms(other.terms)):
-            return self._mul_fraction_free(other)
-        return AlgebraElement(ctx, fold_product(ctx, self.terms,
-                                                other.terms))
-
-    def _mul_fraction_free(self, other):
-        """The product over integer numerators: each vector of the fold is
-        (denominator, {index: numerator}) with its content divided out."""
-        ctx = self.algebra
-        widx = ctx.word_index
-        rows = ctx._int_rows
-        den1, left = _over_common_denominator(self.terms)
-        den2, right = _over_common_denominator(other.terms)
-        groups = {}     # leaf denominator -> {index: numerator}
-
-        def step(vec, l):
-            den, nums = vec
-            row_of = rows[l]
-            got = []
-            for i, a in nums.items():
-                row = row_of[i]
-                if row is None:
-                    row = ctx._int_row(l, i)
-                got.append((a, row))
-            return _sum_rows(den, got)
-
-        def leaf(vec, c2):
-            den, nums = vec
-            acc = groups.get(den)
-            if acc is None:
-                acc = groups[den] = {}
-            get = acc.get
-            for j, a in nums.items():
-                acc[j] = get(j, 0) + a * c2
-
-        _fold(right, (den1, {widx[w]: a for w, a in left.items()}),
-              step, leaf)
-        common = math.lcm(*groups)
-        out = {}
-        for den, acc in groups.items():
-            s = common // den
-            for j, a in acc.items():
-                out[j] = out.get(j, 0) + a * s
-        words = ctx.words
-        den = common * den2
-        return AlgebraElement(ctx, {words[j]: Fraction(a, den)
-                                    for j, a in out.items() if a})
+        return AlgebraElement(ctx, fold_product(ctx, self.terms, other.terms,
+                                                ctx.rational))
 
 
 def build_context(n, params=None, q=None, nu=None, cache_dir=None,

@@ -24,8 +24,8 @@ from .combinatorics import (UpDownTableau, classical_contents,
 from .contraction import (brauer_idempotent_via_contraction,
                           contraction_block_check, default_truncation,
                           laurent_params, structure_constant_oracle)
-from .errors import (BmwError, CapExceeded, DomainMismatch, NonInvertible,
-                     NotGeneric, PoleError)
+from .errors import (BmwError, CapExceeded, DomainMismatch,
+                     NegativeValuation, NonInvertible, NotGeneric, PoleError)
 from .fusion import (SpectralView, antisymmetrizer, baxterized_Q,
                      baxterized_T, baxterized_T_inverse, check_reflection,
                      complete_system_checks, fusion_idempotent,
@@ -63,11 +63,14 @@ def _emit(args, payload):
         print(text)
 
 
-def _context(args, verify=True):
-    params = make_params(parse_rational(args.q), parse_rational(args.nu),
-                         args.n)
-    return build_context(args.n, params=params, cache_dir=args.cache_dir,
-                         verify=verify)
+def _params(args):
+    return make_params(parse_rational(args.q), parse_rational(args.nu),
+                       args.n)
+
+
+def _context(args):
+    return build_context(args.n, params=_params(args),
+                         cache_dir=args.cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +220,8 @@ def _suite_hecke(ctx, rnd, report):
         for cp in cs:
             try:
                 e = hecke_family_idempotent(tab, cp, hk, ctx.params)
-            except BmwError:
-                continue
+            except (NotGeneric, PoleError):
+                continue    # c on a pole; other errors are internal
             if base is None:
                 base = e
             elif not (e - base).is_zero():
@@ -252,8 +255,8 @@ def _suite_contraction(ctx, rnd, report):
         for regime in (1, 2):
             try:
                 res = contraction_block_check(regime, 1, th1, th2, om)
-            except BmwError:
-                continue
+            except (NonInvertible, NegativeValuation):
+                continue    # no limit at this point; other errors are internal
             checked += 1
             if not all(res.values()):
                 ok = False
@@ -307,8 +310,7 @@ def cmd_tableaux(args) -> int:
                "steps": [s.encode() for s in t.steps]}
         if args.contents in ("quantum", "all"):
             if params is None:
-                params = make_params(parse_rational(args.q),
-                                     parse_rational(args.nu), args.n)
+                params = _params(args)
             row["quantum"] = [format_rational(c)
                               for c in quantum_contents(t, params)]
         if args.contents in ("classical", "all"):
@@ -372,7 +374,9 @@ def cmd_export(args) -> int:
         if args.truncation < least:
             raise ValueError("--truncation %d below %d at n = %d"
                              % (args.truncation, least, args.n))
-    ctx = _context(args)
+    params = _params(args)      # bad parameters exit 2 for every kind
+    if kind in ("idempotent", "jm", "symmetrizer", "antisymmetrizer"):
+        ctx = build_context(args.n, params=params, cache_dir=args.cache_dir)
     if kind == "idempotent":
         idem = fusion_idempotent(tab, ctx) if args.method == "fusion" \
             else jm_oracle_idempotent(tab, ctx)
@@ -391,7 +395,7 @@ def cmd_export(args) -> int:
     elif kind == "hecke-idempotent":
         hk = HeckeAlgebra(args.n, parse_rational(args.q))
         e = hecke_family_idempotent(tab, parse_rational(args.c_param), hk,
-                                    ctx.params)
+                                    params)
         _emit(args, hecke_to_json(e))
     else:
         raise ValueError("unknown export kind %r" % kind)

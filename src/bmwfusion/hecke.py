@@ -62,7 +62,8 @@ def lex_min_reduced_word(w):
 
 
 class HeckeAlgebra:
-    """H_n(q) with exact rational q, 1 <= n <= STRAND_CAP."""
+    """H_n(q) with exact rational q, 1 <= n <= STRAND_CAP.  Its rows for
+    ``bmwcore.fold_product`` hold Fraction numerators over 1."""
 
     def __init__(self, n: int, q):
         if not 1 <= n <= STRAND_CAP:
@@ -87,10 +88,10 @@ class HeckeAlgebra:
     def _row(self, l, i):
         """T_w T_l = T_{w s_l}, plus delta T_w when l is a descent of w."""
         w = self.words[i]
-        row = ((self.word_index[apply_s_right(w, l)], Fraction(1)),)
+        nums = ((self.word_index[apply_s_right(w, l)], Fraction(1)),)
         if w[l - 1] > w[l]:
-            row += ((i, self.delta),)
-        self._rows[l][i] = row
+            nums += ((i, self.delta),)
+        row = self._rows[l][i] = (1, nums)
         return row
 
     def one(self):

@@ -253,6 +253,10 @@ class Poly:
         o = self._coerce(other)
         return NotImplemented if o is None else self + (-o)
 
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
     def __mul__(self, other):
         if other.__class__ is Fraction or other.__class__ is int:
             p, d = other.numerator, other.denominator

@@ -9,6 +9,7 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        DomainMismatch, HeckeAlgebra, NotGeneric, RatFunc,
                        TruncLaurent, build_context, hecke_quotient,
                        laurent_params)
+from bmwfusion.scalars import Poly
 from bmwfusion.bmwcore import (double_factorial, letter, word_name, K_KIND,
                                T_KIND)
 
@@ -98,15 +99,28 @@ def _ratfunc_coeff(rnd):
                    (rnd.randint(1, 4), rnd.choice((-1, 1))))
 
 
+def _poly_coeff(rnd):
+    return Poly([Fr(rnd.randint(-6, 6), rnd.randint(1, 4))
+                 for _ in range(rnd.randint(1, 3))] + [Fr(1, rnd.randint(1, 3))])
+
+
+def _mixed_coeff(rnd):
+    return _poly_coeff(rnd) if rnd.random() < 0.5 else \
+        Fr(rnd.randint(-6, 6) or 1, rnd.randint(1, 4))
+
+
 @pytest.fixture(scope="module")
 def lctx3():
     return AlgebraContext(3, laurent_params(1, 5), verify=False)
 
 
-# (label, strand count, coefficient sampler; None = rationals)
+# (label, strand count, coefficient sampler; None = rationals).  The y_k
+# right factors of the poly and mixed domains fold to depth > 1 with
+# non-rational coefficients over the integer rows of a rational context.
 _DOMAINS = [("rational", 2, None), ("rational", 3, None),
             ("rational", 4, None), ("laurent", 3, _laurent_coeff),
-            ("ratfunc", 3, _ratfunc_coeff)]
+            ("ratfunc", 3, _ratfunc_coeff), ("poly", 4, _poly_coeff),
+            ("mixed", 3, _mixed_coeff)]
 
 
 def _domain_id(d):
@@ -148,6 +162,11 @@ def test_product_matches_reference(domain):
         a = _random_element(ctx, rnd, coeff=coeff)
         b = _random_element(ctx, rnd, coeff=coeff)
         assert a * b == _reference_product(a, b)
+        if coeff is None:
+            # the coefficient types select the arithmetic of the next
+            # product: two Fraction factors give Fractions, never ints
+            for p in (a * b, ctx.one() * ctx.one()):
+                assert all(type(c) is Fr for c in p.terms.values())
     # right factors on words outside the basis, e.g. y_k spelled out
     for k in range(2, ctx.n + 1):
         a = _random_element(ctx, rnd, nterms=5, coeff=coeff)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -202,20 +203,74 @@ def test_baxterized_suite_internal_error_exit_3(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "INTERNAL"
 
 
+def test_hecke_suite_internal_error_exit_3(monkeypatch, capsys):
+    # only a c on a pole of the family is skipped
+    from bmwfusion import cli
+    family = cli.hecke_family_idempotent
+
+    def fails_at_half(tab, c_param, *args):
+        if c_param == Fraction(1, 2):
+            raise BmwError("E(c) is not an idempotent")
+        return family(tab, c_param, *args)
+
+    monkeypatch.setattr(cli, "hecke_family_idempotent", fails_at_half)
+    assert cli.main(["verify", "--suite", "hecke", "--n", "3"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "INTERNAL"
+
+
+def test_contraction_suite_internal_error_exit_3(monkeypatch, capsys):
+    # only a block without a limit at the sampled point is skipped
+    from bmwfusion import cli
+
+    def block_fails(*args, **kwargs):
+        raise BmwError("limit block check failed")
+
+    monkeypatch.setattr(cli, "contraction_block_check", block_fails)
+    assert cli.main(["verify", "--suite", "contraction", "--n", "2"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "INTERNAL"
+
+
+@pytest.mark.parametrize("args,digest", [
+    (("--n", "2", "--kind", "brauer-idempotent", "--tableau", "1;"),
+     "dcaa7e84bb9c558c1a7fdf3dbba64c75d2f51d7d27ae6cfb53ce69dc97c78294"),
+    (("--n", "3", "--kind", "hecke-idempotent", "--tableau", "1;1,1;2,1"),
+     "1405a4f4bbb25169a61ac15937999b43c39b14ea02b5c327f9fccba5cdc7fdc9"),
+], ids=["brauer", "hecke"])
+def test_export_without_bmw_context(monkeypatch, capsys, args, digest):
+    # these kinds never multiply in BMW_n, so no rational context is built
+    from bmwfusion import cli
+
+    def no_build(*args, **kwargs):
+        pytest.fail("built a rational context the export does not use")
+
+    monkeypatch.setattr(cli, "build_context", no_build)
+    assert cli.main(["export", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_unusable_cache_dir_is_skipped(tmp_path):
+    # a regular file where the cache directory should be
+    path = tmp_path / "F"
+    path.write_text("")
+    args = ("idempotents", "--n", "2")
+    r = run_cli(*args, "--cache-dir", str(path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli(*args).stdout
+
+
 N5_TABLEAU = "1;2;2,1;2,1,1;2,1,1,1"
 # the same export at --truncation 8
 N5_BRAUER_SHA256 = \
     "a028c228ba0b34f297682cd11e1554d0d395000ba77dc2776f554ae69236af1e"
 
 
-def test_export_brauer_idempotent_n5_default_truncation(ctx5, capsys):
-    # the closure rounds over TruncLaurent at n = 5; the rational context
-    # the command also builds is read from the ctx5 cache
+def test_export_brauer_idempotent_n5_default_truncation(capsys):
+    # the closure rounds over TruncLaurent at n = 5
     from bmwfusion import cli
     assert cli.main(["export", "--n", "5", "--kind", "brauer-idempotent",
                      "--tableau", N5_TABLEAU, "--omega", "5", "--regime",
-                     "2", "--cache-dir",
-                     os.path.dirname(ctx5._cache_path)]) == 0
+                     "2"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == N5_BRAUER_SHA256
 

@@ -108,7 +108,8 @@ def _ratfunc(coeffs):
 def test_poly_ring_ops_match_ratfunc(a, b, x):
     pa, pb, fa, fb = Poly(a), Poly(b), _ratfunc(a), _ratfunc(b)
     for got, want in ((pa + pb, fa + fb), (pa - pb, fa - fb),
-                      (pa * pb, fa * fb), (pa * x, fa * x), (-pa, -fa)):
+                      (pa * pb, fa * fb), (pa * x, fa * x), (-pa, -fa),
+                      (x - pa, x - fa)):
         assert got.taylor(x, 1) == [want.evaluate_at(x)]
     assert pa - pa == 0 and not pa - pa
     assert Poly([3 * c for c in a]) == pa * 3 == 3 * pa
