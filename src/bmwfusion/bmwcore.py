@@ -1070,88 +1070,80 @@ def _sum_rows(den, got, reduce=True):
     return den // g, {j: a // g for j, a in nxt.items() if a}
 
 
-def _fold(terms, root, step, leaf):
-    """Fold the words of ``terms`` through ``root`` letter by letter.
-
-    The words share their common prefixes in a trie, so each prefix is
-    applied once: ``step(vec, l)`` is the vector times letter ``l``, and
-    ``leaf(vec, c)`` receives the vector of a whole word with that word's
-    coefficient.
-    """
-    trie = {}
-    for w, c in terms.items():
-        node = trie
-        for l in w:
-            node = node.setdefault(l, {})
-        node[None] = c
-    stack = [(trie, root)]
-    while stack:
-        node, vec = stack.pop()
-        for l, child in node.items():
-            if l is None:
-                leaf(vec, child)
-            else:
-                stack.append((child, step(vec, l)))
-
-
-def fold_product(alg, left, right, integer_rows=False):
-    """The product of two {key: coeff} dicts as {key: coeff}.
+def fold_products(alg, left, rights, integer_rows=False):
+    """The products left * right for every right in ``rights``, as a list
+    of {key: coeff} dicts in the order of ``rights``.
 
     ``alg`` has a basis list ``words`` with its ``word_index``, and rows
     ``alg._rows[l][i]`` (else ``alg._row(l, i)``), the right action of
     letter ``l`` on basis index ``i`` as (den, ((j, numerator), ...)).
-    ``left`` is keyed by basis elements, ``right`` by words in the letters;
-    every vector of the fold is (den, {index: coeff}).  With integer rows
-    and only rational coefficients, the fold divides out the content at
-    every step and builds one Fraction per output coefficient.  Any other
-    coefficients keep their own arithmetic, with 1/den folded into the
-    right-hand coefficient once per leaf.
+    ``left`` is keyed by basis elements, each right by words in the
+    letters.  The words of all right factors are merged into one trie
+    whose leaves hold (k, coeff) for right factor k, so the row step of
+    each prefix is applied once to the vector of ``left``; every vector
+    of the fold is (den, {index: coeff}).  With integer rows and only
+    rational coefficients in the call, the fold divides out the content at
+    every step and builds one Fraction per output coefficient, each right
+    factor over its own common denominator.  Any other coefficients keep
+    their own arithmetic, with 1/den folded into the right-hand
+    coefficient once per leaf.  Each product is the one computed alone.
     """
-    widx = alg.word_index
     rows = alg._rows
     exact = integer_rows and all(type(c) is Fraction or type(c) is int
-                                 for t in (left, right) for c in t.values())
-    den1 = den2 = 1
+                                 for t in (left, *rights) for c in t.values())
+    den1 = 1
     if exact:
         den1, left = _over_common_denominator(left)
-        den2, right = _over_common_denominator(right)
-    groups = {}     # leaf denominator -> {index: coeff}
-
-    def step(vec, l):
-        den, nums = vec
-        row_of = rows[l]
-        got = []
-        for i, a in nums.items():
-            row = row_of[i]
-            if row is None:
-                row = alg._row(l, i)
-            got.append((a, row))
-        return _sum_rows(den, got, exact)
-
-    def leaf(vec, c2):
-        den, nums = vec
-        if den != 1 and not exact:
-            c2, den = c2 * Fraction(1, den), 1
-        acc = groups.get(den)
-        if acc is None:
-            acc = groups[den] = {}
-        get = acc.get
-        for j, a in nums.items():
-            prev = get(j)
-            acc[j] = a * c2 if prev is None else prev + a * c2
-
-    _fold(right, (den1, {widx[w]: a for w, a in left.items()}), step, leaf)
+        rights = [_over_common_denominator(r) for r in rights]
+    else:
+        rights = [(1, r) for r in rights]
+    trie = {}
+    for k, (_, right) in enumerate(rights):
+        for w, c in right.items():
+            node = trie
+            for l in w:
+                node = node.setdefault(l, {})
+            node.setdefault(None, []).append((k, c))
+    groups = [{} for _ in rights]   # per right: leaf den -> {index: coeff}
+    widx = alg.word_index
+    stack = [(trie, (den1, {widx[w]: a for w, a in left.items()}))]
+    while stack:
+        node, (den, nums) = stack.pop()
+        for l, child in node.items():
+            if l is not None:
+                row_of = rows[l]
+                got = []
+                for i, a in nums.items():
+                    row = row_of[i]
+                    if row is None:
+                        row = alg._row(l, i)
+                    got.append((a, row))
+                stack.append((child, _sum_rows(den, got, exact)))
+                continue
+            for k, c2 in child:
+                d = den
+                if d != 1 and not exact:
+                    c2, d = c2 * Fraction(1, d), 1
+                acc = groups[k].setdefault(d, {})
+                get = acc.get
+                for j, a in nums.items():
+                    prev = get(j)
+                    acc[j] = a * c2 if prev is None else prev + a * c2
     words = alg.words
-    if not exact:
-        return {words[j]: c for j, c in groups.get(1, {}).items()}
-    common = math.lcm(*groups)
-    out = {}
-    for den, acc in groups.items():
-        s = common // den
-        for j, a in acc.items():
-            out[j] = out.get(j, 0) + a * s
-    den = common * den2
-    return {words[j]: Fraction(a, den) for j, a in out.items() if a}
+    out = []
+    for (den2, _), group in zip(rights, groups):
+        if not exact:
+            out.append({words[j]: c for j, c in group.get(1, {}).items()})
+            continue
+        common = math.lcm(*group)
+        acc = {}
+        for den, part in group.items():
+            s = common // den
+            for j, a in part.items():
+                acc[j] = acc.get(j, 0) + a * s
+        den = common * den2
+        out.append({words[j]: Fraction(a, den) for j, a in acc.items() if a})
+    return out
 
 
 class AlgebraElement(SparseElement):
@@ -1161,7 +1153,7 @@ class AlgebraElement(SparseElement):
     may be richer than the context's parameter domain (polynomials in the
     spectral variable during the fusion step, or rational functions of a
     RatFunc spectral argument), and it may mix with the rationals it
-    contains.  Products run on :func:`fold_product` over the context's
+    contains.  Products run on :func:`fold_products` over the context's
     one row table.
     """
 
@@ -1175,8 +1167,8 @@ class AlgebraElement(SparseElement):
             return NotImplemented
         self._check(other)
         ctx = self.algebra
-        return AlgebraElement(ctx, fold_product(ctx, self.terms, other.terms,
-                                                ctx.rational))
+        return AlgebraElement(ctx, fold_products(
+            ctx, self.terms, [other.terms], ctx.rational)[0])
 
 
 def build_context(n, params=None, q=None, nu=None, cache_dir=None,

@@ -77,12 +77,24 @@ def _context(args):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _tableau(text, n):
+    """The up-down tableau of length n that text encodes; anything else
+    raises ValueError."""
+    tab = UpDownTableau.decode(text)
+    if len(tab) != n:
+        raise ValueError("--tableau %s has length %d, --n is %d"
+                         % (text, len(tab), n))
+    if tab not in enumerate_tableaux(n):
+        raise ValueError("--tableau %s is not an up-down tableau" % text)
+    return tab
+
+
 def cmd_idempotents(args) -> int:
-    ctx = _context(args)
     tabs = enumerate_tableaux(args.n)
-    if args.tableau:
-        want = set(args.tableau)
-        tabs = [t for t in tabs if t.encode() in want]
+    want = {_tableau(text, args.n) for text in args.tableau}
+    if want:
+        tabs = [t for t in tabs if t in want]
+    ctx = _context(args)
 
     build = fusion_idempotent if args.method == "fusion" \
         else jm_oracle_idempotent
@@ -359,10 +371,7 @@ def cmd_export(args) -> int:
     if kind.endswith("idempotent"):
         if args.tableau is None:
             raise ValueError("--kind %s needs --tableau" % kind)
-        tab = UpDownTableau.decode(args.tableau)
-        if len(tab) != args.n:
-            raise ValueError("--tableau %s has length %d, --n is %d"
-                             % (args.tableau, len(tab), args.n))
+        tab = _tableau(args.tableau, args.n)
     if kind == "jm" and not 1 <= args.index <= args.n:
         raise ValueError("--index %d outside 1..%d" % (args.index, args.n))
     if kind == "brauer-idempotent":

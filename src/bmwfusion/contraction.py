@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bmwcore import (AlgebraContext, K_KIND, LaurentParams, letter_index,
-                      letter_kind)
+from .bmwcore import (AlgebraContext, AlgebraElement, K_KIND, LaurentParams,
+                      fold_products, letter_index, letter_kind)
 from .brauer import BrauerAlgebra, BrauerElement, diagram_mul, e_diagram, \
     identity_diagram, s_diagram
 from .combinatorics import UpDownTableau
@@ -158,7 +158,17 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     independent Brauer multiplication under T -> s, K -> e.
 
     Also asserts that the canonical words map bijectively onto diagrams
-    with no loop factors."""
+    with no loop factors.  ``ctx`` must be the Laurent context of either
+    regime at this omega, or DOMAIN_MISMATCH is raised.  The products of
+    one left word with every basis word run as one batch of
+    ``bmwcore.fold_products``."""
+    omega = Fraction(omega)
+    if ctx.rational:
+        raise DomainMismatch("the oracle needs a Laurent context")
+    if ctx.params.label not in (_regime_label(1, omega),
+                                _regime_label(2, omega)):
+        raise DomainMismatch("context %s, expected omega = %s" % (
+            ctx.params.label, omega))
     n = ctx.n
     brauer = BrauerAlgebra(n, omega)
     diag_of = {}
@@ -172,11 +182,12 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
                     "reason": "canonical words not diagram-bijective"}
         seen[d] = w
         diag_of[w] = d
-    basis = [ctx.from_terms({w: ctx._one}) for w in ctx.words]
+    rights = [{w: ctx._one} for w in ctx.words]
     checked = 0
-    for w1, e1 in zip(ctx.words, basis):
-        for w2, e2 in zip(ctx.words, basis):
-            got = constant_term_element(e1 * e2, brauer)
+    for w1 in ctx.words:
+        prods = fold_products(ctx, {w1: ctx._one}, rights)
+        for w2, p in zip(ctx.words, prods):
+            got = constant_term_element(AlgebraElement(ctx, p), brauer)
             d, loops = diagram_mul(n, diag_of[w1], diag_of[w2])
             want = BrauerElement(
                 brauer, {d: brauer.omega ** loops})

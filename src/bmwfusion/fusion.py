@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bmwcore import AlgebraContext, AlgebraElement
+from .bmwcore import AlgebraContext, AlgebraElement, fold_products
 from .combinatorics import (UpDownTableau, enumerate_tableaux,
                             extension_spectrum, quantum_contents)
 from .errors import BmwError, NonInvertible, PoleAtEvaluation, PoleError
@@ -273,13 +273,19 @@ def verify_idempotent(idem: Idempotent, ctx: AlgebraContext) -> dict:
 
 
 def complete_system_checks(idems, ctx: AlgebraContext) -> dict:
-    """Pairwise orthogonality and completeness for a full system."""
+    """Pairwise orthogonality and completeness for a full system.
+
+    Every product E_a E_b with a != b is formed and tested for zero; the
+    products of one left factor E_a run as one batch of
+    ``bmwcore.fold_products``.  Completeness: the E_a sum to 1."""
     total = ctx.zero()
+    for idem in idems:      # DomainMismatch for another algebra's element
+        total = total + idem.element
     ortho = True
-    for a in range(len(idems)):
-        total = total + idems[a].element
-        for b in range(len(idems)):
-            if a != b and not (idems[a].element * idems[b].element).is_zero():
+    for a, left in enumerate(idems):
+        rights = [e.element.terms for b, e in enumerate(idems) if b != a]
+        for p in fold_products(ctx, left.element.terms, rights, ctx.rational):
+            if not AlgebraElement(ctx, p).is_zero():
                 ortho = False
     return {"orthogonal": ortho,
             "complete": (total - ctx.one()).is_zero()}

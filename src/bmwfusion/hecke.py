@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bmwcore import (AlgebraElement, T_KIND, SparseElement, fold_product,
+from .bmwcore import (AlgebraElement, T_KIND, SparseElement, fold_products,
                       letter_index, letter_kind)
 from .combinatorics import STRAND_CAP, UpDownTableau, quantum_contents
 from .errors import CapExceeded, DomainMismatch, NotGeneric
@@ -63,7 +63,7 @@ def lex_min_reduced_word(w):
 
 class HeckeAlgebra:
     """H_n(q) with exact rational q, 1 <= n <= STRAND_CAP.  Its rows for
-    ``bmwcore.fold_product`` hold Fraction numerators over 1."""
+    ``bmwcore.fold_products`` hold Fraction numerators over 1."""
 
     def __init__(self, n: int, q):
         if not 1 <= n <= STRAND_CAP:
@@ -139,8 +139,8 @@ class HeckeElement(SparseElement):
             return NotImplemented
         self._check(other)
         right = {lex_min_reduced_word(w): c for w, c in other.terms.items()}
-        return HeckeElement(self.algebra,
-                            fold_product(self.algebra, self.terms, right))
+        return HeckeElement(self.algebra, fold_products(
+            self.algebra, self.terms, [right])[0])
 
 
 def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
@@ -151,7 +151,8 @@ def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
     words = {tuple(letter_index(l) for l in w): c
              for w, c in elem.terms.items()
              if all(letter_kind(l) == T_KIND for l in w)}
-    return HeckeElement(hecke, fold_product(hecke, hecke.one().terms, words))
+    return HeckeElement(hecke,
+                        fold_products(hecke, hecke.one().terms, [words])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        TruncLaurent, build_context, hecke_quotient,
                        laurent_params)
 from bmwfusion.scalars import Poly
-from bmwfusion.bmwcore import (double_factorial, letter, word_name, K_KIND,
-                               T_KIND)
+from bmwfusion.bmwcore import (double_factorial, fold_products, letter,
+                               word_name, K_KIND, T_KIND)
 
 
 def test_dimensions(ctx2, ctx3, ctx4):
@@ -175,6 +175,15 @@ def test_product_matches_reference(domain):
         assert _jm_word(k) not in ctx.word_index
         assert a * y == _reference_product(a, y)
         assert a * y == a * (ctx.jm_element(k) + ctx.one()).scale(c)
+    # one batch of right factors, one of them repeated and one empty: each
+    # product is the one formed alone
+    for _ in range(5):
+        a, b1, b2 = (_random_element(ctx, rnd, coeff=coeff) for _ in range(3))
+        rights = [b1, b2, b1, ctx.zero()]
+        got = fold_products(ctx, a.terms, [r.terms for r in rights],
+                            ctx.rational)
+        assert [AlgebraElement(ctx, p) for p in got] == \
+            [_reference_product(a, r) for r in rights]
 
 
 def test_associativity_random(domain):

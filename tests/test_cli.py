@@ -138,6 +138,14 @@ def test_export_idempotent_needs_tableau_exit_2():
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
 
 
+@pytest.mark.parametrize("tableau", ["bogus", "1;2", "1;2;1,1,1", ""])
+def test_idempotents_unknown_tableau_exit_2(tableau):
+    r = run_cli("idempotents", "--n", "3", "--tableau", tableau)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "BAD_INPUT"
+
+
 def test_verify_n1_runs_without_generators():
     r = run_cli("verify", "--n", "1")
     assert r.returncode == 0
@@ -154,8 +162,10 @@ def test_verify_n1_runs_without_generators():
     ("--kind", "hecke-idempotent", "--tableau", "1;2"),
     ("--kind", "idempotent", "--tableau", "1;2"),
     ("--kind", "brauer-idempotent", "--tableau", "1;2"),
+    ("--kind", "idempotent", "--tableau", "1;2;1,1,1"),
 ], ids=["truncation-0", "truncation-negative", "hecke-tableau-length",
-        "idempotent-tableau-length", "brauer-tableau-length"])
+        "idempotent-tableau-length", "brauer-tableau-length",
+        "idempotent-not-up-down"])
 def test_export_bad_input_exit_2(args):
     r = run_cli("export", "--n", "3", *args)
     assert r.returncode == 2

@@ -51,6 +51,32 @@ def test_structure_constant_oracle(n):
     assert res["ok"], res
 
 
+def test_structure_constant_oracle_either_regime():
+    ctx = AlgebraContext(3, laurent_params(2, 5, 4), verify=False)
+    assert structure_constant_oracle(ctx, 5) == {"ok": True, "pairs": 225}
+
+
+def test_structure_constant_oracle_rejects_rational_context(ctx2):
+    with pytest.raises(DomainMismatch):
+        structure_constant_oracle(ctx2, 5)
+
+
+def test_structure_constant_oracle_rejects_other_omega():
+    ctx = AlgebraContext(2, laurent_params(1, 5, 4), verify=False)
+    with pytest.raises(DomainMismatch):
+        structure_constant_oracle(ctx, 7)
+
+
+def test_structure_constant_oracle_sees_a_corrupted_row():
+    ctx = AlgebraContext(3, laurent_params(1, 5, 4), verify=False)
+    l, i = ctx.letters[-1], len(ctx.words) - 1
+    den, ((j, x), *rest) = ctx._row(l, i)
+    ctx._rows[l][i] = (den, ((j, x + ctx._one), *rest))
+    res = structure_constant_oracle(ctx, 5)
+    assert not res["ok"]
+    assert res["reason"].startswith("structure constants differ")
+
+
 def test_laurent_context_relations():
     params = laurent_params(1, 5, 4)
     ctx = AlgebraContext(3, params, verify=True)

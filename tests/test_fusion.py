@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as Fr
 
@@ -94,6 +95,18 @@ def test_oracle_equivalence_and_system(n, ctx2, ctx3):
         idems.append(fi)
     checks = complete_system_checks(idems, ctx)
     assert checks["orthogonal"] and checks["complete"]
+
+
+def test_system_checks_see_a_broken_system(ctx3):
+    idems = [jm_oracle_idempotent(t, ctx3) for t in enumerate_tableaux(3)]
+    for a, b in ((0, 1), (len(idems) - 1, 0)):
+        broken = list(idems)
+        broken[a] = dataclasses.replace(
+            idems[a], element=idems[a].element + idems[b].element)
+        assert not complete_system_checks(broken, ctx3)["orthogonal"]
+    for a in (0, len(idems) - 1):
+        assert complete_system_checks(idems[:a] + idems[a + 1:], ctx3) == \
+            {"orthogonal": True, "complete": False}
 
 
 def test_pole_at_equal_arguments(ctx2):
