@@ -19,6 +19,7 @@ Laurent parameters for the classical-limit mode.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import operator
@@ -34,8 +35,17 @@ from .scalars import (ParamSet, TruncLaurent, format_rational, make_params,
 
 T_KIND, K_KIND = 0, 1
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 STEP_CAP = 10 ** 6   # rewrite steps allowed for one word
+DEFAULT_TRUNCATION = 4
+
+
+def default_truncation(n: int) -> int:
+    """The series terms kept by default for a Laurent context on n strands,
+    and from n = 5 on the fewest it accepts: with 4 the n = 5 search stops
+    at 930 of the 945 words, and a replay would reach 945 words of
+    unchecked precision, so such a context raises DIMENSION_MISMATCH."""
+    return 5 if n >= 5 else DEFAULT_TRUNCATION
 
 
 def letter(kind: int, i: int) -> int:
@@ -56,6 +66,37 @@ def letter_name(l: int) -> str:
 
 def word_name(w) -> str:
     return "*".join(letter_name(l) for l in w) if w else "1"
+
+
+# per n, the rules the closure search writes at (6/5, 7/3); see _read_plan
+CLOSURE_PLANS = {5: """5386.85 5387.85 24286.85 24287.85 24864.83 24874.83
+25286.85 25287.85 26864.63 26865.63 26964.63 26965.63 34864.83 34874.823
+36864.63 36865.623 36964.623 36965.623 52758.72 52759.72 52865.82 52874.82
+52875.82 65386.85 65387.85 75386.85 75396.85 246864.63 246964.63 252874.82
+346864.63 346964.623 426487.88 426586.84 426587.82 426864.63 426865.63
+426964.63 426965.63 436487.88 436586.84 436864.63 436865.623 436964.623
+436965.623 526487.84 526586.84 526587.82 526864.63 526865.623 526964.623
+526965.623 536864.63 536865.6236 536964.623 242649.72 426487.84 436487.84
+642865.668 642965.668 643864.62 643964.62 652865.82 652874.82 652875.82
+742864.22 742865.668 742875.82 742964.62 742964.82 742965.668 742974.62
+742975.82 743964.62 743964.82 743965.22 743965.62 752964.22 2426487.88
+2426864.63 2426964.63 2427487.44 2427487.62 2526487.88 2526864.63 2526864.72
+2526964.623 2642865.66 2642865.8467 2642874.62 2642965.82 2652865.22
+2652865.8246 2652874.824 265297.85 742865.62 2742865.66 2742865.84 4264287.845
+4264874.82 4265287.845 4642865.668 4642965.668 4643864.62 4643964.62
+4742865.6268 4742964.62 4742965.6268 24269652.22 24742964.62 27428652.22
+27428742.628 27429652.82 42642865.66 42642865.84 42642874.62 42642874.82
+42642965.82 42652865.22 42652865.824 4265287.85 4265297.85 4742865.62
+4742965.62 42742865.66 42742865.84 242742965.82 427428652.22 2427429652.22
+2427429742.22"""}
+
+
+def _read_plan(text):
+    """The (w, g, h, starts_group) entries of one token w.gh... a group."""
+    for tok in text.split():
+        w, gh = tok.split(".")
+        for k, h in enumerate(gh[1:]):
+            yield tuple(map(int, w)), int(gh[0]), int(h), k == 0
 
 
 def double_factorial(m: int) -> int:
@@ -100,6 +141,9 @@ class AlgebraContext:
             self._one = Fraction(1)
             self.rational = True
         elif isinstance(params, LaurentParams):
+            if n >= 5 and params.q.prec < default_truncation(n):
+                raise DimensionMismatch("the closure at n = %d needs %d series"
+                                        " terms" % (n, default_truncation(n)))
             self._one = TruncLaurent.const(1, params.q.prec)
             self.rational = False
         else:
@@ -596,6 +640,15 @@ class AlgebraContext:
         expansion clears the memo.  A memo hit stands for an
         earlier _red, so each word meets reduce_word, which fixes its
         reduction, between the same two rules as without the memo.
+
+        The search records each rule it writes in ``_plan`` as (w, g, h,
+        starts_group), true for the first rule after vg = w.g was reduced:
+        later rules of that (w, g) use the stale vg.  A cold build replays
+        CLOSURE_PLANS[n] through the same ``defect`` and memo, then closes
+        once.  A vanished defect, a lead that has a rule or a wrong word
+        count hands over to the search, which goes on from the (exact)
+        rules so far; ``stats["closure"]`` names the path that finished.
+        To regenerate a plan, build with CLOSURE_PLANS emptied.
         """
         stats = self.stats
         known = len(self._dyn)
@@ -628,9 +681,55 @@ class AlgebraContext:
             return nums.items() if s == 1 else \
                 [(u, a * s) for u, a in nums.items()]
 
+        def defect(w, vg, g, h, gh):
+            """The rule lead -> rep of (w.g).h - w.(g.h), or None if zero."""
+            A = times(vg, h)
+            B = []
+            den, nums = gh
+            for v, cv in nums.items():
+                t = (den, {w: cv})
+                for l in v:
+                    t = times(t, l)
+                B.append(t)
+            common = math.lcm(A[0], *(t[0] for t in B))
+            D = dict(over(A, common))
+            for t in B:
+                for u, b in over(t, common):
+                    prev = D.get(u)
+                    D[u] = -b if prev is None else prev - b
+            D = {u: c for u, c in D.items() if c}
+            if D:
+                lead = max(D, key=lambda x: (len(x), x))
+                cl = D.pop(lead)
+                return lead, {u: ratio(-c, cl) for u, c in D.items()}
+
+        def write(lead, rep, entry):
+            plan.append(entry)
+            old = self._dyn.get(lead)
+            self._dyn[lead] = rep
+            if old is None:
+                memo.pop(lead, None)
+                for u in users.pop(lead, ()):
+                    memo.pop(u, None)
+            else:
+                memo.clear()
+                users.clear()
+
+        plan = self._plan = []      # (w, g, h, starts_group) per rule set
+        text = CLOSURE_PLANS.get(self.n)
+        stats["closure"] = "replay" if text and not self._dyn else "search"
+        if stats["closure"] == "replay":
+            for w, g, h, starts in _read_plan(text):
+                if starts:
+                    vg = red(w + (g,))
+                rule = defect(w, vg, g, h, red((g, h)))
+                if rule is None or rule[0] in self._dyn:
+                    break
+                write(*rule, (w, g, h, starts))
         basis = self._closure_once(self._red)
         rounds = 0
         while len(basis) != want:
+            stats["closure"] = "search"
             rounds += 1
             stats["closure_rounds"] = rounds
             if rounds > 60:
@@ -645,46 +744,22 @@ class AlgebraContext:
             for w in basis:
                 for g in self.letters:
                     vg = red(w + (g,))
-                    fresh = found
+                    fresh, starts = found, True
                     for h in self.letters:
                         gh = red((g, h))
                         if found == fresh and gh == (1, {(g, h): 1}):
                             stats["triples_skipped"] += 1
                             continue
                         stats["triples_checked"] += 1
-                        A = times(vg, h)
-                        B = []
-                        den, nums = gh
-                        for v, cv in nums.items():
-                            t = (den, {w: cv})
-                            for l in v:
-                                t = times(t, l)
-                            B.append(t)
-                        common = math.lcm(A[0], *(t[0] for t in B))
-                        D = dict(over(A, common))
-                        for t in B:
-                            for u, b in over(t, common):
-                                prev = D.get(u)
-                                D[u] = -b if prev is None else prev - b
-                        D = {u: c for u, c in D.items() if c}
-                        if not D:
+                        rule = defect(w, vg, g, h, gh)
+                        if rule is None:
                             continue
                         found += 1
-                        lead = max(D, key=lambda x: (len(x), x))
-                        cl = D.pop(lead)
-                        rep = {u: ratio(-c, cl) for u, c in D.items()}
-                        old = self._dyn.get(lead)
-                        if old is not None and old == rep:
+                        if self._dyn.get(rule[0]) == rule[1]:
                             stats["rules_reset"] += 1
                             continue
-                        self._dyn[lead] = rep
-                        if old is None:
-                            memo.pop(lead, None)
-                            for u in users.pop(lead, ()):
-                                memo.pop(u, None)
-                        else:
-                            memo.clear()
-                            users.clear()
+                        write(*rule, (w, g, h, starts))
+                        starts = False
                 if found >= 80:
                     break
             if found == 0:
@@ -692,7 +767,7 @@ class AlgebraContext:
                     "no associativity defects but %d words != %d for n=%d"
                     % (len(basis), want, self.n))
             basis = self._closure_once(lambda word: red(word)[1])
-            stats["rules_added"] = len(self._dyn) - known
+        stats["rules_added"] = len(self._dyn) - known
         return basis
 
     # ------------------------------------------------------------------
@@ -704,9 +779,11 @@ class AlgebraContext:
             cache_dir = os.environ.get("BMWF_CACHE")
         if not cache_dir or not isinstance(self.params, ParamSet):
             return None
-        key = "bmw-n%d-q%s-nu%s-v%d.json" % (
+        plan = CLOSURE_PLANS.get(self.n)      # another plan, other rules
+        key = "bmw-n%d-q%s-nu%s-v%d%s.json" % (
             self.n, str(self.params.q).replace("/", "_"),
-            str(self.params.nu).replace("/", "_"), CACHE_FORMAT_VERSION)
+            str(self.params.nu).replace("/", "_"), CACHE_FORMAT_VERSION,
+            "-" + hashlib.sha256(plan.encode()).hexdigest() if plan else "")
         return os.path.join(cache_dir, key)
 
     def _load_cache(self):
@@ -758,11 +835,12 @@ class AlgebraContext:
                      "expansion": [[list(u), format_rational(c)]
                                    for u, c in sorted(v.items())]}
                     for w, v in sorted(self._dyn.items())],
+            # reduced, so the file depends only on the algebra and its rules
             "table": [{"word": list(w),
                        "expansion": [[list(u), format_rational(c)]
-                                     for u, c in sorted(v.items())]}
-                      for w, v in sorted(self._memo.items())
-                      if len(w) <= 1 or w[:-1] in self.word_index],
+                                     for u, c in sorted(self._red(w).items())]}
+                      for w in sorted(v + (l,) for v in self.words
+                                      for l in self.letters)],
         }
         tmp = None
         try:    # a cache that cannot be written is skipped

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bmwcore import (AlgebraContext, AlgebraElement, K_KIND, LaurentParams,
+from .bmwcore import (DEFAULT_TRUNCATION, AlgebraContext, AlgebraElement,
+                      K_KIND, LaurentParams, default_truncation,
                       fold_products, letter_index, letter_kind)
 from .brauer import BrauerAlgebra, BrauerElement, diagram_mul, e_diagram, \
     identity_diagram, s_diagram
@@ -27,16 +28,6 @@ from .combinatorics import UpDownTableau
 from .errors import DomainMismatch
 from .fusion import _jm_interpolation
 from .scalars import TruncLaurent
-
-DEFAULT_TRUNCATION = 4
-
-
-def default_truncation(n: int) -> int:
-    """The series terms kept by default for a context on n strands.
-
-    The n = 5 closure needs one more term: with 4 it stops at 930 of the
-    945 words and raises DIMENSION_MISMATCH."""
-    return 5 if n >= 5 else DEFAULT_TRUNCATION
 
 
 def _regime_label(regime: int, omega: Fraction) -> str:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from bmwfusion import build_context, make_params  # noqa: E402
+from bmwfusion import bmwcore, build_context, make_params  # noqa: E402
 
 Q = Fraction(6, 5)
 NU = Fraction(7, 3)
@@ -44,6 +44,24 @@ def ctx5(tmp_path_factory):
     its cache file into a fresh directory."""
     cache = tmp_path_factory.mktemp("cache5")
     return build_context(5, q=Q, nu=NU, cache_dir=str(cache))
+
+
+@pytest.fixture(scope="session")
+def ctx5_search(tmp_path_factory):
+    """The n = 5 context built cold by the closure search alone: the plan
+    table is emptied for this build only.  It writes its cache file into a
+    fresh directory."""
+    cache = tmp_path_factory.mktemp("cache5-search")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bmwcore, "CLOSURE_PLANS", {})
+        return build_context(5, q=Q, nu=NU, cache_dir=str(cache))
+
+
+def closure_rows(ctx):
+    """_red(w l) for every basis word w and letter l, series windows
+    included."""
+    return [repr(sorted(ctx._red(w + (l,)).items()))
+            for w in ctx.words for l in ctx.letters]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -10,8 +10,10 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        TruncLaurent, build_context, hecke_quotient,
                        laurent_params)
 from bmwfusion.scalars import Poly
-from bmwfusion.bmwcore import (double_factorial, fold_products, letter,
-                               word_name, K_KIND, T_KIND)
+from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
+                               fold_products, letter, word_name, K_KIND,
+                               T_KIND)
+from conftest import closure_rows
 
 
 def test_dimensions(ctx2, ctx3, ctx4):
@@ -279,13 +281,16 @@ def test_cache_round_trip(tmp_path):
 
 # sha256 of the n = 5 cache file at (6/5, 7/3): it pins the closure's rules
 N5_CACHE_SHA256 = \
-    "af4b6d8fb4398ea90e00df60296eaeb25a8db63570f7af613aea8e650add8f82"
+    "21d378b780bc5e349a6f08f429d1ec4ce8b8d7c6f201339cd6504564349c708e"
 
 
-def test_n5_cache_file_pinned(ctx5):
+def test_n5_cache_file_pinned(ctx5, ctx5_search):
     path = ctx5._cache_path
     with open(path, "rb") as f:
-        assert hashlib.sha256(f.read()).hexdigest() == N5_CACHE_SHA256
+        data = f.read()
+    assert hashlib.sha256(data).hexdigest() == N5_CACHE_SHA256
+    with open(ctx5_search._cache_path, "rb") as f:
+        assert f.read() == data, "search and replay wrote other files"
     assert len(ctx5._dyn) == 164
     inode = os.stat(path).st_ino
     warm = build_context(5, q=Fr(6, 5), nu=Fr(7, 3),
@@ -294,10 +299,76 @@ def test_n5_cache_file_pinned(ctx5):
     assert os.stat(path).st_ino == inode, "warm build rewrote the cache"
     assert warm.stats["cache"] == "hit"
     assert warm.stats["closure_rounds"] == 0
+    assert warm.stats["closure"] == "search"
 
 
-def test_build_stats(ctx4, ctx5):
-    st = ctx5.stats
+def _plan_text(plan):
+    """A plan as CLOSURE_PLANS writes it: one token w.gh... per group."""
+    toks = []
+    for w, g, h, starts in plan:
+        if starts:
+            toks.append("".join(map(str, w)) + "." + str(g))
+        toks[-1] += str(h)
+    return " ".join(toks)
+
+
+def test_search_records_the_committed_plan(ctx5_search):
+    plan = list(_read_plan(CLOSURE_PLANS[5]))
+    assert len(plan) == 164
+    assert sum(starts for *_, starts in plan) == 130
+    # on failure the message is the plan to commit
+    assert ctx5_search._plan == plan, _plan_text(ctx5_search._plan)
+    assert _plan_text(plan) == " ".join(CLOSURE_PLANS[5].split())
+
+
+def test_replay_equals_search(ctx5, ctx5_search):
+    assert ctx5.stats["closure"] == "replay"
+    assert ctx5_search.stats["closure"] == "search"
+    assert ctx5._dyn == ctx5_search._dyn
+    assert ctx5.words == ctx5_search.words
+    assert closure_rows(ctx5) == closure_rows(ctx5_search)
+
+
+def _build_with_plan(monkeypatch, plan):
+    monkeypatch.delenv("BMWF_CACHE", raising=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(CLOSURE_PLANS, 5, _plan_text(plan))
+        return build_context(5, q=Fr(6, 5), nu=Fr(7, 3))
+
+
+def test_replay_falls_back_to_the_search(ctx5, monkeypatch):
+    plan = list(_read_plan(CLOSURE_PLANS[5]))
+    ctx = _build_with_plan(monkeypatch, plan[:82])
+    assert ctx.stats["closure"] == "search"
+    assert ctx.stats["closure_rounds"] > 0
+    assert ctx._plan[:82] == plan[:82]
+    assert ctx.words == ctx5.words
+
+
+def test_replay_falls_back_at_a_vanished_defect(monkeypatch):
+    class Opened(Exception):
+        pass
+
+    def opening_closure(ctx, support):
+        raise Opened(len(ctx._dyn))
+
+    # without the first rule, the defect of the 66th entry left vanishes:
+    # the replay stops and the closure opens on the 65 rules before it
+    monkeypatch.setattr(AlgebraContext, "_closure_once", opening_closure)
+    plan = list(_read_plan(CLOSURE_PLANS[5]))
+    with pytest.raises(Opened) as got:
+        _build_with_plan(monkeypatch, plan[1:])
+    assert got.value.args == (65,)
+    # T1 T2 is canonical, so the defect of ((), T1, T2) is zero at once
+    with pytest.raises(Opened) as got:
+        _build_with_plan(monkeypatch, [((), 2, 4, True)] + plan)
+    assert got.value.args == (0,)
+
+
+def test_build_stats(ctx4, ctx5, ctx5_search):
+    assert ctx5.stats["closure_rounds"] == 0
+    assert ctx5.stats["rules_added"] == 164
+    st = ctx5_search.stats
     assert st["cache"] == "miss"
     assert st["closure_rounds"] == 4
     assert st["rules_added"] == 164
@@ -307,6 +378,7 @@ def test_build_stats(ctx4, ctx5):
     assert st["rules_reset"] == 125
     assert ctx4.stats["closure_rounds"] == 0
     assert ctx4.stats["rules_added"] == 0
+    assert ctx4.stats["closure"] == "search"
 
 
 def test_build_stats_cache_states(tmp_path, monkeypatch):

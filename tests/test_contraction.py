@@ -1,15 +1,18 @@
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (BrauerAlgebra, DomainMismatch, NegativeValuation,
-                       NotGeneric, TruncLaurent,
-                       brauer_idempotent_via_contraction,
+from bmwfusion import (BrauerAlgebra, DimensionMismatch, DomainMismatch,
+                       NegativeValuation, NotGeneric, TruncLaurent,
+                       bmwcore, brauer_idempotent_via_contraction,
                        contraction_block_check, enumerate_tableaux,
                        laurent_params, structure_constant_oracle)
 from bmwfusion.bmwcore import AlgebraContext
-from bmwfusion.contraction import spectral_series, word_to_diagram
+from bmwfusion.contraction import (default_truncation, spectral_series,
+                                   word_to_diagram)
+from conftest import closure_rows
 
 
 def test_block_checks_worked_examples():
@@ -147,10 +150,26 @@ def test_contraction_rejects_a_context_of_other_parameters(regime, omega):
 def test_laurent_closure_at_n5_matches_the_rational_one(ctx5):
     # the closure rounds over TruncLaurent reach the same basis by
     # eliminating the same words
-    lctx = AlgebraContext(5, laurent_params(1, 5, 5), verify=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bmwcore, "CLOSURE_PLANS", {})
+        lctx = AlgebraContext(5, laurent_params(1, 5, 5), verify=False)
     assert lctx.stats["closure_rounds"] == 4
     assert lctx.words == ctx5.words
     assert sorted(lctx._dyn) == sorted(ctx5._dyn)
+    # the rational plan replays over series to the same rules and rows
+    replay = AlgebraContext(5, laurent_params(1, 5, 5), verify=False)
+    assert replay.stats["closure"] == "replay"
+    assert sorted(replay._dyn) == sorted(lctx._dyn)
+    assert replay.words == lctx.words
+    assert closure_rows(replay) == closure_rows(lctx)
+
+
+def test_laurent_n5_below_default_truncation_rejected():
+    assert default_truncation(5) == 5
+    start = time.perf_counter()
+    with pytest.raises(DimensionMismatch):
+        AlgebraContext(5, laurent_params(1, 5, 4), verify=False)
+    assert time.perf_counter() - start < 1
 
 
 def test_regime2_equals_regime1_on_transpose():

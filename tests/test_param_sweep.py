@@ -9,9 +9,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (build_context, complete_system_checks,
+from bmwfusion import (bmwcore, build_context, complete_system_checks,
                        enumerate_tableaux, fusion_idempotent,
                        jm_oracle_idempotent, verify_idempotent)
+from conftest import closure_rows
 
 SWEEP = [(Fr(5, 6), Fr(7, 3)), (Fr(-6, 5), Fr(7, 3)),
          (Fr(6, 5), Fr(3, 7)), (Fr(-5, 6), Fr(3, 7))]
@@ -47,7 +48,14 @@ def test_jm_complete_system_n4_second_pair():
 
 
 def test_n5_closure_words_second_pair(ctx5, monkeypatch):
+    # the plan recorded at (6/5, 7/3) replays here to the search's rules
     monkeypatch.delenv("BMWF_CACHE", raising=False)
     ctx = build_context(5, q=Fr(-5, 6), nu=Fr(3, 7))
-    assert ctx.stats["closure_rounds"] > 0
-    assert ctx.words == ctx5.words
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bmwcore, "CLOSURE_PLANS", {})
+        search = build_context(5, q=Fr(-5, 6), nu=Fr(3, 7))
+    assert ctx.stats["closure"] == "replay"
+    assert search.stats["closure_rounds"] > 0
+    assert ctx._dyn == search._dyn
+    assert ctx.words == search.words == ctx5.words
+    assert closure_rows(ctx) == closure_rows(search)
