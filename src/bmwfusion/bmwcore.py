@@ -537,23 +537,15 @@ class AlgebraContext:
                     prev = done.get(w)
                     done[w] = c if prev is None else prev + c
                     continue
-                lo, hi = 0, len(w)
+                pre = post = ()         # an elimination rule replaces w
+                rep = rep.items()
             else:
                 lo, hi, rep = red
+                pre, post = w[:lo], w[hi:]
             steps += 1
             if steps > STEP_CAP:
                 raise RewriteLimit("step cap %d exceeded reducing %s"
                                    % (STEP_CAP, word_name(word)))
-            if red is None:
-                items = rep.items() if isinstance(rep, dict) else rep
-                for nw, coeff in items:
-                    nc = c * coeff
-                    if nw in pending:
-                        nc = pending.pop(nw) + nc
-                    if nc != 0:
-                        pending[nw] = nc
-                continue
-            pre, post = w[:lo], w[hi:]
             for frag, coeff in rep:
                 nw = pre + frag + post
                 nc = c * coeff
@@ -1228,8 +1220,8 @@ class AlgebraElement(SparseElement):
     """Sparse linear combination of canonical words over one scalar domain.
 
     ``algebra`` is the :class:`AlgebraContext`.  The coefficient domain
-    may be richer than the context's parameter domain (polynomials in the
-    spectral variable during the fusion step, or rational functions of a
+    may be richer than the context's parameter domain (series in
+    h = u - c_k during the fusion step, or rational functions of a
     RatFunc spectral argument), and it may mix with the rationals it
     contains.  Products run on :func:`fold_products` over the context's
     one row table.

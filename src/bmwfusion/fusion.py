@@ -7,11 +7,12 @@ Evaluation is always stepwise: when the idempotent for the length-k
 prefix is produced, all earlier spectral variables have already been
 replaced by the contents, so every coefficient is a univariate rational
 function in the single active variable u.  Its denominator is a product
-of known linear factors in u, read off the closed forms of the factors,
-so the step keeps polynomial numerators (``scalars.Poly``) over that
-factored denominator and takes no polynomial gcd.  Individual factors
-may vanish at the evaluation point; the assembled numerators are
-divisible by them there, and a Taylor coefficient gives the value.
+of known linear factors in u, read off the closed forms of the factors.
+Individual factors may vanish at the evaluation point c_k, so the step
+runs at u = c_k + h with numerators that are truncated Laurent series
+in h (``scalars.TruncLaurent``) and takes no polynomial gcd: the value is
+the first coefficient the vanishing factors leave, and a nonzero one
+below it is a true pole.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from fractions import Fraction
 from .bmwcore import AlgebraContext, AlgebraElement, fold_products
 from .combinatorics import (UpDownTableau, enumerate_tableaux,
                             extension_spectrum, quantum_contents)
-from .errors import BmwError, NonInvertible, PoleAtEvaluation, PoleError
-from .scalars import (ParamSet, Poly, format_rational, q_factorial,
+from .errors import (BmwError, DomainMismatch, NonInvertible,
+                     PoleAtEvaluation, PoleError)
+from .scalars import (ParamSet, TruncLaurent, format_rational, q_factorial,
                       q_number)
 
 
@@ -131,77 +133,82 @@ def Y_script(ctx, j: int, contents, u, view) -> AlgebraElement:
     return E
 
 
-def _evaluate(num, den, x):
-    """The element num(u) / prod(den) at u = x, where num has Poly
-    coefficients and den is a list of Polys of degree <= 1.
-
-    With m factors vanishing at x, each coefficient is its m-th Taylor
-    coefficient at x over the product of the other factors' values and
-    the vanishing factors' slopes; a nonzero lower Taylor coefficient is
-    a true pole."""
-    m, scale = 0, Fraction(1)
-    for f in den:
-        value, slope = f.taylor(x, 2)
-        if value:
-            scale *= value
-        else:
-            m += 1
-            scale *= slope
-
-    def at(c):
-        t = c.taylor(x, m + 1)
-        if any(t[:m]):
-            raise PoleAtEvaluation("pole of the fusion function at u = %s"
-                                   % format_rational(x))
-        return t[m] / scale
-
-    return num.map_coefficients(at)
-
-
 def fusion_step(E_prev, contents, k: int, ctx, view):
     """One consecutive-evaluation step: assemble
     phi(u) = (u - c_k)/(c u c_k - 1) * E_prev * Y_k(c_1, ..., c_{k-1}, u)
     and evaluate it at u = c_k.
 
     ``ctx`` is a BMW context or, for the kappa = 0 image, a Hecke algebra.
-    Every factor of Y_k is a numerator element with polynomial
-    coefficients over a product of known linear factors in u, read off
-    its closed form, so phi is one element with Poly coefficients (ring
-    operations only, no polynomial gcd) over a factored denominator,
-    multiplied by the existing element kernels.  Individual factors may
-    vanish at c_k; the assembled coefficients are divisible by their
-    product, and ``_evaluate`` divides it out exactly."""
+    Every factor of Y_k is a numerator element over a product of known
+    linear factors in u, read off its closed form.  The step runs at
+    u = c_k + h: with m of those factors vanishing at c_k, every
+    numerator coefficient is a series in h to h^m, multiplied by the
+    existing element kernels.  The value is the h^m coefficient over the
+    other factors' values and the vanishing factors' slopes; a nonzero
+    lower coefficient is a true pole."""
     if k == 1:
         return ctx.one()
     d, q, c = view.delta, view.q, view.c
     r = q / view.nu
     ck = contents[k - 1]
     one = ctx.one()
-
-    def block(m, t, s, kap):
-        """t T_m + s + kap kappa_m."""
-        return ctx.gen_T(m).scale(t) + one.scale(s) + ctx.gen_K(m).scale(kap)
-
-    num = E_prev.map_coefficients(Poly.const)
+    # the denominator's linear factors f0 + f1 u, in the order of phi
     den = []
-    for m in range(k - 1, 0, -1):
-        # Q_m(c_m, u) with x = c c_m u, over (x - 1)(1 + (q/nu) x)
-        x = Poly((0, c * contents[m - 1]))
-        a, b = x - 1, 1 + r * x
-        num = num * block(m, a * b, d * b, d * a)
-        den += (a, b)
-    num = num.scale(Poly((-1, c)))       # the Y_1 scalar (c u - 1)/(u - 1)
-    den.append(Poly((-1, 1)))
-    for m in range(1, k):
-        # T_m(c_m, u) f(c_m, u) with one (u - c_m) cancelled, over
-        # (c_m + (q/nu) u)(u - q^2 c_m)(u - q^-2 c_m)
-        cm = contents[m - 1]
-        a, b = Poly((-cm, 1)), Poly((cm, r))
-        num = num * block(m, a * a * b, d * cm * a * b, d * cm * a * a)
-        den += (b, Poly((-q * q * cm, 1)), Poly((-cm / (q * q), 1)))
-    num = num.scale(Poly((-ck, 1)))      # the prefactor's numerator u - c_k
-    den.append(Poly((-1, c * ck)))
-    return _evaluate(num, den, ck)
+    for i in range(k - 1, 0, -1):
+        # Q_i(c_i, u) with x = c c_i u, over (x - 1)(1 + (q/nu) x)
+        x1 = c * contents[i - 1]
+        den += ((-1, x1), (1, r * x1))
+    den.append((-1, 1))                  # the Y_1 scalar (c u - 1)/(u - 1)
+    for i in range(1, k):
+        # T_i(c_i, u) f(c_i, u) with one (u - c_i) cancelled, over
+        # (c_i + (q/nu) u)(u - q^2 c_i)(u - q^-2 c_i)
+        ci = contents[i - 1]
+        den += ((ci, r), (-q * q * ci, 1), (-ci / (q * q), 1))
+    den.append((-1, c * ck))             # the prefactor's c u c_k - 1
+    m, scale = 0, Fraction(1)
+    for f0, f1 in den:
+        value = f0 + f1 * ck
+        if value:
+            scale *= value
+        else:
+            m += 1
+            scale *= f1
+
+    def lin(f0, f1):
+        """f0 + f1 u at u = c_k + h, to h^m."""
+        return TruncLaurent(0, (f0 + f1 * ck, f1), m + 1)
+
+    def block(i, t, s, kap):
+        """t T_i + s + kap kappa_i."""
+        return ctx.gen_T(i).scale(t) + one.scale(s) + ctx.gen_K(i).scale(kap)
+
+    num = E_prev.map_coefficients(lambda x: TruncLaurent.const(x, m + 1))
+    for i in range(k - 1, 0, -1):
+        x1 = c * contents[i - 1]
+        a, b = lin(-1, x1), lin(1, r * x1)
+        num = num * block(i, a * b, d * b, d * a)
+    num = num.scale(lin(-1, c))
+    for i in range(1, k):
+        ci = contents[i - 1]
+        a, b = lin(-ci, 1), lin(ci, r)
+        num = num * block(i, a * a * b, d * ci * a * b, d * ci * a * a)
+    num = num.scale(lin(-ck, 1))
+
+    def at(s):
+        if s.val < m:
+            raise PoleAtEvaluation("pole of the fusion function at u = %s"
+                                   % format_rational(ck))
+        return s[m] / scale
+
+    return num.map_coefficients(at)
+
+
+def _check_length(tab, ctx):
+    """A tableau longer than the algebra's strand count is DomainMismatch;
+    a shorter one builds the idempotent of its sub-algebra."""
+    if len(tab) > ctx.n:
+        raise DomainMismatch("tableau of length %d on a context with n = %d"
+                             % (len(tab), ctx.n))
 
 
 def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext,
@@ -214,6 +221,7 @@ def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext,
     throughout (including the contents), which produces the idempotent of
     the transposed tableau in the same algebra.
     """
+    _check_length(tab, ctx)
     if view is None:
         view = SpectralView.of(ctx.params)
     if starred:
@@ -235,6 +243,7 @@ def _jm_interpolation(tab: UpDownTableau, ctx: AlgebraContext):
     prod_{Y != c_k} (y_k - Y)/(c_k - Y) over the spectrum of y_k on the
     image of the previous idempotent.  Runs over rational or truncated
     Laurent parameters alike."""
+    _check_length(tab, ctx)
     params = ctx.params
     contents = quantum_contents(tab, params)
     E = ctx.one()

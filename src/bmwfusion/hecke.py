@@ -127,8 +127,8 @@ class HeckeAlgebra:
 
 
 class HeckeElement(SparseElement):
-    """Sparse combination of T_w; coefficients rational, or polynomials
-    in the active spectral variable during the fusion step."""
+    """Sparse combination of T_w; coefficients rational, or truncated
+    Laurent series in the local variable h during the fusion step."""
 
     __slots__ = ()
 

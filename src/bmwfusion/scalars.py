@@ -1,21 +1,19 @@
-"""Exact scalar arithmetic: rationals, polynomials, rational functions,
-truncated Laurent series, q-numbers and the algebra parameter set.
+"""Exact scalar arithmetic: rationals, rational functions, truncated
+Laurent series, q-numbers and the algebra parameter set.
 
-Three coefficient domains are used throughout the package:
+Two coefficient domains are used throughout the package:
 
 * ``fractions.Fraction`` -- the ground field for specialized parameters;
-* :class:`Poly` -- univariate polynomials over the rationals, the
-  numerators of the fusion step in the single active spectral variable
-  (its denominator is kept factored, see ``fusion.fusion_step``);
-* :class:`TruncLaurent` -- truncated Laurent series in the contraction
-  parameter ``h``.
+* :class:`TruncLaurent` -- truncated Laurent series in one variable
+  ``h``: the contraction parameter of the Brauer limits, and the local
+  variable u = c_k + h of the fusion step at a quantum content c_k.
 
-``Poly`` and ``TruncLaurent`` are stored fraction-free: integer
-numerators over one positive denominator, with their common content
-divided out, so a product is one integer convolution and one gcd.
-:class:`RatFunc`, gcd-normalised rational functions, is off the fusion
-path; it remains as public API (the baxterized elements accept it as a
-spectral argument) and as a target of the traced benchmark.
+``TruncLaurent`` is stored fraction-free: integer numerators over one
+positive denominator, with their common content divided out, so a
+product is one integer convolution and one gcd.  :class:`RatFunc`,
+gcd-normalised rational functions, is off the fusion path; it remains
+as public API (the baxterized elements accept it as a spectral
+argument) and as a target of the traced benchmark.
 
 All values are immutable.
 """
@@ -167,167 +165,6 @@ def _peval(a, x: Fraction) -> Fraction:
     for c in reversed(a):
         out = out * x + c
     return out
-
-
-def _poly(den, nums):
-    """A Poly from a positive denominator and a fresh numerator list (which
-    it takes over), trimmed and with the common content divided out."""
-    n = len(nums)
-    while n and not nums[n - 1]:
-        n -= 1
-    if not n:
-        return _ZERO
-    del nums[n:]
-    g = math.gcd(den, *nums)
-    if g > 1:
-        return Poly._make(den // g, [x // g for x in nums])
-    return Poly._make(den, nums)
-
-
-class Poly:
-    """Univariate polynomial over Q, sum_k (nums[k] / den) u^k.
-
-    Stored fraction-free: integer numerators in ascending degree over one
-    positive denominator, with gcd(den, *nums) = 1 and no trailing zero,
-    so one value has one storage.  Ring operations need no polynomial
-    gcd; ``taylor`` reads off the Taylor coefficients at a rational point.
-    ``nums`` is a list that is never mutated: a fusion step makes tens of
-    thousands of short-lived numerator vectors, and short tuples would
-    stay behind in the interpreter's tuple free lists.
-    """
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, coeffs=()):
-        coeffs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        p = _poly(den, [c.numerator * (den // c.denominator)
-                        for c in coeffs])
-        self.den, self.nums = p.den, p.nums
-
-    @classmethod
-    def _make(cls, den, nums):
-        x = object.__new__(cls)
-        x.den, x.nums = den, nums
-        return x
-
-    @classmethod
-    def const(cls, x):
-        x = Fraction(x)
-        return _poly(x.denominator, [x.numerator])
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
-
-    def __add__(self, o):
-        if o.__class__ is not Poly:
-            o = self._coerce(o)
-            if o is None:
-                return NotImplemented
-        a, b = self.nums, o.nums
-        if len(a) < len(b):
-            self, o, a, b = o, self, b, a
-        d1, d2 = self.den, o.den
-        if d1 == d2:
-            out = list(a)
-            for k, y in enumerate(b):
-                out[k] += y
-            return _poly(d1, out)
-        g = math.gcd(d1, d2)
-        f1, f2 = d2 // g, d1 // g
-        out = [x * f1 for x in a]
-        for k, y in enumerate(b):
-            out[k] += y * f2
-        return _poly(d1 * f1, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._make(self.den, [-x for x in self.nums])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o + (-self)
-
-    def __mul__(self, other):
-        if other.__class__ is Fraction or other.__class__ is int:
-            p, d = other.numerator, other.denominator
-            if not p or not self.nums:
-                return _ZERO
-            # both factors are reduced, so only these gcds can cancel
-            g1, g2 = math.gcd(p, self.den), math.gcd(d, *self.nums)
-            if g1 > 1:
-                p //= g1
-            if g2 > 1:
-                d //= g2
-                return Poly._make(self.den // g1 * d,
-                                  [x // g2 * p for x in self.nums])
-            return Poly._make(self.den // g1 * d,
-                              [x * p for x in self.nums])
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.nums, o.nums
-        if not a or not b:
-            return _ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _poly(self.den * o.den, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if other.__class__ is int and not other:
-            return not self.nums
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.den == o.den and self.nums == o.nums
-
-    def __bool__(self):
-        return bool(self.nums)
-
-    def taylor(self, x, count):
-        """The first ``count`` Taylor coefficients at the rational x,
-        N(x), N'(x), N''(x)/2, ..., by repeated synthetic division.
-
-        With x = p/s and degree d, M(v) = s^d N(v/s) has integer
-        coefficients, and its Taylor coefficients at v = p are integers
-        M_j with N_j = M_j / (den s^(d-j))."""
-        x = Fraction(x)
-        p, s = x.numerator, x.denominator
-        d = len(self.nums) - 1
-        m, spow = [], 1
-        for a in reversed(self.nums):
-            m.append(a * spow)
-            spow *= s
-        m.reverse()                     # m[i] = nums[i] s^(d-i)
-        out = []
-        for j in range(count):
-            if j > d:
-                out.append(Fraction(0))
-                continue
-            acc = 0
-            for i in range(d - j, -1, -1):   # Horner; m becomes M / (v-p)
-                acc = acc * p + m[i]
-                m[i] = acc
-            out.append(Fraction(acc, self.den * s ** (d - j)))
-            m = m[1:]
-        return out
-
-
-_ZERO = Poly._make(1, [])
 
 
 class RatFunc:
@@ -621,9 +458,25 @@ class TruncLaurent:
         return NotImplemented if o is None else o._add(self, -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is TruncLaurent:
+            o = other
+        elif ((other.__class__ is Fraction or other.__class__ is int)
+                and other and self.nums and self.val >= 0):
+            # the window of the general rule below, scaled in place: both
+            # factors are reduced, so only these gcds can cancel
+            p, d, nums = other.numerator, other.denominator, self.nums
+            g1, g2 = math.gcd(p, self.den), math.gcd(d, *nums)
+            if g1 > 1:
+                p //= g1
+            if g2 > 1:
+                d //= g2
+                nums = [x // g2 for x in nums]
+            return TruncLaurent._make(self.val, self.prec, self.den // g1 * d,
+                                      tuple(x * p for x in nums))
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         # a zero factor keeps this precision rule too
         prec = min(self.prec + o.val, o.prec + self.val)
         a, b = self.nums, o.nums

@@ -9,7 +9,6 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        DomainMismatch, HeckeAlgebra, NotGeneric, RatFunc,
                        TruncLaurent, build_context, hecke_quotient,
                        laurent_params)
-from bmwfusion.scalars import Poly
 from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
                                fold_products, letter, word_name, K_KIND,
                                T_KIND)
@@ -102,8 +101,13 @@ def _ratfunc_coeff(rnd):
 
 
 def _poly_coeff(rnd):
-    return Poly([Fr(rnd.randint(-6, 6), rnd.randint(1, 4))
-                 for _ in range(rnd.randint(1, 3))] + [Fr(1, rnd.randint(1, 3))])
+    """A polynomial in h modulo h^3, the kind of coefficient the fusion
+    step folds: a series on [0, 3).  Its constant term is nonzero, so
+    every product and sum stays on [0, 3) and the fold and the reference
+    keep the same windows."""
+    return TruncLaurent(0, [Fr(1, rnd.randint(1, 3))]
+                        + [Fr(rnd.randint(-6, 6), rnd.randint(1, 4))
+                           for _ in range(rnd.randint(0, 2))], 3)
 
 
 def _mixed_coeff(rnd):
@@ -118,7 +122,8 @@ def lctx3():
 
 # (label, strand count, coefficient sampler; None = rationals).  The y_k
 # right factors of the poly and mixed domains fold to depth > 1 with
-# non-rational coefficients over the integer rows of a rational context.
+# series coefficients over the integer rows of a rational context, as
+# the fusion step does.
 _DOMAINS = [("rational", 2, None), ("rational", 3, None),
             ("rational", 4, None), ("laurent", 3, _laurent_coeff),
             ("ratfunc", 3, _ratfunc_coeff), ("poly", 4, _poly_coeff),

@@ -10,11 +10,14 @@ import pytest
 from bmwfusion import BmwError, DomainMismatch
 
 CLI = [sys.executable, "-m", "bmwfusion.cli"]
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def run_cli(*args, env=None):
-    import os
+    """The CLI in a subprocess that imports this checkout's ``src``."""
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,

@@ -4,8 +4,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (HeckeAlgebra, PoleAtEvaluation, PoleError,
-                       SpectralView, Y_script, antisymmetrizer,
+from bmwfusion import (DomainMismatch, HeckeAlgebra, PoleAtEvaluation,
+                       PoleError, SpectralView, Y_script, antisymmetrizer,
                        baxterized_Q, baxterized_T, baxterized_T_inverse,
                        check_reflection, complete_system_checks,
                        enumerate_tableaux, fusion_idempotent,
@@ -107,6 +107,15 @@ def test_system_checks_see_a_broken_system(ctx3):
     for a in (0, len(idems) - 1):
         assert complete_system_checks(idems[:a] + idems[a + 1:], ctx3) == \
             {"orthogonal": True, "complete": False}
+
+
+@pytest.mark.parametrize("build", [fusion_idempotent, jm_oracle_idempotent])
+def test_tableau_longer_than_the_algebra(build, ctx2, ctx3):
+    with pytest.raises(DomainMismatch):
+        build(enumerate_tableaux(3)[0], ctx2)
+    # a shorter tableau builds its idempotent in the larger algebra
+    for tab in enumerate_tableaux(2):
+        assert all(verify_idempotent(build(tab, ctx3), ctx3).values())
 
 
 def test_pole_at_equal_arguments(ctx2):

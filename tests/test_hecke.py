@@ -12,7 +12,7 @@ from bmwfusion.bmwcore import K_KIND, letter_index, letter_kind
 from bmwfusion.hecke import (HeckeElement, apply_s_right,
                              lex_min_reduced_word, perm_inversions)
 from bmwfusion.jsonio import hecke_from_json
-from bmwfusion.scalars import Poly
+from bmwfusion.scalars import TruncLaurent
 
 Q = Fr(6, 5)
 
@@ -143,7 +143,10 @@ def test_fold_matches_the_reference_product(n, kind):
         return Fr(rnd.randint(-9, 9), rnd.randint(1, 9))
 
     def poly():
-        return Poly([frac() for _ in range(rnd.randint(1, 3))])
+        # a polynomial in h modulo h^3 with a nonzero constant term, the
+        # kind of coefficient the fusion step folds (see test_bmw_core)
+        return TruncLaurent(0, [frac() or Fr(1)]
+                            + [frac() for _ in range(rnd.randint(0, 2))], 3)
 
     coeff = frac if kind == "fraction" else poly
     for _ in range(40):
