@@ -201,7 +201,7 @@ class AlgebraContext:
         return [((letter(K_KIND, a),), nu)]           # TK = KT = nu K
 
     def _f_rule(self, j, ka, kb, kc):
-        """A_j B_{j-1} C_j (high-low-high); None = canonical."""
+        """A_j B_{j-1} C_j (high-low-high); every such triple rewrites."""
         one, d, nui = self._one, self.delta, self.nu_inv
         Tj, Kj = letter(T_KIND, j), letter(K_KIND, j)
         Tl, Kl = letter(T_KIND, j - 1), letter(K_KIND, j - 1)
@@ -364,10 +364,9 @@ class AlgebraContext:
                     qpos += 1
                 if qpos < L and letter_index(w[qpos]) == j:
                     rep = self._f_rule(j, ka, kb, letter_kind(w[qpos]))
-                    if rep is not None:
-                        W = w[p + 2:qpos]
-                        return (p, qpos + 1,
-                                [(frag + W, c) for (frag, c) in rep])
+                    W = w[p + 2:qpos]
+                    return (p, qpos + 1,
+                            [(frag + W, c) for (frag, c) in rep])
             if b >= a + 1:
                 # INV-family: A_i W B_{i+1} C_i with W of index >= i+2
                 i = a
@@ -409,10 +408,9 @@ class AlgebraContext:
                         and w[qpos + 2] == letter(T_KIND, i)):
                     rep = self._g2_rule(i, letter_kind(w[qpos]),
                                         letter_kind(w[qpos + 1]))
-                    if rep is not None:
-                        W = w[p + 2:qpos]
-                        return (p, qpos + 3,
-                                [(W + frag, c) for (frag, c) in rep])
+                    W = w[p + 2:qpos]
+                    return (p, qpos + 3,
+                            [(W + frag, c) for (frag, c) in rep])
             # S-family: K_i B_{i-1} [W] C_{i+1} K_i
             if ka == K_KIND and b == a - 1:
                 i = a
@@ -443,14 +441,13 @@ class AlgebraContext:
                         and w[qpos + 1] == letter(K_KIND, i + 1)):
                     tail = self._inv_rule(i + 1, T_KIND,
                                           letter_kind(w[qpos]), K_KIND)
-                    if tail is not None:
-                        W = w[p + 3:qpos]
-                        Whi = tuple(l for l in W if letter_index(l) >= i + 3)
-                        Wlo = tuple(l for l in W if letter_index(l) <= i - 1)
-                        head = (letter(T_KIND, i + 1), letter(T_KIND, i))
-                        return (p, qpos + 2,
-                                [(Whi + head + frag + Wlo, c)
-                                 for (frag, c) in tail])
+                    W = w[p + 3:qpos]
+                    Whi = tuple(l for l in W if letter_index(l) >= i + 3)
+                    Wlo = tuple(l for l in W if letter_index(l) <= i - 1)
+                    head = (letter(T_KIND, i + 1), letter(T_KIND, i))
+                    return (p, qpos + 2,
+                            [(Whi + head + frag + Wlo, c)
+                             for (frag, c) in tail])
             # FAM-F2: A_i T_{i+1} [W] X_{i+2} T_{i+1} D_i, (A,D) != (T,T)
             if b == a + 1 and kb == T_KIND:
                 i = a
@@ -469,29 +466,11 @@ class AlgebraContext:
         return self._slide_redex(w)
 
     def _slide_redex(self, w):
-        """Chain slides X_i (T_m..T_j) = (T_m..T_j) X_{i+1}, j <= i <= m-1.
-
-        backslide: (T_m..T_j) X_g -> X_{g-1} (T_m..T_j), j+1 <= g <= m;
-        suffix slide: P C -> C P' (P index-shifted) for a pinned prefix
-        containing a kappa among its shifted letters.
-        """
-        one = self._one
+        """Suffix slide P C -> C P' (P index-shifted) for a chain
+        C = T_m..T_j ending the word and a pinned prefix with a kappa among
+        its shifted letters.  A backslide (T_m..T_j) X_g, j < g <= m, needs
+        no rule: T_g T_{g-1} [T_{g-2}..T_j] X_g is an F-family redex."""
         L = len(w)
-        for s in range(L - 2):
-            if letter_kind(w[s]) != T_KIND:
-                continue
-            e = s
-            while e + 1 < L and w[e + 1] == letter(
-                    T_KIND, letter_index(w[e]) - 1):
-                e += 1
-            if e == s or e + 1 >= L:
-                continue
-            m, j = letter_index(w[s]), letter_index(w[e])
-            g = letter_index(w[e + 1])
-            if j + 1 <= g <= m:
-                frag = (letter(letter_kind(w[e + 1]), g - 1),) + w[s:e + 1]
-                return (s, e + 2, [(frag, one)])
-        # suffix slide
         if L == 0 or letter_kind(w[-1]) != T_KIND:
             return None
         s = L - 1
@@ -514,7 +493,7 @@ class AlgebraContext:
                 return None
         if not has_k:
             return None
-        return (0, L, [(w[s:] + tuple(shifted), one)])
+        return (0, L, [(w[s:] + tuple(shifted), self._one)])
 
     # ------------------------------------------------------------------
     # reduction, closure, completion
@@ -807,8 +786,7 @@ class AlgebraContext:
             if data.get("version") != CACHE_FORMAT_VERSION:
                 return "miss"
             dyn, memo = entries("dyn"), entries("table")
-        except (OSError, ValueError, AttributeError, KeyError, TypeError,
-                ZeroDivisionError):
+        except (OSError, ValueError, AttributeError, KeyError, TypeError):
             return "corrupt"
         self._dyn.update(dyn)
         self._memo.update(memo)
@@ -1241,8 +1219,7 @@ class AlgebraElement(SparseElement):
             ctx, self.terms, [other.terms], ctx.rational)[0])
 
 
-def build_context(n, params=None, q=None, nu=None, cache_dir=None,
-                  verify=True):
+def build_context(n, params=None, q=None, nu=None, cache_dir=None):
     """Build an algebra context for n strands.
 
     Either pass a ParamSet/LaurentParams, or q and nu as rationals (which
@@ -1250,4 +1227,4 @@ def build_context(n, params=None, q=None, nu=None, cache_dir=None,
     """
     if params is None:
         params = make_params(q, nu, n)
-    return AlgebraContext(n, params, cache_dir=cache_dir, verify=verify)
+    return AlgebraContext(n, params, cache_dir=cache_dir)

@@ -77,10 +77,10 @@ def _expected_blocks(regime, i, th1, th2, omega, brauer):
     return q_block, t_block
 
 
-def contraction_block_check(regime: int, i: int, th1, th2, omega,
-                            prec: int = DEFAULT_TRUNCATION) -> dict:
+def contraction_block_check(regime: int, i: int, th1, th2, omega) -> dict:
     """Compare the h^0 terms of the Laurent Q- and T-blocks with the
     limiting Brauer expressions.  Returns per-block pass flags."""
+    prec = DEFAULT_TRUNCATION
     p = laurent_params(regime, omega, prec)
     u1 = spectral_series(regime, th1, omega, prec)
     u2 = spectral_series(regime, th2, omega, prec)
@@ -203,9 +203,9 @@ def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
 
     The extension spectra must be pairwise distinct as series, as on the
     rational path; collisions raise NOT_GENERIC.  A given ``ctx`` must be
-    the Laurent context of this regime and omega on len(tab) strands, or
-    DOMAIN_MISMATCH is raised.  ``prec`` defaults to
-    ``default_truncation(len(tab))``."""
+    the Laurent context of this regime and omega on len(tab) strands, at
+    ``prec`` series terms if ``prec`` is given, or DOMAIN_MISMATCH is
+    raised.  ``prec`` defaults to ``default_truncation(len(tab))``."""
     n = len(tab)
     omega = Fraction(omega)
     if ctx is None:
@@ -221,5 +221,8 @@ def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
     elif ctx.params.label != _regime_label(regime, omega):
         raise DomainMismatch("context %s, expected %s" % (
             ctx.params.label, _regime_label(regime, omega)))
+    elif prec is not None and prec != ctx.params.q.prec:
+        raise DomainMismatch("context with %d series terms, expected %d"
+                             % (ctx.params.q.prec, prec))
     _, E = _jm_interpolation(tab, ctx)
     return constant_term_element(E, BrauerAlgebra(n, omega))

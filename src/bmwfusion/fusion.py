@@ -211,30 +211,17 @@ def _check_length(tab, ctx):
                              % (len(tab), ctx.n))
 
 
-def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext,
-                      view: SpectralView = None,
-                      starred: bool = False) -> Idempotent:
+def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext) -> Idempotent:
     """The primitive idempotent by consecutive evaluation of the fusion
-    function at the tableau's content sequence.
-
-    With ``starred=True`` the baxterized coefficients use q -> -1/q
-    throughout (including the contents), which produces the idempotent of
-    the transposed tableau in the same algebra.
-    """
+    function at the tableau's content sequence.  The same steps over the
+    starred view (contents included) give the transposed tableau's."""
     _check_length(tab, ctx)
-    if view is None:
-        view = SpectralView.of(ctx.params)
-    if starred:
-        view = view.starred()
-    n = len(tab)
-    # quantum_contents only reads q and nu, so the view stands in for the
-    # parameter set (this is what routes the starred run to the transpose)
-    contents = quantum_contents(tab, view)
+    view = SpectralView.of(ctx.params)
+    contents = quantum_contents(tab, ctx.params)
     E = ctx.one()
-    for k in range(1, n + 1):
+    for k in range(1, len(tab) + 1):
         E = fusion_step(E, contents, k, ctx, view)
-    return Idempotent(tableau=tab, element=E,
-                      method="fusion*" if starred else "fusion",
+    return Idempotent(tableau=tab, element=E, method="fusion",
                       contents=contents)
 
 
@@ -312,16 +299,15 @@ def _column_tableau(n):
     return UpDownTableau(tuple((1,) * k for k in range(1, n + 1)))
 
 
-def antisymmetrizer(n: int, ctx: AlgebraContext, form="chain",
-                    view: SpectralView = None) -> AlgebraElement:
+def antisymmetrizer(n: int, ctx: AlgebraContext,
+                    form="chain") -> AlgebraElement:
     """A_n: the idempotent for the one-column tableau.
 
     chain form: A_n = (-1)^(n-1)/n_q T_1(q^2) T_2(q^4) ... T_{n-1}(q^{2(n-1)}) A_{n-1};
     Y-product form: the closed expression with the explicit scalar
     prefactor; fusion form: consecutive evaluation.
     """
-    if view is None:
-        view = SpectralView.of(ctx.params)
+    view = SpectralView.of(ctx.params)
     q = view.q
     if form == "chain":
         A = ctx.one()
@@ -340,20 +326,19 @@ def antisymmetrizer(n: int, ctx: AlgebraContext, form="chain",
                 (q ** (-4 * k - 1) / view.nu + 1)
         return Y_product(ctx, us, view).scale(pref)
     if form == "fusion":
-        return fusion_idempotent(_column_tableau(n), ctx, view=view).element
+        return fusion_idempotent(_column_tableau(n), ctx).element
     raise ValueError("unknown form %r" % form)
 
 
-def symmetrizer(n: int, ctx: AlgebraContext, form="chain",
-                view: SpectralView = None) -> AlgebraElement:
+def symmetrizer(n: int, ctx: AlgebraContext,
+                form="chain") -> AlgebraElement:
     """S_n: the idempotent for the one-row tableau.
 
     chain form: S_n = 1/n_q T*_1(q^-2) ... T*_{n-1}(q^{-2(n-1)}) S_{n-1}
     with the starred elements (q -> -1/q in the scalar coefficients);
     Y-product form: closed expression with its scalar prefactor.
     """
-    if view is None:
-        view = SpectralView.of(ctx.params)
+    view = SpectralView.of(ctx.params)
     q = view.q
     if form == "chain":
         star = view.starred()
@@ -373,7 +358,7 @@ def symmetrizer(n: int, ctx: AlgebraContext, form="chain",
                 (q ** (4 * k - 1) / view.nu + 1)
         return Y_product(ctx, us, view).scale(pref)
     if form == "fusion":
-        return fusion_idempotent(_row_tableau(n), ctx, view=view).element
+        return fusion_idempotent(_row_tableau(n), ctx).element
     raise ValueError("unknown form %r" % form)
 
 
@@ -399,7 +384,7 @@ def Y_product(ctx, us, view) -> AlgebraElement:
 # reflection equation checks
 # ---------------------------------------------------------------------------
 
-def L_operator(ctx, j, u, view):
+def L_operator(ctx, j, u):
     """L_j(u) = (c u y_j - 1)(u - y_j)^-1 with exact inversion.
 
     The spectrum of y_j is the set of j-th quantum contents of the up-down
@@ -428,11 +413,10 @@ def L_operator(ctx, j, u, view):
     if not m_of_y.is_zero():
         raise BmwError("the contents of length-%d tableaux do not "
                        "annihilate y_%d" % (j, j))
-    return (y.scale(view.c * u) - ctx.one()) * inv
+    return (y.scale(ctx.params.c * u) - ctx.one()) * inv
 
 
-def check_reflection(ctx, j, u, v, which="L", contents=None,
-                     view: SpectralView = None) -> bool:
+def check_reflection(ctx, j, u, v, which="L", contents=None) -> bool:
     """The reflection equation, exactly, at rational spectral points.
 
     which="L": L_j(u) T_j(1/(c u v)) L_j(v) T_j(u/v)
@@ -440,15 +424,14 @@ def check_reflection(ctx, j, u, v, which="L", contents=None,
     which="Y": the same with the Y-functions (at the supplied contents)
     and the inverse of T_j(u/v) on both sides.
     """
-    if view is None:
-        view = SpectralView.of(ctx.params)
+    view = SpectralView.of(ctx.params)
     u, v = Fraction(u), Fraction(v)
     c = view.c
     Tm = baxterized_T_one_arg(ctx, j, 1 / (c * u * v), view)
     Tr = baxterized_T_one_arg(ctx, j, u / v, view)
     if which == "L":
-        L_u = L_operator(ctx, j, u, view)
-        L_v = L_operator(ctx, j, v, view)
+        L_u = L_operator(ctx, j, u)
+        L_v = L_operator(ctx, j, v)
         lhs = L_u * Tm * L_v * Tr
         rhs = Tr * L_v * Tm * L_u
         return (lhs - rhs).is_zero()

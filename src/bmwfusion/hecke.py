@@ -176,6 +176,9 @@ def hecke_family_idempotent(tab: UpDownTableau, c_param, hecke: HeckeAlgebra,
     n = len(tab)
     if hecke.n != n:
         raise DomainMismatch("tableau length != algebra size")
+    if hecke.q != params.q:
+        raise DomainMismatch("algebra at q = %s, parameters at q = %s"
+                             % (hecke.q, params.q))
     c = Fraction(c_param)
     contents = quantum_contents(tab, params)
     for a, ca in enumerate(contents):

@@ -30,8 +30,11 @@ from .errors import (CapExceeded, DivisionByZero, NegativeValuation,
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (base 10) into an exact rational."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" (base 10); bad text or p/0 is ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -677,11 +680,11 @@ DEFAULT_NU = Fraction(7, 3)
 def suggest_params(n: int) -> ParamSet:
     """A certified small-numerator parameter set for the requested n.
 
-    Tries the default pair first, then scans small rationals.  An n above
-    the strand cap raises CapExceeded: no context could be built for it.
+    Tries the default pair first, then scans small rationals.  An n outside
+    1..STRAND_CAP raises CapExceeded: no context could be built for it.
     """
-    if n > STRAND_CAP:
-        raise CapExceeded("n = %d exceeds the cap %d" % (n, STRAND_CAP))
+    if n < 1 or n > STRAND_CAP:
+        raise CapExceeded("n = %d outside 1..%d" % (n, STRAND_CAP))
     try:
         return make_params(DEFAULT_Q, DEFAULT_NU, n)
     except NotGeneric:

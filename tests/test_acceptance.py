@@ -125,6 +125,15 @@ def test_criterion_3_oracle_equivalence(n, ctx2, ctx3, ctx4):
     _report(3, ok, "fusion = JM interpolation on every tableau, n=%d" % n)
 
 
+def test_criterion_3_oracle_equivalence_n5(ctx5):
+    tabs = enumerate_tableaux(5)[::10]
+    assert len(tabs) == 9
+    ok = all(fusion_idempotent(tab, ctx5).element
+             == jm_oracle_idempotent(tab, ctx5).element for tab in tabs)
+    _report(3, ok, "fusion = JM interpolation on every 10th of the 81 "
+            "tableaux, n=5")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_criterion_4_symmetrizers(n, ctx2, ctx3, ctx4):
     ctx = {2: ctx2, 3: ctx3, 4: ctx4}[n]

@@ -402,6 +402,42 @@ def test_build_stats_cache_states(tmp_path, monkeypatch):
     assert cache_state() == "hit"
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_chain_followed_by_a_slid_letter_is_an_f_redex(n, ctx4, ctx5,
+                                                       monkeypatch):
+    """A word with (T_m..T_j) X_g, j+1 <= g <= m, contains the F-family
+    redex T_g T_{g-1} [T_{g-2}..T_j] X_g: ``_find_redex`` returns a redex
+    starting at or before T_g without reaching the chain slides."""
+    ctx = {4: ctx4, 5: ctx5}[n]
+
+    def unreachable(w):
+        raise AssertionError("chain slide reached for %s" % word_name(w))
+
+    monkeypatch.setattr(ctx, "_slide_redex", unreachable)
+    rnd = random.Random(n)
+
+    def rand_word():
+        return tuple(rnd.choice(ctx.letters) for _ in range(rnd.randint(1, 4)))
+
+    cores = []
+    for j in range(1, n - 1):
+        for m in range(j + 1, n):
+            chain = tuple(letter(T_KIND, i) for i in range(m, j - 1, -1))
+            cores += [(chain + (letter(kind, g),), m - g)
+                      for g in range(j + 1, m + 1)
+                      for kind in (T_KIND, K_KIND)]
+    assert len(cores) == {4: 8, 5: 20}[n]
+    for core, at_tg in cores:
+        cases = [((), ())]
+        for _ in range(4):
+            pre, suf = rand_word(), rand_word()
+            cases += [(pre, ()), ((), suf), (pre, suf)]
+        for pre, suf in cases:
+            w = pre + core + suf
+            start, _, _ = ctx._find_redex(w)
+            assert start <= len(pre) + at_tg, word_name(w)
+
+
 def _elements_of_two_algebras(kind, ctx2):
     if kind == "bmw":
         # equal parameters, but elements never mix across contexts

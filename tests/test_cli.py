@@ -120,6 +120,30 @@ def test_n6_is_above_the_strand_cap(args):
     assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_params_suggest_below_one_exit_2(n):
+    r = run_cli("params", "suggest", "--n", n)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
+
+
+@pytest.mark.parametrize("args", [
+    ("export", "--n", "2", "--kind", "jm", "--index", "2", "--q", "1/0"),
+    ("export", "--n", "2", "--kind", "jm", "--index", "2", "--nu", "1/0"),
+    ("tableaux", "--n", "2", "--contents", "t-classical", "--omega", "1/0"),
+    ("export", "--n", "2", "--kind", "brauer-idempotent", "--tableau", "1;",
+     "--omega", "1/0"),
+    ("export", "--n", "2", "--kind", "hecke-idempotent", "--tableau", "1;2",
+     "--c-param", "1/0"),
+], ids=["q", "nu", "omega-tableaux", "omega-export", "c-param"])
+def test_zero_denominator_exit_2(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "BAD_INPUT"
+
+
 def test_hecke_family_pole_exit_2():
     # c_param c_a c_b = 1 on two contents of the tableau
     r = run_cli("export", "--n", "4", "--kind", "hecke-idempotent",
@@ -310,9 +334,15 @@ def _bad_coefficient(data):
     return data
 
 
+def _zero_denominator(data):
+    data["table"][1]["expansion"][0][1] = "1/0"
+    return data
+
+
 @pytest.mark.parametrize("corrupt", [lambda data: [], _drop_expansion,
-                                     _bad_coefficient],
-                         ids=["list", "missing-expansion", "bad-coefficient"])
+                                     _bad_coefficient, _zero_denominator],
+                         ids=["list", "missing-expansion", "bad-coefficient",
+                              "zero-denominator"])
 def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     args = ("idempotents", "--n", "2")
     cache = tmp_path / "cache"

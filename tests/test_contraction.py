@@ -147,6 +147,16 @@ def test_contraction_rejects_a_context_of_other_parameters(regime, omega):
                                           omega, ctx=ctx)
 
 
+def test_contraction_rejects_a_context_of_other_precision():
+    # prec was ignored whenever a ctx was given
+    ctx = AlgebraContext(2, laurent_params(1, 5, 4), verify=False)
+    tab = enumerate_tableaux(2)[0]
+    with pytest.raises(DomainMismatch):
+        brauer_idempotent_via_contraction(tab, 1, 5, prec=3, ctx=ctx)
+    assert brauer_idempotent_via_contraction(tab, 1, 5, prec=4, ctx=ctx) \
+        == brauer_idempotent_via_contraction(tab, 1, 5, ctx=ctx)
+
+
 def test_laurent_closure_at_n5_matches_the_rational_one(ctx5):
     # the closure rounds over TruncLaurent reach the same basis by
     # eliminating the same words

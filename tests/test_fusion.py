@@ -209,25 +209,24 @@ def test_reflection_noninvertible(ctx3):
 @pytest.mark.parametrize("n", [3, 4])
 def test_L_operator_inverts_u_minus_y(n, ctx3, ctx4):
     ctx = {3: ctx3, 4: ctx4}[n]
-    view = SpectralView.of(ctx.params)
+    c = ctx.params.c
     one = ctx.one()
     for j in range(1, n + 1):
         y = ctx.jm_element(j)
         for u in (Fr(2, 7), Fr(-3), Fr(5, 4)):
-            L = L_operator(ctx, j, u, view)
-            assert L * (one.scale(u) - y) == y.scale(view.c * u) - one
+            L = L_operator(ctx, j, u)
+            assert L * (one.scale(u) - y) == y.scale(c * u) - one
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_L_operator_noninvertible_at_every_content(n, ctx3, ctx4):
     ctx = {3: ctx3, 4: ctx4}[n]
-    view = SpectralView.of(ctx.params)
     for j in range(1, n + 1):
         spectrum = {quantum_contents(t, ctx.params)[j - 1]
                     for t in enumerate_tableaux(n)}
         for c in spectrum:
             with pytest.raises(NonInvertible):
-                L_operator(ctx, j, c, view)
+                L_operator(ctx, j, c)
 
 
 def test_L_operator_checks_the_annihilating_polynomial(ctx3, monkeypatch):
@@ -236,7 +235,7 @@ def test_L_operator_checks_the_annihilating_polynomial(ctx3, monkeypatch):
     monkeypatch.setattr(fusion, "enumerate_tableaux",
                         lambda j: enumerate_tableaux(j)[:1])
     with pytest.raises(BmwError) as info:
-        L_operator(ctx3, 3, Fr(2, 7), SpectralView.of(ctx3.params))
+        L_operator(ctx3, 3, Fr(2, 7))
     assert info.type is BmwError
 
 
@@ -256,10 +255,11 @@ def test_symmetrizer_forms_and_eigen(ctx3):
 
 
 def test_starred_fusion_gives_transpose(ctx3):
+    star = SpectralView.of(ctx3.params).starred()
     for tab in enumerate_tableaux(3):
-        st = fusion_idempotent(tab, ctx3, starred=True)
+        st = chain(fusion_step, quantum_contents(tab, star), ctx3, star)
         tr = fusion_idempotent(tab.transpose(), ctx3)
-        assert (st.element - tr.element).is_zero()
+        assert (st - tr.element).is_zero()
 
 
 def test_rho_symmetry_of_idempotents(ctx3):
@@ -330,9 +330,13 @@ def test_fusion_step_matches_ratfunc_reference(ctx4, starred):
     tabs = enumerate_tableaux(4)
     assert len(tabs) == 25
     for tab in tabs:
-        got = fusion_idempotent(tab, ctx4, starred=starred)
-        want = chain(reference_step, quantum_contents(tab, view), ctx4, view)
-        assert got.element == want, tab.encode()
+        contents = quantum_contents(tab, view)
+        if starred:
+            got = chain(fusion_step, contents, ctx4, view)
+        else:
+            got = fusion_idempotent(tab, ctx4).element
+        want = chain(reference_step, contents, ctx4, view)
+        assert got == want, tab.encode()
 
 
 def test_hecke_family_matches_ratfunc_reference(params4):

@@ -133,6 +133,16 @@ def test_family_rejects_a_pole_on_the_contents(params4):
                                             params4)
 
 
+def test_family_rejects_parameters_at_another_q(params4):
+    # an algebra at q = 3/2 with parameters at q = 6/5 gave the zero element
+    hk = HeckeAlgebra(4, Fr(3, 2))
+    tabs = [t for t in enumerate_tableaux(4) if t.is_standard()][:4]
+    for tab in tabs:
+        for c in (Fr(0), params4.c):
+            with pytest.raises(DomainMismatch):
+                hecke_family_idempotent(tab, c, hk, params4)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("kind", ["fraction", "poly"])
 def test_fold_matches_the_reference_product(n, kind):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmwfusion import (DivisionByZero, NotGeneric, PoleAtEvaluation, RatFunc,
-                       TruncLaurent, make_params, q_factorial, q_number)
+from bmwfusion import (CapExceeded, DivisionByZero, NotGeneric,
+                       PoleAtEvaluation, RatFunc, TruncLaurent, make_params,
+                       q_factorial, q_number)
 from bmwfusion.errors import NegativeValuation, NonInvertible
 from bmwfusion.jsonio import laurent_from_json, laurent_to_json
 from bmwfusion.scalars import (format_rational, genericity_check,
@@ -23,6 +24,13 @@ def test_rational_roundtrip():
     assert format_rational(Fr(-3, 7)) == "-3/7"
     assert format_rational(Fr(4)) == "4"
     assert parse_rational("5") == 5
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", " -3/0 ", "x", "1/2/3", ""])
+def test_parse_rational_rejects_bad_text(text):
+    with pytest.raises(ValueError) as info:
+        parse_rational(text)
+    assert info.type is ValueError
 
 
 def test_q_numbers():
@@ -186,6 +194,12 @@ def test_default_params_generic_to_5():
 def test_suggest_params():
     ps = suggest_params(5)
     assert genericity_check(ps.q, ps.nu, 5) is None
+
+
+@pytest.mark.parametrize("n", [0, -1, 6])
+def test_suggest_params_outside_the_strand_range(n):
+    with pytest.raises(CapExceeded):
+        suggest_params(n)
 
 
 @given(a=rationals, b=rationals, c=rationals, s=st.integers(-2, 2))
