@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
 import tempfile
 from fractions import Fraction
@@ -556,17 +555,15 @@ class AlgebraContext:
     def _red(self, word):
         return self._renormalize(self.reduce_word(word))
 
-    def _lift(self, vec):
-        """vec as (den, {key: numerator}): integer numerators over their
-        least common denominator in a rational context, the series
-        themselves over 1 in a Laurent one."""
-        return _over_common_denominator(vec) if self.rational else (1, vec)
-
     def _row(self, l, i):
-        """words[i] * l as (den, ((j, numerator), ...)) over basis indices;
-        after the build it replaces the memo entry it was read from."""
+        """words[i] * l as (den, ((j, numerator), ...)) over basis indices:
+        integer numerators over their least common denominator in a
+        rational context, the series themselves over 1 in a Laurent one.
+        After the build it replaces the memo entry it was read from."""
         word = self.words[i] + (l,)
-        den, nums = self._lift(self._red(word))
+        vec = self._red(word)
+        den, nums = _over_common_denominator(vec) if self.rational \
+            else (1, vec)
         if self._built:
             self._memo.pop(word, None)
         widx = self.word_index
@@ -574,16 +571,16 @@ class AlgebraContext:
                                              for u, x in nums.items()))
         return row
 
-    def _closure_once(self, support):
+    def _closure_once(self):
         """The words reached from () by right letter products, in basis
-        order; ``support(word)`` lists the words of _red(word)."""
+        order."""
         basis = {(): None}
         frontier = [()]
         while frontier:
             nxt = []
             for w in frontier:
                 for l in self.letters:
-                    for u in support(w + (l,)):
+                    for u in self._red(w + (l,)):
                         if u not in basis:
                             basis[u] = None
                             nxt.append(u)
@@ -601,103 +598,60 @@ class AlgebraContext:
         longer reduces through every rule, the two sides can differ, and
         the defect is itself a rule that must not be lost.
 
-        The rounds run on vectors (den, {word: numerator}) with the content
-        divided out, as the fraction-free product does; over series the
-        denominator stays 1.  ``red`` memoises _red for the rounds only.  A
-        new rule lead -> rep evicts the entries whose support holds lead:
-        renormalisation is linear, so every other entry is still reduced
-        through all the rules.  A rule set again with the same expansion
-        changes nothing and is not written; one set again with another
-        expansion clears the memo.  A memo hit stands for an
-        earlier _red, so each word meets reduce_word, which fixes its
-        reduction, between the same two rules as without the memo.
-
         The search records each rule it writes in ``_plan`` as (w, g, h,
         starts_group), true for the first rule after vg = w.g was reduced:
         later rules of that (w, g) use the stale vg.  A cold build replays
-        CLOSURE_PLANS[n] through the same ``defect`` and memo, then closes
-        once.  A vanished defect, a lead that has a rule or a wrong word
-        count hands over to the search, which goes on from the (exact)
-        rules so far; ``stats["closure"]`` names the path that finished.
-        To regenerate a plan, build with CLOSURE_PLANS emptied.
+        CLOSURE_PLANS[n] through the same ``defect``, then closes once.  A
+        vanished defect, a lead that has a rule or a wrong word count hands
+        over to the search, which goes on from the (exact) rules so far.
+        ``stats["closure"]`` names where the rules came from: "cache",
+        "replay", "none" when none was needed, or "search" once a round
+        ran.  To regenerate a plan, build with CLOSURE_PLANS emptied.
         """
         stats = self.stats
         known = len(self._dyn)
         want = double_factorial(2 * self.n - 1)
-        ratio = Fraction if self.rational else operator.truediv
-        memo = {}       # word -> _red(word) as (den, {word: numerator})
-        users = {}      # word -> the memo keys whose support held it
-
-        def red(word):
-            hit = memo.get(word)
-            if hit is None:
-                hit = memo[word] = self._lift(self._red(word))
-                for u in hit[1]:
-                    users.setdefault(u, []).append(word)
-            return hit
 
         def times(vec, l):
-            den, nums = vec
-            got = []
-            for u, a in nums.items():
-                d, row = red(u + (l,))
-                got.append((a, (d, row.items())))
-            return _sum_rows(den, got)
-
-        def over(vec, common):
-            # scale only when needed: a series of negative valuation times
-            # 1 loses the top of its window
-            den, nums = vec
-            s = common // den
-            return nums.items() if s == 1 else \
-                [(u, a * s) for u, a in nums.items()]
+            out = {}
+            for u, a in vec.items():
+                for v, x in self._red(u + (l,)).items():
+                    prev = out.get(v)
+                    out[v] = a * x if prev is None else prev + a * x
+            return {v: c for v, c in out.items() if c}
 
         def defect(w, vg, g, h, gh):
             """The rule lead -> rep of (w.g).h - w.(g.h), or None if zero."""
-            A = times(vg, h)
-            B = []
-            den, nums = gh
-            for v, cv in nums.items():
-                t = (den, {w: cv})
+            D = times(vg, h)
+            for v, cv in gh.items():
+                t = {w: cv}
                 for l in v:
                     t = times(t, l)
-                B.append(t)
-            common = math.lcm(A[0], *(t[0] for t in B))
-            D = dict(over(A, common))
-            for t in B:
-                for u, b in over(t, common):
+                for u, b in t.items():
                     prev = D.get(u)
                     D[u] = -b if prev is None else prev - b
             D = {u: c for u, c in D.items() if c}
             if D:
                 lead = max(D, key=lambda x: (len(x), x))
                 cl = D.pop(lead)
-                return lead, {u: ratio(-c, cl) for u, c in D.items()}
+                return lead, {u: -c / cl for u, c in D.items()}
 
         def write(lead, rep, entry):
             plan.append(entry)
-            old = self._dyn.get(lead)
             self._dyn[lead] = rep
-            if old is None:
-                memo.pop(lead, None)
-                for u in users.pop(lead, ()):
-                    memo.pop(u, None)
-            else:
-                memo.clear()
-                users.clear()
 
         plan = self._plan = []      # (w, g, h, starts_group) per rule set
         text = CLOSURE_PLANS.get(self.n)
-        stats["closure"] = "replay" if text and not self._dyn else "search"
+        stats["closure"] = "cache" if known else "replay" if text else "none"
         if stats["closure"] == "replay":
             for w, g, h, starts in _read_plan(text):
                 if starts:
-                    vg = red(w + (g,))
-                rule = defect(w, vg, g, h, red((g, h)))
+                    vg = self._red(w + (g,))
+                rule = defect(w, vg, g, h, self._red((g, h)))
                 if rule is None or rule[0] in self._dyn:
                     break
                 write(*rule, (w, g, h, starts))
-        basis = self._closure_once(self._red)
+        basis = self._closure_once()
         rounds = 0
         while len(basis) != want:
             stats["closure"] = "search"
@@ -714,11 +668,11 @@ class AlgebraContext:
             found = 0
             for w in basis:
                 for g in self.letters:
-                    vg = red(w + (g,))
+                    vg = self._red(w + (g,))
                     fresh, starts = found, True
                     for h in self.letters:
-                        gh = red((g, h))
-                        if found == fresh and gh == (1, {(g, h): 1}):
+                        gh = self._red((g, h))
+                        if found == fresh and gh == {(g, h): 1}:
                             stats["triples_skipped"] += 1
                             continue
                         stats["triples_checked"] += 1
@@ -737,7 +691,7 @@ class AlgebraContext:
                 raise DimensionMismatch(
                     "no associativity defects but %d words != %d for n=%d"
                     % (len(basis), want, self.n))
-            basis = self._closure_once(lambda word: red(word)[1])
+            basis = self._closure_once()
         stats["rules_added"] = len(self._dyn) - known
         return basis
 
@@ -1085,7 +1039,7 @@ def _over_common_denominator(terms):
                  for k, c in terms.items()}
 
 
-def _sum_rows(den, got, reduce=True):
+def _sum_rows(den, got, reduce):
     """The vector sum a * row / den over got = [(a, (d, pairs))], each row
     given by (key, numerator) pairs over its integer denominator d.
 
@@ -1101,7 +1055,7 @@ def _sum_rows(den, got, reduce=True):
     nxt = {}
     get = nxt.get
     for a, (d, row) in got:
-        if d != row_den:        # never scale a series by 1 (see _close)
+        if d != row_den:        # most rows share row_den: skip a scale by 1
             if reduce:
                 a *= row_den // d
             else:   # scale the integers: one coefficient product per term

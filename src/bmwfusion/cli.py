@@ -56,11 +56,14 @@ def _add_common(p):
 
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w") as f:
             f.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ValueError("cannot write --out: %s" % exc) from exc
 
 
 def _params(args):
@@ -84,8 +87,6 @@ def _tableau(text, n):
     if len(tab) != n:
         raise ValueError("--tableau %s has length %d, --n is %d"
                          % (text, len(tab), n))
-    if tab not in enumerate_tableaux(n):
-        raise ValueError("--tableau %s is not an up-down tableau" % text)
     return tab
 
 

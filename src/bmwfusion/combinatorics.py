@@ -99,13 +99,14 @@ class UpDownTableau:
     shapes: tuple
 
     def __post_init__(self):
-        if not self.shapes or self.shapes[0] != (1,):
+        if not self.shapes:
             raise ValueError("an up-down tableau starts at the single box")
         prev = ()
-        for i, s in enumerate(self.shapes):
-            prev_sz = sum(self.shapes[i - 1]) if i else 0
-            if abs(sum(s) - prev_sz) != 1:
-                raise ValueError("consecutive shapes must differ by one box")
+        for s in self.shapes:
+            if s not in [add_box(prev, b) for b in addable_boxes(prev)] + \
+                    [remove_box(prev, b) for b in removable_boxes(prev)]:
+                raise ValueError("%r is not one box away from %r" % (s, prev))
+            prev = s
 
     def __len__(self):
         return len(self.shapes)

@@ -304,7 +304,7 @@ def test_n5_cache_file_pinned(ctx5, ctx5_search):
     assert os.stat(path).st_ino == inode, "warm build rewrote the cache"
     assert warm.stats["cache"] == "hit"
     assert warm.stats["closure_rounds"] == 0
-    assert warm.stats["closure"] == "search"
+    assert warm.stats["closure"] == "cache"
 
 
 def _plan_text(plan):
@@ -354,7 +354,7 @@ def test_replay_falls_back_at_a_vanished_defect(monkeypatch):
     class Opened(Exception):
         pass
 
-    def opening_closure(ctx, support):
+    def opening_closure(ctx):
         raise Opened(len(ctx._dyn))
 
     # without the first rule, the defect of the 66th entry left vanishes:
@@ -383,7 +383,7 @@ def test_build_stats(ctx4, ctx5, ctx5_search):
     assert st["rules_reset"] == 125
     assert ctx4.stats["closure_rounds"] == 0
     assert ctx4.stats["rules_added"] == 0
-    assert ctx4.stats["closure"] == "search"
+    assert ctx4.stats["closure"] == "none"
 
 
 def test_build_stats_cache_states(tmp_path, monkeypatch):

@@ -53,6 +53,14 @@ def test_idempotents_and_exit_codes(tmp_path):
     assert all(all(rec["verified"].values()) for rec in data["records"])
 
 
+@pytest.mark.parametrize("cmd", ["tableaux", "idempotents"])
+def test_out_into_a_missing_directory_exit_2(cmd, tmp_path):
+    r = run_cli(cmd, "--n", "2", "--out", str(tmp_path / "missing" / "x.json"))
+    assert r.returncode == 2
+    assert json.loads(r.stderr.splitlines()[-1])["error"] == "BAD_INPUT"
+    assert "Traceback" not in r.stderr
+
+
 def test_nongeneric_exit_2():
     r = run_cli("idempotents", "--n", "2", "--q", "1/1", "--nu", "7/3")
     assert r.returncode == 2

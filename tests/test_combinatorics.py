@@ -93,6 +93,16 @@ def test_encoding_roundtrip():
     assert [s.encode() for s in t.steps] == ["+1,1", "+1,2", "+2,1"]
 
 
+def test_only_up_down_shape_sequences_construct():
+    # the sizes differ by one, yet (1, 1) -> (3,) moves two boxes and
+    # (0, 2) is no partition
+    for shapes in (((1,), (1, 1), (3,)), ((1,), (0, 2))):
+        with pytest.raises(ValueError):
+            UpDownTableau(shapes)
+    for n in range(1, 6):
+        assert all(UpDownTableau(t.shapes) == t for t in enumerate_tableaux(n))
+
+
 def test_enumeration_deterministic():
     a = [t.encode() for t in enumerate_tableaux(4)]
     b = [t.encode() for t in enumerate_tableaux(4)]
