@@ -67,6 +67,12 @@ def word_name(w) -> str:
     return "*".join(letter_name(l) for l in w) if w else "1"
 
 
+def check_index(i: int, n: int) -> None:
+    """IndexError unless i is a generator index 1..n-1 of n strands."""
+    if not 1 <= i <= n - 1:
+        raise IndexError("generator index %d outside 1..%d" % (i, n - 1))
+
+
 # per n, the rules the closure search writes at (6/5, 7/3); see _read_plan
 CLOSURE_PLANS = {5: """5386.85 5387.85 24286.85 24287.85 24864.83 24874.83
 25286.85 25287.85 26864.63 26865.63 26964.63 26965.63 34864.83 34874.823
@@ -380,8 +386,8 @@ class AlgebraContext:
                         W = w[p + 1:qpos]
                         return (p, qpos + 2,
                                 [(W + frag, c) for (frag, c) in rep])
-            # G1: T_i K_{i+1} T_i [W] X_{i+2} K_{i+1}
-            if (ka == T_KIND and kb == K_KIND and b == a + 1 and p + 2 < L
+            # G1 (B = K), FAM-F1 (B = T): T_i B_{i+1} T_i [W] X_{i+2} K_{i+1}
+            if (ka == T_KIND and b == a + 1 and p + 2 < L
                     and w[p + 2] == letter(T_KIND, a)):
                 i = a
                 qpos = p + 3
@@ -393,7 +399,10 @@ class AlgebraContext:
                     W = w[p + 3:qpos]
                     Whi = tuple(l for l in W if letter_index(l) >= i + 3)
                     Wlo = tuple(l for l in W if letter_index(l) <= i - 1)
-                    rep = self._g1_rule(i, letter_kind(w[qpos]))
+                    kx = letter_kind(w[qpos])
+                    rep = self._g1_rule(i, kx) if kb == K_KIND else [
+                        ((lb, la) + frag, c) for frag, c
+                        in self._inv_rule(i + 1, T_KIND, kx, K_KIND)]
                     return (p, qpos + 2,
                             [(Whi + frag + Wlo, c) for (frag, c) in rep])
             # G2: K_{i+1} T_i [W] X_{i+2} Y_{i+1} T_i
@@ -428,25 +437,6 @@ class AlgebraContext:
                                     if letter_index(l) <= i - 2)
                         return (p, qpos + 2,
                                 [(Whi + frag + Wlo, c) for (frag, c) in rep])
-            # FAM-F1: T_i T_{i+1} T_i [W] X_{i+2} K_{i+1}
-            if (ka == T_KIND and kb == T_KIND and b == a + 1 and p + 2 < L
-                    and w[p + 2] == letter(T_KIND, a)):
-                i = a
-                qpos = p + 3
-                while qpos < L and (letter_index(w[qpos]) >= i + 3
-                                    or letter_index(w[qpos]) <= i - 1):
-                    qpos += 1
-                if (qpos + 1 < L and letter_index(w[qpos]) == i + 2
-                        and w[qpos + 1] == letter(K_KIND, i + 1)):
-                    tail = self._inv_rule(i + 1, T_KIND,
-                                          letter_kind(w[qpos]), K_KIND)
-                    W = w[p + 3:qpos]
-                    Whi = tuple(l for l in W if letter_index(l) >= i + 3)
-                    Wlo = tuple(l for l in W if letter_index(l) <= i - 1)
-                    head = (letter(T_KIND, i + 1), letter(T_KIND, i))
-                    return (p, qpos + 2,
-                            [(Whi + head + frag + Wlo, c)
-                             for (frag, c) in tail])
             # FAM-F2: A_i T_{i+1} [W] X_{i+2} T_{i+1} D_i, (A,D) != (T,T)
             if b == a + 1 and kb == T_KIND:
                 i = a
@@ -499,46 +489,43 @@ class AlgebraContext:
     # ------------------------------------------------------------------
 
     def reduce_word(self, word):
-        """Rewrite a word into {canonical word: coefficient}."""
-        hit = self._memo.get(word)
-        if hit is not None:
-            return hit
-        pending = {word: self._one}
-        done = {}
-        steps = 0
-        while pending:
-            w, c = pending.popitem()
-            red = self._find_redex(w)
-            if red is None:
-                rep = self._dyn.get(w)
-                if rep is None:
+        """Rewrite a word into {canonical word: coefficient}, through the
+        relations and then every elimination rule set so far.  This is
+        the only place where a word meets the rules; each read stores the
+        memo entry back canonical."""
+        done = self._memo.get(word)
+        if done is None:
+            pending = {word: self._one}
+            done = {}
+            steps = 0
+            while pending:
+                w, c = pending.popitem()
+                red = self._find_redex(w)
+                if red is None:
                     prev = done.get(w)
                     done[w] = c if prev is None else prev + c
                     continue
-                pre = post = ()         # an elimination rule replaces w
-                rep = rep.items()
-            else:
+                steps += 1
+                if steps > STEP_CAP:
+                    raise RewriteLimit("step cap %d exceeded reducing %s"
+                                       % (STEP_CAP, word_name(word)))
                 lo, hi, rep = red
                 pre, post = w[:lo], w[hi:]
-            steps += 1
-            if steps > STEP_CAP:
-                raise RewriteLimit("step cap %d exceeded reducing %s"
-                                   % (STEP_CAP, word_name(word)))
-            for frag, coeff in rep:
-                nw = pre + frag + post
-                nc = c * coeff
-                if nw in pending:
-                    nc = pending.pop(nw) + nc
-                if nc != 0:
-                    pending[nw] = nc
-        done = {w: c for w, c in done.items() if c != 0}
+                for frag, coeff in rep:
+                    nw = pre + frag + post
+                    nc = c * coeff
+                    if nw in pending:
+                        nc = pending.pop(nw) + nc
+                    if nc != 0:
+                        pending[nw] = nc
+            done = {w: c for w, c in done.items() if c != 0}
+        if self._dyn:
+            done = self._renormalize(done)
         self._memo[word] = done
         return done
 
     def _renormalize(self, vec):
         """Push a vector through the dynamic elimination rules."""
-        if not self._dyn:
-            return dict(vec)
         out = {}
         stack = list(vec.items())
         while stack:
@@ -552,16 +539,13 @@ class AlgebraContext:
                     stack.append((u, c * cu))
         return {w: c for w, c in out.items() if c != 0}
 
-    def _red(self, word):
-        return self._renormalize(self.reduce_word(word))
-
     def _row(self, l, i):
         """words[i] * l as (den, ((j, numerator), ...)) over basis indices:
         integer numerators over their least common denominator in a
         rational context, the series themselves over 1 in a Laurent one.
         After the build it replaces the memo entry it was read from."""
         word = self.words[i] + (l,)
-        vec = self._red(word)
+        vec = self.reduce_word(word)
         den, nums = _over_common_denominator(vec) if self.rational \
             else (1, vec)
         if self._built:
@@ -580,7 +564,7 @@ class AlgebraContext:
             nxt = []
             for w in frontier:
                 for l in self.letters:
-                    for u in self._red(w + (l,)):
+                    for u in self.reduce_word(w + (l,)):
                         if u not in basis:
                             basis[u] = None
                             nxt.append(u)
@@ -615,7 +599,7 @@ class AlgebraContext:
         def times(vec, l):
             out = {}
             for u, a in vec.items():
-                for v, x in self._red(u + (l,)).items():
+                for v, x in self.reduce_word(u + (l,)).items():
                     prev = out.get(v)
                     out[v] = a * x if prev is None else prev + a * x
             return {v: c for v, c in out.items() if c}
@@ -646,8 +630,8 @@ class AlgebraContext:
         if stats["closure"] == "replay":
             for w, g, h, starts in _read_plan(text):
                 if starts:
-                    vg = self._red(w + (g,))
-                rule = defect(w, vg, g, h, self._red((g, h)))
+                    vg = self.reduce_word(w + (g,))
+                rule = defect(w, vg, g, h, self.reduce_word((g, h)))
                 if rule is None or rule[0] in self._dyn:
                     break
                 write(*rule, (w, g, h, starts))
@@ -668,10 +652,10 @@ class AlgebraContext:
             found = 0
             for w in basis:
                 for g in self.letters:
-                    vg = self._red(w + (g,))
+                    vg = self.reduce_word(w + (g,))
                     fresh, starts = found, True
                     for h in self.letters:
-                        gh = self._red((g, h))
+                        gh = self.reduce_word((g, h))
                         if found == fresh and gh == {(g, h): 1}:
                             stats["triples_skipped"] += 1
                             continue
@@ -750,21 +734,22 @@ class AlgebraContext:
         path = self._cache_path
         if path is None:
             return
+
+        def entries(pairs):
+            return [{"word": list(w),
+                     "expansion": [[list(u), format_rational(c)]
+                                   for u, c in sorted(v.items())]}
+                    for w, v in pairs]
+
         data = {
             "version": CACHE_FORMAT_VERSION,
             "n": self.n,
             "q": format_rational(self.params.q),
             "nu": format_rational(self.params.nu),
-            "dyn": [{"word": list(w),
-                     "expansion": [[list(u), format_rational(c)]
-                                   for u, c in sorted(v.items())]}
-                    for w, v in sorted(self._dyn.items())],
+            "dyn": entries(sorted(self._dyn.items())),
             # reduced, so the file depends only on the algebra and its rules
-            "table": [{"word": list(w),
-                       "expansion": [[list(u), format_rational(c)]
-                                     for u, c in sorted(self._red(w).items())]}
-                      for w in sorted(v + (l,) for v in self.words
-                                      for l in self.letters)],
+            "table": entries((w, self.reduce_word(w)) for w in sorted(
+                v + (l,) for v in self.words for l in self.letters)),
         }
         tmp = None
         try:    # a cache that cannot be written is skipped
@@ -809,7 +794,7 @@ class AlgebraContext:
                     raise DomainMismatch(
                         "letter %r outside the generators of BMW_%d"
                         % (bad[0], self.n))
-                red = [(u, c * cu) for u, cu in self._red(w).items()]
+                red = [(u, c * cu) for u, cu in self.reduce_word(w).items()]
             for u, cu in red:
                 prev = out.get(u)
                 out[u] = cu if prev is None else prev + cu
@@ -819,26 +804,21 @@ class AlgebraContext:
         return AlgebraElement(self, {(): self._one * x})
 
     def gen_T(self, i):
-        self._check_index(i)
+        check_index(i, self.n)
         return AlgebraElement(self, {(letter(T_KIND, i),): self._one})
 
     def gen_K(self, i):
-        self._check_index(i)
+        check_index(i, self.n)
         return AlgebraElement(self, {(letter(K_KIND, i),): self._one})
 
     def gen_Tinv(self, i):
         """T_i^-1 = T_i - delta + delta K_i."""
-        self._check_index(i)
+        check_index(i, self.n)
         return AlgebraElement(self, {
             (letter(T_KIND, i),): self._one,
             (): -self.delta * self._one,
             (letter(K_KIND, i),): self.delta * self._one,
         })
-
-    def _check_index(self, i):
-        if not 1 <= i <= self.n - 1:
-            raise IndexError("generator index %d outside 1..%d"
-                             % (i, self.n - 1))
 
     def jm_element(self, k):
         """Jucys-Murphy element y_k = T_{k-1}...T_2 T_1^2 T_2...T_{k-1}."""
@@ -859,13 +839,7 @@ class AlgebraContext:
 
     def rho(self, elem):
         """The anti-automorphism fixing every generator (word reversal)."""
-        out = {}
-        for w, c in elem.terms.items():
-            for u, cu in self._red(tuple(reversed(w))).items():
-                prev = out.get(u)
-                nc = c * cu if prev is None else prev + c * cu
-                out[u] = nc
-        return AlgebraElement(self, out)
+        return self.from_terms({w[::-1]: c for w, c in elem.terms.items()})
 
     # ------------------------------------------------------------------
     # relation suite

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bmwcore import SparseElement
+from .bmwcore import SparseElement, check_index
 
 Diagram = frozenset  # of sorted 2-tuples covering {0..2n-1}
 
@@ -134,9 +134,11 @@ class BrauerAlgebra:
         return BrauerElement(self, {})
 
     def s(self, i: int) -> "BrauerElement":
+        check_index(i, self.n)
         return BrauerElement(self, {s_diagram(self.n, i): Fraction(1)})
 
     def e(self, i: int) -> "BrauerElement":
+        check_index(i, self.n)
         return BrauerElement(self, {e_diagram(self.n, i): Fraction(1)})
 
     def from_terms(self, terms) -> "BrauerElement":

@@ -185,6 +185,8 @@ def enumerate_tableaux(n: int, cap: int = STRAND_CAP):
 
 def count_tableaux(n: int, cap: int = STRAND_CAP) -> int:
     """Number of up-down tableaux of length n (by shape recursion)."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if n > cap:
         raise CapExceeded("n = %d exceeds the cap %d" % (n, cap))
     counts = {(1,): 1}

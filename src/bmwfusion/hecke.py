@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bmwcore import (AlgebraElement, T_KIND, SparseElement, fold_products,
-                      letter_index, letter_kind)
+from .bmwcore import (AlgebraElement, T_KIND, SparseElement, check_index,
+                      fold_products, letter_index, letter_kind)
 from .combinatorics import STRAND_CAP, UpDownTableau, quantum_contents
 from .errors import CapExceeded, DomainMismatch, NotGeneric
 from .fusion import SpectralView, fusion_step
@@ -105,8 +105,7 @@ class HeckeAlgebra:
         return self.zero()
 
     def gen_T(self, i: int):
-        if not 1 <= i <= self.n - 1:
-            raise IndexError("generator index out of range")
+        check_index(i, self.n)
         return HeckeElement(
             self, {apply_s_right(identity_perm(self.n), i): Fraction(1)})
 

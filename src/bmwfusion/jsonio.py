@@ -51,6 +51,9 @@ def element_from_json(data: dict, ctx: AlgebraContext) -> AlgebraElement:
         piece = ctx.one()
         for tok in term["word"]:
             kind, i = tok[0], int(tok[1:])
+            if not 1 <= i <= ctx.n - 1:
+                raise DomainMismatch("letter %r outside the generators of "
+                                     "BMW_%d" % (tok, ctx.n))
             if kind == "T":
                 piece = piece * ctx.gen_T(i)
             elif kind == "U":

@@ -58,9 +58,9 @@ def ctx5_search(tmp_path_factory):
 
 
 def closure_rows(ctx):
-    """_red(w l) for every basis word w and letter l, series windows
+    """reduce_word(w l) for every basis word w and letter l, series windows
     included."""
-    return [repr(sorted(ctx._red(w + (l,)).items()))
+    return [repr(sorted(ctx.reduce_word(w + (l,)).items()))
             for w in ctx.words for l in ctx.letters]
 
 

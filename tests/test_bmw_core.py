@@ -326,6 +326,14 @@ def test_search_records_the_committed_plan(ctx5_search):
     assert _plan_text(plan) == " ".join(CLOSURE_PLANS[5].split())
 
 
+def test_reduce_word_returns_canonical_words(ctx5):
+    """After the build, reduce_word of every memoised word holds no word
+    that has an elimination rule."""
+    stale = [word_name(w) for w in list(ctx5._memo)
+             if not ctx5._dyn.keys().isdisjoint(ctx5.reduce_word(w))]
+    assert not stale, stale[:5]
+
+
 def test_replay_equals_search(ctx5, ctx5_search):
     assert ctx5.stats["closure"] == "replay"
     assert ctx5_search.stats["closure"] == "search"

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as Fr
 
+import pytest
+
 from bmwfusion import BrauerAlgebra
 from bmwfusion.brauer import all_diagrams
 from bmwfusion.bmwcore import double_factorial
@@ -44,3 +46,15 @@ def test_loop_factor():
     B = BrauerAlgebra(2, Fr(5))
     e = B.e(1)
     assert (e * e - e.scale(5)).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generator_index_range(n):
+    B = BrauerAlgebra(n, Fr(5))
+    for i in range(1, n):
+        assert not B.s(i).is_zero() and not B.e(i).is_zero()
+    for i in (0, n):
+        with pytest.raises(IndexError):
+            B.s(i)
+        with pytest.raises(IndexError):
+            B.e(i)

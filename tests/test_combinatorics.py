@@ -22,6 +22,12 @@ def test_cap():
     assert len(enumerate_tableaux(7, cap=7)) > 0
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_count_tableaux_rejects_n_below_one(n):
+    with pytest.raises(ValueError):
+        count_tableaux(n)
+
+
 def test_path_count_squares_match_dimension():
     # sum over final shapes of (number of paths)^2 = (2n-1)!!
     for n in (2, 3, 4, 5, 6):

@@ -1,7 +1,9 @@
 from fractions import Fraction as Fr
 
-from bmwfusion import (BrauerAlgebra, HeckeAlgebra, TruncLaurent,
-                       fusion_idempotent, enumerate_tableaux)
+import pytest
+
+from bmwfusion import (BrauerAlgebra, DomainMismatch, HeckeAlgebra,
+                       TruncLaurent, fusion_idempotent, enumerate_tableaux)
 from bmwfusion.jsonio import (brauer_from_json, brauer_to_json,
                               element_from_json, element_to_json,
                               hecke_from_json, hecke_to_json,
@@ -23,6 +25,15 @@ def test_element_json_accepts_inverse_letters(ctx3):
             "terms": [{"word": ["U1"], "coeff": "1"}]}
     back = element_from_json(data, ctx3)
     assert (back - ctx3.gen_Tinv(1)).is_zero()
+
+
+@pytest.mark.parametrize("tok", ["T9", "U0", "K3"])
+def test_element_json_rejects_letters_outside_the_algebra(ctx3, tok):
+    data = {"algebra": "bmw", "n": 3,
+            "params": {"q": "6/5", "nu": "7/3"},
+            "terms": [{"word": [tok], "coeff": "1"}]}
+    with pytest.raises(DomainMismatch):
+        element_from_json(data, ctx3)
 
 
 def test_idempotent_record(ctx2):
