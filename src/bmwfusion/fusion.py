@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bmwcore import AlgebraContext, AlgebraElement, fold_products
+from .bmwcore import (T_KIND, AlgebraContext, AlgebraElement, fold_products,
+                      letter)
 from .combinatorics import (UpDownTableau, enumerate_tableaux,
                             extension_spectrum, quantum_contents)
 from .errors import (BmwError, DomainMismatch, NonInvertible,
@@ -225,22 +226,47 @@ def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext) -> Idempotent:
                       contents=contents)
 
 
+def _times_jm(ctx, terms, factors):
+    """The products terms * s (y_k - Y) for every (k, Y, s) in ``factors``,
+    as {word: coeff} dicts from one ``fold_products`` call.
+
+    A rational context multiplies by the defining word
+    T_{k-1}...T_1 T_1...T_{k-1} of y_k, 2(k - 1) row steps, where the
+    reduced y_k has many canonical words.  A Laurent context multiplies by
+    the reduced y_k: there the word path leaves the series coefficients
+    with shorter windows."""
+    rights = []
+    for k, Y, s in factors:
+        if ctx.rational:
+            if not 1 <= k <= ctx.n:
+                raise IndexError("Jucys-Murphy index %d outside 1..%d"
+                                 % (k, ctx.n))
+            down = tuple(letter(T_KIND, i) for i in range(k - 1, 0, -1))
+            right = {down + down[::-1]: s}
+            right[()] = right.get((), 0) - Y * s
+        else:
+            right = (ctx.jm_element(k) - ctx.one().scale(Y)).scale(s).terms
+        rights.append(right)
+    return fold_products(ctx, terms, rights, ctx.rational)
+
+
 def _jm_interpolation(tab: UpDownTableau, ctx: AlgebraContext):
     """(contents, E): at each step multiply by
     prod_{Y != c_k} (y_k - Y)/(c_k - Y) over the spectrum of y_k on the
-    image of the previous idempotent.  Runs over rational or truncated
-    Laurent parameters alike."""
+    image of the previous idempotent, one factor at a time through
+    ``_times_jm``.  Runs over rational or truncated Laurent parameters
+    alike."""
     _check_length(tab, ctx)
     params = ctx.params
     contents = quantum_contents(tab, params)
     E = ctx.one()
     for k in range(2, len(tab) + 1):
         ck = contents[k - 1]
-        y = ctx.jm_element(k)
         for Y in extension_spectrum(tab.shapes[k - 2], params):
             if Y == ck:
                 continue
-            E = E * (y - ctx.one().scale(Y)).scale(1 / (ck - Y))
+            E = AlgebraElement(ctx, _times_jm(ctx, E.terms,
+                                              [(k, Y, 1 / (ck - Y))])[0])
     return contents, E
 
 
@@ -252,38 +278,77 @@ def jm_oracle_idempotent(tab: UpDownTableau,
                       contents=contents)
 
 
+def _right_eigenvector(ctx, E, contents):
+    """Whether E y_j = c_j E for every j, in one fold."""
+    factors = [(j, cj, 1) for j, cj in enumerate(contents, start=1)]
+    return all(AlgebraElement(ctx, p).is_zero()
+               for p in _times_jm(ctx, E.terms, factors))
+
+
 def verify_idempotent(idem: Idempotent, ctx: AlgebraContext) -> dict:
-    """Idempotency and Jucys-Murphy eigenvalue checks, exact."""
+    """Idempotency and Jucys-Murphy eigenvalue checks, exact.
+
+    E E = E is a direct product.  The eigenvalues y_j E = c_j E are read
+    on R = rho(E) as R y_j = c_j R, every j in one fold: rho is an
+    anti-automorphism fixing y_j, whose defining word is a palindrome.
+    rho_symmetric is R = E."""
     E = idem.element
-    flags = {"idempotent": (E * E - E).is_zero()}
-    ok = True
-    for j, cj in enumerate(idem.contents, start=1):
-        y = ctx.jm_element(j)
-        if not (y * E - E.scale(cj)).is_zero():
-            ok = False
-            break
-    flags["jm_eigenvalues"] = ok
-    flags["rho_symmetric"] = (ctx.rho(E) - E).is_zero()
+    R = ctx.rho(E)
+    flags = {"idempotent": (E * E - E).is_zero(),
+             "jm_eigenvalues": _right_eigenvector(ctx, R, idem.contents),
+             "rho_symmetric": R == E}
     idem.verified.update(flags)
     return flags
 
 
-def complete_system_checks(idems, ctx: AlgebraContext) -> dict:
-    """Pairwise orthogonality and completeness for a full system.
+def _orthogonality_certificate(idems, ctx) -> bool:
+    """True when the eigenvalues prove E_a E_b = 0 for every a != b.
 
-    Every product E_a E_b with a != b is formed and tested for zero; the
-    products of one left factor E_a run as one batch of
-    ``bmwcore.fold_products``.  Completeness: the E_a sum to 1."""
-    total = ctx.zero()
-    for idem in idems:      # DomainMismatch for another algebra's element
-        total = total + idem.element
+    The certificate: the content sequences have one length (at most n) and
+    are pairwise distinct, and every E_a has rho(E_a) = E_a and
+    E_a y_j = c_j(a) E_a for every j.  Applying rho gives
+    y_j E_a = c_j(a) E_a, so E_b y_j E_a is both c_j(b) E_b E_a and
+    c_j(a) E_b E_a, and a j where the two sequences differ gives
+    E_b E_a = 0.  False means only that the certificate does not hold; a
+    Laurent context never certifies, since dividing by c_j(a) - c_j(b)
+    costs series precision."""
+    seqs = [idem.contents for idem in idems]
+    lengths = {len(c) for c in seqs}
+    if not ctx.rational or len(lengths) > 1 \
+            or max(lengths, default=0) > ctx.n or len(set(seqs)) < len(seqs):
+        return False
+    for idem in idems:
+        E = idem.element
+        if ctx.rho(E) != E or not _right_eigenvector(ctx, E, idem.contents):
+            return False
+    return True
+
+
+def _orthogonal_by_products(idems, ctx) -> bool:
+    """Whether every product E_a E_b with a != b is zero; the products of
+    one left factor E_a run as one batch of ``bmwcore.fold_products``."""
     ortho = True
     for a, left in enumerate(idems):
         rights = [e.element.terms for b, e in enumerate(idems) if b != a]
         for p in fold_products(ctx, left.element.terms, rights, ctx.rational):
             if not AlgebraElement(ctx, p).is_zero():
                 ortho = False
-    return {"orthogonal": ortho,
+    return ortho
+
+
+def complete_system_checks(idems, ctx: AlgebraContext) -> dict:
+    """Pairwise orthogonality and completeness for a full system.
+
+    Orthogonality is certified by the Jucys-Murphy eigenvalues (see
+    ``_orthogonality_certificate``), with no product E_a E_b.  Only when
+    the certificate does not hold is every product E_a E_b with a != b
+    formed and tested for zero, so the result is the same for a broken
+    system.  Completeness: the E_a sum to 1."""
+    total = ctx.zero()
+    for idem in idems:      # DomainMismatch for another algebra's element
+        total = total + idem.element
+    return {"orthogonal": _orthogonality_certificate(idems, ctx)
+            or _orthogonal_by_products(idems, ctx),
             "complete": (total - ctx.one()).is_zero()}
 
 
@@ -409,7 +474,7 @@ def L_operator(ctx, j, u):
         if r + 1 < len(m):
             h = sum(m[k] * u ** (k - 1 - r) for k in range(r + 1, len(m)))
             inv = inv + p.scale(h / mu_val)
-            p = p * y
+            p = AlgebraElement(ctx, _times_jm(ctx, p.terms, [(j, 0, 1)])[0])
     if not m_of_y.is_zero():
         raise BmwError("the contents of length-%d tableaux do not "
                        "annihilate y_%d" % (j, j))

@@ -15,12 +15,12 @@ from conftest import Q, NU, record_acceptance
 
 from bmwfusion import (BrauerAlgebra, HeckeAlgebra,
                        brauer_idempotent_via_contraction, check_reflection,
-                       contraction_block_check, enumerate_tableaux,
-                       fusion_idempotent, hecke_family_idempotent,
-                       hecke_quotient, jm_oracle_idempotent,
-                       laurent_params, quantum_contents,
+                       complete_system_checks, contraction_block_check,
+                       enumerate_tableaux, fusion_idempotent,
+                       hecke_family_idempotent, hecke_quotient,
+                       jm_oracle_idempotent, laurent_params, quantum_contents,
                        structure_constant_oracle, symmetrizer,
-                       antisymmetrizer)
+                       antisymmetrizer, verify_idempotent)
 from bmwfusion.bmwcore import AlgebraContext, double_factorial, T_KIND, \
     letter_kind
 from bmwfusion.brauer import all_diagrams
@@ -87,23 +87,19 @@ def test_criterion_2_complete_systems(n, ctx2, ctx3, ctx4):
 
 
 def test_criterion_2_stretch_n5(ctx5):
-    """The n=5 system: tableau count by enumeration,
-    idempotency, JM eigenvalues and completeness directly; pairwise
-    orthogonality via the two-sided eigenvalue separation (exact), with a
-    sampled direct-product cross-check."""
+    """The n=5 system: tableau count by enumeration, distinct content
+    sequences, and per idempotent E^2=E, y_j E = c_j E and rho(E) = E
+    (``verify_idempotent``).  ``complete_system_checks`` adds
+    E y_j = c_j E, orthogonality by the eigenvalue separation (exact) and
+    completeness, with a sampled direct-product cross-check."""
     ctx = ctx5
     tabs = enumerate_tableaux(5)
     idems = [jm_oracle_idempotent(t, ctx) for t in tabs]
     ok = len(tabs) == len({quantum_contents(t, ctx.params) for t in tabs})
-    total = ctx.zero()
     for idem in idems:
-        E = idem.element
-        ok = ok and (E * E - E).is_zero()
-        for j, cj in enumerate(idem.contents, start=1):
-            ok = ok and (ctx.jm_element(j) * E - E.scale(cj)).is_zero()
-            ok = ok and (E * ctx.jm_element(j) - E.scale(cj)).is_zero()
-        total = total + E
-    ok = ok and (total - ctx.one()).is_zero()
+        ok = ok and all(verify_idempotent(idem, ctx).values())
+    ok = ok and complete_system_checks(idems, ctx) == {"orthogonal": True,
+                                                       "complete": True}
     # two-sided eigenvalues + distinct content sequences imply
     # E_U E_V (c_j(V) - c_j(U)) = 0 at a separating j, hence orthogonality;
     # cross-check a sample directly

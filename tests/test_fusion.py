@@ -7,10 +7,13 @@ import pytest
 from bmwfusion import (DomainMismatch, HeckeAlgebra, PoleAtEvaluation,
                        PoleError, SpectralView, Y_script, antisymmetrizer,
                        baxterized_Q, baxterized_T, baxterized_T_inverse,
-                       check_reflection, complete_system_checks,
+                       build_context, check_reflection,
+                       complete_system_checks,
                        enumerate_tableaux, fusion_idempotent,
                        hecke_family_idempotent, jm_oracle_idempotent,
                        quantum_contents, symmetrizer, verify_idempotent)
+from bmwfusion import fusion
+from bmwfusion.combinatorics import extension_spectrum
 from bmwfusion.errors import BmwError, NonInvertible
 from bmwfusion.fusion import (L_operator, baxterized_T_one_arg, fusion_step,
                               pole_factor_f)
@@ -363,3 +366,131 @@ def test_fusion_step_true_pole_matches_reference(ctx3):
     for step, E in zip((reference_step, fusion_step), prefix):
         with pytest.raises(PoleAtEvaluation):
             step(E, contents, 3, ctx3, view)
+
+
+# ---------------------------------------------------------------------------
+# products with y_k through its defining word, and the system certificate
+# ---------------------------------------------------------------------------
+
+def reduced_jm_interpolation(tab, ctx):
+    """The JM interpolation multiplied by the reduced y_k, one factor
+    (y_k - Y)/(c_k - Y) at a time."""
+    contents = quantum_contents(tab, ctx.params)
+    E = ctx.one()
+    for k in range(2, len(tab) + 1):
+        ck, y = contents[k - 1], ctx.jm_element(k)
+        for Y in extension_spectrum(tab.shapes[k - 2], ctx.params):
+            if Y != ck:
+                E = E * (y - ctx.one().scale(Y)).scale(1 / (ck - Y))
+    return E
+
+
+def reduced_L_operator(ctx, j, u):
+    """L_j(u) = (c u y_j - 1)(u - y_j)^-1 with the powers of the reduced
+    y_j."""
+    y = ctx.jm_element(j)
+    m = [Fr(1)]
+    for c in dict.fromkeys(quantum_contents(t, ctx.params)[j - 1]
+                           for t in enumerate_tableaux(j)):
+        m = [a - c * b for a, b in zip([Fr(0)] + m, m + [0])]
+    mu = sum(a * u ** k for k, a in enumerate(m))
+    inv, p = ctx.zero(), ctx.one()
+    for r in range(len(m) - 1):
+        h = sum(m[k] * u ** (k - 1 - r) for k in range(r + 1, len(m)))
+        inv = inv + p.scale(h / mu)
+        p = p * y
+    return (y.scale(ctx.params.c * u) - ctx.one()) * inv
+
+
+def direct_flags(idem, ctx):
+    """verify_idempotent's flags from the left products y_j E."""
+    E = idem.element
+    return {"idempotent": (E * E - E).is_zero(),
+            "jm_eigenvalues": all(
+                (ctx.jm_element(j) * E - E.scale(cj)).is_zero()
+                for j, cj in enumerate(idem.contents, start=1)),
+            "rho_symmetric": (ctx.rho(E) - E).is_zero()}
+
+
+def direct_system(idems, ctx):
+    """complete_system_checks from every product E_a E_b, a != b."""
+    total = ctx.zero()
+    for idem in idems:
+        total = total + idem.element
+    return {"orthogonal": all((a.element * b.element).is_zero()
+                              for i, a in enumerate(idems)
+                              for j, b in enumerate(idems) if i != j),
+            "complete": total == ctx.one()}
+
+
+@pytest.mark.parametrize("q, nu", [(Fr(6, 5), Fr(7, 3)),
+                                   (Fr(-5, 6), Fr(3, 7))],
+                         ids=["q=6/5,nu=7/3", "q=-5/6,nu=3/7"])
+def test_jm_interpolation_by_defining_words_n4(q, nu):
+    ctx = build_context(4, q=q, nu=nu)
+    tabs = enumerate_tableaux(4)
+    assert len(tabs) == 25
+    for tab in tabs:
+        assert jm_oracle_idempotent(tab, ctx).element == \
+            reduced_jm_interpolation(tab, ctx), tab.encode()
+
+
+def test_jm_interpolation_by_defining_words_n5(ctx5):
+    for tab in enumerate_tableaux(5)[::10]:
+        assert jm_oracle_idempotent(tab, ctx5).element == \
+            reduced_jm_interpolation(tab, ctx5), tab.encode()
+
+
+def test_L_operator_powers_by_defining_words(ctx4):
+    for j in range(1, 5):
+        for u in (Fr(2, 7), Fr(-3)):
+            assert repr(L_operator(ctx4, j, u)) == \
+                repr(reduced_L_operator(ctx4, j, u))
+
+
+def test_verify_idempotent_flags_match_the_left_products(ctx3):
+    T1, T2 = ctx3.gen_T(1), ctx3.gen_T(2)
+    for idem in (jm_oracle_idempotent(t, ctx3)
+                 for t in enumerate_tableaux(3)):
+        E = idem.element
+        for X in (E, E + T1, E + T1 * T2, E * T1, T1 * E):
+            other = dataclasses.replace(idem, element=X, verified={})
+            assert verify_idempotent(other, ctx3) == \
+                direct_flags(other, ctx3), (idem.tableau.encode(), X)
+        # E T_1 keeps the left eigenvalues, E + T_1 loses them
+        for X, left in ((E * T1, True), (E + T1, False)):
+            other = dataclasses.replace(idem, element=X, verified={})
+            assert verify_idempotent(other, ctx3)["jm_eigenvalues"] is left
+
+
+def broken_systems(idems, ctx, shorter):
+    """(name, system) for a complete system made incomplete, not
+    orthogonal or mixed in length; ``shorter`` is the idempotent of a
+    shorter tableau."""
+    last = len(idems) - 1
+    perturbed = list(idems)
+    perturbed[0] = dataclasses.replace(
+        idems[0], element=idems[0].element + idems[last].element)
+    return [("perturbed", perturbed),
+            ("duplicated", idems + [idems[last]]),
+            ("left out", idems[1:]),
+            ("shorter mixed in", idems + [shorter])]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_system_certificate_agrees_with_direct_products(n, ctx2, ctx3, ctx4):
+    ctx = {2: ctx2, 3: ctx3, 4: ctx4}[n]
+    idems = [jm_oracle_idempotent(t, ctx) for t in enumerate_tableaux(n)]
+    assert fusion._orthogonality_certificate(idems, ctx)
+    assert complete_system_checks(idems, ctx) == direct_system(idems, ctx) \
+        == {"orthogonal": True, "complete": True}
+    shorter = jm_oracle_idempotent(enumerate_tableaux(n - 1)[-1], ctx)
+    for name, system in broken_systems(idems, ctx, shorter):
+        want = direct_system(system, ctx)
+        assert complete_system_checks(system, ctx) == want, name
+        assert not all(want.values()), name
+        # a system left incomplete is still orthogonal, and the
+        # certificate proves it; every other broken system falls back to
+        # the direct products
+        assert fusion._orthogonality_certificate(system, ctx) \
+            == (name == "left out"), name
