@@ -73,6 +73,12 @@ def check_index(i: int, n: int) -> None:
         raise IndexError("generator index %d outside 1..%d" % (i, n - 1))
 
 
+def check_jm_index(k: int, n: int) -> None:
+    """IndexError unless k is a Jucys-Murphy index 1..n of n strands."""
+    if not 1 <= k <= n:
+        raise IndexError("Jucys-Murphy index %d outside 1..%d" % (k, n))
+
+
 # per n, the rules the closure search writes at (6/5, 7/3); see _read_plan
 CLOSURE_PLANS = {5: """5386.85 5387.85 24286.85 24287.85 24864.83 24874.83
 25286.85 25287.85 26864.63 26865.63 26964.63 26965.63 34864.83 34874.823
@@ -822,9 +828,7 @@ class AlgebraContext:
 
     def jm_element(self, k):
         """Jucys-Murphy element y_k = T_{k-1}...T_2 T_1^2 T_2...T_{k-1}."""
-        if not 1 <= k <= self.n:
-            raise IndexError("Jucys-Murphy index %d outside 1..%d"
-                             % (k, self.n))
+        check_jm_index(k, self.n)
         hit = self._jm.get(k)
         if hit is not None:
             return hit
@@ -1046,7 +1050,7 @@ def _sum_rows(den, got, reduce):
     return den // g, {j: a // g for j, a in nxt.items() if a}
 
 
-def fold_products(alg, left, rights, integer_rows=False):
+def fold_products(alg, left, rights):
     """The products left * right for every right in ``rights``, as a list
     of {key: coeff} dicts in the order of ``rights``.
 
@@ -1057,15 +1061,15 @@ def fold_products(alg, left, rights, integer_rows=False):
     letters.  The words of all right factors are merged into one trie
     whose leaves hold (k, coeff) for right factor k, so the row step of
     each prefix is applied once to the vector of ``left``; every vector
-    of the fold is (den, {index: coeff}).  With integer rows and only
-    rational coefficients in the call, the fold divides out the content at
+    of the fold is (den, {index: coeff}).  With ``alg.rational`` (integer
+    rows) and only rational coefficients, the fold divides out the content at
     every step and builds one Fraction per output coefficient, each right
     factor over its own common denominator.  Any other coefficients keep
     their own arithmetic, with 1/den folded into the right-hand
     coefficient once per leaf.  Each product is the one computed alone.
     """
     rows = alg._rows
-    exact = integer_rows and all(type(c) is Fraction or type(c) is int
+    exact = alg.rational and all(type(c) is Fraction or type(c) is int
                                  for t in (left, *rights) for c in t.values())
     den1 = 1
     if exact:
@@ -1144,7 +1148,7 @@ class AlgebraElement(SparseElement):
         self._check(other)
         ctx = self.algebra
         return AlgebraElement(ctx, fold_products(
-            ctx, self.terms, [other.terms], ctx.rational)[0])
+            ctx, self.terms, [other.terms])[0])
 
 
 def build_context(n, params=None, q=None, nu=None, cache_dir=None):

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bmwcore import SparseElement, check_index
+from .combinatorics import STRAND_CAP
+from .errors import CapExceeded, DomainMismatch
 
 Diagram = frozenset  # of sorted 2-tuples covering {0..2n-1}
 
@@ -110,9 +112,12 @@ def all_diagrams(n: int):
 
 
 class BrauerAlgebra:
-    """B_n(omega) over exact rationals."""
+    """B_n(omega) over exact rationals, 1 <= n <= STRAND_CAP."""
 
     def __init__(self, n: int, omega):
+        if not 1 <= n <= STRAND_CAP:
+            raise CapExceeded("n = %d outside supported range 1..%d"
+                              % (n, STRAND_CAP))
         self.n = n
         self.omega = Fraction(omega)
         self._mul_cache = {}
@@ -142,6 +147,13 @@ class BrauerAlgebra:
         return BrauerElement(self, {e_diagram(self.n, i): Fraction(1)})
 
     def from_terms(self, terms) -> "BrauerElement":
+        """The element sum c * d over {d: c}; a key that is not n sorted
+        pairs covering 0..2n-1 once raises DomainMismatch."""
+        for d in terms:
+            if any(len(p) != 2 or p[0] > p[1] for p in d) or \
+                    sorted(sum(d, ())) != list(range(2 * self.n)):
+                raise DomainMismatch("%r is not a Brauer diagram on %d "
+                                     "strands" % (sorted(d), self.n))
         return BrauerElement(self, dict(terms))
 
     def _mul_diagrams(self, d1, d2):

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bmwcore import (T_KIND, AlgebraContext, AlgebraElement, fold_products,
-                      letter)
+from .bmwcore import (T_KIND, AlgebraContext, AlgebraElement, check_jm_index,
+                      fold_products, letter)
 from .combinatorics import (UpDownTableau, enumerate_tableaux,
                             extension_spectrum, quantum_contents)
 from .errors import (BmwError, DomainMismatch, NonInvertible,
@@ -147,8 +147,6 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
     existing element kernels.  The value is the h^m coefficient over the
     other factors' values and the vanishing factors' slopes; a nonzero
     lower coefficient is a true pole."""
-    if k == 1:
-        return ctx.one()
     d, q, c = view.delta, view.q, view.c
     r = q / view.nu
     ck = contents[k - 1]
@@ -212,6 +210,15 @@ def _check_length(tab, ctx):
                              % (len(tab), ctx.n))
 
 
+def consecutive_evaluation(ctx, contents, view):
+    """The fusion function at the content sequence: ``fusion_step`` for
+    k = 2, ..., len(contents) from E_1 = 1, in a BMW or Hecke algebra."""
+    E = ctx.one()
+    for k in range(2, len(contents) + 1):
+        E = fusion_step(E, contents, k, ctx, view)
+    return E
+
+
 def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext) -> Idempotent:
     """The primitive idempotent by consecutive evaluation of the fusion
     function at the tableau's content sequence.  The same steps over the
@@ -219,11 +226,8 @@ def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext) -> Idempotent:
     _check_length(tab, ctx)
     view = SpectralView.of(ctx.params)
     contents = quantum_contents(tab, ctx.params)
-    E = ctx.one()
-    for k in range(1, len(tab) + 1):
-        E = fusion_step(E, contents, k, ctx, view)
-    return Idempotent(tableau=tab, element=E, method="fusion",
-                      contents=contents)
+    return Idempotent(tableau=tab, element=consecutive_evaluation(
+        ctx, contents, view), method="fusion", contents=contents)
 
 
 def _times_jm(ctx, terms, factors):
@@ -238,16 +242,14 @@ def _times_jm(ctx, terms, factors):
     rights = []
     for k, Y, s in factors:
         if ctx.rational:
-            if not 1 <= k <= ctx.n:
-                raise IndexError("Jucys-Murphy index %d outside 1..%d"
-                                 % (k, ctx.n))
+            check_jm_index(k, ctx.n)
             down = tuple(letter(T_KIND, i) for i in range(k - 1, 0, -1))
             right = {down + down[::-1]: s}
             right[()] = right.get((), 0) - Y * s
         else:
             right = (ctx.jm_element(k) - ctx.one().scale(Y)).scale(s).terms
         rights.append(right)
-    return fold_products(ctx, terms, rights, ctx.rational)
+    return fold_products(ctx, terms, rights)
 
 
 def _jm_interpolation(tab: UpDownTableau, ctx: AlgebraContext):
@@ -330,7 +332,7 @@ def _orthogonal_by_products(idems, ctx) -> bool:
     ortho = True
     for a, left in enumerate(idems):
         rights = [e.element.terms for b, e in enumerate(idems) if b != a]
-        for p in fold_products(ctx, left.element.terms, rights, ctx.rational):
+        for p in fold_products(ctx, left.element.terms, rights):
             if not AlgebraElement(ctx, p).is_zero():
                 ortho = False
     return ortho
@@ -356,75 +358,53 @@ def complete_system_checks(idems, ctx: AlgebraContext) -> dict:
 # symmetrizer and antisymmetrizer
 # ---------------------------------------------------------------------------
 
-def _row_tableau(n):
-    return UpDownTableau(tuple((k,) for k in range(1, n + 1)))
-
-
-def _column_tableau(n):
-    return UpDownTableau(tuple((1,) * k for k in range(1, n + 1)))
-
-
-def antisymmetrizer(n: int, ctx: AlgebraContext,
-                    form="chain") -> AlgebraElement:
-    """A_n: the idempotent for the one-column tableau.
-
-    chain form: A_n = (-1)^(n-1)/n_q T_1(q^2) T_2(q^4) ... T_{n-1}(q^{2(n-1)}) A_{n-1};
-    Y-product form: the closed expression with the explicit scalar
-    prefactor; fusion form: consecutive evaluation.
-    """
+def _line_idempotent(n, ctx, form, e):
+    """The idempotent for the length-n tableau in one row (e = 1, S_n) or
+    one column (e = -1, A_n).  chain form: (-1)^(n-1)/n_q T_1(q^2) ...
+    T_{n-1}(q^{2(n-1)}) times the length-(n-1) one, for the row at the
+    starred view (q -> -1/q transposes a construction); Y-product form: the
+    closed expression with its prefactor; fusion form: consecutive
+    evaluation at the contents q^(2ek).  These two stay at the own view:
+    at the starred one their prefactors have poles at nu = q^m, which the
+    genericity checklist allows."""
+    if not 1 <= n <= ctx.n:
+        raise DomainMismatch("n = %d outside 1..%d" % (n, ctx.n))
     view = SpectralView.of(ctx.params)
     q = view.q
+    us = tuple(q ** (2 * e * k) for k in range(n))  # the tableau's contents
     if form == "chain":
+        star = view.starred() if e == 1 else view
+        p = star.q
         A = ctx.one()
         for m in range(2, n + 1):
             chain = ctx.one()
             for i in range(1, m):
                 chain = chain * baxterized_T_one_arg(
-                    ctx, i, q ** (2 * i), view)
-            A = chain.scale(Fraction(-1) ** (m - 1) / q_number(m, q)) * A
+                    ctx, i, p ** (2 * i), star)
+            A = chain.scale(Fraction(-1) ** (m - 1) / q_number(m, p)) * A
         return A
     if form == "y-product":
-        us = tuple(q ** (-2 * k) for k in range(n))
-        pref = q ** (-(n * (n - 1) // 2)) / q_factorial(n, q)
+        pref = q ** (e * (n * (n - 1) // 2)) / q_factorial(n, q)
         for k in range(1, n):
-            pref *= (q ** (-2 * k - 1) / view.nu + 1) / \
-                (q ** (-4 * k - 1) / view.nu + 1)
+            pref *= (q ** (2 * e * k - 1) / view.nu + 1) / \
+                (q ** (4 * e * k - 1) / view.nu + 1)
         return Y_product(ctx, us, view).scale(pref)
     if form == "fusion":
-        return fusion_idempotent(_column_tableau(n), ctx).element
+        return consecutive_evaluation(ctx, us, view)
     raise ValueError("unknown form %r" % form)
+
+
+def antisymmetrizer(n: int, ctx: AlgebraContext,
+                    form="chain") -> AlgebraElement:
+    """A_n: the idempotent for the one-column tableau."""
+    return _line_idempotent(n, ctx, form, -1)
 
 
 def symmetrizer(n: int, ctx: AlgebraContext,
                 form="chain") -> AlgebraElement:
-    """S_n: the idempotent for the one-row tableau.
-
-    chain form: S_n = 1/n_q T*_1(q^-2) ... T*_{n-1}(q^{-2(n-1)}) S_{n-1}
-    with the starred elements (q -> -1/q in the scalar coefficients);
-    Y-product form: closed expression with its scalar prefactor.
-    """
-    view = SpectralView.of(ctx.params)
-    q = view.q
-    if form == "chain":
-        star = view.starred()
-        S = ctx.one()
-        for m in range(2, n + 1):
-            chain = ctx.one()
-            for i in range(1, m):
-                chain = chain * baxterized_T_one_arg(
-                    ctx, i, q ** (-2 * i), star)
-            S = chain.scale(Fraction(1) / q_number(m, q)) * S
-        return S
-    if form == "y-product":
-        us = tuple(q ** (2 * k) for k in range(n))
-        pref = q ** (n * (n - 1) // 2) / q_factorial(n, q)
-        for k in range(1, n):
-            pref *= (q ** (2 * k - 1) / view.nu + 1) / \
-                (q ** (4 * k - 1) / view.nu + 1)
-        return Y_product(ctx, us, view).scale(pref)
-    if form == "fusion":
-        return fusion_idempotent(_row_tableau(n), ctx).element
-    raise ValueError("unknown form %r" % form)
+    """S_n: the idempotent for the one-row tableau; its chain form is A_n's
+    at the starred view."""
+    return _line_idempotent(n, ctx, form, 1)
 
 
 def Y_product(ctx, us, view) -> AlgebraElement:
@@ -456,8 +436,9 @@ def L_operator(ctx, j, u):
     tableaux of length j, so m(t) = prod (t - c) over it annihilates y_j
     and (u - y_j)^-1 = h(y_j)/m(u) with h(t) = (m(u) - m(t))/(u - t).  A
     u in the spectrum raises NonInvertible; one more power of y_j checks
-    m(y_j) = 0 exactly."""
-    y = ctx.jm_element(j)
+    m(y_j) = 0 exactly.  The result is formed as (u - y_j)^-1 (c u y_j - 1),
+    with y_j as its defining word."""
+    check_jm_index(j, ctx.n)
     u = Fraction(u)
     spectrum = dict.fromkeys(quantum_contents(tab, ctx.params)[j - 1]
                              for tab in enumerate_tableaux(j))
@@ -478,7 +459,8 @@ def L_operator(ctx, j, u):
     if not m_of_y.is_zero():
         raise BmwError("the contents of length-%d tableaux do not "
                        "annihilate y_%d" % (j, j))
-    return (y.scale(ctx.params.c * u) - ctx.one()) * inv
+    return AlgebraElement(ctx, _times_jm(
+        ctx, inv.terms, [(j, 0, ctx.params.c * u)])[0]) - inv
 
 
 def check_reflection(ctx, j, u, v, which="L", contents=None) -> bool:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .bmwcore import (AlgebraElement, T_KIND, SparseElement, check_index,
                       fold_products, letter_index, letter_kind)
 from .combinatorics import STRAND_CAP, UpDownTableau, quantum_contents
-from .errors import CapExceeded, DomainMismatch, NotGeneric
-from .fusion import SpectralView, fusion_step
+from .errors import CapExceeded, DivisionByZero, DomainMismatch, NotGeneric
+from .fusion import SpectralView, consecutive_evaluation
 from .scalars import format_rational
 
 
@@ -62,8 +62,10 @@ def lex_min_reduced_word(w):
 
 
 class HeckeAlgebra:
-    """H_n(q) with exact rational q, 1 <= n <= STRAND_CAP.  Its rows for
-    ``bmwcore.fold_products`` hold Fraction numerators over 1."""
+    """H_n(q) with exact rational q != 0, 1 <= n <= STRAND_CAP.  Its rows
+    for ``bmwcore.fold_products`` are integers over one denominator."""
+
+    rational = True
 
     def __init__(self, n: int, q):
         if not 1 <= n <= STRAND_CAP:
@@ -71,6 +73,8 @@ class HeckeAlgebra:
                               % (n, STRAND_CAP))
         self.n = n
         self.q = Fraction(q)
+        if not self.q:
+            raise DivisionByZero("the Hecke algebra needs q != 0")
         self.delta = self.q - 1 / self.q
         self.words = list(itertools.permutations(range(n)))
         self.word_index = {w: k for k, w in enumerate(self.words)}
@@ -87,11 +91,11 @@ class HeckeAlgebra:
 
     def _row(self, l, i):
         """T_w T_l = T_{w s_l}, plus delta T_w when l is a descent of w."""
-        w = self.words[i]
-        nums = ((self.word_index[apply_s_right(w, l)], Fraction(1)),)
+        w, d = self.words[i], self.delta.denominator
+        nums = ((self.word_index[apply_s_right(w, l)], d),)
         if w[l - 1] > w[l]:
-            nums += ((i, self.delta),)
-        row = self._rows[l][i] = (1, nums)
+            nums += ((i, self.delta.numerator),)
+        row = self._rows[l][i] = (d, nums)
         return row
 
     def one(self):
@@ -145,8 +149,10 @@ class HeckeElement(SparseElement):
 def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
     """Image in the quotient by the ideal (kappa_1): canonical words with a
     kappa letter map to 0, T-words map to the corresponding product."""
-    if hecke.n != elem.algebra.n:
-        raise DomainMismatch("strand counts differ")
+    ctx = elem.algebra
+    if hecke.n != ctx.n or not ctx.rational or ctx.params.q != hecke.q:
+        raise DomainMismatch("the element is not in BMW_%d at q = %s"
+                             % (hecke.n, format_rational(hecke.q)))
     words = {tuple(letter_index(l) for l in w): c
              for w, c in elem.terms.items()
              if all(letter_kind(l) == T_KIND for l in w)}
@@ -172,8 +178,7 @@ def hecke_family_idempotent(tab: UpDownTableau, c_param, hecke: HeckeAlgebra,
     """
     if not tab.is_standard():
         raise ValueError("the Hecke family needs a standard tableau")
-    n = len(tab)
-    if hecke.n != n:
+    if hecke.n != len(tab):
         raise DomainMismatch("tableau length != algebra size")
     if hecke.q != params.q:
         raise DomainMismatch("algebra at q = %s, parameters at q = %s"
@@ -188,8 +193,5 @@ def hecke_family_idempotent(tab: UpDownTableau, c_param, hecke: HeckeAlgebra,
                     "c_param c_a c_b = 1",
                     "c_param = %s: c_param c_a c_b = 1 on the contents "
                     "of %s" % (format_rational(c), tab.encode()))
-    view = SpectralView(q=hecke.q, nu=params.nu, c=c)
-    E = hecke.one()
-    for k in range(2, n + 1):
-        E = fusion_step(E, contents, k, hecke, view)
-    return E
+    return consecutive_evaluation(
+        hecke, contents, SpectralView(q=hecke.q, nu=params.nu, c=c))

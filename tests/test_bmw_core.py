@@ -187,8 +187,7 @@ def test_product_matches_reference(domain):
     for _ in range(5):
         a, b1, b2 = (_random_element(ctx, rnd, coeff=coeff) for _ in range(3))
         rights = [b1, b2, b1, ctx.zero()]
-        got = fold_products(ctx, a.terms, [r.terms for r in rights],
-                            ctx.rational)
+        got = fold_products(ctx, a.terms, [r.terms for r in rights])
         assert [AlgebraElement(ctx, p) for p in got] == \
             [_reference_product(a, r) for r in rights]
 

@@ -3,9 +3,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import BrauerAlgebra
+from bmwfusion import BrauerAlgebra, CapExceeded, DomainMismatch
 from bmwfusion.brauer import all_diagrams
 from bmwfusion.bmwcore import double_factorial
+from bmwfusion.jsonio import brauer_from_json
 
 
 def test_generator_relations():
@@ -58,3 +59,23 @@ def test_generator_index_range(n):
             B.s(i)
         with pytest.raises(IndexError):
             B.e(i)
+
+
+def test_strand_cap():
+    for n in (0, 9):
+        with pytest.raises(CapExceeded):
+            BrauerAlgebra(n, Fr(5))
+
+
+def test_from_terms_rejects_a_non_diagram():
+    # from JSON: point "5" at n = 2 and a repeated point; as keys: an
+    # unsorted pair, too few pairs and pairs of the wrong size
+    for pairs in ([["1", "5"], ["2", "1'"]], [["1", "2"], ["1", "2"]]):
+        data = {"algebra": "brauer", "n": 2, "omega": "5",
+                "terms": [{"diagram": pairs, "coeff": "1"}]}
+        with pytest.raises(DomainMismatch):
+            brauer_from_json(data)
+    B = BrauerAlgebra(2, Fr(5))
+    for bad in ({(2, 0), (1, 3)}, {(0, 1)}, {(0, 1, 2), (3,)}):
+        with pytest.raises(DomainMismatch):
+            B.from_terms({frozenset(bad): Fr(1)})

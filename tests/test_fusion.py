@@ -15,7 +15,8 @@ from bmwfusion import (DomainMismatch, HeckeAlgebra, PoleAtEvaluation,
 from bmwfusion import fusion
 from bmwfusion.combinatorics import extension_spectrum
 from bmwfusion.errors import BmwError, NonInvertible
-from bmwfusion.fusion import (L_operator, baxterized_T_one_arg, fusion_step,
+from bmwfusion.fusion import (L_operator, baxterized_T_one_arg,
+                              consecutive_evaluation, fusion_step,
                               pole_factor_f)
 from bmwfusion.scalars import RatFunc
 
@@ -232,6 +233,12 @@ def test_L_operator_noninvertible_at_every_content(n, ctx3, ctx4):
                 L_operator(ctx, j, c)
 
 
+def test_L_operator_rejects_an_index_outside_1_to_n(ctx3):
+    for j in (0, 4):
+        with pytest.raises(IndexError):
+            L_operator(ctx3, j, Fr(2, 7))
+
+
 def test_L_operator_checks_the_annihilating_polynomial(ctx3, monkeypatch):
     # with a content missing, m(t) no longer annihilates y_j
     import bmwfusion.fusion as fusion
@@ -255,6 +262,26 @@ def test_symmetrizer_forms_and_eigen(ctx3):
             assert (ctx.gen_T(i) * chain - chain.scale(lam)).is_zero()
             assert (chain * ctx.gen_T(i) - chain.scale(lam)).is_zero()
             assert (ctx.gen_K(i) * chain).is_zero()
+
+
+@pytest.mark.parametrize("n, power", [(3, 9), (4, 11)])
+def test_symmetrizer_forms_agree_at_nu_a_power_of_q(n, power):
+    # nu = q^(2n+3) passes the genericity checklist, but is a pole of the
+    # y-product and fusion prefactors taken at the starred view
+    q = Fr(6, 5)
+    ctx = build_context(n, q=q, nu=q ** power)
+    for fn in (symmetrizer, antisymmetrizer):
+        chain = fn(n, ctx, "chain")
+        assert fn(n, ctx, "y-product") == chain
+        assert fn(n, ctx, "fusion") == chain
+
+
+@pytest.mark.parametrize("form", ["chain", "y-product", "fusion"])
+def test_symmetrizers_reject_a_bad_strand_count(form, ctx3):
+    for fn in (symmetrizer, antisymmetrizer):
+        for n in (0, -1, ctx3.n + 1):
+            with pytest.raises(DomainMismatch):
+                fn(n, ctx3, form)
 
 
 def test_starred_fusion_gives_transpose(ctx3):
@@ -304,8 +331,6 @@ def test_inverse_identity_at_spec_point():
 def reference_step(E_prev, contents, k, ctx, view):
     """The fusion step with every coefficient a gcd-normalised RatFunc:
     (u - c_k)/(c u c_k - 1) E_prev Y_k(c_1, ..., c_{k-1}, u) at u = c_k."""
-    if k == 1:
-        return ctx.one()
     u = RatFunc.variable("u")
     ck = contents[k - 1]
     phi = E_prev.map_coefficients(RatFunc.const)
@@ -320,7 +345,7 @@ def reference_step(E_prev, contents, k, ctx, view):
 
 def chain(step, contents, ctx, view):
     E = ctx.one()
-    for k in range(1, len(contents) + 1):
+    for k in range(2, len(contents) + 1):
         E = step(E, contents, k, ctx, view)
     return E
 
@@ -335,7 +360,7 @@ def test_fusion_step_matches_ratfunc_reference(ctx4, starred):
     for tab in tabs:
         contents = quantum_contents(tab, view)
         if starred:
-            got = chain(fusion_step, contents, ctx4, view)
+            got = consecutive_evaluation(ctx4, contents, view)
         else:
             got = fusion_idempotent(tab, ctx4).element
         want = chain(reference_step, contents, ctx4, view)

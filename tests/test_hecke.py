@@ -4,10 +4,11 @@ from itertools import permutations
 
 import pytest
 
-from bmwfusion import (CapExceeded, DomainMismatch, HeckeAlgebra,
-                       NotGeneric, enumerate_tableaux, fusion_idempotent,
+from bmwfusion import (AlgebraContext, CapExceeded, DivisionByZero,
+                       DomainMismatch, HeckeAlgebra, NotGeneric,
+                       enumerate_tableaux, fusion_idempotent,
                        hecke_family_idempotent, hecke_quotient,
-                       quantum_contents)
+                       laurent_params, quantum_contents)
 from bmwfusion.bmwcore import K_KIND, letter_index, letter_kind
 from bmwfusion.hecke import (HeckeElement, apply_s_right,
                              lex_min_reduced_word, perm_inversions)
@@ -67,6 +68,7 @@ def test_dimension_and_associativity():
     for _ in range(100):
         a, b, c = rand(), rand(), rand()
         assert ((a * b) * c - a * (b * c)).is_zero()
+        assert all(type(x) is Fr for x in (a * b).terms.values())
 
 
 def test_lex_min_reduced_words():
@@ -190,6 +192,21 @@ def test_strand_cap():
         HeckeAlgebra(6, Q)
     with pytest.raises(CapExceeded):
         HeckeAlgebra(0, Q)
+
+
+def test_q_zero_is_a_division_by_zero():
+    with pytest.raises(DivisionByZero):
+        HeckeAlgebra(3, 0)
+    with pytest.raises(DivisionByZero):
+        hecke_from_json({"algebra": "hecke", "n": 2, "q": "0", "terms": []})
+
+
+def test_quotient_needs_a_rational_element_at_the_algebra_q(ctx3):
+    with pytest.raises(DomainMismatch):
+        hecke_quotient(ctx3.gen_T(1) * ctx3.gen_T(1), HeckeAlgebra(3, 2))
+    lctx = AlgebraContext(3, laurent_params(1, 5), verify=False)
+    with pytest.raises(DomainMismatch):
+        hecke_quotient(lctx.gen_T(1), HeckeAlgebra(3, Q))
 
 
 def test_from_terms_rejects_a_non_permutation():
