@@ -29,8 +29,8 @@ from fractions import Fraction
 from .combinatorics import STRAND_CAP
 from .errors import (CapExceeded, DimensionMismatch, DomainMismatch,
                      NotGeneric, RewriteLimit)
-from .scalars import (ParamSet, TruncLaurent, format_rational, make_params,
-                      parse_rational)
+from .scalars import (ParamSet, TruncLaurent, _mul_raw, _normal, _raw,
+                      _sum_raw, format_rational, make_params, parse_rational)
 
 T_KIND, K_KIND = 0, 1
 
@@ -763,7 +763,7 @@ class AlgebraContext:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                        prefix=".bmwf-tmp-")
             with os.fdopen(fd, "w") as f:
-                json.dump(data, f)
+                f.write(json.dumps(data))   # dumps, unlike dump, runs in C
             os.replace(tmp, path)
         except OSError:
             if tmp is not None:
@@ -1017,14 +1017,14 @@ def _over_common_denominator(terms):
                  for k, c in terms.items()}
 
 
-def _sum_rows(den, got, reduce):
+def _sum_rows(den, got, exact, lift):
     """The vector sum a * row / den over got = [(a, (d, pairs))], each row
-    given by (key, numerator) pairs over its integer denominator d.
+    given by (key, numerator) pairs over its integer denominator d, as
+    (denominator, {key: coeff}) over den times the rows' common denominator.
 
-    Returns (denominator, {key: numerator}) over den times the rows' common
-    denominator.  With ``reduce``, zero terms are dropped and the content
-    is divided out (no gcd over denominator 1); without it the sums stay
-    as they are, since a zero series still bounds the window of its sums.
+    ``exact``: zero terms are dropped and the content is divided out (no
+    gcd over denominator 1).  Otherwise each key sums its terms
+    a * lift(x) once, zeros kept: a zero series bounds its sums' window.
     """
     row_den = 1
     for _, (d, _) in got:
@@ -1034,16 +1034,20 @@ def _sum_rows(den, got, reduce):
     get = nxt.get
     for a, (d, row) in got:
         if d != row_den:        # most rows share row_den: skip a scale by 1
-            if reduce:
+            if exact:
                 a *= row_den // d
             else:   # scale the integers: one coefficient product per term
                 row = [(j, x * (row_den // d)) for j, x in row]
+        if not exact:
+            for j, x in row:
+                nxt.setdefault(j, []).append(_mul_raw(a, lift(x)))
+            continue
         for j, x in row:
             prev = get(j)
             nxt[j] = a * x if prev is None else prev + a * x
     den *= row_den
-    if not reduce:
-        return den, nxt
+    if not exact:
+        return den, {j: _sum_raw(ts) for j, ts in nxt.items()}
     g = 1 if den == 1 else math.gcd(den, *nxt.values())
     if g == 1:
         return den, {j: a for j, a in nxt.items() if a}
@@ -1062,20 +1066,25 @@ def fold_products(alg, left, rights):
     whose leaves hold (k, coeff) for right factor k, so the row step of
     each prefix is applied once to the vector of ``left``; every vector
     of the fold is (den, {index: coeff}).  With ``alg.rational`` (integer
-    rows) and only rational coefficients, the fold divides out the content at
-    every step and builds one Fraction per output coefficient, each right
-    factor over its own common denominator.  Any other coefficients keep
-    their own arithmetic, with 1/den folded into the right-hand
-    coefficient once per leaf.  Each product is the one computed alone.
+    rows) and only rational coefficients, the fold divides out the content
+    at every step and builds one Fraction per output coefficient, each
+    right factor over its own common denominator.  Otherwise 1/den goes
+    into the right-hand coefficient once per leaf.  Truncated Laurent
+    series, with rationals or not, stay raw (``scalars._sum_raw``) until
+    each output coefficient is normalised once; other coefficients
+    (RatFunc) keep their own arithmetic.  Each product is the one
+    computed alone.
     """
     rows = alg._rows
-    exact = alg.rational and all(type(c) is Fraction or type(c) is int
-                                 for t in (left, *rights) for c in t.values())
+    types = {c.__class__ for t in (left, *rights) for c in t.values()}
+    exact = alg.rational and types <= {Fraction, int}
+    lift = _raw if types <= {TruncLaurent, Fraction, int} else (lambda x: x)
     den1 = 1
     if exact:
         den1, left = _over_common_denominator(left)
         rights = [_over_common_denominator(r) for r in rights]
     else:
+        left = {w: lift(a) for w, a in left.items()}
         rights = [(1, r) for r in rights]
     trie = {}
     for k, (_, right) in enumerate(rights):
@@ -1098,13 +1107,18 @@ def fold_products(alg, left, rights):
                     if row is None:
                         row = alg._row(l, i)
                     got.append((a, row))
-                stack.append((child, _sum_rows(den, got, exact)))
+                stack.append((child, _sum_rows(den, got, exact, lift)))
                 continue
             for k, c2 in child:
                 d = den
                 if d != 1 and not exact:
                     c2, d = c2 * Fraction(1, d), 1
                 acc = groups[k].setdefault(d, {})
+                if not exact:
+                    c2 = lift(c2)
+                    for j, a in nums.items():
+                        acc.setdefault(j, []).append(_mul_raw(a, c2))
+                    continue
                 get = acc.get
                 for j, a in nums.items():
                     prev = get(j)
@@ -1113,7 +1127,8 @@ def fold_products(alg, left, rights):
     out = []
     for (den2, _), group in zip(rights, groups):
         if not exact:
-            out.append({words[j]: c for j, c in group.get(1, {}).items()})
+            out.append({words[j]: _normal(_sum_raw(ts))
+                        for j, ts in group.get(1, {}).items()})
             continue
         common = math.lcm(*group)
         acc = {}

@@ -9,11 +9,13 @@ Two coefficient domains are used throughout the package:
   variable u = c_k + h of the fusion step at a quantum content c_k.
 
 ``TruncLaurent`` is stored fraction-free: integer numerators over one
-positive denominator, with their common content divided out, so a
-product is one integer convolution and one gcd.  :class:`RatFunc`,
-gcd-normalised rational functions, is off the fusion path; it remains
-as public API (the baxterized elements accept it as a spectral
-argument) and as a target of the traced benchmark.
+positive denominator, with their common content divided out.  Its sums
+and products run on raw series, the same fields with no gcd taken
+(``_mul_raw``, ``_sum_raw``, the one home of the window rules); the
+element fold keeps its series raw and normalises each output once.
+:class:`RatFunc`, gcd-normalised rational functions, is off the fusion
+path; it remains as public API (the baxterized elements accept it as a
+spectral argument) and as a target of the traced benchmark.
 
 All values are immutable.
 """
@@ -336,9 +338,11 @@ class RatFunc:
 # truncated Laurent series in h
 # ---------------------------------------------------------------------------
 
-def _window(val, prec, den, nums):
-    """(val, prec, den, nums) of the series nums / den from h^val on, under
-    the constructor's window rules, with the common content divided out."""
+def _window(val, prec, den, nums, normal=True):
+    """(val, prec, den, nums) of the series nums / den from h^val on: no
+    leading zero, a valuation above prec raises, nums cut or zero-padded
+    to [val, prec), val == prec when zero.  A raw series, or ``normal``
+    with the content divided out (see :class:`TruncLaurent`)."""
     lead, n = 0, len(nums)
     while lead < n and not nums[lead]:
         lead += 1
@@ -348,12 +352,98 @@ def _window(val, prec, den, nums):
             "valuation %d above the precision bound %d" % (val, prec))
     if lead == n or val == prec:
         return prec, prec, 1, ()
-    nums = nums[lead:lead + prec - val]
-    nums += [0] * (prec - val - len(nums))
+    if lead or n != prec - val:
+        nums = [*nums[lead:lead + prec - val]] + [0] * (prec - val - n + lead)
+    if not normal:
+        return val, prec, den, nums
     g = math.gcd(den, *nums)
     if g > 1:
         return val, prec, den // g, tuple(x // g for x in nums)
     return val, prec, den, tuple(nums)
+
+
+def _raw(x):
+    """A TruncLaurent as a raw series, an int or Fraction as it is, or None."""
+    if x.__class__ is TruncLaurent:
+        return x.val, x.prec, x.den, x.nums
+    return x if isinstance(x, (int, Fraction)) else None
+
+
+def _lift(x, prec):
+    """A scalar where it meets a series: the raw const(x, prec)."""
+    return _window(0, prec, x.denominator, [x.numerator], False)
+
+
+def _mul_raw(a, b):
+    """The product of raw series (see ``_window``), no gcd taken: of two,
+    on the window min(a.prec + b.val, b.prec + a.val), which a zero factor
+    keeps too; of one and a scalar x, which meets it as const(x, prec).
+    Two values that are not raw series multiply in their own arithmetic."""
+    if a.__class__ is not tuple:
+        if b.__class__ is not tuple:
+            return a * b
+        a, b = b, a
+    av, ap, ad, an = a
+    if b.__class__ is not tuple:
+        if b and an and av >= 0:
+            # const(b, ap) has valuation 0 here: the window stays
+            p = b.numerator
+            return av, ap, ad * b.denominator, [x * p for x in an]
+        b = _lift(b, ap)
+    bv, bp, bd, bn = b
+    prec = ap + bv if ap + bv < bp + av else bp + av
+    if not an or not bn:
+        return prec, prec, 1, ()
+    val = av + bv
+    n = prec - val
+    out = [0] * n
+    for i in range(n):
+        x = an[i]
+        if x:
+            for j in range(n - i):
+                out[i + j] += x * bn[j]
+    return val, prec, ad * bd, out
+
+
+def _sum_raw(terms):
+    """The sum of raw series and scalars, no gcd taken, as the sums in
+    their order would give it: the window is the minimum of the series'
+    windows, a zero series included; a scalar meets the series summed so
+    far as const(x, prec), the scalars before the first series as their
+    sum.  Values that are not raw series alone sum in their own arithmetic."""
+    series, prec, s = [], None, None
+    for t in terms:
+        if t.__class__ is tuple:
+            if prec is None:
+                if s is not None:
+                    series.append(_lift(s, t[1]))
+                prec = t[1]
+            elif t[1] < prec:
+                prec = t[1]
+            series.append(t)
+        elif prec is None:
+            s = t if s is None else s + t
+        else:
+            series.append(_lift(t, prec))
+    if prec is None or len(series) == 1:
+        return s if prec is None else series[0]
+    val, den = prec, 1
+    for tv, _, td, _ in series:
+        val = min(val, tv)
+        if den % td:
+            den = math.lcm(den, td)
+    out = [0] * (prec - val)
+    for tv, _, td, tn in series:
+        f, k = den // td, tv - val
+        for x in tn[:prec - tv] if tv < prec else ():
+            out[k] += x * f
+            k += 1
+    return _window(val, prec, den, out, False)
+
+
+def _normal(x):
+    """A raw series as a TruncLaurent; any other value stays as it is."""
+    return TruncLaurent._make(*_window(*x)) if x.__class__ is tuple else x
 
 
 class TruncLaurent:
@@ -424,27 +514,14 @@ class TruncLaurent:
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, TruncLaurent):
-            return other
         if isinstance(other, (int, Fraction)):
-            return TruncLaurent.const(other, self.prec)
-        return None
-
-    def _add(self, o, sign):
-        """self + sign * o on the common window."""
-        prec = min(self.prec, o.prec)
-        val = min(self.val, o.val, prec)
-        d1, d2 = self.den, o.den
-        g = math.gcd(d1, d2)
-        out = [0] * (prec - val)
-        for x, f in ((self, d2 // g), (o, sign * (d1 // g))):
-            for k, a in enumerate(x.nums[:max(prec - x.val, 0)], x.val - val):
-                out[k] += a * f
-        return TruncLaurent._make(*_window(val, prec, d1 // g * d2, out))
+            return _normal(_lift(other, self.prec))
+        return other if isinstance(other, TruncLaurent) else None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._add(o, 1)
+        o = _raw(other)
+        return NotImplemented if o is None else \
+            _normal(_sum_raw((_raw(self), o)))
 
     __radd__ = __add__
 
@@ -453,47 +530,15 @@ class TruncLaurent:
                                   tuple(-x for x in self.nums))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._add(o, -1)
+        return NotImplemented if _raw(other) is None else self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o._add(self, -1)
+        return NotImplemented if _raw(other) is None else -self + other
 
     def __mul__(self, other):
-        if other.__class__ is TruncLaurent:
-            o = other
-        elif ((other.__class__ is Fraction or other.__class__ is int)
-                and other and self.nums and self.val >= 0):
-            # the window of the general rule below, scaled in place: both
-            # factors are reduced, so only these gcds can cancel
-            p, d, nums = other.numerator, other.denominator, self.nums
-            g1, g2 = math.gcd(p, self.den), math.gcd(d, *nums)
-            if g1 > 1:
-                p //= g1
-            if g2 > 1:
-                d //= g2
-                nums = [x // g2 for x in nums]
-            return TruncLaurent._make(self.val, self.prec, self.den // g1 * d,
-                                      tuple(x * p for x in nums))
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-        # a zero factor keeps this precision rule too
-        prec = min(self.prec + o.val, o.prec + self.val)
-        a, b = self.nums, o.nums
-        if not a or not b:
-            return TruncLaurent.zero(prec)
-        val = self.val + o.val
-        n = prec - val
-        out = [0] * n
-        for i in range(n):
-            x = a[i]
-            if x:
-                for j in range(n - i):
-                    out[i + j] += x * b[j]
-        return TruncLaurent._make(*_window(val, prec, self.den * o.den, out))
+        o = _raw(other)
+        return NotImplemented if o is None else \
+            _normal(_mul_raw(_raw(self), o))
 
     __rmul__ = __mul__
 

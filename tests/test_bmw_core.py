@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 from fractions import Fraction as Fr
@@ -12,6 +13,7 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
 from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
                                fold_products, letter, word_name, K_KIND,
                                T_KIND)
+from bmwfusion.errors import NegativeValuation
 from conftest import closure_rows
 
 
@@ -190,6 +192,87 @@ def test_product_matches_reference(domain):
         got = fold_products(ctx, a.terms, [r.terms for r in rights])
         assert [AlgebraElement(ctx, p) for p in got] == \
             [_reference_product(a, r) for r in rights]
+
+
+def _fold_reference(ctx, left, right):
+    """left * right in TruncLaurent arithmetic, one right word at a time,
+    with the fold's own steps: each letter takes the vector to the sum of
+    its coefficients times the row numerators, those rescaled to the rows'
+    common denominator only where a row has another one, and each right
+    coefficient is taken over the denominator the steps built up."""
+    out = {}
+    for w, c in right.items():
+        den, vec = 1, {ctx.word_index[u]: a for u, a in left.items()}
+        for l in w:
+            rows = {i: ctx._rows[l][i] or ctx._row(l, i) for i in vec}
+            row_den = math.lcm(*(d for d, _ in rows.values()))
+            nxt = {}
+            for i, a in vec.items():
+                d, row = rows[i]
+                for j, x in row:
+                    t = a * (x if d == row_den else x * (row_den // d))
+                    nxt[j] = nxt[j] + t if j in nxt else t
+            den, vec = den * row_den, nxt
+        if den != 1:
+            c = c * Fr(1, den)
+        for j, a in vec.items():
+            out[j] = out[j] + a * c if j in out else a * c
+    return {ctx.words[j]: x for j, x in out.items()}
+
+
+def _stored(f, *args):
+    """Every coefficient of the products f returns as stored, a series
+    with its window, or the type of the error raised."""
+    try:
+        prods = f(*args)
+    except NegativeValuation as exc:
+        return type(exc)
+    return [{w: (c.val, c.prec, c.den, c.nums)
+             if isinstance(c, TruncLaurent) else (type(c), c)
+             for w, c in p.items()} for p in prods]
+
+
+def _pole_coeff(rnd):
+    """A series on [-1, 3), [0, 4) or [1, 5), or now and then a rational:
+    scalars and negative valuations move the windows of products."""
+    if rnd.random() < 0.2:
+        return Fr(rnd.randint(-6, 6) or 1, rnd.randint(1, 4))
+    return _laurent_coeff(rnd).shift(rnd.randint(-1, 1))
+
+
+@pytest.fixture(scope="module")
+def lctx4():
+    return {r: AlgebraContext(4, laurent_params(r, 5), verify=False)
+            for r in (1, 2)}
+
+
+@pytest.mark.parametrize("case", ["laurent-3", "poly-4", "mixed-3", "pole-3",
+                                  "laurent-4-regime-1", "laurent-4-regime-2"])
+def test_fold_keeps_the_windows_of_term_by_term_products(case, ctx3, ctx4,
+                                                         lctx3, lctx4):
+    # == compares series on their common window only, so every
+    # coefficient's window and storage is compared here
+    ctx, coeff = {"laurent-3": (lctx3, _laurent_coeff),
+                  "poly-4": (ctx4, _poly_coeff),
+                  "mixed-3": (ctx3, _mixed_coeff),
+                  "pole-3": (ctx3, _pole_coeff),
+                  "laurent-4-regime-1": (lctx4[1], _pole_coeff),
+                  "laurent-4-regime-2": (lctx4[2], _pole_coeff)}[case]
+    rnd = random.Random(case)
+    for _ in range(6):
+        a = _random_element(ctx, rnd, nterms=4, coeff=coeff)
+        rights = [_random_element(ctx, rnd, coeff=coeff) for _ in range(3)]
+        rights.append(AlgebraElement(ctx, {_jm_word(ctx.n): coeff(rnd),
+                                           (): coeff(rnd)}))
+        alone = [_stored(fold_products, ctx, a.terms, [r.terms])
+                 for r in rights]
+        for r, p in zip(rights, alone):
+            assert p == _stored(lambda *args: [_fold_reference(*args)], ctx,
+                                a.terms, r.terms)
+        # windows shrink at every step with a pole: some products raise
+        if NegativeValuation not in alone:
+            assert _stored(fold_products, ctx, a.terms,
+                           [r.terms for r in rights]) == [p for p, in alone]
 
 
 def test_associativity_random(domain):

@@ -10,8 +10,9 @@ from bmwfusion import (CapExceeded, DivisionByZero, NotGeneric,
                        q_factorial, q_number)
 from bmwfusion.errors import NegativeValuation, NonInvertible
 from bmwfusion.jsonio import laurent_from_json, laurent_to_json
-from bmwfusion.scalars import (format_rational, genericity_check,
-                               parse_rational, suggest_params)
+from bmwfusion.scalars import (_mul_raw, _normal, _sum_raw, format_rational,
+                               genericity_check, parse_rational,
+                               suggest_params)
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=7)
@@ -425,3 +426,56 @@ def test_laurent_arithmetic_matches_reference(x, y, c, i, e, k):
     back = laurent_from_json(laurent_to_json(a))
     assert _outcome(lambda: back) == _outcome(lambda: ra)
 
+
+def _unreduced(t, m):
+    """The raw series of t with a common factor m left in: the kernel takes
+    no gcd, so its inputs need not be in normal form."""
+    return t.val, t.prec, t.den * m, [x * m for x in t.nums]
+
+
+def _raw_outcome(f):
+    """_outcome of the raw series f returns, normalised once; a raw
+    series must already show its true valuation and whole window."""
+    def normalised():
+        out = f()
+        if out.__class__ is tuple:
+            val, prec, den, nums = out
+            assert den > 0 and len(nums) == prec - val
+            assert nums[0] != 0 if nums else val == prec
+        return _normal(out)
+    return _outcome(normalised)
+
+
+@given(x=laurent_args, y=laurent_args, z=laurent_args, c=rationals,
+       i=st.one_of(st.sampled_from((0, 1, -1)), st.integers(-30, 30)),
+       m=st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_raw_kernel_matches_reference(x, y, z, c, i, m):
+    pairs = [_pair(t) for t in (x, y, z)]
+    if None in pairs:
+        return
+    raws = [_unreduced(t, m) for t, _ in pairs]
+    (a, b, _), (ra, rb, rc) = raws, [r for _, r in pairs]
+    assert _raw_outcome(lambda: _mul_raw(a, b)) == _outcome(lambda: ra * rb)
+    # three series summed in one pass, against two sums
+    assert _raw_outcome(lambda: _sum_raw(raws)) == \
+        _outcome(lambda: ra + rb + rc)
+    # Fraction and int scalars, on either side
+    for s in (c, i):
+        want = _outcome(lambda: ra * s)
+        assert _raw_outcome(lambda: _mul_raw(a, s)) == want
+        assert _raw_outcome(lambda: _mul_raw(s, a)) == want
+        want = _outcome(lambda: ra + s)
+        assert _raw_outcome(lambda: _sum_raw([a, s])) == want
+        assert _raw_outcome(lambda: _sum_raw([s, a])) == want
+        # in a longer sum, as the sums in their order: a scalar meets the
+        # window of the series before it, the scalars before the first
+        # series meet it as their sum
+        assert _raw_outcome(lambda: _sum_raw([b, s, a])) == \
+            _outcome(lambda: rb + s + ra)
+        assert _raw_outcome(lambda: _sum_raw([s, s, a, b])) == \
+            _outcome(lambda: ra + (s + s) + rb)
+    # scalars alone keep their own arithmetic
+    for got, want in ((_mul_raw(c, i), c * i), (_sum_raw([i, c]), i + c),
+                      (_sum_raw([i, i]), i + i)):
+        assert got == want and type(got) is type(want)
