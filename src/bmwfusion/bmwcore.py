@@ -79,6 +79,12 @@ def check_jm_index(k: int, n: int) -> None:
         raise IndexError("Jucys-Murphy index %d outside 1..%d" % (k, n))
 
 
+def jm_word(k: int):
+    """The defining word T_{k-1}...T_1 T_1...T_{k-1} of y_k; () for k = 1."""
+    down = tuple(letter(T_KIND, i) for i in range(k - 1, 0, -1))
+    return down + down[::-1]
+
+
 # per n, the rules the closure search writes at (6/5, 7/3); see _read_plan
 CLOSURE_PLANS = {5: """5386.85 5387.85 24286.85 24287.85 24864.83 24874.83
 25286.85 25287.85 26864.63 26865.63 26964.63 26965.63 34864.83 34874.823
@@ -806,9 +812,6 @@ class AlgebraContext:
                 out[u] = cu if prev is None else prev + cu
         return AlgebraElement(self, out)
 
-    def scalar(self, x):
-        return AlgebraElement(self, {(): self._one * x})
-
     def gen_T(self, i):
         check_index(i, self.n)
         return AlgebraElement(self, {(letter(T_KIND, i),): self._one})
@@ -827,19 +830,14 @@ class AlgebraContext:
         })
 
     def jm_element(self, k):
-        """Jucys-Murphy element y_k = T_{k-1}...T_2 T_1^2 T_2...T_{k-1}."""
+        """Jucys-Murphy element y_k: 1 times its defining word
+        ``jm_word(k)``, one ``fold_products`` call through the rows."""
         check_jm_index(k, self.n)
         hit = self._jm.get(k)
-        if hit is not None:
-            return hit
-        if k == 1:
-            y = self.one()
-        else:
-            y = self.gen_T(1) * self.gen_T(1)
-            for i in range(2, k):
-                y = self.gen_T(i) * y * self.gen_T(i)
-        self._jm[k] = y
-        return y
+        if hit is None:
+            hit = self._jm[k] = AlgebraElement(self, fold_products(
+                self, {(): self._one}, [{jm_word(k): self._one}])[0])
+        return hit
 
     def rho(self, elem):
         """The anti-automorphism fixing every generator (word reversal)."""

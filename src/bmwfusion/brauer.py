@@ -120,8 +120,7 @@ class BrauerAlgebra:
                               % (n, STRAND_CAP))
         self.n = n
         self.omega = Fraction(omega)
-        self._mul_cache = {}
-        # (n, BMW word) -> (diagram, loops), filled by the contraction map
+        # BMW word -> (diagram, loops), filled by the contraction map
         self._word_diagrams = {}
 
     def __eq__(self, other):
@@ -156,14 +155,6 @@ class BrauerAlgebra:
                                      "strands" % (sorted(d), self.n))
         return BrauerElement(self, dict(terms))
 
-    def _mul_diagrams(self, d1, d2):
-        key = (d1, d2)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            hit = diagram_mul(self.n, d1, d2)
-            self._mul_cache[key] = hit
-        return hit
-
 
 class BrauerElement(SparseElement):
     """Sparse rational combination of Brauer diagrams."""
@@ -181,11 +172,11 @@ class BrauerElement(SparseElement):
             return self.scale(other)
         self._check(other)
         alg = self.algebra
-        w = alg.omega
+        n, w = alg.n, alg.omega
         out = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
-                d, loops = alg._mul_diagrams(d1, d2)
+                d, loops = diagram_mul(n, d1, d2)
                 c = c1 * c2 * w ** loops
                 out[d] = out.get(d, Fraction(0)) + c
         return BrauerElement(alg, out)

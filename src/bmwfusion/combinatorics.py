@@ -85,12 +85,6 @@ class BoxStep:
     def encode(self) -> str:
         return "%s%d,%d" % ("+" if self.added else "-", self.row, self.col)
 
-    @classmethod
-    def decode(cls, text: str) -> "BoxStep":
-        sign, rest = text[0], text[1:]
-        r, c = rest.split(",")
-        return cls(added=(sign == "+"), row=int(r), col=int(c))
-
 
 @dataclass(frozen=True)
 class UpDownTableau:
@@ -155,13 +149,13 @@ class UpDownTableau:
         return "UpDownTableau(%s)" % self.encode()
 
 
-def enumerate_tableaux(n: int, cap: int = STRAND_CAP):
+def enumerate_tableaux(n: int):
     """All up-down tableaux of length n, depth-first, added boxes before
     removed, boxes ordered by (row, column).  Deterministic."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if n > cap:
-        raise CapExceeded("n = %d exceeds the cap %d" % (n, cap))
+    if n > STRAND_CAP:
+        raise CapExceeded("n = %d exceeds the cap %d" % (n, STRAND_CAP))
     out = []
     chain = [(1,)]
 
@@ -183,12 +177,12 @@ def enumerate_tableaux(n: int, cap: int = STRAND_CAP):
     return out
 
 
-def count_tableaux(n: int, cap: int = STRAND_CAP) -> int:
+def count_tableaux(n: int) -> int:
     """Number of up-down tableaux of length n (by shape recursion)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if n > cap:
-        raise CapExceeded("n = %d exceeds the cap %d" % (n, cap))
+    if n > STRAND_CAP:
+        raise CapExceeded("n = %d exceeds the cap %d" % (n, STRAND_CAP))
     counts = {(1,): 1}
     for _ in range(n - 1):
         nxt = {}

@@ -121,24 +121,27 @@ def word_to_diagram(n: int, word):
     return d, loops
 
 
-def _word_diagram(brauer: BrauerAlgebra, n: int, w):
-    """``word_to_diagram(n, w)``, memoised on ``brauer``."""
+def _word_diagram(brauer: BrauerAlgebra, w):
+    """``word_to_diagram(brauer.n, w)``, memoised on ``brauer``."""
     memo = brauer._word_diagrams
-    hit = memo.get((n, w))
+    hit = memo.get(w)
     if hit is None:
-        hit = memo[n, w] = word_to_diagram(n, w)
+        hit = memo[w] = word_to_diagram(brauer.n, w)
     return hit
 
 
 def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
-    """h^0 part of a Laurent-coefficient BMW element as a Brauer element."""
-    n = elem.algebra.n
+    """h^0 part of a Laurent-coefficient BMW element as a Brauer element.
+    A Brauer algebra on another strand count raises DOMAIN_MISMATCH."""
+    if brauer.n != elem.algebra.n:
+        raise DomainMismatch("element of BMW_%d into B_%d"
+                             % (elem.algebra.n, brauer.n))
     terms = {}
     for w, coeff in elem.terms.items():
         c0 = coeff.constant_term()
         if c0 == 0:
             continue
-        d, loops = _word_diagram(brauer, n, w)
+        d, loops = _word_diagram(brauer, w)
         c0 = c0 * brauer.omega ** loops
         terms[d] = terms.get(d, Fraction(0)) + c0
     return BrauerElement(brauer, terms)
@@ -165,7 +168,7 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     diag_of = {}
     seen = {}
     for w in ctx.words:
-        d, loops = _word_diagram(brauer, n, w)
+        d, loops = _word_diagram(brauer, w)
         if loops:
             return {"ok": False, "reason": "loop in canonical word image"}
         if d in seen:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bmwcore import (T_KIND, AlgebraContext, AlgebraElement, check_jm_index,
-                      fold_products, letter)
+from .bmwcore import (AlgebraContext, AlgebraElement, check_jm_index,
+                      fold_products, jm_word)
 from .combinatorics import (UpDownTableau, enumerate_tableaux,
                             extension_spectrum, quantum_contents)
 from .errors import (BmwError, DomainMismatch, NonInvertible,
@@ -234,17 +234,15 @@ def _times_jm(ctx, terms, factors):
     """The products terms * s (y_k - Y) for every (k, Y, s) in ``factors``,
     as {word: coeff} dicts from one ``fold_products`` call.
 
-    A rational context multiplies by the defining word
-    T_{k-1}...T_1 T_1...T_{k-1} of y_k, 2(k - 1) row steps, where the
-    reduced y_k has many canonical words.  A Laurent context multiplies by
-    the reduced y_k: there the word path leaves the series coefficients
-    with shorter windows."""
+    A rational context multiplies by the defining word ``jm_word(k)`` of
+    y_k, 2(k - 1) row steps, where the reduced y_k has many canonical
+    words.  A Laurent context multiplies by the reduced y_k: there the
+    word path leaves the series coefficients with shorter windows."""
     rights = []
     for k, Y, s in factors:
         if ctx.rational:
             check_jm_index(k, ctx.n)
-            down = tuple(letter(T_KIND, i) for i in range(k - 1, 0, -1))
-            right = {down + down[::-1]: s}
+            right = {jm_word(k): s}
             right[()] = right.get((), 0) - Y * s
         else:
             right = (ctx.jm_element(k) - ctx.one().scale(Y)).scale(s).terms

@@ -125,9 +125,6 @@ class HeckeAlgebra:
             out[w] = c
         return HeckeElement(self, out)
 
-    def basis_perms(self):
-        return list(self.words)
-
 
 class HeckeElement(SparseElement):
     """Sparse combination of T_w; coefficients rational, or truncated

@@ -303,7 +303,7 @@ def test_criterion_8_structural_counts(ctx2, ctx3, ctx4, ctx5):
     for n in (2, 3, 4, 5):
         ok = ok and len(all_diagrams(n)) == double_factorial(2 * n - 1)
     hk = HeckeAlgebra(4, Q)
-    ok = ok and len(hk.basis_perms()) == 24
+    ok = ok and len(hk.words) == 24
     # associativity, >=100 random triples per algebra
     rnd = random.Random(2)
     ctx = contexts[3]
@@ -316,7 +316,7 @@ def test_criterion_8_structural_counts(ctx2, ctx3, ctx4, ctx5):
         a, b, c = xs
         ok = ok and ((a * b) * c - a * (b * c)).is_zero()
     hk3 = HeckeAlgebra(3, Q)
-    perms = hk3.basis_perms()
+    perms = hk3.words
     for _ in range(100):
         xs = []
         for _ in range(3):

@@ -29,7 +29,6 @@ OPTIONS = [
     ("check_reflection", "which", "'L'"),
     ("check_reflection", "contents", "None"),
     ("classical_contents", "t_classical", "False"),
-    ("enumerate_tableaux", "cap", "5"),
     ("laurent_params", "prec", "4"),
     ("symmetrizer", "form", "'chain'"),
 ]
@@ -53,4 +52,4 @@ def public_options():
 
 def test_public_options_are_pinned():
     assert public_options() == OPTIONS
-    assert len(OPTIONS) == 21
+    assert len(OPTIONS) == 20

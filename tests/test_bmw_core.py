@@ -11,8 +11,8 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        TruncLaurent, build_context, hecke_quotient,
                        laurent_params)
 from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
-                               fold_products, letter, word_name, K_KIND,
-                               T_KIND)
+                               fold_products, jm_word, letter, word_name,
+                               K_KIND, T_KIND)
 from bmwfusion.errors import NegativeValuation
 from conftest import closure_rows
 
@@ -144,12 +144,6 @@ def domain(request, ctx2, ctx3, ctx4):
     return {2: ctx2, 3: ctx3, 4: ctx4}[n], coeff
 
 
-def _jm_word(k):
-    """The word of y_k = T_{k-1}...T_1 T_1...T_{k-1}, not a basis word."""
-    down = tuple(letter(T_KIND, i) for i in range(k - 1, 0, -1))
-    return down + down[::-1]
-
-
 def _reference_product(a, b):
     """sum c1 c2 w1 w2 with each w1 w2 rewritten from scratch."""
     ctx = a.algebra
@@ -180,8 +174,8 @@ def test_product_matches_reference(domain):
     for k in range(2, ctx.n + 1):
         a = _random_element(ctx, rnd, nterms=5, coeff=coeff)
         c = coeff(rnd) if coeff else Fr(rnd.randint(1, 6), 7)
-        y = AlgebraElement(ctx, {_jm_word(k): c, (): c})
-        assert _jm_word(k) not in ctx.word_index
+        y = AlgebraElement(ctx, {jm_word(k): c, (): c})
+        assert jm_word(k) not in ctx.word_index
         assert a * y == _reference_product(a, y)
         assert a * y == a * (ctx.jm_element(k) + ctx.one()).scale(c)
     # one batch of right factors, one of them repeated and one empty: each
@@ -262,7 +256,7 @@ def test_fold_keeps_the_windows_of_term_by_term_products(case, ctx3, ctx4,
     for _ in range(6):
         a = _random_element(ctx, rnd, nterms=4, coeff=coeff)
         rights = [_random_element(ctx, rnd, coeff=coeff) for _ in range(3)]
-        rights.append(AlgebraElement(ctx, {_jm_word(ctx.n): coeff(rnd),
+        rights.append(AlgebraElement(ctx, {jm_word(ctx.n): coeff(rnd),
                                            (): coeff(rnd)}))
         alone = [_stored(fold_products, ctx, a.terms, [r.terms])
                  for r in rights]
@@ -273,6 +267,33 @@ def test_fold_keeps_the_windows_of_term_by_term_products(case, ctx3, ctx4,
         if NegativeValuation not in alone:
             assert _stored(fold_products, ctx, a.terms,
                            [r.terms for r in rights]) == [p for p, in alone]
+
+
+def _jm_by_products(ctx, k):
+    """y_k = T_{k-1}...T_2 T_1^2 T_2...T_{k-1}, one product at a time."""
+    if k == 1:
+        return ctx.one()
+    y = ctx.gen_T(1) * ctx.gen_T(1)
+    for i in range(2, k):
+        y = ctx.gen_T(i) * y * ctx.gen_T(i)
+    return y
+
+
+@pytest.mark.parametrize("case", ["rational", "laurent-regime-1",
+                                  "laurent-regime-2"])
+def test_jm_element_is_its_defining_word(case, ctx2, ctx3, ctx4, ctx5,
+                                         lctx3, lctx4):
+    T1, T2 = letter(T_KIND, 1), letter(T_KIND, 2)
+    assert [jm_word(k) for k in (1, 2, 3)] == [(), (T1, T1),
+                                               (T2, T1, T1, T2)]
+    ctxs = {"rational": (ctx2, ctx3, ctx4, ctx5),
+            "laurent-regime-1": (lctx3, lctx4[1]),
+            "laurent-regime-2": (lctx4[2],)}[case]
+    for ctx in ctxs:
+        for k in range(1, ctx.n + 1):
+            # every coefficient's window too, not only == on series
+            assert _stored(lambda: [ctx.jm_element(k).terms]) == \
+                _stored(lambda: [_jm_by_products(ctx, k).terms])
 
 
 def test_associativity_random(domain):

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from bmwfusion import (CapExceeded, UpDownTableau, classical_contents,
-                       enumerate_tableaux, extension_spectrum,
+                       combinatorics, enumerate_tableaux, extension_spectrum,
                        quantum_contents)
 from bmwfusion.bmwcore import double_factorial
 from bmwfusion.combinatorics import count_tableaux, transpose_partition
@@ -16,10 +16,13 @@ def test_counts():
     assert count_tableaux(5) == len(enumerate_tableaux(5))
 
 
-def test_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_tableaux(7)
-    assert len(enumerate_tableaux(7, cap=7)) > 0
+def test_cap(monkeypatch):
+    for f in (enumerate_tableaux, count_tableaux):
+        with pytest.raises(CapExceeded):
+            f(7)
+    # both read the cap at call time
+    monkeypatch.setattr(combinatorics, "STRAND_CAP", 7)
+    assert count_tableaux(7) == len(enumerate_tableaux(7)) > 0
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -28,11 +31,12 @@ def test_count_tableaux_rejects_n_below_one(n):
         count_tableaux(n)
 
 
-def test_path_count_squares_match_dimension():
+def test_path_count_squares_match_dimension(monkeypatch):
     # sum over final shapes of (number of paths)^2 = (2n-1)!!
+    monkeypatch.setattr(combinatorics, "STRAND_CAP", 6)
     for n in (2, 3, 4, 5, 6):
         paths = {}
-        for t in enumerate_tableaux(n, cap=6):
+        for t in enumerate_tableaux(n):
             paths[t.shape] = paths.get(t.shape, 0) + 1
         assert sum(m * m for m in paths.values()) == double_factorial(2 * n - 1)
 

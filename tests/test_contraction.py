@@ -8,10 +8,11 @@ from bmwfusion import (BrauerAlgebra, DimensionMismatch, DomainMismatch,
                        NegativeValuation, NotGeneric, TruncLaurent,
                        bmwcore, brauer_idempotent_via_contraction,
                        contraction_block_check, enumerate_tableaux,
-                       laurent_params, structure_constant_oracle)
+                       jm_oracle_idempotent, laurent_params,
+                       structure_constant_oracle)
 from bmwfusion.bmwcore import AlgebraContext
-from bmwfusion.contraction import (default_truncation, spectral_series,
-                                   word_to_diagram)
+from bmwfusion.contraction import (constant_term_element, default_truncation,
+                                   spectral_series, word_to_diagram)
 from conftest import closure_rows
 
 
@@ -131,6 +132,18 @@ def test_contraction_rejects_a_context_of_other_size():
     with pytest.raises(DomainMismatch):
         brauer_idempotent_via_contraction(enumerate_tableaux(3)[0], 1, 5,
                                           ctx=ctx)
+
+
+def test_constant_term_rejects_a_brauer_algebra_of_other_size():
+    # B_4 used to take the 3-strand diagrams of a BMW_3 element as keys
+    ctx = AlgebraContext(3, laurent_params(1, 5, 4), verify=False)
+    tab = enumerate_tableaux(3)[0]
+    E = jm_oracle_idempotent(tab, ctx).element
+    for n in (2, 4):
+        with pytest.raises(DomainMismatch):
+            constant_term_element(E, BrauerAlgebra(n, 5))
+    assert constant_term_element(E, BrauerAlgebra(3, 5)) == \
+        brauer_idempotent_via_contraction(tab, 1, 5, ctx=ctx)
 
 
 def test_contraction_rejects_a_rational_context(ctx3):

@@ -40,7 +40,7 @@ def reference_mul(a, b):
 
 
 def _random_element(hk, rnd, coeff):
-    perms = hk.basis_perms()
+    perms = hk.words
     return hk.from_terms({rnd.choice(perms): coeff()
                           for _ in range(rnd.randint(1, 6))})
 
@@ -56,7 +56,7 @@ def test_basic_relations():
 
 def test_dimension_and_associativity():
     hk = HeckeAlgebra(4, Q)
-    perms = hk.basis_perms()
+    perms = hk.words
     assert len(perms) == 24
     rnd = random.Random(5)
 
