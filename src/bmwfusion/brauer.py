@@ -40,54 +40,36 @@ def e_diagram(n: int, i: int) -> Diagram:
 
 
 def diagram_mul(n: int, d1: Diagram, d2: Diagram):
-    """Stack d1 above d2; return (diagram, number of closed loops)."""
-    adj = {}
+    """Stack d1 above d2; return (diagram, number of closed loops).
+    Point p of d1 is node p and point p of d2 is node n + p: each middle
+    node n..2n-1 has one edge of either diagram, and a walk alternates."""
+    up, down = {}, {}
+    for a, b in d1:
+        up[a], up[b] = b, a
+    for a, b in d2:
+        down[n + a], down[n + b] = n + b, n + a
+    middle = set(range(n, 2 * n))
 
-    def link(x, y):
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
+    def walk(node, edges, other):
+        node = edges[node]
+        while node in middle:
+            middle.remove(node)
+            edges, other = other, edges
+            node = edges[node]
+        return node
 
-    for (x, y) in d1:
-        link(("t", x) if x < n else ("m", x - n),
-             ("t", y) if y < n else ("m", y - n))
-    for (x, y) in d2:
-        link(("m", x) if x < n else ("b", x - n),
-             ("m", y) if y < n else ("b", y - n))
-    ext = [("t", a) for a in range(n)] + [("b", a) for a in range(n)]
-    seen = set()
-    pairs = set()
-    touched = set()
-    for s in ext:
-        if s in seen:
-            continue
-        seen.add(s)
-        prev, cur = None, s
-        while True:
-            nbrs = adj[cur]
-            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-            prev, cur = cur, nxt
-            if cur[0] == "m":
-                touched.add(cur)
-            else:
-                seen.add(cur)
-                a = cur[1] if cur[0] == "t" else n + cur[1]
-                b = s[1] if s[0] == "t" else n + s[1]
-                pairs.add((min(a, b), max(a, b)))
-                break
+    pairs, ends = set(), set()
+    # p runs over the outer points; p < end, as lower ones are all paired
+    for p in range(2 * n):
+        if p not in ends:
+            end = walk(p, up, down) if p < n else walk(p + n, down, up)
+            end = end if end < n else end - n
+            ends.add(end)
+            pairs.add((p, end))
     loops = 0
-    unvisited = {("m", a) for a in range(n)} - touched
-    unvisited = {m for m in unvisited if m in adj}
-    while unvisited:
-        s = unvisited.pop()
-        prev, cur = None, s
-        while True:
-            nbrs = adj[cur]
-            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-            prev, cur = cur, nxt
-            if cur == s:
-                loops += 1
-                break
-            unvisited.discard(cur)
+    while middle:
+        walk(middle.pop(), up, down)
+        loops += 1
     return frozenset(pairs), loops
 
 
@@ -120,8 +102,6 @@ class BrauerAlgebra:
                               % (n, STRAND_CAP))
         self.n = n
         self.omega = Fraction(omega)
-        # BMW word -> (diagram, loops), filled by the contraction map
-        self._word_diagrams = {}
 
     def __eq__(self, other):
         if not isinstance(other, BrauerAlgebra):

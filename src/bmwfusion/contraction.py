@@ -17,10 +17,11 @@ Laurent valuations.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .bmwcore import (DEFAULT_TRUNCATION, AlgebraContext, AlgebraElement,
-                      K_KIND, LaurentParams, default_truncation,
+                      K_KIND, LaurentParams, check_index, default_truncation,
                       fold_products, letter_index, letter_kind)
 from .brauer import BrauerAlgebra, BrauerElement, diagram_mul, e_diagram, \
     identity_diagram, s_diagram
@@ -84,55 +85,48 @@ def contraction_block_check(regime: int, i: int, th1, th2, omega) -> dict:
     p = laurent_params(regime, omega, prec)
     u1 = spectral_series(regime, th1, omega, prec)
     u2 = spectral_series(regime, th2, omega, prec)
-    d, q, nu, c = p.delta, p.q, p.nu, p.c
+    d, q, c = p.delta, p.q, p.c
     n = i + 1
     brauer = BrauerAlgebra(n, omega)
     s, e, one = brauer.s(i), brauer.e(i), brauer.one()
 
-    # Q_i(u1, u2; c) = T_i + d/(c u1 u2 - 1) + d/(1 + nu^-1 q c u1 u2) K_i
-    x = c * u1 * u2
-    q_block = s + one.scale((d / (x - 1)).constant_term()) + \
-        e.scale((d / (TruncLaurent.const(1, prec) + p.nu_inv * q * x))
-                .constant_term())
-    # T_i(u1, u2) = T_i + d/(u2/u1 - 1) + d/(1 + nu^-1 q u2/u1) K_i
-    r = u2 / u1
-    t_block = s + one.scale((d / (r - 1)).constant_term()) + \
-        e.scale((d / (TruncLaurent.const(1, prec) + p.nu_inv * q * r))
-                .constant_term())
+    def block(x):
+        """h^0 part of T_i + d/(x - 1) + d/(1 + nu^-1 q x) K_i."""
+        return s + one.scale((d / (x - 1)).constant_term()) + \
+            e.scale((d / (TruncLaurent.const(1, prec) + p.nu_inv * q * x))
+                    .constant_term())
 
     eq, et = _expected_blocks(regime, i, th1, th2, omega, brauer)
-    return {"q_block": (q_block - eq).is_zero(),
-            "t_block": (t_block - et).is_zero()}
+    # Q_i(u1, u2; c) is the block at x = c u1 u2, T_i(u1, u2) at u2/u1
+    return {"q_block": (block(c * u1 * u2) - eq).is_zero(),
+            "t_block": (block(u2 / u1) - et).is_zero()}
 
 
 # ---------------------------------------------------------------------------
 # BMW words -> Brauer diagrams and the structure-constant oracle
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def word_to_diagram(n: int, word):
-    """T_i -> s_i, K_i -> e_i as a diagram; returns (diagram, loops)."""
+    """T_i -> s_i, K_i -> e_i as a diagram; returns (diagram, loops),
+    memoised by (n, word).  An index outside 1..n-1 raises IndexError."""
     d = identity_diagram(n)
     loops = 0
     for l in word:
-        g = s_diagram(n, letter_index(l)) if letter_kind(l) != K_KIND \
-            else e_diagram(n, letter_index(l))
+        i = letter_index(l)
+        check_index(i, n)
+        g = s_diagram(n, i) if letter_kind(l) != K_KIND else e_diagram(n, i)
         d, extra = diagram_mul(n, d, g)
         loops += extra
     return d, loops
 
 
-def _word_diagram(brauer: BrauerAlgebra, w):
-    """``word_to_diagram(brauer.n, w)``, memoised on ``brauer``."""
-    memo = brauer._word_diagrams
-    hit = memo.get(w)
-    if hit is None:
-        hit = memo[w] = word_to_diagram(brauer.n, w)
-    return hit
-
-
 def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
     """h^0 part of a Laurent-coefficient BMW element as a Brauer element.
-    A Brauer algebra on another strand count raises DOMAIN_MISMATCH."""
+    An element outside a Laurent BMW context, or a Brauer algebra on
+    another strand count, raises DOMAIN_MISMATCH."""
+    if not isinstance(elem, AlgebraElement) or elem.algebra.rational:
+        raise DomainMismatch("the contraction needs a Laurent context")
     if brauer.n != elem.algebra.n:
         raise DomainMismatch("element of BMW_%d into B_%d"
                              % (elem.algebra.n, brauer.n))
@@ -141,7 +135,7 @@ def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
         c0 = coeff.constant_term()
         if c0 == 0:
             continue
-        d, loops = _word_diagram(brauer, w)
+        d, loops = word_to_diagram(brauer.n, w)
         c0 = c0 * brauer.omega ** loops
         terms[d] = terms.get(d, Fraction(0)) + c0
     return BrauerElement(brauer, terms)
@@ -168,7 +162,7 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     diag_of = {}
     seen = {}
     for w in ctx.words:
-        d, loops = _word_diagram(brauer, w)
+        d, loops = word_to_diagram(n, w)
         if loops:
             return {"ok": False, "reason": "loop in canonical word image"}
         if d in seen:

@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from bmwfusion import BrauerAlgebra, CapExceeded, DomainMismatch
-from bmwfusion.brauer import all_diagrams
+from bmwfusion.brauer import all_diagrams, diagram_mul
 from bmwfusion.bmwcore import double_factorial
 from bmwfusion.jsonio import brauer_from_json
 
@@ -25,6 +25,80 @@ def test_generator_relations():
 def test_diagram_counts():
     for n in (1, 2, 3, 4, 5):
         assert len(all_diagrams(n)) == double_factorial(2 * n - 1)
+
+
+def _reference_diagram_mul(n, d1, d2):
+    """The stacking product on a graph of tagged points ("t" top, "m"
+    middle, "b" bottom): the reference for ``diagram_mul``."""
+    adj = {}
+
+    def link(x, y):
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+
+    for (x, y) in d1:
+        link(("t", x) if x < n else ("m", x - n),
+             ("t", y) if y < n else ("m", y - n))
+    for (x, y) in d2:
+        link(("m", x) if x < n else ("b", x - n),
+             ("m", y) if y < n else ("b", y - n))
+    ext = [("t", a) for a in range(n)] + [("b", a) for a in range(n)]
+    seen = set()
+    pairs = set()
+    touched = set()
+    for s in ext:
+        if s in seen:
+            continue
+        seen.add(s)
+        prev, cur = None, s
+        while True:
+            nbrs = adj[cur]
+            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+            prev, cur = cur, nxt
+            if cur[0] == "m":
+                touched.add(cur)
+            else:
+                seen.add(cur)
+                a = cur[1] if cur[0] == "t" else n + cur[1]
+                b = s[1] if s[0] == "t" else n + s[1]
+                pairs.add((min(a, b), max(a, b)))
+                break
+    loops = 0
+    unvisited = {("m", a) for a in range(n)} - touched
+    unvisited = {m for m in unvisited if m in adj}
+    while unvisited:
+        s = unvisited.pop()
+        prev, cur = None, s
+        while True:
+            nbrs = adj[cur]
+            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+            prev, cur = cur, nxt
+            if cur == s:
+                loops += 1
+                break
+            unvisited.discard(cur)
+    return frozenset(pairs), loops
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diagram_mul_matches_reference_on_every_pair(n):
+    diagrams = all_diagrams(n)
+    for d1 in diagrams:
+        for d2 in diagrams:
+            assert diagram_mul(n, d1, d2) == \
+                _reference_diagram_mul(n, d1, d2), (d1, d2)
+
+
+def test_diagram_mul_matches_reference_on_random_n5_pairs():
+    diagrams = all_diagrams(5)
+    rnd = random.Random(5)
+    loops = set()
+    for _ in range(5000):
+        d1, d2 = rnd.choice(diagrams), rnd.choice(diagrams)
+        got = diagram_mul(5, d1, d2)
+        assert got == _reference_diagram_mul(5, d1, d2), (d1, d2)
+        loops.add(got[1])
+    assert loops >= {0, 1, 2}
 
 
 def test_brauer_associativity():

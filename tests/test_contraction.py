@@ -10,7 +10,8 @@ from bmwfusion import (BrauerAlgebra, DimensionMismatch, DomainMismatch,
                        contraction_block_check, enumerate_tableaux,
                        jm_oracle_idempotent, laurent_params,
                        structure_constant_oracle)
-from bmwfusion.bmwcore import AlgebraContext
+from bmwfusion.bmwcore import K_KIND, T_KIND, AlgebraContext, letter
+from bmwfusion.brauer import e_diagram, s_diagram
 from bmwfusion.contraction import (constant_term_element, default_truncation,
                                    spectral_series, word_to_diagram)
 from conftest import closure_rows
@@ -150,6 +151,10 @@ def test_contraction_rejects_a_rational_context(ctx3):
     with pytest.raises(DomainMismatch):
         brauer_idempotent_via_contraction(enumerate_tableaux(3)[0], 1, 5,
                                           ctx=ctx3)
+    # constant_term_element used to fail on Fraction.constant_term
+    E = jm_oracle_idempotent(enumerate_tableaux(3)[0], ctx3).element
+    with pytest.raises(DomainMismatch):
+        constant_term_element(E, BrauerAlgebra(3, 5))
 
 
 @pytest.mark.parametrize("regime, omega", [(1, 5), (2, 7)])
@@ -220,6 +225,24 @@ def test_word_diagram_bijection():
         seen.add(d)
 
 
+def test_word_to_diagram_rejects_a_letter_index_out_of_range():
+    # K2 on 2 strands used to give {(0, 2), (1, 2), (3, 4)}
+    for word in ((letter(K_KIND, 2),),
+                 (letter(T_KIND, 1), letter(T_KIND, 0))):
+        with pytest.raises(IndexError):
+            word_to_diagram(2, word)
+    assert word_to_diagram(3, (letter(K_KIND, 2),))[0] == e_diagram(3, 2)
+
+
+@pytest.mark.parametrize("order", [(2, 3), (3, 2)])
+def test_word_to_diagram_memo_keys_by_strand_count(order):
+    word_to_diagram.cache_clear()
+    t1 = (letter(T_KIND, 1),)
+    got = {n: word_to_diagram(n, t1) for n in order}
+    assert got == {n: (s_diagram(n, 1), 0) for n in order}
+    assert got[2] != got[3]
+
+
 def test_negative_valuation_reported():
     x = TruncLaurent(-1, (Fr(1),), 3)
     with pytest.raises(NegativeValuation):
@@ -230,7 +253,7 @@ def test_regime3_generator_sign_homomorphism():
     """Further degeneration regimes (q -> 1 with nu -> -1) need the signed
     map T_i -> -s_i, K_i -> e_i; checked as a block-level homomorphism on
     the structure constants' constant terms."""
-    from bmwfusion.bmwcore import LaurentParams, letter_kind, T_KIND
+    from bmwfusion.bmwcore import LaurentParams, letter_kind
     from bmwfusion.brauer import diagram_mul
     prec = 4
     omega = Fr(5)
