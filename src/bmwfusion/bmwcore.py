@@ -7,11 +7,11 @@ eliminated on input via T_i^-1 = T_i - delta + delta K_i.
 Multiplication rewrites words onto a canonical spanning set using an
 oriented rule system derived from the defining relations (each rule is an
 exact consequence; the derivation is named next to the rule).  The rule
-system is complete for n <= 4; for larger n the construction closes the
-table by converting associativity defects -- which are exact linear
-dependencies over the discovered spanning set -- into additional
-word-elimination rules until the dimension reaches (2n-1)!!.  A failure to
-close raises DIMENSION_MISMATCH.
+system is complete for n <= 4.  At n = 5 the construction adds the
+word-elimination rules of a committed closure plan: each is an
+associativity defect, an exact linear dependency over the spanning set,
+and together they bring the dimension to (2n-1)!!.  A plan that does not
+replay raises DIMENSION_MISMATCH.
 
 Contexts carry either rational parameters (certified generic) or truncated
 Laurent parameters for the classical-limit mode.
@@ -41,9 +41,9 @@ DEFAULT_TRUNCATION = 4
 
 def default_truncation(n: int) -> int:
     """The series terms kept by default for a Laurent context on n strands,
-    and from n = 5 on the fewest it accepts: with 4 the n = 5 search stops
-    at 930 of the 945 words, and a replay would reach 945 words of
-    unchecked precision, so such a context raises DIMENSION_MISMATCH."""
+    and from n = 5 on the fewest it accepts: with 4 terms the n = 5 plan
+    replays to 945 words of unchecked precision, so such a context raises
+    DIMENSION_MISMATCH."""
     return 5 if n >= 5 else DEFAULT_TRUNCATION
 
 
@@ -85,7 +85,7 @@ def jm_word(k: int):
     return down + down[::-1]
 
 
-# per n, the rules the closure search writes at (6/5, 7/3); see _read_plan
+# per n, the rules tools/closure_plan.py writes at (6/5, 7/3); see _read_plan
 CLOSURE_PLANS = {5: """5386.85 5387.85 24286.85 24287.85 24864.83 24874.83
 25286.85 25287.85 26864.63 26865.63 26964.63 26965.63 34864.83 34874.823
 36864.63 36865.623 36964.623 36965.623 52758.72 52759.72 52865.82 52874.82
@@ -176,9 +176,7 @@ class AlgebraContext:
         self._jm = {}
         self._cache_path = self._cache_file(cache_dir)
         # what the build did; plain values, never printed
-        self.stats = {"closure_rounds": 0, "triples_checked": 0,
-                      "triples_skipped": 0, "rules_added": 0,
-                      "rules_reset": 0, "cache": self._load_cache()}
+        self.stats = {"cache": self._load_cache()}
         self.words = self._close()
         self.word_index = {w: k for k, w in enumerate(self.words)}
         # right action of each letter on each basis index, built on first
@@ -583,31 +581,10 @@ class AlgebraContext:
             frontier = nxt
         return sorted(basis, key=lambda w: (len(w), w))
 
-    def _close(self):
-        """Add elimination rules until the basis has (2n-1)!! words.
-
-        Each round turns the associativity defects (w.g).h - w.(g.h) over
-        basis words w and letters g, h into rules.  When the pair (g, h)
-        is canonical, w.(g.h) is computed by the very products that give
-        (w.g).h, so the defect is zero and the triple is skipped.  That
-        holds only while vg = w.g is fresh: once a rule is set, vg no
-        longer reduces through every rule, the two sides can differ, and
-        the defect is itself a rule that must not be lost.
-
-        The search records each rule it writes in ``_plan`` as (w, g, h,
-        starts_group), true for the first rule after vg = w.g was reduced:
-        later rules of that (w, g) use the stale vg.  A cold build replays
-        CLOSURE_PLANS[n] through the same ``defect``, then closes once.  A
-        vanished defect, a lead that has a rule or a wrong word count hands
-        over to the search, which goes on from the (exact) rules so far.
-        ``stats["closure"]`` names where the rules came from: "cache",
-        "replay", "none" when none was needed, or "search" once a round
-        ran.  To regenerate a plan, build with CLOSURE_PLANS emptied.
-        """
-        stats = self.stats
-        known = len(self._dyn)
-        want = double_factorial(2 * self.n - 1)
-
+    def _defect(self, w, vg, g, h, gh):
+        """The rule lead -> rep of the associativity defect (w.g).h -
+        w.(g.h), given vg = w.g and gh = g.h as vectors, or None if it
+        vanishes.  The lead is the defect's longest (then greatest) word."""
         def times(vec, l):
             out = {}
             for u, a in vec.items():
@@ -616,79 +593,55 @@ class AlgebraContext:
                     out[v] = a * x if prev is None else prev + a * x
             return {v: c for v, c in out.items() if c}
 
-        def defect(w, vg, g, h, gh):
-            """The rule lead -> rep of (w.g).h - w.(g.h), or None if zero."""
-            D = times(vg, h)
-            for v, cv in gh.items():
-                t = {w: cv}
-                for l in v:
-                    t = times(t, l)
-                for u, b in t.items():
-                    prev = D.get(u)
-                    D[u] = -b if prev is None else prev - b
-            D = {u: c for u, c in D.items() if c}
-            if D:
-                lead = max(D, key=lambda x: (len(x), x))
-                cl = D.pop(lead)
-                return lead, {u: -c / cl for u, c in D.items()}
+        D = times(vg, h)
+        for v, cv in gh.items():
+            t = {w: cv}
+            for l in v:
+                t = times(t, l)
+            for u, b in t.items():
+                prev = D.get(u)
+                D[u] = -b if prev is None else prev - b
+        D = {u: c for u, c in D.items() if c}
+        if D:
+            lead = max(D, key=lambda x: (len(x), x))
+            cl = D.pop(lead)
+            return lead, {u: -c / cl for u, c in D.items()}
 
-        def write(lead, rep, entry):
-            plan.append(entry)
-            self._dyn[lead] = rep
+    def _close(self):
+        """Replay CLOSURE_PLANS[n] and return the basis of (2n-1)!! words.
 
-        plan = self._plan = []      # (w, g, h, starts_group) per rule set
-        text = CLOSURE_PLANS.get(self.n)
-        stats["closure"] = "cache" if known else "replay" if text else "none"
-        if stats["closure"] == "replay":
-            for w, g, h, starts in _read_plan(text):
-                if starts:
-                    vg = self.reduce_word(w + (g,))
-                rule = defect(w, vg, g, h, self.reduce_word((g, h)))
-                if rule is None or rule[0] in self._dyn:
-                    break
-                write(*rule, (w, g, h, starts))
+        Each plan entry (w, g, h, starts_group) names an associativity
+        defect (w.g).h - w.(g.h): an exact linear dependency among the
+        words so far, whose lead becomes an elimination rule.  vg = w.g
+        is reduced at the first entry of a group; the later entries of
+        the group use it as it was.  ``tools/closure_plan.py`` regenerates
+        the plan and sweeps its replay.  A defect that vanishes, a lead
+        that has a rule already or a basis of another size raises
+        DIMENSION_MISMATCH.  ``stats["closure"]`` names where the rules
+        came from: "cache", "replay", or "none" when n has no plan.
+        """
+        known = len(self._dyn)
+        text = None if known else CLOSURE_PLANS.get(self.n)
+        self.stats["closure"] = "cache" if known else \
+            "replay" if text else "none"
+        for k, (w, g, h, starts) in enumerate(_read_plan(text or ""), 1):
+            if starts:
+                vg = self.reduce_word(w + (g,))
+            rule = self._defect(w, vg, g, h, self.reduce_word((g, h)))
+            if rule is None or rule[0] in self._dyn:
+                raise DimensionMismatch(
+                    "closure plan entry %d (%s.%d%d) for n=%d: %s" % (
+                        k, "".join(map(str, w)), g, h, self.n,
+                        "the defect vanishes" if rule is None else
+                        "its lead %s has a rule" % word_name(rule[0])))
+            self._dyn[rule[0]] = rule[1]
+        added = self.stats["rules_added"] = len(self._dyn) - known
         basis = self._closure_once()
-        rounds = 0
-        while len(basis) != want:
-            stats["closure"] = "search"
-            rounds += 1
-            stats["closure_rounds"] = rounds
-            if rounds > 60:
-                raise DimensionMismatch(
-                    "closure stuck at %d words (expected %d) for n=%d"
-                    % (len(basis), want, self.n))
-            if len(basis) < want:
-                raise DimensionMismatch(
-                    "closure undershot: %d words < %d for n=%d"
-                    % (len(basis), want, self.n))
-            found = 0
-            for w in basis:
-                for g in self.letters:
-                    vg = self.reduce_word(w + (g,))
-                    fresh, starts = found, True
-                    for h in self.letters:
-                        gh = self.reduce_word((g, h))
-                        if found == fresh and gh == {(g, h): 1}:
-                            stats["triples_skipped"] += 1
-                            continue
-                        stats["triples_checked"] += 1
-                        rule = defect(w, vg, g, h, gh)
-                        if rule is None:
-                            continue
-                        found += 1
-                        if self._dyn.get(rule[0]) == rule[1]:
-                            stats["rules_reset"] += 1
-                            continue
-                        write(*rule, (w, g, h, starts))
-                        starts = False
-                if found >= 80:
-                    break
-            if found == 0:
-                raise DimensionMismatch(
-                    "no associativity defects but %d words != %d for n=%d"
-                    % (len(basis), want, self.n))
-            basis = self._closure_once()
-        stats["rules_added"] = len(self._dyn) - known
+        want = double_factorial(2 * self.n - 1)
+        if len(basis) != want:
+            raise DimensionMismatch(
+                "closure reached %d words after %d plan entries, expected %d"
+                " for n=%d" % (len(basis), added, want, self.n))
         return basis
 
     # ------------------------------------------------------------------

@@ -31,17 +31,32 @@ from .fusion import _jm_interpolation
 from .scalars import TruncLaurent
 
 
-def _regime_label(regime: int, omega: Fraction) -> str:
-    if regime not in (1, 2):
+@functools.cache
+def _regime_labels(num, den, regimes=(1, 2)):
+    """The context labels of these regimes at omega = num/den."""
+    if not {1, 2}.issuperset(regimes):
         raise ValueError("regime must be 1 or 2")
-    return "regime%d(omega=%s)" % (regime, omega)
+    return tuple("regime%d(omega=%s)" % (r, Fraction(num, den))
+                 for r in regimes)
+
+
+def _check_laurent(ctx, omega, regimes=(1, 2)):
+    """DOMAIN_MISMATCH unless ctx is the Laurent context of one of these
+    regimes at omega; the labels are memoised, as the oracle checks each
+    product."""
+    if not isinstance(ctx, AlgebraContext) or ctx.rational:
+        raise DomainMismatch("the contraction needs a Laurent context")
+    labels = _regime_labels(omega.numerator, omega.denominator, regimes)
+    if ctx.params.label not in labels:
+        raise DomainMismatch("context %s, expected %s" % (
+            ctx.params.label, " or ".join(labels)))
 
 
 def laurent_params(regime: int, omega, prec: int = DEFAULT_TRUNCATION
                    ) -> LaurentParams:
     """The (q, nu) series of the chosen contraction regime."""
     omega = Fraction(omega)
-    label = _regime_label(regime, omega)
+    label, = _regime_labels(omega.numerator, omega.denominator, (regime,))
     if regime == 1:
         q = TruncLaurent.exp_h(1, prec)
         nu = TruncLaurent.exp_h(1 - omega, prec)
@@ -123,10 +138,11 @@ def word_to_diagram(n: int, word):
 
 def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
     """h^0 part of a Laurent-coefficient BMW element as a Brauer element.
-    An element outside a Laurent BMW context, or a Brauer algebra on
-    another strand count, raises DOMAIN_MISMATCH."""
-    if not isinstance(elem, AlgebraElement) or elem.algebra.rational:
-        raise DomainMismatch("the contraction needs a Laurent context")
+    An element outside the Laurent context of either regime at the omega
+    of ``brauer``, or a Brauer algebra on another strand count, raises
+    DOMAIN_MISMATCH."""
+    _check_laurent(elem.algebra if isinstance(elem, AlgebraElement)
+                   else None, brauer.omega)
     if brauer.n != elem.algebra.n:
         raise DomainMismatch("element of BMW_%d into B_%d"
                              % (elem.algebra.n, brauer.n))
@@ -151,12 +167,7 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     one left word with every basis word run as one batch of
     ``bmwcore.fold_products``."""
     omega = Fraction(omega)
-    if ctx.rational:
-        raise DomainMismatch("the oracle needs a Laurent context")
-    if ctx.params.label not in (_regime_label(1, omega),
-                                _regime_label(2, omega)):
-        raise DomainMismatch("context %s, expected omega = %s" % (
-            ctx.params.label, omega))
+    _check_laurent(ctx, omega)
     n = ctx.n
     brauer = BrauerAlgebra(n, omega)
     diag_of = {}
@@ -212,12 +223,8 @@ def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
     elif ctx.n != n:
         raise DomainMismatch("tableau of length %d on a context with n = %d"
                              % (n, ctx.n))
-    elif ctx.rational:
-        raise DomainMismatch("the contraction needs a Laurent context")
-    elif ctx.params.label != _regime_label(regime, omega):
-        raise DomainMismatch("context %s, expected %s" % (
-            ctx.params.label, _regime_label(regime, omega)))
-    elif prec is not None and prec != ctx.params.q.prec:
+    _check_laurent(ctx, omega, (regime,))
+    if prec is not None and prec != ctx.params.q.prec:
         raise DomainMismatch("context with %d series terms, expected %d"
                              % (ctx.params.q.prec, prec))
     _, E = _jm_interpolation(tab, ctx)

@@ -5,8 +5,10 @@ import pytest
 from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
-from bmwfusion import bmwcore, build_context, make_params  # noqa: E402
+from bmwfusion import build_context, make_params  # noqa: E402
+from closure_plan import SearchContext  # noqa: E402
 
 Q = Fraction(6, 5)
 NU = Fraction(7, 3)
@@ -48,13 +50,10 @@ def ctx5(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def ctx5_search(tmp_path_factory):
-    """The n = 5 context built cold by the closure search alone: the plan
-    table is emptied for this build only.  It writes its cache file into a
-    fresh directory."""
+    """The n = 5 context built cold by the plan regenerator's closure
+    search.  It writes its cache file into a fresh directory."""
     cache = tmp_path_factory.mktemp("cache5-search")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bmwcore, "CLOSURE_PLANS", {})
-        return build_context(5, q=Q, nu=NU, cache_dir=str(cache))
+    return SearchContext(5, make_params(Q, NU, 5), cache_dir=str(cache))
 
 
 def closure_rows(ctx):

@@ -7,13 +7,14 @@ from fractions import Fraction as Fr
 import pytest
 
 from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
-                       DomainMismatch, HeckeAlgebra, NotGeneric, RatFunc,
-                       TruncLaurent, build_context, hecke_quotient,
-                       laurent_params)
+                       DimensionMismatch, DomainMismatch, HeckeAlgebra,
+                       NotGeneric, RatFunc, TruncLaurent, build_context,
+                       hecke_quotient, laurent_params)
 from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
                                fold_products, jm_word, letter, word_name,
                                K_KIND, T_KIND)
 from bmwfusion.errors import NegativeValuation
+from closure_plan import plan_text
 from conftest import closure_rows
 
 
@@ -405,28 +406,18 @@ def test_n5_cache_file_pinned(ctx5, ctx5_search):
                          cache_dir=os.path.dirname(path))
     assert warm.words == ctx5.words
     assert os.stat(path).st_ino == inode, "warm build rewrote the cache"
-    assert warm.stats["cache"] == "hit"
-    assert warm.stats["closure_rounds"] == 0
-    assert warm.stats["closure"] == "cache"
-
-
-def _plan_text(plan):
-    """A plan as CLOSURE_PLANS writes it: one token w.gh... per group."""
-    toks = []
-    for w, g, h, starts in plan:
-        if starts:
-            toks.append("".join(map(str, w)) + "." + str(g))
-        toks[-1] += str(h)
-    return " ".join(toks)
+    assert warm.stats == {"cache": "hit", "closure": "cache",
+                          "rules_added": 0}
 
 
 def test_search_records_the_committed_plan(ctx5_search):
+    # the regenerator writes CLOSURE_PLANS[5] token for token
     plan = list(_read_plan(CLOSURE_PLANS[5]))
     assert len(plan) == 164
     assert sum(starts for *_, starts in plan) == 130
     # on failure the message is the plan to commit
-    assert ctx5_search._plan == plan, _plan_text(ctx5_search._plan)
-    assert _plan_text(plan) == " ".join(CLOSURE_PLANS[5].split())
+    assert ctx5_search.plan == plan, plan_text(ctx5_search.plan)
+    assert plan_text(plan) == " ".join(CLOSURE_PLANS[5].split())
 
 
 def test_reduce_word_returns_canonical_words(ctx5):
@@ -447,54 +438,51 @@ def test_replay_equals_search(ctx5, ctx5_search):
 
 def _build_with_plan(monkeypatch, plan):
     monkeypatch.delenv("BMWF_CACHE", raising=False)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(CLOSURE_PLANS, 5, _plan_text(plan))
-        return build_context(5, q=Fr(6, 5), nu=Fr(7, 3))
+    monkeypatch.setitem(CLOSURE_PLANS, 5, plan_text(plan))
+    return build_context(5, q=Fr(6, 5), nu=Fr(7, 3))
 
 
-def test_replay_falls_back_to_the_search(ctx5, monkeypatch):
+def test_replay_rejects_a_short_plan(monkeypatch):
     plan = list(_read_plan(CLOSURE_PLANS[5]))
-    ctx = _build_with_plan(monkeypatch, plan[:82])
-    assert ctx.stats["closure"] == "search"
-    assert ctx.stats["closure_rounds"] > 0
-    assert ctx._plan[:82] == plan[:82]
-    assert ctx.words == ctx5.words
+    with pytest.raises(DimensionMismatch,
+                       match="after 82 plan entries, expected 945 for n=5"):
+        _build_with_plan(monkeypatch, plan[:82])
 
 
-def test_replay_falls_back_at_a_vanished_defect(monkeypatch):
-    class Opened(Exception):
-        pass
-
-    def opening_closure(ctx):
-        raise Opened(len(ctx._dyn))
-
-    # without the first rule, the defect of the 66th entry left vanishes:
-    # the replay stops and the closure opens on the 65 rules before it
-    monkeypatch.setattr(AlgebraContext, "_closure_once", opening_closure)
+def test_replay_rejects_a_vanished_defect(monkeypatch):
     plan = list(_read_plan(CLOSURE_PLANS[5]))
-    with pytest.raises(Opened) as got:
+    # without the first rule, the defect of the 66th entry left vanishes
+    w, g, h, _ = plan[66]
+    with pytest.raises(DimensionMismatch) as got:
         _build_with_plan(monkeypatch, plan[1:])
-    assert got.value.args == (65,)
+    assert str(got.value) == "closure plan entry 66 (%s.%d%d) for n=5: the" \
+        " defect vanishes" % ("".join(map(str, w)), g, h)
     # T1 T2 is canonical, so the defect of ((), T1, T2) is zero at once
-    with pytest.raises(Opened) as got:
+    with pytest.raises(DimensionMismatch) as got:
         _build_with_plan(monkeypatch, [((), 2, 4, True)] + plan)
-    assert got.value.args == (0,)
+    assert str(got.value) == "closure plan entry 1 (.24) for n=5: the" \
+        " defect vanishes"
+
+
+def test_replay_rejects_a_lead_that_has_a_rule(monkeypatch):
+    plan = list(_read_plan(CLOSURE_PLANS[5]))
+    # w = K2 K1 T3 T4 T3 K2 is the first rule's lead and w T2 = nu w, so
+    # the defect of (w, T2, T2) leads with w itself, unreduced
+    w = (5, 3, 6, 8, 6, 5)
+    with pytest.raises(DimensionMismatch) as got:
+        _build_with_plan(monkeypatch, plan[:1] + [(w, 4, 4, True)] + plan[1:])
+    assert str(got.value) == "closure plan entry 2 (536865.44) for n=5: its" \
+        " lead K2*K1*T3*T4*T3*K2 has a rule"
 
 
 def test_build_stats(ctx4, ctx5, ctx5_search):
-    assert ctx5.stats["closure_rounds"] == 0
-    assert ctx5.stats["rules_added"] == 164
-    st = ctx5_search.stats
-    assert st["cache"] == "miss"
-    assert st["closure_rounds"] == 4
-    assert st["rules_added"] == 164
-    assert st["triples_checked"] == 97332
-    assert st["triples_skipped"] == 123468
-    # re-derivations of an existing rule with the same expansion
-    assert st["rules_reset"] == 125
-    assert ctx4.stats["closure_rounds"] == 0
-    assert ctx4.stats["rules_added"] == 0
+    assert ctx5.stats == {"cache": "miss", "closure": "replay",
+                          "rules_added": 164}
+    assert ctx5_search.stats == {"cache": "miss", "closure": "search",
+                                 "rules_added": 164}
+    assert set(ctx4.stats) == {"cache", "closure", "rules_added"}
     assert ctx4.stats["closure"] == "none"
+    assert ctx4.stats["rules_added"] == 0
 
 
 def test_build_stats_cache_states(tmp_path, monkeypatch):

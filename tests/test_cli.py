@@ -332,6 +332,21 @@ def test_export_brauer_n5_short_truncation_exit_2(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"
 
 
+def test_broken_closure_plan_exit_3(monkeypatch, capsys):
+    # a plan that does not replay fails the build; no search takes over
+    from bmwfusion import bmwcore, cli
+    monkeypatch.delenv("BMWF_CACHE", raising=False)
+    toks = bmwcore.CLOSURE_PLANS[5].split()
+    monkeypatch.setitem(bmwcore.CLOSURE_PLANS, 5, " ".join(toks[1:]))
+    assert cli.main(["idempotents", "--n", "5", "--q", "6/5", "--nu", "7/3",
+                     "--tableau", N5_TABLEAU]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    got = json.loads(err)
+    assert got["error"] == "DIMENSION_MISMATCH"
+    assert got["message"].startswith("closure plan entry ")
+
+
 def _drop_expansion(data):
     del data["table"][0]["expansion"]
     return data

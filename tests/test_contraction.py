@@ -6,7 +6,7 @@ import pytest
 
 from bmwfusion import (BrauerAlgebra, DimensionMismatch, DomainMismatch,
                        NegativeValuation, NotGeneric, TruncLaurent,
-                       bmwcore, brauer_idempotent_via_contraction,
+                       brauer_idempotent_via_contraction,
                        contraction_block_check, enumerate_tableaux,
                        jm_oracle_idempotent, laurent_params,
                        structure_constant_oracle)
@@ -14,6 +14,7 @@ from bmwfusion.bmwcore import K_KIND, T_KIND, AlgebraContext, letter
 from bmwfusion.brauer import e_diagram, s_diagram
 from bmwfusion.contraction import (constant_term_element, default_truncation,
                                    spectral_series, word_to_diagram)
+from closure_plan import SearchContext
 from conftest import closure_rows
 
 
@@ -147,6 +148,17 @@ def test_constant_term_rejects_a_brauer_algebra_of_other_size():
         brauer_idempotent_via_contraction(tab, 1, 5, ctx=ctx)
 
 
+def test_constant_term_rejects_a_brauer_algebra_of_other_omega():
+    # B_2(7) used to weigh the loops of a regime-1 omega = 5 element by 7
+    ctx = AlgebraContext(2, laurent_params(1, 5, 4), verify=False)
+    tab = [t for t in enumerate_tableaux(2) if t.shapes[-1] == ()][0]
+    E = jm_oracle_idempotent(tab, ctx).element
+    with pytest.raises(DomainMismatch):
+        constant_term_element(E, BrauerAlgebra(2, 7))
+    assert constant_term_element(E, BrauerAlgebra(2, 5)) == \
+        BrauerAlgebra(2, 5).e(1).scale(Fr(1, 5))
+
+
 def test_contraction_rejects_a_rational_context(ctx3):
     with pytest.raises(DomainMismatch):
         brauer_idempotent_via_contraction(enumerate_tableaux(3)[0], 1, 5,
@@ -176,12 +188,10 @@ def test_contraction_rejects_a_context_of_other_precision():
 
 
 def test_laurent_closure_at_n5_matches_the_rational_one(ctx5):
-    # the closure rounds over TruncLaurent reach the same basis by
+    # the regenerator's search over TruncLaurent reaches the same basis by
     # eliminating the same words
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bmwcore, "CLOSURE_PLANS", {})
-        lctx = AlgebraContext(5, laurent_params(1, 5, 5), verify=False)
-    assert lctx.stats["closure_rounds"] == 4
+    lctx = SearchContext(5, laurent_params(1, 5, 5), verify=False)
+    assert lctx.stats["closure"] == "search"
     assert lctx.words == ctx5.words
     assert sorted(lctx._dyn) == sorted(ctx5._dyn)
     # the rational plan replays over series to the same rules and rows
@@ -190,6 +200,14 @@ def test_laurent_closure_at_n5_matches_the_rational_one(ctx5):
     assert sorted(replay._dyn) == sorted(lctx._dyn)
     assert replay.words == lctx.words
     assert closure_rows(replay) == closure_rows(lctx)
+
+
+def test_laurent_closure_at_n5_regime_2(ctx5):
+    # the rational plan replays over the series of the second regime
+    ctx = AlgebraContext(5, laurent_params(2, Fr(7, 2), 5))
+    assert ctx.stats["closure"] == "replay"
+    assert ctx.words == ctx5.words
+    assert sorted(ctx._dyn) == sorted(ctx5._dyn)
 
 
 def test_laurent_n5_below_default_truncation_rejected():

@@ -9,9 +9,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (bmwcore, build_context, complete_system_checks,
+from bmwfusion import (build_context, complete_system_checks,
                        enumerate_tableaux, fusion_idempotent,
-                       jm_oracle_idempotent, verify_idempotent)
+                       jm_oracle_idempotent, make_params, verify_idempotent)
+from closure_plan import SearchContext
 from conftest import closure_rows
 
 SWEEP = [(Fr(5, 6), Fr(7, 3)), (Fr(-6, 5), Fr(7, 3)),
@@ -51,11 +52,9 @@ def test_n5_closure_words_second_pair(ctx5, monkeypatch):
     # the plan recorded at (6/5, 7/3) replays here to the search's rules
     monkeypatch.delenv("BMWF_CACHE", raising=False)
     ctx = build_context(5, q=Fr(-5, 6), nu=Fr(3, 7))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bmwcore, "CLOSURE_PLANS", {})
-        search = build_context(5, q=Fr(-5, 6), nu=Fr(3, 7))
+    search = SearchContext(5, make_params(Fr(-5, 6), Fr(3, 7), 5))
     assert ctx.stats["closure"] == "replay"
-    assert search.stats["closure_rounds"] > 0
+    assert search.stats["closure"] == "search"
     assert ctx._dyn == search._dyn
     assert ctx.words == search.words == ctx5.words
     assert closure_rows(ctx) == closure_rows(search)

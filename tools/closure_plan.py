@@ -1,0 +1,159 @@
+"""Regenerate and sweep the n = 5 closure plan of ``bmwcore.CLOSURE_PLANS``.
+
+The library closes BMW_5 only by replaying the committed plan.  This tool
+holds the search that writes it: rounds over the basis words w and
+letters g, h that turn each associativity defect (w.g).h - w.(g.h) into
+an elimination rule until the basis has (2n-1)!! words.
+
+    python tools/closure_plan.py            # the plan at (6/5, 7/3)
+    python tools/closure_plan.py --sweep    # the replay at 20 seeded pairs
+                                            # and 4 Laurent cases
+
+The plan goes to stdout as ``CLOSURE_PLANS[5]`` writes it: one token
+w.gh... per group of rules.  The sweep exits 1 unless every case replays
+to 945 words.
+"""
+
+import argparse
+import os
+import random
+import sys
+import textwrap
+import time
+from fractions import Fraction
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
+
+from bmwfusion import (AlgebraContext, BmwError,  # noqa: E402
+                       DimensionMismatch, NotGeneric, laurent_params,
+                       make_params)
+from bmwfusion.bmwcore import double_factorial  # noqa: E402
+
+
+class SearchContext(AlgebraContext):
+    """An AlgebraContext closed by the search instead of the replay.
+
+    ``plan`` holds the (w, g, h, starts_group) of each rule written, in
+    order; starts_group is true for the first rule after vg = w.g was
+    reduced, since the later rules of that (w, g) use vg as it was.
+    """
+
+    def _close(self):
+        """Each round turns the defects over the basis of the last round
+        into rules, until the basis has (2n-1)!! words.  When the pair
+        (g, h) is canonical, w.(g.h) is computed by the very products that
+        give (w.g).h, so the defect is zero and the triple is skipped.
+        That holds only while vg is fresh: once a rule is set, vg no
+        longer reduces through every rule and the defect may be a rule
+        that must not be lost."""
+        known = len(self._dyn)
+        want = double_factorial(2 * self.n - 1)
+        plan = self.plan = []
+        basis = self._closure_once()
+        while len(basis) != want:
+            leads, found = len(self._dyn), 0
+            for w in basis:
+                for g in self.letters:
+                    vg = self.reduce_word(w + (g,))
+                    fresh, starts = found, True
+                    for h in self.letters:
+                        gh = self.reduce_word((g, h))
+                        if found == fresh and gh == {(g, h): 1}:
+                            continue
+                        rule = self._defect(w, vg, g, h, gh)
+                        if rule is None:
+                            continue
+                        found += 1
+                        if self._dyn.get(rule[0]) == rule[1]:
+                            continue    # derived again, same expansion
+                        self._dyn[rule[0]] = rule[1]
+                        plan.append((w, g, h, starts))
+                        starts = False
+                if found >= 80:
+                    break
+            if len(self._dyn) == leads or len(basis) < want:
+                raise DimensionMismatch("closure search stuck at %d words"
+                                        " (expected %d) for n=%d"
+                                        % (len(basis), want, self.n))
+            basis = self._closure_once()
+        self.stats["closure"] = "search"
+        self.stats["rules_added"] = len(self._dyn) - known
+        return basis
+
+
+def plan_text(plan):
+    """A plan as CLOSURE_PLANS writes it: one token w.gh... per group."""
+    toks = []
+    for w, g, h, starts in plan:
+        if starts:
+            toks.append("".join(map(str, w)) + "." + str(g))
+        toks[-1] += str(h)
+    return " ".join(toks)
+
+
+SWEEP_PAIRS = 20
+
+
+def sweep_cases():
+    """Two lists of (name, build): SWEEP_PAIRS seeded generic rational pairs
+    at n = 5 (numerators and denominators up to 19), and the Laurent
+    contexts of both regimes at omega = 5 and 7/2 with 5 series terms."""
+    rng = random.Random(0)
+    pairs = []
+    while len(pairs) < SWEEP_PAIRS:
+        q, nu = (Fraction(rng.choice((1, -1)) * rng.randint(1, 19),
+                          rng.randint(1, 19)) for _ in range(2))
+        try:
+            params = make_params(q, nu, 5)
+        except NotGeneric:
+            continue
+        if (q, nu) not in [(p.q, p.nu) for p in pairs]:
+            pairs.append(params)
+    rational = [("q=%s nu=%s" % (p.q, p.nu), lambda p=p: AlgebraContext(5, p))
+                for p in pairs]
+    laurent = [("regime %d omega=%s" % (r, o),
+                lambda r=r, o=o: AlgebraContext(5, laurent_params(r, o, 5)))
+               for r in (1, 2) for o in (Fraction(5), Fraction(7, 2))]
+    return rational, laurent
+
+
+def sweep():
+    """Build every case of ``sweep_cases``; 0 if each one closes by the
+    replay to 945 words, else 1."""
+    tally = []
+    for cases in sweep_cases():
+        passed = 0
+        for name, build in cases:
+            start = time.perf_counter()
+            try:
+                ctx = build()
+                got = "%s, %d words" % (ctx.stats["closure"], len(ctx.words))
+            except BmwError as exc:
+                got = "%s: %s" % (exc.code, exc)
+            ok = got == "replay, 945 words"
+            passed += ok
+            print("%-4s %-24s %s (%.2f s)" % ("ok" if ok else "FAIL", name,
+                                             got, time.perf_counter() - start))
+        tally += [passed, len(cases)]
+    print("sweep: %d/%d rational pairs, %d/%d Laurent cases replay to 945"
+          " words" % tuple(tally))
+    return 0 if tally[0::2] == tally[1::2] else 1
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--sweep", action="store_true",
+                    help="replay the committed plan at %d seeded rational"
+                         " pairs and 4 Laurent cases instead" % SWEEP_PAIRS)
+    args = ap.parse_args(argv)
+    os.environ.pop("BMWF_CACHE", None)     # a cache hit would skip the work
+    if args.sweep:
+        return sweep()
+    ctx = SearchContext(5, make_params(Fraction(6, 5), Fraction(7, 3), 5))
+    print(textwrap.fill(plan_text(ctx.plan), 72))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
