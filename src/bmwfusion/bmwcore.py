@@ -26,9 +26,9 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .combinatorics import STRAND_CAP
-from .errors import (CapExceeded, DimensionMismatch, DomainMismatch,
-                     NotGeneric, RewriteLimit)
+from .combinatorics import check_strands
+from .errors import (DimensionMismatch, DomainMismatch, NotGeneric,
+                     RewriteLimit)
 from .scalars import (ParamSet, TruncLaurent, _mul_raw, _normal, _raw,
                       _sum_raw, format_rational, make_params, parse_rational)
 
@@ -145,9 +145,7 @@ class AlgebraContext:
     """
 
     def __init__(self, n, params, cache_dir=None, verify=True):
-        if n < 1 or n > STRAND_CAP:
-            raise CapExceeded("n = %d outside supported range 1..%d"
-                              % (n, STRAND_CAP))
+        check_strands(n)
         self.n = n
         self.params = params
         if isinstance(params, ParamSet):

@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bmwcore import SparseElement, check_index
-from .combinatorics import STRAND_CAP
-from .errors import CapExceeded, DomainMismatch
+from .combinatorics import check_strands
+from .errors import DomainMismatch
 
 Diagram = frozenset  # of sorted 2-tuples covering {0..2n-1}
 
@@ -97,9 +97,7 @@ class BrauerAlgebra:
     """B_n(omega) over exact rationals, 1 <= n <= STRAND_CAP."""
 
     def __init__(self, n: int, omega):
-        if not 1 <= n <= STRAND_CAP:
-            raise CapExceeded("n = %d outside supported range 1..%d"
-                              % (n, STRAND_CAP))
+        check_strands(n)
         self.n = n
         self.omega = Fraction(omega)
 

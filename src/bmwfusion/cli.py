@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bmwcore import AlgebraContext, build_context
-from .combinatorics import (UpDownTableau, classical_contents,
+from .combinatorics import (UpDownTableau, check_strands, classical_contents,
                             enumerate_tableaux, quantum_contents)
 from .contraction import (brauer_idempotent_via_contraction,
                           contraction_block_check, default_truncation,
@@ -367,6 +367,7 @@ def cmd_params_suggest(args) -> int:
 
 
 def cmd_export(args) -> int:
+    check_strands(args.n)
     kind = args.kind
     tab = None
     if kind.endswith("idempotent"):

@@ -19,6 +19,13 @@ Partition = tuple  # weakly decreasing tuple of positive ints; () is empty
 STRAND_CAP = 5  # the largest supported strand count n
 
 
+def check_strands(n: int) -> None:
+    """Raise CapExceeded unless 1 <= n <= STRAND_CAP, read at call time."""
+    if not 1 <= n <= STRAND_CAP:
+        raise CapExceeded("n = %d outside supported range 1..%d"
+                          % (n, STRAND_CAP))
+
+
 def check_partition(p) -> Partition:
     p = tuple(int(x) for x in p)
     if any(x < 1 for x in p):
@@ -152,10 +159,7 @@ class UpDownTableau:
 def enumerate_tableaux(n: int):
     """All up-down tableaux of length n, depth-first, added boxes before
     removed, boxes ordered by (row, column).  Deterministic."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if n > STRAND_CAP:
-        raise CapExceeded("n = %d exceeds the cap %d" % (n, STRAND_CAP))
+    check_strands(n)
     out = []
     chain = [(1,)]
 
@@ -179,10 +183,7 @@ def enumerate_tableaux(n: int):
 
 def count_tableaux(n: int) -> int:
     """Number of up-down tableaux of length n (by shape recursion)."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if n > STRAND_CAP:
-        raise CapExceeded("n = %d exceeds the cap %d" % (n, STRAND_CAP))
+    check_strands(n)
     counts = {(1,): 1}
     for _ in range(n - 1):
         nxt = {}

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .bmwcore import (AlgebraElement, T_KIND, SparseElement, check_index,
                       fold_products, letter_index, letter_kind)
-from .combinatorics import STRAND_CAP, UpDownTableau, quantum_contents
-from .errors import CapExceeded, DivisionByZero, DomainMismatch, NotGeneric
+from .combinatorics import UpDownTableau, check_strands, quantum_contents
+from .errors import DivisionByZero, DomainMismatch, NotGeneric
 from .fusion import SpectralView, consecutive_evaluation
 from .scalars import format_rational
 
@@ -68,9 +68,7 @@ class HeckeAlgebra:
     rational = True
 
     def __init__(self, n: int, q):
-        if not 1 <= n <= STRAND_CAP:
-            raise CapExceeded("n = %d outside supported range 1..%d"
-                              % (n, STRAND_CAP))
+        check_strands(n)
         self.n = n
         self.q = Fraction(q)
         if not self.q:

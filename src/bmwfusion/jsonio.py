@@ -1,11 +1,12 @@
 """JSON encodings of elements, idempotent records and diagrams.
 
-Wire formats:
+The package writes these formats and reads none of them back:
 
 * rationals: "p/q" (or "p") in base 10;
 * BMW element: {"algebra": "bmw", "n": 3, "params": {"q": "6/5",
   "nu": "7/3"}, "terms": [{"word": ["T1", "K2"], "coeff": "-3/7"}]};
-  word letters "Ti", "Ui" (inverse, accepted on input only), "Ki";
+  word letters "Ti", "Ki"; over a Laurent context "params" is
+  {"laurent": label} and each coeff a truncated Laurent series;
 * truncated Laurent series: {"val": v, "N": n, "coeffs": ["p/q", ...]};
 * idempotent record: {"tableau": "1;2;2,1", "contents": [...],
   "method": "fusion", "element": {...}, "verified": {...}};
@@ -15,11 +16,10 @@ Wire formats:
 
 from __future__ import annotations
 
-from .bmwcore import AlgebraContext, AlgebraElement, letter_name
-from .brauer import BrauerAlgebra, BrauerElement
-from .errors import DomainMismatch
-from .hecke import HeckeAlgebra, HeckeElement
-from .scalars import TruncLaurent, format_rational, parse_rational
+from .bmwcore import AlgebraElement, letter_name
+from .brauer import BrauerElement
+from .hecke import HeckeElement
+from .scalars import TruncLaurent, format_rational
 
 
 def element_to_json(elem: AlgebraElement) -> dict:
@@ -41,39 +41,9 @@ def element_to_json(elem: AlgebraElement) -> dict:
     }
 
 
-def element_from_json(data: dict, ctx: AlgebraContext) -> AlgebraElement:
-    if data.get("algebra") != "bmw":
-        raise DomainMismatch("not a bmw element record")
-    if data.get("n") != ctx.n:
-        raise DomainMismatch("strand count mismatch")
-    out = ctx.zero()
-    for term in data["terms"]:
-        piece = ctx.one()
-        for tok in term["word"]:
-            kind, i = tok[0], int(tok[1:])
-            if not 1 <= i <= ctx.n - 1:
-                raise DomainMismatch("letter %r outside the generators of "
-                                     "BMW_%d" % (tok, ctx.n))
-            if kind == "T":
-                piece = piece * ctx.gen_T(i)
-            elif kind == "U":
-                piece = piece * ctx.gen_Tinv(i)
-            elif kind == "K":
-                piece = piece * ctx.gen_K(i)
-            else:
-                raise ValueError("bad letter %r" % tok)
-        out = out + piece.scale(parse_rational(term["coeff"]))
-    return out
-
-
 def laurent_to_json(x: TruncLaurent) -> dict:
     return {"val": x.val, "N": x.prec - x.val,
             "coeffs": [format_rational(c) for c in x.coeffs]}
-
-
-def laurent_from_json(data: dict) -> TruncLaurent:
-    coeffs = [parse_rational(c) for c in data["coeffs"]]
-    return TruncLaurent(data["val"], coeffs, data["val"] + data["N"])
 
 
 def idempotent_to_json(idem) -> dict:
@@ -90,12 +60,6 @@ def brauer_point_name(p: int, n: int) -> str:
     return str(p + 1) if p < n else "%d'" % (p - n + 1)
 
 
-def brauer_point_parse(tok: str, n: int) -> int:
-    if tok.endswith("'"):
-        return n + int(tok[:-1]) - 1
-    return int(tok) - 1
-
-
 def brauer_to_json(elem: BrauerElement) -> dict:
     n = elem.algebra.n
     terms = []
@@ -108,28 +72,9 @@ def brauer_to_json(elem: BrauerElement) -> dict:
             "omega": format_rational(elem.algebra.omega), "terms": terms}
 
 
-def brauer_from_json(data: dict) -> BrauerElement:
-    n = data["n"]
-    alg = BrauerAlgebra(n, parse_rational(data["omega"]))
-    terms = {}
-    for t in data["terms"]:
-        d = frozenset(tuple(sorted((brauer_point_parse(a, n),
-                                    brauer_point_parse(b, n))))
-                      for a, b in t["diagram"])
-        terms[d] = parse_rational(t["coeff"])
-    return alg.from_terms(terms)
-
-
 def hecke_to_json(elem: HeckeElement) -> dict:
     return {"algebra": "hecke", "n": elem.algebra.n,
             "q": format_rational(elem.algebra.q),
             "terms": [{"perm": [x + 1 for x in w],
                        "coeff": format_rational(elem.terms[w])}
                       for w in sorted(elem.terms)]}
-
-
-def hecke_from_json(data: dict) -> HeckeElement:
-    alg = HeckeAlgebra(data["n"], parse_rational(data["q"]))
-    terms = {tuple(x - 1 for x in t["perm"]): parse_rational(t["coeff"])
-             for t in data["terms"]}
-    return alg.from_terms(terms)

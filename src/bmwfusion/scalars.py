@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import STRAND_CAP
-from .errors import (CapExceeded, DivisionByZero, NegativeValuation,
-                     NonInvertible, NotGeneric, PoleAtEvaluation)
+from .combinatorics import check_strands
+from .errors import (DivisionByZero, NegativeValuation, NonInvertible,
+                     NotGeneric, PoleAtEvaluation)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -728,8 +728,7 @@ def suggest_params(n: int) -> ParamSet:
     Tries the default pair first, then scans small rationals.  An n outside
     1..STRAND_CAP raises CapExceeded: no context could be built for it.
     """
-    if n < 1 or n > STRAND_CAP:
-        raise CapExceeded("n = %d outside 1..%d" % (n, STRAND_CAP))
+    check_strands(n)
     try:
         return make_params(DEFAULT_Q, DEFAULT_NU, n)
     except NotGeneric:

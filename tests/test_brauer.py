@@ -6,7 +6,6 @@ import pytest
 from bmwfusion import BrauerAlgebra, CapExceeded, DomainMismatch
 from bmwfusion.brauer import all_diagrams, diagram_mul
 from bmwfusion.bmwcore import double_factorial
-from bmwfusion.jsonio import brauer_from_json
 
 
 def test_generator_relations():
@@ -142,14 +141,10 @@ def test_strand_cap():
 
 
 def test_from_terms_rejects_a_non_diagram():
-    # from JSON: point "5" at n = 2 and a repeated point; as keys: an
-    # unsorted pair, too few pairs and pairs of the wrong size
-    for pairs in ([["1", "5"], ["2", "1'"]], [["1", "2"], ["1", "2"]]):
-        data = {"algebra": "brauer", "n": 2, "omega": "5",
-                "terms": [{"diagram": pairs, "coeff": "1"}]}
-        with pytest.raises(DomainMismatch):
-            brauer_from_json(data)
+    # an unsorted pair, a point outside 0..3 at n = 2, too few pairs and
+    # pairs of the wrong size
     B = BrauerAlgebra(2, Fr(5))
-    for bad in ({(2, 0), (1, 3)}, {(0, 1)}, {(0, 1, 2), (3,)}):
+    for bad in ({(2, 0), (1, 3)}, {(0, 4), (1, 2)}, {(0, 1)},
+                {(0, 1, 2), (3,)}):
         with pytest.raises(DomainMismatch):
             B.from_terms({frozenset(bad): Fr(1)})

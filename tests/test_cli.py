@@ -137,6 +137,23 @@ def test_params_suggest_below_one_exit_2(n):
 
 
 @pytest.mark.parametrize("args", [
+    ("idempotents",),
+    ("verify",),
+    ("tableaux",),
+    ("symmetrizers",),
+    ("export", "--kind", "jm"),
+    ("export", "--kind", "idempotent", "--tableau", "1"),
+], ids=["idempotents", "verify", "tableaux", "symmetrizers", "export-jm",
+        "export-idempotent"])
+def test_n0_is_below_the_strand_cap(args):
+    # the strand count is checked before any other option
+    r = run_cli(*args, "--n", "0")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
+
+
+@pytest.mark.parametrize("args", [
     ("export", "--n", "2", "--kind", "jm", "--index", "2", "--q", "1/0"),
     ("export", "--n", "2", "--kind", "jm", "--index", "2", "--nu", "1/0"),
     ("tableaux", "--n", "2", "--contents", "t-classical", "--omega", "1/0"),

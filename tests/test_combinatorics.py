@@ -27,7 +27,7 @@ def test_cap(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_count_tableaux_rejects_n_below_one(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded):
         count_tableaux(n)
 
 

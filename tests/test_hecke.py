@@ -12,7 +12,6 @@ from bmwfusion import (AlgebraContext, CapExceeded, DivisionByZero,
 from bmwfusion.bmwcore import K_KIND, letter_index, letter_kind
 from bmwfusion.hecke import (HeckeElement, apply_s_right,
                              lex_min_reduced_word, perm_inversions)
-from bmwfusion.jsonio import hecke_from_json
 from bmwfusion.scalars import TruncLaurent
 
 Q = Fr(6, 5)
@@ -197,8 +196,6 @@ def test_strand_cap():
 def test_q_zero_is_a_division_by_zero():
     with pytest.raises(DivisionByZero):
         HeckeAlgebra(3, 0)
-    with pytest.raises(DivisionByZero):
-        hecke_from_json({"algebra": "hecke", "n": 2, "q": "0", "terms": []})
 
 
 def test_quotient_needs_a_rational_element_at_the_algebra_q(ctx3):
@@ -214,7 +211,3 @@ def test_from_terms_rejects_a_non_permutation():
     for bad in ((0, 1), (0, 1, 1), (1, 2, 3), (0, 1, 2, 3)):
         with pytest.raises(DomainMismatch):
             hk.from_terms({bad: Fr(1)})
-    data = {"algebra": "hecke", "n": 3, "q": "6/5",
-            "terms": [{"perm": [1, 2, 2], "coeff": "1"}]}
-    with pytest.raises(DomainMismatch):
-        hecke_from_json(data)

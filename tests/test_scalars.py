@@ -9,7 +9,7 @@ from bmwfusion import (CapExceeded, DivisionByZero, NotGeneric,
                        PoleAtEvaluation, RatFunc, TruncLaurent, make_params,
                        q_factorial, q_number)
 from bmwfusion.errors import NegativeValuation, NonInvertible
-from bmwfusion.jsonio import laurent_from_json, laurent_to_json
+from bmwfusion.jsonio import laurent_to_json
 from bmwfusion.scalars import (_mul_raw, _normal, _sum_raw, format_rational,
                                genericity_check, parse_rational,
                                suggest_params)
@@ -423,8 +423,9 @@ def test_laurent_arithmetic_matches_reference(x, y, c, i, e, k):
     assert _outcome(lambda: a.invert()) == _outcome(lambda: ra.invert())
     assert _outcome(lambda: a ** e) == _outcome(lambda: ra ** e)
     assert _outcome(lambda: a.shift(k)) == _outcome(lambda: ra.shift(k))
-    back = laurent_from_json(laurent_to_json(a))
-    assert _outcome(lambda: back) == _outcome(lambda: ra)
+    assert laurent_to_json(a) == {
+        "val": ra.val, "N": ra.prec - ra.val,
+        "coeffs": [format_rational(v) for v in ra.c]}
 
 
 def _unreduced(t, m):
