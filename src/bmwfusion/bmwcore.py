@@ -177,10 +177,11 @@ class AlgebraContext:
         self.stats = {"cache": self._load_cache()}
         self.words = self._close()
         self.word_index = {w: k for k, w in enumerate(self.words)}
-        # right action of each letter on each basis index, built on first
-        # use by _row as (den, ((j, numerator), ...))
-        self._rows = {l: [None] * len(self.words) for l in self.letters}
-        self._built = False
+        # right action of each letter on each basis index, filled here from
+        # the products w * l the closure left in the memo: each row
+        # replaces its memo entry, so a context keeps one copy of each
+        self._rows = {l: [self._row(self._memo.pop(w + (l,)))
+                          for w in self.words] for l in self.letters}
         if verify:
             report = self.verify_relations()
             bad = [r for r in report if not r["ok"]]
@@ -190,13 +191,6 @@ class AlgebraContext:
         if self.stats["cache"] != "hit":
             # a build from the cache reproduces the file it was read from
             self._save_cache()
-        # from now on a row replaces the memo entry it was read from, so a
-        # context keeps one copy of each product w * l
-        self._built = True
-        for l, row_of in self._rows.items():
-            for i, row in enumerate(row_of):
-                if row is not None:
-                    self._memo.pop(self.words[i] + (l,), None)
 
     # ------------------------------------------------------------------
     # rewriting rules (each an exact consequence of the defining relations)
@@ -547,21 +541,15 @@ class AlgebraContext:
                     stack.append((u, c * cu))
         return {w: c for w, c in out.items() if c != 0}
 
-    def _row(self, l, i):
-        """words[i] * l as (den, ((j, numerator), ...)) over basis indices:
-        integer numerators over their least common denominator in a
-        rational context, the series themselves over 1 in a Laurent one.
-        After the build it replaces the memo entry it was read from."""
-        word = self.words[i] + (l,)
-        vec = self.reduce_word(word)
+    def _row(self, vec):
+        """A reduced vector as (den, ((j, numerator), ...)) over basis
+        indices: integer numerators over their least common denominator in
+        a rational context, the series themselves over 1 in a Laurent one.
+        """
         den, nums = _over_common_denominator(vec) if self.rational \
             else (1, vec)
-        if self._built:
-            self._memo.pop(word, None)
         widx = self.word_index
-        row = self._rows[l][i] = (den, tuple((widx[u], x)
-                                             for u, x in nums.items()))
-        return row
+        return den, tuple((widx[u], x) for u, x in nums.items())
 
     def _closure_once(self):
         """The words reached from () by right letter products, in basis
@@ -662,7 +650,8 @@ class AlgebraContext:
         """Fill ``_dyn`` and ``_memo`` from the cache file and return the
         cache state: "off" without a cache file, "hit", "miss" for a
         missing or other-version file, "corrupt" for an unreadable or
-        malformed one.  The build rewrites the file unless it was a hit."""
+        malformed one, or one recorded for another n, q or nu.  The build
+        rewrites the file unless it was a hit."""
         path = self._cache_path
         if path is None:
             return "off"
@@ -686,6 +675,10 @@ class AlgebraContext:
                 data = json.load(f)
             if data.get("version") != CACHE_FORMAT_VERSION:
                 return "miss"
+            if (data["n"], parse_rational(data["q"]),
+                    parse_rational(data["nu"])) != \
+                    (self.n, self.params.q, self.params.nu):
+                return "corrupt"
             dyn, memo = entries("dyn"), entries("table")
         except (OSError, ValueError, AttributeError, KeyError, TypeError):
             return "corrupt"
@@ -699,20 +692,28 @@ class AlgebraContext:
             return
 
         def entries(pairs):
+            """pairs (w, [(u, text)]) as entries, in word order."""
             return [{"word": list(w),
-                     "expansion": [[list(u), format_rational(c)]
-                                   for u, c in sorted(v.items())]}
-                    for w, v in pairs]
+                     "expansion": [[list(u), c] for u, c in sorted(v)]}
+                    for w, v in sorted(pairs)]
 
+        def ratio(x, den):      # format_rational(Fraction(x, den)), den > 0
+            g = math.gcd(x, den)
+            return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
+
+        words = self.words
         data = {
             "version": CACHE_FORMAT_VERSION,
             "n": self.n,
             "q": format_rational(self.params.q),
             "nu": format_rational(self.params.nu),
-            "dyn": entries(sorted(self._dyn.items())),
-            # reduced, so the file depends only on the algebra and its rules
-            "table": entries((w, self.reduce_word(w)) for w in sorted(
-                v + (l,) for v in self.words for l in self.letters)),
+            "dyn": entries((w, [(u, format_rational(c)) for u, c in v.items()])
+                           for w, v in self._dyn.items()),
+            # the rows, so the file depends only on the algebra and its rules
+            "table": entries((w + (l,), [(words[j], ratio(x, den))
+                                         for j, x in row])
+                             for l, row_of in self._rows.items()
+                             for w, (den, row) in zip(words, row_of)),
         }
         tmp = None
         try:    # a cache that cannot be written is skipped
@@ -1003,30 +1004,30 @@ def _sum_rows(den, got, exact, lift):
     return den // g, {j: a // g for j, a in nxt.items() if a}
 
 
-def fold_products(alg, left, rights):
+def fold_products(algebra, left, rights):
     """The products left * right for every right in ``rights``, as a list
     of {key: coeff} dicts in the order of ``rights``.
 
-    ``alg`` has a basis list ``words`` with its ``word_index``, and rows
-    ``alg._rows[l][i]`` (else ``alg._row(l, i)``), the right action of
+    ``algebra`` has a basis list ``words`` with its ``word_index``, and
+    rows ``algebra._rows[l][i]``, all filled at build: the right action of
     letter ``l`` on basis index ``i`` as (den, ((j, numerator), ...)).
     ``left`` is keyed by basis elements, each right by words in the
     letters.  The words of all right factors are merged into one trie
     whose leaves hold (k, coeff) for right factor k, so the row step of
     each prefix is applied once to the vector of ``left``; every vector
-    of the fold is (den, {index: coeff}).  With ``alg.rational`` (integer
-    rows) and only rational coefficients, the fold divides out the content
-    at every step and builds one Fraction per output coefficient, each
-    right factor over its own common denominator.  Otherwise 1/den goes
-    into the right-hand coefficient once per leaf.  Truncated Laurent
-    series, with rationals or not, stay raw (``scalars._sum_raw``) until
-    each output coefficient is normalised once; other coefficients
-    (RatFunc) keep their own arithmetic.  Each product is the one
-    computed alone.
+    of the fold is (den, {index: coeff}).  With ``algebra.rational``
+    (integer rows) and only rational coefficients, the fold divides out
+    the content at every step and builds one Fraction per output
+    coefficient, each right factor over its own common denominator.
+    Otherwise 1/den goes into the right-hand coefficient once per leaf.
+    Truncated Laurent series, with rationals or not, stay raw
+    (``scalars._sum_raw``) until each output coefficient is normalised
+    once; other coefficients (RatFunc) keep their own arithmetic.  Each
+    product is the one computed alone.
     """
-    rows = alg._rows
+    rows = algebra._rows
     types = {c.__class__ for t in (left, *rights) for c in t.values()}
-    exact = alg.rational and types <= {Fraction, int}
+    exact = algebra.rational and types <= {Fraction, int}
     lift = _raw if types <= {TruncLaurent, Fraction, int} else (lambda x: x)
     den1 = 1
     if exact:
@@ -1043,19 +1044,14 @@ def fold_products(alg, left, rights):
                 node = node.setdefault(l, {})
             node.setdefault(None, []).append((k, c))
     groups = [{} for _ in rights]   # per right: leaf den -> {index: coeff}
-    widx = alg.word_index
+    widx = algebra.word_index
     stack = [(trie, (den1, {widx[w]: a for w, a in left.items()}))]
     while stack:
         node, (den, nums) = stack.pop()
         for l, child in node.items():
             if l is not None:
                 row_of = rows[l]
-                got = []
-                for i, a in nums.items():
-                    row = row_of[i]
-                    if row is None:
-                        row = alg._row(l, i)
-                    got.append((a, row))
+                got = [(a, row_of[i]) for i, a in nums.items()]
                 stack.append((child, _sum_rows(den, got, exact, lift)))
                 continue
             for k, c2 in child:
@@ -1072,7 +1068,7 @@ def fold_products(alg, left, rights):
                 for j, a in nums.items():
                     prev = get(j)
                     acc[j] = a * c2 if prev is None else prev + a * c2
-    words = alg.words
+    words = algebra.words
     out = []
     for (den2, _), group in zip(rights, groups):
         if not exact:

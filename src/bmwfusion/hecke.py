@@ -76,8 +76,9 @@ class HeckeAlgebra:
         self.delta = self.q - 1 / self.q
         self.words = list(itertools.permutations(range(n)))
         self.word_index = {w: k for k, w in enumerate(self.words)}
-        # T_w T_l on basis indices, built on first use by _row
-        self._rows = {l: [None] * len(self.words) for l in range(1, n)}
+        # T_w T_l on basis indices, filled here
+        self._rows = {l: [self._row(l, i) for i in range(len(self.words))]
+                      for l in range(1, n)}
 
     def __eq__(self, other):
         if not isinstance(other, HeckeAlgebra):
@@ -93,8 +94,7 @@ class HeckeAlgebra:
         nums = ((self.word_index[apply_s_right(w, l)], d),)
         if w[l - 1] > w[l]:
             nums += ((i, self.delta.numerator),)
-        row = self._rows[l][i] = (d, nums)
-        return row
+        return d, nums
 
     def one(self):
         return HeckeElement(self, {identity_perm(self.n): Fraction(1)})

@@ -57,10 +57,10 @@ def ctx5_search(tmp_path_factory):
 
 
 def closure_rows(ctx):
-    """reduce_word(w l) for every basis word w and letter l, series windows
-    included."""
-    return [repr(sorted(ctx.reduce_word(w + (l,)).items()))
-            for w in ctx.words for l in ctx.letters]
+    """The row of w l for every basis word w and letter l, as the build
+    filled it, series windows included."""
+    return [repr((den, sorted(row)))
+            for l in ctx.letters for den, row in ctx._rows[l]]
 
 
 def pytest_terminal_summary(terminalreporter):

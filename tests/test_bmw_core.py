@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        DimensionMismatch, DomainMismatch, HeckeAlgebra,
                        NotGeneric, RatFunc, TruncLaurent, build_context,
-                       hecke_quotient, laurent_params)
+                       hecke_quotient, laurent_params, make_params)
 from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
                                fold_products, jm_word, letter, word_name,
                                K_KIND, T_KIND)
@@ -199,7 +200,7 @@ def _fold_reference(ctx, left, right):
     for w, c in right.items():
         den, vec = 1, {ctx.word_index[u]: a for u, a in left.items()}
         for l in w:
-            rows = {i: ctx._rows[l][i] or ctx._row(l, i) for i in vec}
+            rows = {i: ctx._rows[l][i] for i in vec}
             row_den = math.lcm(*(d for d, _ in rows.values()))
             nxt = {}
             for i, a in vec.items():
@@ -386,6 +387,88 @@ def test_cache_round_trip(tmp_path):
     a = ctx_a.gen_T(1) * ctx_a.gen_K(2) * ctx_a.gen_T(2)
     b = ctx_b.gen_T(1) * ctx_b.gen_K(2) * ctx_b.gen_T(2)
     assert sorted(a.terms.items()) == sorted(b.terms.items())
+
+
+def _as_stored(vec):
+    """{word: coeff} with every series as stored, its window included."""
+    return {w: (c.val, c.prec, c.den, c.nums)
+            if isinstance(c, TruncLaurent) else c for w, c in vec.items()}
+
+
+def _assert_rows_filled(ctx, params):
+    """Every row of ctx is set by the build, its memo keeps no basis
+    product w l, and at n <= 4 each row is the one a context with an
+    empty memo reduces from scratch."""
+    assert set(ctx._rows) == set(ctx.letters)
+    fresh = AlgebraContext(ctx.n, params, verify=False)
+    fresh._memo.clear()
+    for l in ctx.letters:
+        assert len(ctx._rows[l]) == len(ctx.words)
+        for w, row in zip(ctx.words, ctx._rows[l]):
+            assert w + (l,) not in ctx._memo
+            assert row is not None
+            if ctx.n <= 4:
+                den, pairs = row
+                got = {ctx.words[j]: x if den == 1 else Fr(x, den)
+                       for j, x in pairs}
+                assert _as_stored(got) == _as_stored(
+                    fresh.reduce_word(w + (l,))), word_name(w + (l,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rows_filled_at_build_rational(n, tmp_path):
+    params = make_params(Fr(6, 5), Fr(7, 3), n)
+    for state in ("miss", "hit"):
+        ctx = AlgebraContext(n, params, cache_dir=str(tmp_path))
+        assert ctx.stats["cache"] == state
+        _assert_rows_filled(ctx, params)
+
+
+@pytest.mark.parametrize("regime", [1, 2])
+def test_rows_filled_at_build_laurent(regime):
+    params = laurent_params(regime, 5)
+    _assert_rows_filled(AlgebraContext(3, params), params)
+
+
+# sha256 of the cache files at (6/5, 7/3) for n = 2, 3, 4
+CACHE_SHA256 = {
+    2: "f581f78033de8ac87824746325741888f897094385cf30948823e93d296b0217",
+    3: "b8e482b89ea47110c8c68fda98eeeb45d725e9369e3772f55c83451b0740b3a1",
+    4: "ab3912bc59f56daed1940a4eb6470bf1bae3eddd528a284e22f50bfcc4eb5451",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CACHE_SHA256))
+def test_cache_file_pinned(n, tmp_path):
+    ctx = build_context(n, q=Fr(6, 5), nu=Fr(7, 3), cache_dir=str(tmp_path))
+    with open(ctx._cache_path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == CACHE_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cache_file_of_other_parameters_is_rebuilt(n, tmp_path):
+    def build(q, nu, cache):
+        return build_context(n, q=q, nu=nu, cache_dir=str(tmp_path / cache))
+
+    # a file recorded at (6/5, 7/3) under the key of (-5/6, 3/7)
+    want = build(Fr(6, 5), Fr(7, 3), "a")
+    path = build(Fr(-5, 6), Fr(3, 7), "b")._cache_path
+    with open(path, "rb") as f:
+        rebuilt = f.read()
+    with open(want._cache_path, "rb") as f:
+        stale = f.read()
+    with open(path, "wb") as f:
+        f.write(stale)
+    assert build(Fr(-5, 6), Fr(3, 7), "b").stats["cache"] == "corrupt"
+    with open(path, "rb") as f:
+        assert f.read() == rebuilt
+    assert build(Fr(-5, 6), Fr(3, 7), "b").stats["cache"] == "hit"
+    # a file whose recorded n differs is corrupt too
+    data = json.loads(rebuilt)
+    data["n"] = n + 1
+    with open(path, "w") as f:
+        json.dump(data, f)
+    assert build(Fr(-5, 6), Fr(3, 7), "b").stats["cache"] == "corrupt"
 
 
 # sha256 of the n = 5 cache file at (6/5, 7/3): it pins the closure's rules

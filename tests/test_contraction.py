@@ -76,7 +76,7 @@ def test_structure_constant_oracle_rejects_other_omega():
 def test_structure_constant_oracle_sees_a_corrupted_row():
     ctx = AlgebraContext(3, laurent_params(1, 5, 4), verify=False)
     l, i = ctx.letters[-1], len(ctx.words) - 1
-    den, ((j, x), *rest) = ctx._row(l, i)
+    den, ((j, x), *rest) = ctx._rows[l][i]
     ctx._rows[l][i] = (den, ((j, x + ctx._one), *rest))
     res = structure_constant_oracle(ctx, 5)
     assert not res["ok"]

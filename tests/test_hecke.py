@@ -70,6 +70,18 @@ def test_dimension_and_associativity():
         assert all(type(x) is Fr for x in (a * b).terms.values())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rows_filled_at_build(n):
+    hk = HeckeAlgebra(n, Q)
+    assert set(hk._rows) == set(range(1, n))
+    for l, row_of in hk._rows.items():
+        assert len(row_of) == len(hk.words)
+        for w, (den, row) in zip(hk.words, row_of):
+            got = {hk.words[j]: Fr(x, den) for j, x in row}
+            assert got == reference_mul(hk.from_terms({w: Fr(1)}),
+                                        hk.gen_T(l)).terms
+
+
 def test_lex_min_reduced_words():
     for n in (3, 4):
         for w in permutations(range(n)):
