@@ -175,6 +175,22 @@ class AlgebraContext:
         self._cache_path = self._cache_file(cache_dir)
         # what the build did; plain values, never printed
         self.stats = {"cache": self._load_cache()}
+        bad = self._build(verify)
+        if bad and self.stats["cache"] == "hit":
+            # an edited cache file: build cold once, and rewrite the file
+            self._memo, self._dyn, self._jm = {}, {}, {}
+            self.stats["cache"] = "corrupt"
+            bad = self._build(verify)
+        if bad:
+            raise DimensionMismatch(
+                "relation suite failed after build: %s" % bad[0])
+        if self.stats["cache"] != "hit":
+            # a build from the cache reproduces the file it was read from
+            self._save_cache()
+
+    def _build(self, verify):
+        """Close the basis and fill the rows; the failed relations if
+        ``verify``, else none."""
         self.words = self._close()
         self.word_index = {w: k for k, w in enumerate(self.words)}
         # right action of each letter on each basis index, filled here from
@@ -182,15 +198,8 @@ class AlgebraContext:
         # replaces its memo entry, so a context keeps one copy of each
         self._rows = {l: [self._row(self._memo.pop(w + (l,)))
                           for w in self.words] for l in self.letters}
-        if verify:
-            report = self.verify_relations()
-            bad = [r for r in report if not r["ok"]]
-            if bad:
-                raise DimensionMismatch(
-                    "relation suite failed after build: %s" % bad[0])
-        if self.stats["cache"] != "hit":
-            # a build from the cache reproduces the file it was read from
-            self._save_cache()
+        return [r for r in self.verify_relations() if not r["ok"]] \
+            if verify else []
 
     # ------------------------------------------------------------------
     # rewriting rules (each an exact consequence of the defining relations)
@@ -651,7 +660,8 @@ class AlgebraContext:
         cache state: "off" without a cache file, "hit", "miss" for a
         missing or other-version file, "corrupt" for an unreadable or
         malformed one, or one recorded for another n, q or nu.  The build
-        rewrites the file unless it was a hit."""
+        rewrites the file unless it was a hit; a hit that fails the
+        relation suite is built again cold and becomes "corrupt"."""
         path = self._cache_path
         if path is None:
             return "off"

@@ -12,17 +12,21 @@ Two contraction regimes are implemented:
 Brauer idempotents are obtained as constant terms of whole BMW
 computations over Laurent parameters (the Jucys-Murphy interpolation run
 with series scalars); first-order cancellations are handled by the
-Laurent valuations.
+Laurent valuations.  The structure-constant oracle folds the h^0 parts of
+the rows in rational arithmetic when every row coefficient has valuation
+>= 0, where the h^0 term is a ring map, and the series otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .bmwcore import (DEFAULT_TRUNCATION, AlgebraContext, AlgebraElement,
-                      K_KIND, LaurentParams, check_index, default_truncation,
-                      fold_products, letter_index, letter_kind)
+                      K_KIND, LaurentParams, _over_common_denominator,
+                      check_index, default_truncation, fold_products,
+                      letter_index, letter_kind)
 from .brauer import BrauerAlgebra, BrauerElement, diagram_mul, e_diagram, \
     identity_diagram, s_diagram
 from .combinatorics import UpDownTableau
@@ -137,9 +141,10 @@ def word_to_diagram(n: int, word):
 
 
 def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
-    """h^0 part of a Laurent-coefficient BMW element as a Brauer element.
-    An element outside the Laurent context of either regime at the omega
-    of ``brauer``, or a Brauer algebra on another strand count, raises
+    """h^0 part of a Laurent-coefficient BMW element as a Brauer element;
+    an int or Fraction coefficient is its own h^0 part.  An element
+    outside the Laurent context of either regime at the omega of
+    ``brauer``, or a Brauer algebra on another strand count, raises
     DOMAIN_MISMATCH."""
     _check_laurent(elem.algebra if isinstance(elem, AlgebraElement)
                    else None, brauer.omega)
@@ -148,13 +153,32 @@ def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
                              % (elem.algebra.n, brauer.n))
     terms = {}
     for w, coeff in elem.terms.items():
-        c0 = coeff.constant_term()
+        c0 = coeff if isinstance(coeff, (int, Fraction)) \
+            else coeff.constant_term()
         if c0 == 0:
             continue
         d, loops = word_to_diagram(brauer.n, w)
         c0 = c0 * brauer.omega ** loops
         terms[d] = terms.get(d, Fraction(0)) + c0
     return BrauerElement(brauer, terms)
+
+
+def _constant_rows(ctx):
+    """The h^0 parts of ``ctx._rows`` as integer rows, on an object that
+    ``fold_products`` folds in rational arithmetic, or None unless every
+    row coefficient has valuation >= 0 and a known h^0.  On such series
+    the h^0 coefficient is a ring map, so these rows fold to the constant
+    terms of the series products."""
+    rows = {}
+    for l, row_of in ctx._rows.items():
+        rows[l] = out = []
+        for den, pairs in row_of:
+            if any(x.val < 0 or x.prec < 1 for _, x in pairs):
+                return None
+            d, nums = _over_common_denominator({j: x[0] for j, x in pairs})
+            out.append((d * den, tuple((j, a) for j, a in nums.items() if a)))
+    return SimpleNamespace(rational=True, words=ctx.words,
+                           word_index=ctx.word_index, _rows=rows)
 
 
 def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
@@ -165,7 +189,9 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     with no loop factors.  ``ctx`` must be the Laurent context of either
     regime at this omega, or DOMAIN_MISMATCH is raised.  The products of
     one left word with every basis word run as one batch of
-    ``bmwcore.fold_products``."""
+    ``bmwcore.fold_products``: over the h^0 parts of the rows when every
+    row coefficient has valuation >= 0 (``_constant_rows``), over the
+    series otherwise."""
     omega = Fraction(omega)
     _check_laurent(ctx, omega)
     n = ctx.n
@@ -181,10 +207,12 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
                     "reason": "canonical words not diagram-bijective"}
         seen[d] = w
         diag_of[w] = d
-    rights = [{w: ctx._one} for w in ctx.words]
+    const = _constant_rows(ctx)
+    alg, one = (ctx, ctx._one) if const is None else (const, 1)
+    rights = [{w: one} for w in ctx.words]
     checked = 0
     for w1 in ctx.words:
-        prods = fold_products(ctx, {w1: ctx._one}, rights)
+        prods = fold_products(alg, {w1: one}, rights)
         for w2, p in zip(ctx.words, prods):
             got = constant_term_element(AlgebraElement(ctx, p), brauer)
             d, loops = diagram_mul(n, diag_of[w1], diag_of[w2])

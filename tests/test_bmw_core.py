@@ -584,6 +584,36 @@ def test_build_stats_cache_states(tmp_path, monkeypatch):
     assert cache_state() == "hit"
 
 
+def test_edited_cache_table_is_rebuilt_and_rewritten(tmp_path, monkeypatch):
+    # a hit whose table fails the relation suite used to raise
+    # DIMENSION_MISMATCH on every later build, the file never rewritten
+    monkeypatch.delenv("BMWF_CACHE", raising=False)
+
+    def build():
+        return build_context(3, q=Fr(6, 5), nu=Fr(7, 3),
+                             cache_dir=str(tmp_path))
+
+    path = build()._cache_path
+    with open(path) as f:
+        fresh = f.read()
+    table = fresh.index('"table"')
+    one = fresh.index('"1"]', table)
+    with open(path, "w") as f:
+        f.write(fresh[:one] + '"1/2"]' + fresh[one + 4:])
+    ctx = build()
+    assert ctx.stats["cache"] == "corrupt"
+    assert all(r["ok"] for r in ctx.verify_relations())
+    with open(path) as f:
+        assert f.read() == fresh
+    assert build().stats["cache"] == "hit"
+    # a cold build that fails the suite still raises
+    monkeypatch.setattr(AlgebraContext, "verify_relations",
+                        lambda self: [{"relation": "x", "instance": "",
+                                       "ok": False}])
+    with pytest.raises(DimensionMismatch):
+        build()
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_chain_followed_by_a_slid_letter_is_an_f_redex(n, ctx4, ctx5,
                                                        monkeypatch):

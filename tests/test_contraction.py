@@ -10,10 +10,12 @@ from bmwfusion import (BrauerAlgebra, DimensionMismatch, DomainMismatch,
                        contraction_block_check, enumerate_tableaux,
                        jm_oracle_idempotent, laurent_params,
                        structure_constant_oracle)
-from bmwfusion.bmwcore import K_KIND, T_KIND, AlgebraContext, letter
-from bmwfusion.brauer import e_diagram, s_diagram
-from bmwfusion.contraction import (constant_term_element, default_truncation,
-                                   spectral_series, word_to_diagram)
+from bmwfusion.bmwcore import (K_KIND, T_KIND, AlgebraContext,
+                               AlgebraElement, fold_products, letter)
+from bmwfusion.brauer import diagram_mul, e_diagram, s_diagram
+from bmwfusion.contraction import (_constant_rows, constant_term_element,
+                                   default_truncation, spectral_series,
+                                   word_to_diagram)
 from closure_plan import SearchContext
 from conftest import closure_rows
 
@@ -81,6 +83,76 @@ def test_structure_constant_oracle_sees_a_corrupted_row():
     res = structure_constant_oracle(ctx, 5)
     assert not res["ok"]
     assert res["reason"].startswith("structure constants differ")
+
+
+def series_oracle(ctx, omega):
+    """The oracle as it ran before it folded the h^0 rows: every product a
+    full series fold, the constant terms read off afterwards."""
+    omega = Fr(omega)
+    n = ctx.n
+    brauer = BrauerAlgebra(n, omega)
+    diag_of = {w: word_to_diagram(n, w)[0] for w in ctx.words}
+    rights = [{w: ctx._one} for w in ctx.words]
+    checked = 0
+    for w1 in ctx.words:
+        prods = fold_products(ctx, {w1: ctx._one}, rights)
+        for w2, p in zip(ctx.words, prods):
+            got = constant_term_element(AlgebraElement(ctx, p), brauer)
+            d, loops = diagram_mul(n, diag_of[w1], diag_of[w2])
+            c = brauer.omega ** loops
+            if got.terms != ({d: c} if c else {}):
+                return {"ok": False,
+                        "reason": "structure constants differ at (%r, %r)"
+                        % (w1, w2)}
+            checked += 1
+    return {"ok": True, "pairs": checked}
+
+
+@pytest.mark.parametrize("regime, omega", [(1, 5), (2, 5), (1, Fr(7, 2)),
+                                           (2, Fr(7, 2))])
+def test_oracle_h0_fold_matches_the_series_fold(regime, omega):
+    for n in (2, 3, 4):
+        ctx = AlgebraContext(n, laurent_params(regime, omega), verify=False)
+        assert _constant_rows(ctx) is not None
+        got = structure_constant_oracle(ctx, omega)
+        assert got == series_oracle(ctx, omega) == \
+            {"ok": True, "pairs": len(ctx.words) ** 2}
+
+
+def _add_to_row(ctx, x):
+    """Add x to the first coefficient of the last row of the last letter,
+    which the product of the last word by that letter reads."""
+    l, i = ctx.letters[-1], len(ctx.words) - 1
+    den, ((j, c), *rest) = ctx._rows[l][i]
+    ctx._rows[l][i] = (den, ((j, c + x), *rest))
+
+
+def test_oracle_with_a_pole_in_a_row_folds_the_series():
+    ctx = AlgebraContext(3, laurent_params(1, 5, 4), verify=False)
+    _add_to_row(ctx, TruncLaurent(-1, (Fr(1),), 4))
+    assert _constant_rows(ctx) is None
+    with pytest.raises(NegativeValuation):
+        structure_constant_oracle(ctx, 5)
+
+
+def test_oracle_ignores_a_row_corrupted_at_h1():
+    # only the constant terms are compared, on either fold
+    ctx = AlgebraContext(3, laurent_params(1, 5, 4), verify=False)
+    _add_to_row(ctx, TruncLaurent(1, (Fr(1),), 4))
+    assert _constant_rows(ctx) is not None
+    assert structure_constant_oracle(ctx, 5) == series_oracle(ctx, 5) == \
+        {"ok": True, "pairs": 225}
+
+
+def test_constant_term_element_takes_exact_coefficients():
+    # an int or Fraction coefficient used to raise AttributeError
+    ctx = AlgebraContext(3, laurent_params(1, 5, 4), verify=False)
+    exact = dict(zip(ctx.words[::2], (1, Fr(-2, 3), 0, Fr(5), -4, Fr(1, 7))))
+    series = {w: TruncLaurent.const(c, 4) for w, c in exact.items()}
+    brauer = BrauerAlgebra(3, 5)
+    got = constant_term_element(AlgebraElement(ctx, exact), brauer)
+    assert got == constant_term_element(AlgebraElement(ctx, series), brauer)
+    assert len(got.terms) == 5
 
 
 def test_laurent_context_relations():
@@ -272,7 +344,6 @@ def test_regime3_generator_sign_homomorphism():
     map T_i -> -s_i, K_i -> e_i; checked as a block-level homomorphism on
     the structure constants' constant terms."""
     from bmwfusion.bmwcore import LaurentParams, letter_kind
-    from bmwfusion.brauer import diagram_mul
     prec = 4
     omega = Fr(5)
     q = TruncLaurent.exp_h(1, prec)
