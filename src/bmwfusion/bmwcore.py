@@ -34,7 +34,7 @@ from .scalars import (ParamSet, TruncLaurent, _mul_raw, _normal, _raw,
 
 T_KIND, K_KIND = 0, 1
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 STEP_CAP = 10 ** 6   # rewrite steps allowed for one word
 DEFAULT_TRUNCATION = 4
 
@@ -169,12 +169,11 @@ class AlgebraContext:
         self.mu = params.mu
         self.letters = [letter(k, i)
                         for i in range(1, n) for k in (T_KIND, K_KIND)]
-        self._memo = {}
-        self._dyn = {}
-        self._jm = {}
+        self._memo, self._dyn, self._jm = {}, {}, {}
         self._cache_path = self._cache_file(cache_dir)
-        # what the build did; plain values, never printed
-        self.stats = {"cache": self._load_cache()}
+        # what the build did, never printed; a cold _close sets the last two
+        self.stats = {"cache": self._load_cache(), "closure": "cache",
+                      "rules_added": 0}
         bad = self._build(verify)
         if bad and self.stats["cache"] == "hit":
             # an edited cache file: build cold once, and rewrite the file
@@ -189,15 +188,16 @@ class AlgebraContext:
             self._save_cache()
 
     def _build(self, verify):
-        """Close the basis and fill the rows; the failed relations if
-        ``verify``, else none."""
-        self.words = self._close()
-        self.word_index = {w: k for k, w in enumerate(self.words)}
-        # right action of each letter on each basis index, filled here from
-        # the products w * l the closure left in the memo: each row
-        # replaces its memo entry, so a context keeps one copy of each
-        self._rows = {l: [self._row(self._memo.pop(w + (l,)))
-                          for w in self.words] for l in self.letters}
+        """Close the basis and fill the rows, unless a cache hit loaded
+        them; the failed relations if ``verify``, else none."""
+        if self.stats["cache"] != "hit":
+            self.words = self._close()
+            self.word_index = {w: k for k, w in enumerate(self.words)}
+            # right action of each letter on each basis index, filled from
+            # the products w * l the closure left in the memo: each row
+            # replaces its memo entry, so a context keeps one copy of each
+            self._rows = {l: [self._row(self._memo.pop(w + (l,)))
+                              for w in self.words] for l in self.letters}
         return [r for r in self.verify_relations() if not r["ok"]] \
             if verify else []
 
@@ -551,14 +551,14 @@ class AlgebraContext:
         return {w: c for w, c in out.items() if c != 0}
 
     def _row(self, vec):
-        """A reduced vector as (den, ((j, numerator), ...)) over basis
-        indices: integer numerators over their least common denominator in
-        a rational context, the series themselves over 1 in a Laurent one.
-        """
+        """A reduced vector as (den, ((j, numerator), ...)) by ascending
+        basis index j, so no row depends on the memo's history: integer
+        numerators over their least common denominator in a rational
+        context, the series themselves over 1 in a Laurent one."""
         den, nums = _over_common_denominator(vec) if self.rational \
             else (1, vec)
         widx = self.word_index
-        return den, tuple((widx[u], x) for u, x in nums.items())
+        return den, tuple(sorted((widx[u], x) for u, x in nums.items()))
 
     def _closure_once(self):
         """The words reached from () by right letter products, in basis
@@ -612,13 +612,11 @@ class AlgebraContext:
         the group use it as it was.  ``tools/closure_plan.py`` regenerates
         the plan and sweeps its replay.  A defect that vanishes, a lead
         that has a rule already or a basis of another size raises
-        DIMENSION_MISMATCH.  ``stats["closure"]`` names where the rules
-        came from: "cache", "replay", or "none" when n has no plan.
+        DIMENSION_MISMATCH.  ``stats["closure"]`` is "replay", or "none"
+        when n has no plan.
         """
-        known = len(self._dyn)
-        text = None if known else CLOSURE_PLANS.get(self.n)
-        self.stats["closure"] = "cache" if known else \
-            "replay" if text else "none"
+        text = CLOSURE_PLANS.get(self.n)
+        self.stats["closure"] = "replay" if text else "none"
         for k, (w, g, h, starts) in enumerate(_read_plan(text or ""), 1):
             if starts:
                 vg = self.reduce_word(w + (g,))
@@ -630,7 +628,7 @@ class AlgebraContext:
                         "the defect vanishes" if rule is None else
                         "its lead %s has a rule" % word_name(rule[0])))
             self._dyn[rule[0]] = rule[1]
-        added = self.stats["rules_added"] = len(self._dyn) - known
+        added = self.stats["rules_added"] = len(self._dyn)
         basis = self._closure_once()
         want = double_factorial(2 * self.n - 1)
         if len(basis) != want:
@@ -656,12 +654,13 @@ class AlgebraContext:
         return os.path.join(cache_dir, key)
 
     def _load_cache(self):
-        """Fill ``_dyn`` and ``_memo`` from the cache file and return the
-        cache state: "off" without a cache file, "hit", "miss" for a
-        missing or other-version file, "corrupt" for an unreadable or
-        malformed one, or one recorded for another n, q or nu.  The build
-        rewrites the file unless it was a hit; a hit that fails the
-        relation suite is built again cold and becomes "corrupt"."""
+        """Fill ``_dyn``, ``words``, ``word_index`` and ``_rows`` from the
+        cache file and return the cache state: "off" without a cache file,
+        "hit", "miss" for a missing or other-version file, "corrupt" for an
+        unreadable or malformed one, or one recorded for another n, q or
+        nu.  The build rewrites the file unless it was a hit; a hit that
+        fails the relation suite is built again cold and becomes "corrupt".
+        """
         path = self._cache_path
         if path is None:
             return "off"
@@ -675,11 +674,6 @@ class AlgebraContext:
                 raise ValueError("letter outside the algebra")
             return w
 
-        def entries(key):
-            return {word(ent["word"]): {word(u): parse_rational(c)
-                                        for u, c in ent["expansion"]}
-                    for ent in data.get(key, [])}
-
         try:
             with open(path) as f:
                 data = json.load(f)
@@ -689,41 +683,44 @@ class AlgebraContext:
                     parse_rational(data["nu"])) != \
                     (self.n, self.params.q, self.params.nu):
                 return "corrupt"
-            dyn, memo = entries("dyn"), entries("table")
+            dyn = {word(ent["word"]): {word(u): parse_rational(c)
+                                       for u, c in ent["expansion"]}
+                   for ent in data["dyn"]}
+            words = [word(w) for w in data["words"]]
+            size = len(words)
+            rows = [[(den, tuple(map(tuple, pairs))) for den, pairs in row_of]
+                    for row_of in data["rows"]]
+            if size != double_factorial(2 * self.n - 1) or \
+                    len(set(words)) != size or len(rows) != len(letters) or \
+                    any(len(row_of) != size for row_of in rows) or not all(
+                        type(den) is int and den > 0 and all(
+                            type(j) is int and type(x) is int and 0 <= j < size
+                            for j, x in pairs)
+                        for row_of in rows for den, pairs in row_of):
+                return "corrupt"
         except (OSError, ValueError, AttributeError, KeyError, TypeError):
             return "corrupt"
-        self._dyn.update(dyn)
-        self._memo.update(memo)
+        self._dyn, self.words = dyn, words
+        self.word_index = {w: k for k, w in enumerate(words)}
+        self._rows = dict(zip(self.letters, rows))
         return "hit"
 
     def _save_cache(self):
         path = self._cache_path
         if path is None:
             return
-
-        def entries(pairs):
-            """pairs (w, [(u, text)]) as entries, in word order."""
-            return [{"word": list(w),
-                     "expansion": [[list(u), c] for u, c in sorted(v)]}
-                    for w, v in sorted(pairs)]
-
-        def ratio(x, den):      # format_rational(Fraction(x, den)), den > 0
-            g = math.gcd(x, den)
-            return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
-
-        words = self.words
         data = {
             "version": CACHE_FORMAT_VERSION,
             "n": self.n,
             "q": format_rational(self.params.q),
             "nu": format_rational(self.params.nu),
-            "dyn": entries((w, [(u, format_rational(c)) for u, c in v.items()])
-                           for w, v in self._dyn.items()),
-            # the rows, so the file depends only on the algebra and its rules
-            "table": entries((w + (l,), [(words[j], ratio(x, den))
-                                         for j, x in row])
-                             for l, row_of in self._rows.items()
-                             for w, (den, row) in zip(words, row_of)),
+            # the rules, which reduce_word needs after the build
+            "dyn": [{"word": w, "expansion": [[u, format_rational(c)]
+                                              for u, c in sorted(v.items())]}
+                    for w, v in sorted(self._dyn.items())],
+            # the basis, and the rows of each letter as _rows holds them
+            "words": self.words,
+            "rows": [self._rows[l] for l in self.letters],
         }
         tmp = None
         try:    # a cache that cannot be written is skipped

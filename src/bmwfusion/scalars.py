@@ -370,14 +370,17 @@ def _raw(x):
 
 
 def _lift(x, prec):
-    """A scalar where it meets a series: the raw const(x, prec)."""
+    """A scalar where it meets a series: the raw const(x, prec), or the
+    empty window [prec, prec) when h^0 lies beyond it."""
+    if prec <= 0:
+        return prec, prec, 1, ()
     return _window(0, prec, x.denominator, [x.numerator], False)
 
 
 def _mul_raw(a, b):
     """The product of raw series (see ``_window``), no gcd taken: of two,
     on the window min(a.prec + b.val, b.prec + a.val), which a zero factor
-    keeps too; of one and a scalar x, which meets it as const(x, prec).
+    keeps too; of a series and a nonzero scalar, on the series' window.
     Two values that are not raw series multiply in their own arithmetic."""
     if a.__class__ is not tuple:
         if b.__class__ is not tuple:
@@ -385,8 +388,7 @@ def _mul_raw(a, b):
         a, b = b, a
     av, ap, ad, an = a
     if b.__class__ is not tuple:
-        if b and an and av >= 0:
-            # const(b, ap) has valuation 0 here: the window stays
+        if b:   # an exact scalar: the window stays
             p = b.numerator
             return av, ap, ad * b.denominator, [x * p for x in an]
         b = _lift(b, ap)
@@ -513,11 +515,6 @@ class TruncLaurent:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _normal(_lift(other, self.prec))
-        return other if isinstance(other, TruncLaurent) else None
-
     def __add__(self, other):
         o = _raw(other)
         return NotImplemented if o is None else \
@@ -565,12 +562,18 @@ class TruncLaurent:
         return TruncLaurent(-self.val, inv, -self.val + len(c))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.invert()
+        """By a series, or by a nonzero int or Fraction x as * (1/x)."""
+        if isinstance(other, TruncLaurent):
+            return self * other.invert()
+        if _raw(other) is None:
+            return NotImplemented
+        if not other:
+            raise NonInvertible("division of a series by zero")
+        return self * (1 / Fraction(other))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o * self.invert()
+        return NotImplemented if _raw(other) is None else \
+            self.invert() * other
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -582,15 +585,14 @@ class TruncLaurent:
                 return False
             return (self.val == 0 and not any(self.nums[1:])
                     and self.nums[0] == other * self.den)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, TruncLaurent):
             return NotImplemented
         # equality on the common window
-        prec = min(self.prec, o.prec)
+        prec = min(self.prec, other.prec)
         lo = min(self.val if self.nums else prec,
-                 o.val if o.nums else prec)
+                 other.val if other.nums else prec)
         for k in range(lo, prec):
-            if self[k] != o[k]:
+            if self[k] != other[k]:
                 return False
         return True
 

@@ -265,7 +265,7 @@ def test_fold_keeps_the_windows_of_term_by_term_products(case, ctx3, ctx4,
         for r, p in zip(rights, alone):
             assert p == _stored(lambda *args: [_fold_reference(*args)], ctx,
                                 a.terms, r.terms)
-        # windows shrink at every step with a pole: some products raise
+        # a product that raises would raise in the batch too
         if NegativeValuation not in alone:
             assert _stored(fold_products, ctx, a.terms,
                            [r.terms for r in rights]) == [p for p, in alone]
@@ -430,11 +430,36 @@ def test_rows_filled_at_build_laurent(regime):
     _assert_rows_filled(AlgebraContext(3, params), params)
 
 
+@pytest.mark.parametrize("n, q, nu", [(n, Fr(6, 5), Fr(7, 3))
+                                      for n in range(1, 6)]
+                         + [(4, Fr(-5, 6), Fr(3, 7))])
+def test_cache_hit_runs_no_closure(n, q, nu, tmp_path, request, monkeypatch):
+    """A hit loads the rules, words and rows the cold build wrote: no
+    closure and no rewriting, every row as the cold build stored it."""
+    cold = request.getfixturevalue("ctx5") if n == 5 else \
+        build_context(n, q=q, nu=nu, cache_dir=str(tmp_path))
+
+    def closure(*args):
+        pytest.fail("a cache hit rewrote words")
+
+    monkeypatch.setattr(AlgebraContext, "_close", closure)
+    monkeypatch.setattr(AlgebraContext, "reduce_word", closure)
+    warm = AlgebraContext(n, cold.params,
+                          cache_dir=os.path.dirname(cold._cache_path))
+    assert warm.stats == {"cache": "hit", "closure": "cache",
+                          "rules_added": 0}
+    assert warm.words == cold.words
+    assert warm.word_index == cold.word_index
+    assert warm._dyn == cold._dyn
+    assert warm._rows == cold._rows
+    assert not warm._memo
+
+
 # sha256 of the cache files at (6/5, 7/3) for n = 2, 3, 4
 CACHE_SHA256 = {
-    2: "f581f78033de8ac87824746325741888f897094385cf30948823e93d296b0217",
-    3: "b8e482b89ea47110c8c68fda98eeeb45d725e9369e3772f55c83451b0740b3a1",
-    4: "ab3912bc59f56daed1940a4eb6470bf1bae3eddd528a284e22f50bfcc4eb5451",
+    2: "9507eb9ff57a06fcf9ac3da0a659f56401096bfb41f45fd7ce0a79a457a768b4",
+    3: "b4e83309a40086e62acb147fec3c1c80e8801a5ec28a40f14ae3948286b9b8e4",
+    4: "6235a0c76d41348c5a56505fbf7948e825462b920c8a9401e408c352a3502f88",
 }
 
 
@@ -472,8 +497,9 @@ def test_cache_file_of_other_parameters_is_rebuilt(n, tmp_path):
 
 
 # sha256 of the n = 5 cache file at (6/5, 7/3): it pins the closure's rules
+# and the rows
 N5_CACHE_SHA256 = \
-    "21d378b780bc5e349a6f08f429d1ec4ce8b8d7c6f201339cd6504564349c708e"
+    "c1c5a91c5253f3ebe3cc6dc060bd4d8d7ef3f88fc24d21ef1444038ad1620e9e"
 
 
 def test_n5_cache_file_pinned(ctx5, ctx5_search):
@@ -596,10 +622,11 @@ def test_edited_cache_table_is_rebuilt_and_rewritten(tmp_path, monkeypatch):
     path = build()._cache_path
     with open(path) as f:
         fresh = f.read()
-    table = fresh.index('"table"')
-    one = fresh.index('"1"]', table)
+    # one numerator of the row of T1 * T1 (letter T1, basis word T1)
+    data = json.loads(fresh)
+    data["rows"][0][1][1][0][1] += 1
     with open(path, "w") as f:
-        f.write(fresh[:one] + '"1/2"]' + fresh[one + 4:])
+        json.dump(data, f)
     ctx = build()
     assert ctx.stats["cache"] == "corrupt"
     assert all(r["ok"] for r in ctx.verify_relations())

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmwfusion import BmwError, DomainMismatch
+from bmwfusion import BmwError, DomainMismatch, build_context
 
 CLI = [sys.executable, "-m", "bmwfusion.cli"]
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -364,25 +364,36 @@ def test_broken_closure_plan_exit_3(monkeypatch, capsys):
     assert got["message"].startswith("closure plan entry ")
 
 
-def _drop_expansion(data):
-    del data["table"][0]["expansion"]
+def _short_row_list(data):
+    del data["rows"][0][-1]
     return data
 
 
-def _bad_coefficient(data):
-    data["table"][1]["expansion"][0][1] = "x"
+def _index_outside_basis(data):
+    data["rows"][1][0][1][0][0] = len(data["words"])
+    return data
+
+
+def _non_integer_numerator(data):
+    data["rows"][1][0][1][0][1] = 0.5
     return data
 
 
 def _zero_denominator(data):
-    data["table"][1]["expansion"][0][1] = "1/0"
+    data["rows"][1][0][0] = 0
     return data
 
 
-@pytest.mark.parametrize("corrupt", [lambda data: [], _drop_expansion,
-                                     _bad_coefficient, _zero_denominator],
-                         ids=["list", "missing-expansion", "bad-coefficient",
-                              "zero-denominator"])
+def _short_words(data):
+    del data["words"][-1]
+    return data
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: [], _short_row_list, _index_outside_basis,
+    _non_integer_numerator, _zero_denominator, _short_words],
+    ids=["list", "short-row-list", "index-outside-basis",
+         "non-integer-numerator", "zero-denominator", "short-words"])
 def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     args = ("idempotents", "--n", "2")
     cache = tmp_path / "cache"
@@ -390,11 +401,22 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     (path,) = cache.iterdir()
     good = json.loads(path.read_text())
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    # a copy, for the cache state of an in-process build
+    spare = tmp_path / "spare"
+    spare.mkdir()
+    (spare / path.name).write_text(path.read_text())
     r = run_cli(*args, "--cache-dir", str(cache))
     assert r.returncode == 0, r.stderr
     assert r.stdout == run_cli(*args).stdout
     # the build rewrote the file
     assert json.loads(path.read_text()) == good
+
+    def state():
+        return build_context(2, q=Fraction(6, 5), nu=Fraction(7, 3),
+                             cache_dir=str(spare)).stats["cache"]
+
+    assert state() == "corrupt"
+    assert state() == "hit"
 
 
 @pytest.mark.parametrize("args,digest", [

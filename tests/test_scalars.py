@@ -132,6 +132,27 @@ def test_laurent_precision_below_valuation(x, prec):
         TruncLaurent.const(x, prec)
 
 
+def test_exact_scalar_keeps_the_window():
+    s = TruncLaurent(-1, [1, 2, 3], 2)
+    for f in (lambda: s * 2, lambda: 2 * s, lambda: s * Fr(2),
+              lambda: s / Fr(1, 2)):
+        assert _outcome(f) == (-1, 2, (2, 4, 6))
+    assert _outcome(lambda: s / 2) == (-1, 2, (Fr(1, 2), 1, Fr(3, 2)))
+    assert _outcome(lambda: 1 / s) == _outcome(s.invert) == (1, 4, (1, -2, 1))
+    assert _outcome(lambda: Fr(2, 3) / s) == (1, 4, (Fr(2, 3), Fr(-4, 3),
+                                                     Fr(2, 3)))
+    assert _outcome(lambda: s * 0) == (1, 1, ())
+    with pytest.raises(NonInvertible):
+        s / 0
+
+
+def test_scalar_added_beyond_the_window_is_lost():
+    assert _outcome(lambda: TruncLaurent(-2, [1], -1) + 1) == (-2, -1, (1,))
+    assert _outcome(lambda: 1 - TruncLaurent(-2, [1], -1)) == \
+        (-2, -1, (-1,))
+    assert _outcome(lambda: TruncLaurent(-2, [1], 0) + 1) == (-2, 0, (1, 0))
+
+
 def test_laurent_integer_powers():
     q = TruncLaurent.exp_h(1, 4)
     assert q ** 3 == TruncLaurent.exp_h(3, 4)
@@ -275,6 +296,8 @@ class _RefLaurent:
     def coerce(self, other):
         if isinstance(other, _RefLaurent):
             return other
+        if self.prec <= 0:      # h^0 lies beyond the window
+            return _RefLaurent(self.prec, [], self.prec)
         return _RefLaurent(0, [other], self.prec)
 
     def __add__(self, other):
@@ -291,6 +314,10 @@ class _RefLaurent:
         return self + (-self.coerce(other))
 
     def __mul__(self, other):
+        if not isinstance(other, _RefLaurent) and other:
+            # an exact nonzero scalar keeps the window
+            return _RefLaurent(self.val, [x * other for x in self.c],
+                               self.prec)
         o = self.coerce(other)
         prec = min(self.prec + o.val, o.prec + self.val)
         if not self.c or not o.c:

@@ -47,7 +47,6 @@ class SearchContext(AlgebraContext):
         That holds only while vg is fresh: once a rule is set, vg no
         longer reduces through every rule and the defect may be a rule
         that must not be lost."""
-        known = len(self._dyn)
         want = double_factorial(2 * self.n - 1)
         plan = self.plan = []
         basis = self._closure_once()
@@ -78,7 +77,7 @@ class SearchContext(AlgebraContext):
                                         % (len(basis), want, self.n))
             basis = self._closure_once()
         self.stats["closure"] = "search"
-        self.stats["rules_added"] = len(self._dyn) - known
+        self.stats["rules_added"] = len(self._dyn)
         return basis
 
 
