@@ -100,10 +100,12 @@ def cmd_idempotents(args) -> int:
     build = fusion_idempotent if args.method == "fusion" \
         else jm_oracle_idempotent
     idems = [build(tab, ctx) for tab in tabs]
-    for idem in idems:
-        verify_idempotent(idem, ctx)
+    # a certified full system sets the flags; the rest are checked directly
     system = complete_system_checks(idems, ctx) \
         if len(idems) == len(enumerate_tableaux(args.n)) else {}
+    for idem in idems:
+        if not idem.verified:
+            verify_idempotent(idem, ctx)
     payload = {
         "n": args.n,
         "params": {"q": args.q, "nu": args.nu},
@@ -135,17 +137,17 @@ def _suite_fusion(ctx, rnd, report):
     tabs = enumerate_tableaux(ctx.n)
     ok = True
     first = None
-    idems = []
-    for tab in tabs:
+    idems = [jm_oracle_idempotent(tab, ctx) for tab in tabs]
+    sysc = complete_system_checks(idems, ctx)
+    for tab, ji in zip(tabs, idems):
         fi = fusion_idempotent(tab, ctx)
-        ji = jm_oracle_idempotent(tab, ctx)
-        idems.append(ji)
-        flags = verify_idempotent(fi, ctx)
         same = (fi.element - ji.element).is_zero()
+        # fi = ji takes the flags the certificate proved for ji
+        flags = ji.verified if same and ji.verified \
+            else verify_idempotent(fi, ctx)
         if not (same and all(flags.values())):
             ok = False
             first = first or tab.encode()
-    sysc = complete_system_checks(idems, ctx)
     if not all(sysc.values()):
         ok = False
         first = first or "system"

@@ -301,29 +301,6 @@ def verify_idempotent(idem: Idempotent, ctx: AlgebraContext) -> dict:
     return flags
 
 
-def _orthogonality_certificate(idems, ctx) -> bool:
-    """True when the eigenvalues prove E_a E_b = 0 for every a != b.
-
-    The certificate: the content sequences have one length (at most n) and
-    are pairwise distinct, and every E_a has rho(E_a) = E_a and
-    E_a y_j = c_j(a) E_a for every j.  Applying rho gives
-    y_j E_a = c_j(a) E_a, so E_b y_j E_a is both c_j(b) E_b E_a and
-    c_j(a) E_b E_a, and a j where the two sequences differ gives
-    E_b E_a = 0.  False means only that the certificate does not hold; a
-    Laurent context never certifies, since dividing by c_j(a) - c_j(b)
-    costs series precision."""
-    seqs = [idem.contents for idem in idems]
-    lengths = {len(c) for c in seqs}
-    if not ctx.rational or len(lengths) > 1 \
-            or max(lengths, default=0) > ctx.n or len(set(seqs)) < len(seqs):
-        return False
-    for idem in idems:
-        E = idem.element
-        if ctx.rho(E) != E or not _right_eigenvector(ctx, E, idem.contents):
-            return False
-    return True
-
-
 def _orthogonal_by_products(idems, ctx) -> bool:
     """Whether every product E_a E_b with a != b is zero; the products of
     one left factor E_a run as one batch of ``bmwcore.fold_products``."""
@@ -337,19 +314,39 @@ def _orthogonal_by_products(idems, ctx) -> bool:
 
 
 def complete_system_checks(idems, ctx: AlgebraContext) -> dict:
-    """Pairwise orthogonality and completeness for a full system.
+    """Pairwise orthogonality and completeness of a full system, which
+    certifies itself and its idempotents' flags when the context is
+    rational, the E_a sum to 1, the content sequences have one length and
+    are pairwise distinct, and E_a y_j = c_j(a) E_a for every a and j.
 
-    Orthogonality is certified by the Jucys-Murphy eigenvalues (see
-    ``_orthogonality_certificate``), with no product E_a E_b.  Only when
-    the certificate does not hold is every product E_a E_b with a != b
-    formed and tested for zero, so the result is the same for a broken
-    system.  Completeness: the E_a sum to 1."""
+    The proof: the y_j commute, so right joint eigenspaces
+    {X : X y_j = c_j X} of distinct tuples c are independent.  In
+    E_a = E_a 1 = sum_b E_a E_b each E_a E_b lies in the eigenspace of
+    c(b), so E_a E_b = 0 for b != a and E_a E_a = E_a.  Then
+    y_j = 1 y_j = sum_b c_j(b) E_b gives y_j E_a = c_j(a) E_a; a polynomial
+    P_a with P_a(c(b)) = [a = b] gives E_a = P_a(y_1, y_2, ...), which rho,
+    an anti-automorphism fixing the y_j, fixes.  So every idempotent with
+    no flags yet gets the three flags of ``verify_idempotent`` True, with
+    no rho and no product E E.  A Laurent context never certifies: over
+    series, separating by c_j(a) - c_j(b) costs precision.
+
+    Otherwise no flag is set (the caller verifies those idempotents) and
+    orthogonality is read from every product E_a E_b with a != b."""
     total = ctx.zero()
     for idem in idems:      # DomainMismatch for another algebra's element
         total = total + idem.element
-    return {"orthogonal": _orthogonality_certificate(idems, ctx)
-            or _orthogonal_by_products(idems, ctx),
-            "complete": (total - ctx.one()).is_zero()}
+    complete = (total - ctx.one()).is_zero()
+    seqs = [idem.contents for idem in idems]
+    certified = complete and ctx.rational \
+        and len({len(c) for c in seqs}) == 1 and len(set(seqs)) == len(seqs) \
+        and all(_right_eigenvector(ctx, idem.element, idem.contents)
+                for idem in idems)
+    if certified:
+        for idem in idems:
+            idem.verified = idem.verified or dict.fromkeys(
+                ("idempotent", "jm_eigenvalues", "rho_symmetric"), True)
+    return {"orthogonal": certified or _orthogonal_by_products(idems, ctx),
+            "complete": complete}
 
 
 # ---------------------------------------------------------------------------

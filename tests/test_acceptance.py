@@ -87,26 +87,29 @@ def test_criterion_2_complete_systems(n, ctx2, ctx3, ctx4):
 
 
 def test_criterion_2_stretch_n5(ctx5):
-    """The n=5 system: tableau count by enumeration, distinct content
-    sequences, and per idempotent E^2=E, y_j E = c_j E and rho(E) = E
-    (``verify_idempotent``).  ``complete_system_checks`` adds
-    E y_j = c_j E, orthogonality by the eigenvalue separation (exact) and
-    completeness, with a sampled direct-product cross-check."""
+    """The n=5 system as ``bmwf idempotents`` verifies it: tableau count by
+    enumeration, distinct content sequences, then
+    ``complete_system_checks``, whose certificate (completeness and
+    E y_j = c_j E) proves orthogonality and every idempotent's flags
+    E^2=E, y_j E = c_j E and rho(E) = E exactly.  Sampled direct products
+    E_a E_b, E E and rho(E) cross-check it."""
     ctx = ctx5
     tabs = enumerate_tableaux(5)
     idems = [jm_oracle_idempotent(t, ctx) for t in tabs]
     ok = len(tabs) == len({quantum_contents(t, ctx.params) for t in tabs})
-    for idem in idems:
-        ok = ok and all(verify_idempotent(idem, ctx).values())
     ok = ok and complete_system_checks(idems, ctx) == {"orthogonal": True,
                                                        "complete": True}
-    # two-sided eigenvalues + distinct content sequences imply
-    # E_U E_V (c_j(V) - c_j(U)) = 0 at a separating j, hence orthogonality;
-    # cross-check a sample directly
+    for idem in idems:
+        if not idem.verified:
+            verify_idempotent(idem, ctx)
+        ok = ok and len(idem.verified) == 3 and all(idem.verified.values())
     rnd = random.Random(0)
     for _ in range(10):
         a, b = rnd.sample(range(len(idems)), 2)
         ok = ok and (idems[a].element * idems[b].element).is_zero()
+    for a in rnd.sample(range(len(idems)), 10):
+        E = idems[a].element
+        ok = ok and (E * E - E).is_zero() and ctx.rho(E) == E
     _report(2, ok, "stretch n=5: %d idempotents verified" % len(tabs))
 
 

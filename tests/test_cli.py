@@ -429,3 +429,16 @@ def test_verify_stdout_pinned(tmp_path, args, digest):
     r = run_cli(*args, "--cache-dir", str(tmp_path))
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("method,digest", [
+    ("jm", "a55293efdc7befd481601ed1709dc85b9717963da37893703c8a42992a3be882"),
+    ("fusion",
+     "959d9fa7419fda0ad06aa6290629b6aca64faffefffb51bb978d9ee2ae3afc55"),
+])
+def test_idempotents_stdout_pinned(tmp_path, method, digest):
+    # the full system at (6/5, 7/3): records, flags and system checks
+    r = run_cli("idempotents", "--n", "4", "--method", method,
+                "--cache-dir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest

@@ -13,6 +13,7 @@ from bmwfusion import (DomainMismatch, HeckeAlgebra, PoleAtEvaluation,
                        hecke_family_idempotent, jm_oracle_idempotent,
                        quantum_contents, symmetrizer, verify_idempotent)
 from bmwfusion import fusion
+from bmwfusion.bmwcore import AlgebraContext, AlgebraElement
 from bmwfusion.combinatorics import extension_spectrum
 from bmwfusion.errors import BmwError, NonInvertible
 from bmwfusion.fusion import (L_operator, baxterized_T_one_arg,
@@ -490,32 +491,70 @@ def test_verify_idempotent_flags_match_the_left_products(ctx3):
 
 def broken_systems(idems, ctx, shorter):
     """(name, system) for a complete system made incomplete, not
-    orthogonal or mixed in length; ``shorter`` is the idempotent of a
-    shorter tableau."""
+    orthogonal, split or mixed in length; ``shorter`` is the idempotent of
+    a shorter tableau."""
     last = len(idems) - 1
     perturbed = list(idems)
     perturbed[0] = dataclasses.replace(
         idems[0], element=idems[0].element + idems[last].element)
+    # E_0 split into E_0 + N and -N, N = T_1 E_0: the sum stays 1 and both
+    # parts keep E_0's right eigenvalues, but two content sequences agree
+    nil = ctx.gen_T(1) * idems[0].element
+    split = [dataclasses.replace(idems[0], element=idems[0].element + nil),
+             dataclasses.replace(idems[0], element=nil.scale(-1))]
     return [("perturbed", perturbed),
             ("duplicated", idems + [idems[last]]),
+            ("split", split + idems[1:]),
             ("left out", idems[1:]),
             ("shorter mixed in", idems + [shorter])]
+
+
+def fresh(idems):
+    """Copies of the idempotents with no verification flags."""
+    return [dataclasses.replace(i, verified={}) for i in idems]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_system_certificate_agrees_with_direct_products(n, ctx2, ctx3, ctx4):
     ctx = {2: ctx2, 3: ctx3, 4: ctx4}[n]
     idems = [jm_oracle_idempotent(t, ctx) for t in enumerate_tableaux(n)]
-    assert fusion._orthogonality_certificate(idems, ctx)
-    assert complete_system_checks(idems, ctx) == direct_system(idems, ctx) \
-        == {"orthogonal": True, "complete": True}
     shorter = jm_oracle_idempotent(enumerate_tableaux(n - 1)[-1], ctx)
+    want_flags = {id(i): direct_flags(i, ctx) for i in idems + [shorter]}
+    full = fresh(idems)
+    assert complete_system_checks(full, ctx) == direct_system(idems, ctx) \
+        == {"orthogonal": True, "complete": True}
+    # the certificate proves every flag
+    assert [i.verified for i in full] == [want_flags[id(i)] for i in idems]
     for name, system in broken_systems(idems, ctx, shorter):
         want = direct_system(system, ctx)
-        assert complete_system_checks(system, ctx) == want, name
+        copies = fresh(system)
+        assert complete_system_checks(copies, ctx) == want, name
         assert not all(want.values()), name
-        # a system left incomplete is still orthogonal, and the
-        # certificate proves it; every other broken system falls back to
-        # the direct products
-        assert fusion._orthogonality_certificate(system, ctx) \
-            == (name == "left out"), name
+        # a broken system is not certified, "left out" included: it sets
+        # no flag, and the caller's direct verification gives them all
+        assert not any(i.verified for i in copies), name
+        for idem in copies:
+            verify_idempotent(idem, ctx)
+        for idem, orig in zip(copies, system):
+            flags = want_flags.get(id(orig)) or direct_flags(orig, ctx)
+            assert idem.verified == flags, name
+
+
+@pytest.mark.parametrize("method", ["jm", "fusion"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_certified_system_forms_no_product_and_no_rho(n, method, ctx3, ctx4,
+                                                      monkeypatch):
+    ctx = {3: ctx3, 4: ctx4}[n]
+    build = {"jm": jm_oracle_idempotent, "fusion": fusion_idempotent}[method]
+    idems = [build(t, ctx) for t in enumerate_tableaux(n)]
+    want = [direct_flags(i, ctx) for i in idems]
+
+    def fails(*args, **kwargs):
+        pytest.fail("the certified path formed a product or rho")
+
+    monkeypatch.setattr(AlgebraContext, "rho", fails)
+    monkeypatch.setattr(AlgebraElement, "__mul__", fails)
+    monkeypatch.setattr(fusion, "_orthogonal_by_products", fails)
+    assert complete_system_checks(idems, ctx) == {"orthogonal": True,
+                                                  "complete": True}
+    assert [i.verified for i in idems] == want

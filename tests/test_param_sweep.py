@@ -48,6 +48,19 @@ def test_jm_complete_system_n4_second_pair():
                                                   "complete": True}
 
 
+def test_jm_complete_system_n5_second_pair():
+    # the certificate proves the system and sets every flag; no
+    # verify_idempotent runs
+    ctx = build_context(5, q=Fr(-5, 6), nu=Fr(3, 7))
+    idems = [jm_oracle_idempotent(t, ctx) for t in enumerate_tableaux(5)]
+    assert len(idems) == 81
+    assert complete_system_checks(idems, ctx) == {"orthogonal": True,
+                                                  "complete": True}
+    for idem in idems:
+        assert idem.verified == {"idempotent": True, "jm_eigenvalues": True,
+                                 "rho_symmetric": True}, idem.tableau.encode()
+
+
 def test_n5_closure_words_second_pair(ctx5, monkeypatch):
     # the plan recorded at (6/5, 7/3) replays here to the search's rules
     monkeypatch.delenv("BMWF_CACHE", raising=False)

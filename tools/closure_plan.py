@@ -11,7 +11,8 @@ an elimination rule until the basis has (2n-1)!! words.
 
 The plan goes to stdout as ``CLOSURE_PLANS[5]`` writes it: one token
 w.gh... per group of rules.  The sweep exits 1 unless every case replays
-to 945 words.
+to 945 words and, at every rational pair, the 81 Jucys-Murphy idempotents
+form a complete system that ``complete_system_checks`` certifies.
 """
 
 import argparse
@@ -26,8 +27,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
 from bmwfusion import (AlgebraContext, BmwError,  # noqa: E402
-                       DimensionMismatch, NotGeneric, laurent_params,
-                       make_params)
+                       DimensionMismatch, NotGeneric, complete_system_checks,
+                       enumerate_tableaux, jm_oracle_idempotent,
+                       laurent_params, make_params)
 from bmwfusion.bmwcore import double_factorial  # noqa: E402
 
 
@@ -117,26 +119,43 @@ def sweep_cases():
     return rational, laurent
 
 
+REPLAYED = "replay, 945 words"
+CERTIFIED = "complete JM system"
+
+
+def jm_system(ctx):
+    """CERTIFIED when the Jucys-Murphy idempotents of every tableau form a
+    complete system by ``complete_system_checks``, else its dict."""
+    idems = [jm_oracle_idempotent(t, ctx) for t in enumerate_tableaux(ctx.n)]
+    system = complete_system_checks(idems, ctx)
+    return CERTIFIED if all(system.values()) else "system %s" % system
+
+
 def sweep():
     """Build every case of ``sweep_cases``; 0 if each one closes by the
-    replay to 945 words, else 1."""
+    replay to 945 words and each rational pair's JM system is complete,
+    else 1."""
     tally = []
-    for cases in sweep_cases():
+    for cases, want in zip(sweep_cases(), (REPLAYED + ", " + CERTIFIED,
+                                           REPLAYED)):
         passed = 0
         for name, build in cases:
             start = time.perf_counter()
             try:
                 ctx = build()
                 got = "%s, %d words" % (ctx.stats["closure"], len(ctx.words))
+                if got == REPLAYED and ctx.rational:
+                    got += ", " + jm_system(ctx)
             except BmwError as exc:
                 got = "%s: %s" % (exc.code, exc)
-            ok = got == "replay, 945 words"
+            ok = got == want
             passed += ok
             print("%-4s %-24s %s (%.2f s)" % ("ok" if ok else "FAIL", name,
                                              got, time.perf_counter() - start))
         tally += [passed, len(cases)]
-    print("sweep: %d/%d rational pairs, %d/%d Laurent cases replay to 945"
-          " words" % tuple(tally))
+    print("sweep: %d/%d rational pairs replay to 945 words with a complete"
+          " JM system, %d/%d Laurent cases replay to 945 words"
+          % tuple(tally))
     return 0 if tally[0::2] == tally[1::2] else 1
 
 
@@ -144,7 +163,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--sweep", action="store_true",
                     help="replay the committed plan at %d seeded rational"
-                         " pairs and 4 Laurent cases instead" % SWEEP_PAIRS)
+                         " pairs, with their JM systems, and 4 Laurent cases"
+                         " instead" % SWEEP_PAIRS)
     args = ap.parse_args(argv)
     os.environ.pop("BMWF_CACHE", None)     # a cache hit would skip the work
     if args.sweep:
