@@ -30,7 +30,8 @@ from .combinatorics import check_strands
 from .errors import (DimensionMismatch, DomainMismatch, NotGeneric,
                      RewriteLimit)
 from .scalars import (ParamSet, TruncLaurent, _mul_raw, _normal, _raw,
-                      _sum_raw, format_rational, make_params, parse_rational)
+                      _sum_raw, _window, format_rational, make_params,
+                      parse_rational)
 
 T_KIND, K_KIND = 0, 1
 
@@ -170,6 +171,9 @@ class AlgebraContext:
         self.letters = [letter(k, i)
                         for i in range(1, n) for k in (T_KIND, K_KIND)]
         self._memo, self._dyn, self._jm = {}, {}, {}
+        # the words _find_redex found canonical: it reads the relations
+        # alone, so a verdict holds for the life of the context
+        self._canonical = set()
         self._cache_path = self._cache_file(cache_dir)
         # what the build did, never printed; a cold _close sets the last two
         self.stats = {"cache": self._load_cache(), "closure": "cache",
@@ -506,13 +510,15 @@ class AlgebraContext:
         memo entry back canonical."""
         done = self._memo.get(word)
         if done is None:
+            canonical = self._canonical
             pending = {word: self._one}
             done = {}
             steps = 0
             while pending:
                 w, c = pending.popitem()
-                red = self._find_redex(w)
+                red = None if w in canonical else self._find_redex(w)
                 if red is None:
+                    canonical.add(w)
                     prev = done.get(w)
                     done[w] = c if prev is None else prev + c
                     continue
@@ -641,15 +647,29 @@ class AlgebraContext:
     # cache
     # ------------------------------------------------------------------
 
+    def _point(self):
+        """The parameters as the cache file records them: q and nu as
+        rational text, or the label and the exact series of q and nu."""
+        p = self.params
+        if self.rational:
+            return {"q": format_rational(p.q), "nu": format_rational(p.nu)}
+        return {"label": p.label, "q": _series_json(p.q),
+                "nu": _series_json(p.nu)}
+
     def _cache_file(self, cache_dir):
         if cache_dir is None:
             cache_dir = os.environ.get("BMWF_CACHE")
-        if not cache_dir or not isinstance(self.params, ParamSet):
+        if not cache_dir:
             return None
+        point = self._point()
+        if self.rational:
+            tag = ("q%s-nu%s" % (point["q"], point["nu"])).replace("/", "_")
+        else:   # the label, then val, prec, den and nums of q and nu
+            tag = "laurent-" + hashlib.sha256(
+                json.dumps(point).encode()).hexdigest()[:16]
         plan = CLOSURE_PLANS.get(self.n)      # another plan, other rules
-        key = "bmw-n%d-q%s-nu%s-v%d%s.json" % (
-            self.n, str(self.params.q).replace("/", "_"),
-            str(self.params.nu).replace("/", "_"), CACHE_FORMAT_VERSION,
+        key = "bmw-n%d-%s-v%d%s.json" % (
+            self.n, tag, CACHE_FORMAT_VERSION,
             "-" + hashlib.sha256(plan.encode()).hexdigest() if plan else "")
         return os.path.join(cache_dir, key)
 
@@ -657,9 +677,11 @@ class AlgebraContext:
         """Fill ``_dyn``, ``words``, ``word_index`` and ``_rows`` from the
         cache file and return the cache state: "off" without a cache file,
         "hit", "miss" for a missing or other-version file, "corrupt" for an
-        unreadable or malformed one, or one recorded for another n, q or
-        nu.  The build rewrites the file unless it was a hit; a hit that
-        fails the relation suite is built again cold and becomes "corrupt".
+        unreadable or malformed one, or one recorded for other parameters
+        or another n.  A series is read only in the normal form
+        ``_read_series`` accepts.  The build rewrites the file unless it
+        was a hit; a hit that fails the relation suite is built again cold
+        and becomes "corrupt".
         """
         path = self._cache_path
         if path is None:
@@ -674,27 +696,34 @@ class AlgebraContext:
                 raise ValueError("letter outside the algebra")
             return w
 
+        seen = {}   # one TruncLaurent for each distinct series
+        coeff = parse_rational if self.rational else \
+            (lambda x: _read_series(x, seen))
         try:
             with open(path) as f:
                 data = json.load(f)
             if data.get("version") != CACHE_FORMAT_VERSION:
                 return "miss"
-            if (data["n"], parse_rational(data["q"]),
-                    parse_rational(data["nu"])) != \
-                    (self.n, self.params.q, self.params.nu):
+            if data["n"] != self.n or any(
+                    data[k] != v for k, v in self._point().items()):
                 return "corrupt"
-            dyn = {word(ent["word"]): {word(u): parse_rational(c)
+            dyn = {word(ent["word"]): {word(u): coeff(c)
                                        for u, c in ent["expansion"]}
                    for ent in data["dyn"]}
             words = [word(w) for w in data["words"]]
+            rows = data.pop("rows")
+            del data
+            num = int if self.rational else TruncLaurent
+            for k, row_of in enumerate(rows):   # freed as it is converted
+                rows[k] = [(den, tuple(map(tuple, pairs)) if self.rational
+                            else tuple((j, coeff(x)) for j, x in pairs))
+                           for den, pairs in row_of]
             size = len(words)
-            rows = [[(den, tuple(map(tuple, pairs))) for den, pairs in row_of]
-                    for row_of in data["rows"]]
             if size != double_factorial(2 * self.n - 1) or \
                     len(set(words)) != size or len(rows) != len(letters) or \
                     any(len(row_of) != size for row_of in rows) or not all(
                         type(den) is int and den > 0 and all(
-                            type(j) is int and type(x) is int and 0 <= j < size
+                            type(j) is int and type(x) is num and 0 <= j < size
                             for j, x in pairs)
                         for row_of in rows for den, pairs in row_of):
                 return "corrupt"
@@ -712,11 +741,9 @@ class AlgebraContext:
         data = {
             "version": CACHE_FORMAT_VERSION,
             "n": self.n,
-            "q": format_rational(self.params.q),
-            "nu": format_rational(self.params.nu),
+            **self._point(),
             # the rules, which reduce_word needs after the build
-            "dyn": [{"word": w, "expansion": [[u, format_rational(c)]
-                                              for u, c in sorted(v.items())]}
+            "dyn": [{"word": w, "expansion": sorted(v.items())}
                     for w, v in sorted(self._dyn.items())],
             # the basis, and the rows of each letter as _rows holds them
             "words": self.words,
@@ -728,7 +755,10 @@ class AlgebraContext:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                        prefix=".bmwf-tmp-")
             with os.fdopen(fd, "w") as f:
-                f.write(json.dumps(data))   # dumps, unlike dump, runs in C
+                # dumps, unlike dump, runs in C; it writes each coefficient
+                # as rational text or as _series_json gives a series
+                f.write(json.dumps(data, default=format_rational
+                                   if self.rational else _series_json))
             os.replace(tmp, path)
         except OSError:
             if tmp is not None:
@@ -893,6 +923,30 @@ class AlgebraContext:
             chk("y y K = nu^2 K (2.23)", "j=%d" % j,
                 ys[j - 1] * ys[j] * K(j), K(j).scale(nu2))
         return report
+
+
+def _series_json(x):
+    """A series as the cache file writes it: [val, prec, den, nums]."""
+    return [x.val, x.prec, x.den, list(x.nums)]
+
+
+def _read_series(x, seen):
+    """The series of ``_series_json`` output, or ValueError unless its
+    fields are integers, den > 0 and ``scalars._window`` leaves it
+    unchanged: the normal form, with prec - val numerators.  ``seen``
+    maps the fields of each series read to its one TruncLaurent."""
+    val, prec, den, nums = x
+    key = (val, prec, den, *nums)
+    if set(map(type, key)) != {int}:
+        raise ValueError("series field not an integer")
+    got = seen.get(key)
+    if got is None:
+        nums = key[3:]
+        if den <= 0 or len(nums) != prec - val or \
+                _window(val, prec, den, nums) != (val, prec, den, nums):
+            raise ValueError("series not in normal form")
+        got = seen[key] = TruncLaurent._make(val, prec, den, nums)
+    return got
 
 
 class SparseElement:

@@ -258,7 +258,7 @@ def _suite_hecke(ctx, rnd, report):
     return ok
 
 
-def _suite_contraction(ctx, rnd, report):
+def _suite_contraction(ctx, rnd, report, cache_dir=None):
     ok = True
     first = None
     checked = 0
@@ -279,7 +279,7 @@ def _suite_contraction(ctx, rnd, report):
                                                            th2, om)
     n_or = min(ctx.n, 3)
     lp = laurent_params(1, 5, 4)
-    lctx = AlgebraContext(n_or, lp, verify=False)
+    lctx = AlgebraContext(n_or, lp, cache_dir=cache_dir, verify=False)
     orc = structure_constant_oracle(lctx, 5)
     if not orc.get("ok"):
         ok = False
@@ -298,7 +298,8 @@ def cmd_verify(args) -> int:
         "reflection": _suite_reflection,
         "baxterized": _suite_baxterized,
         "hecke": _suite_hecke,
-        "contraction": _suite_contraction,
+        "contraction": lambda ctx, rnd, report: _suite_contraction(
+            ctx, rnd, report, args.cache_dir),
     }
     todo = list(suites) if args.suite == "all" else [args.suite]
     ctx = _context(args)
@@ -402,8 +403,12 @@ def cmd_export(args) -> int:
     elif kind == "antisymmetrizer":
         _emit(args, element_to_json(antisymmetrizer(args.n, ctx, "chain")))
     elif kind == "brauer-idempotent":
-        e = brauer_idempotent_via_contraction(
-            tab, args.regime, parse_rational(args.omega), args.truncation)
+        omega = parse_rational(args.omega)
+        lctx = AlgebraContext(
+            args.n, laurent_params(args.regime, omega, args.truncation),
+            cache_dir=args.cache_dir, verify=False)
+        e = brauer_idempotent_via_contraction(tab, args.regime, omega,
+                                              ctx=lctx)
         _emit(args, brauer_to_json(e))
     elif kind == "hecke-idempotent":
         hk = HeckeAlgebra(args.n, parse_rational(args.q))

@@ -297,7 +297,8 @@ def verify_idempotent(idem: Idempotent, ctx: AlgebraContext) -> dict:
     flags = {"idempotent": (E * E - E).is_zero(),
              "jm_eigenvalues": _right_eigenvector(ctx, R, idem.contents),
              "rho_symmetric": R == E}
-    idem.verified.update(flags)
+    # a new dict: a dataclasses.replace copy shares the original's
+    idem.verified = {**idem.verified, **flags}
     return flags
 
 

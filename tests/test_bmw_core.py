@@ -9,8 +9,10 @@ import pytest
 
 from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        DimensionMismatch, DomainMismatch, HeckeAlgebra,
-                       NotGeneric, RatFunc, TruncLaurent, build_context,
-                       hecke_quotient, laurent_params, make_params)
+                       NotGeneric, RatFunc, TruncLaurent,
+                       brauer_idempotent_via_contraction, build_context,
+                       enumerate_tableaux, hecke_quotient, laurent_params,
+                       make_params)
 from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
                                fold_products, jm_word, letter, word_name,
                                K_KIND, T_KIND)
@@ -639,6 +641,175 @@ def test_edited_cache_table_is_rebuilt_and_rewritten(tmp_path, monkeypatch):
                                        "ok": False}])
     with pytest.raises(DimensionMismatch):
         build()
+
+
+def _stored_table(ctx):
+    """The rules and rows of ctx with every series as stored."""
+    return ({w: _as_stored(v) for w, v in ctx._dyn.items()},
+            {l: [(den, [(j, (x.val, x.prec, x.den, x.nums)) for j, x in pairs])
+                 for den, pairs in row_of] for l, row_of in ctx._rows.items()})
+
+
+def _laurent_round_trip(n, params, cache_dir, monkeypatch):
+    """A cold build, then a warm one that must hit with no closure and no
+    rewriting and leave the file as it was; both contexts."""
+    cold = AlgebraContext(n, params, cache_dir=cache_dir, verify=False)
+    assert cold.stats["cache"] == "miss"
+    inode = os.stat(cold._cache_path).st_ino
+
+    def closure(*args):
+        pytest.fail("a cache hit rewrote words")
+
+    with monkeypatch.context() as m:
+        m.setattr(AlgebraContext, "_close", closure)
+        m.setattr(AlgebraContext, "reduce_word", closure)
+        warm = AlgebraContext(n, params, cache_dir=cache_dir, verify=False)
+    assert warm.stats == {"cache": "hit", "closure": "cache",
+                          "rules_added": 0}
+    assert os.stat(cold._cache_path).st_ino == inode, "a hit rewrote the file"
+    assert warm.words == cold.words
+    assert warm.word_index == cold.word_index
+    assert warm._dyn.keys() == cold._dyn.keys()
+    assert _stored_table(warm) == _stored_table(cold)
+    return cold, warm
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("regime", [1, 2])
+@pytest.mark.parametrize("omega", [5, Fr(7, 2)], ids=["5", "7_2"])
+def test_laurent_cache_round_trip(n, regime, omega, tmp_path, monkeypatch):
+    cold, warm = _laurent_round_trip(n, laurent_params(regime, omega),
+                                     str(tmp_path), monkeypatch)
+    # every tableau at n <= 3, every 6th at n = 4
+    for tab in enumerate_tableaux(n)[::6 if n == 4 else 1]:
+        want = brauer_idempotent_via_contraction(tab, regime, omega, ctx=cold)
+        got = brauer_idempotent_via_contraction(tab, regime, omega, ctx=warm)
+        assert got.terms == want.terms, tab.encode()
+
+
+def test_laurent_cache_round_trip_n5(tmp_path, monkeypatch):
+    cold, _ = _laurent_round_trip(5, laurent_params(1, 5, 5), str(tmp_path),
+                                  monkeypatch)
+    assert len(cold._dyn) == 164
+
+
+def _laurent_file(tmp_path):
+    """The fresh text and path of the n = 3 regime-1 cache file."""
+    ctx = AlgebraContext(3, laurent_params(1, 5), cache_dir=str(tmp_path),
+                         verify=False)
+    with open(ctx._cache_path) as f:
+        return f.read(), ctx._cache_path
+
+
+def _series_of(data):
+    """The series [val, prec, den, nums] of the row T1 * T1 at basis
+    index 0 (the word 1)."""
+    return data["rows"][0][1][1][0][1]
+
+
+def _non_normal(s):
+    s[2] *= 2
+    s[3] = [2 * x for x in s[3]]
+
+
+def _leading_zero(s):
+    s[0] -= 1
+    s[3].insert(0, 0)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _non_normal, _leading_zero, lambda s: s[3].append(0),
+    lambda s: s[3].__setitem__(0, float(s[3][0])),
+    lambda s: s.__setitem__(1, str(s[1])),
+    lambda s: s.__setitem__(2, 0), lambda s: s.pop()],
+    ids=["non-normal", "leading-zero", "window-length", "float-numerator",
+         "text-precision", "zero-denominator", "three-fields"])
+def test_malformed_laurent_cache_is_rebuilt(corrupt, tmp_path):
+    fresh, path = _laurent_file(tmp_path)
+    data = json.loads(fresh)
+    corrupt(_series_of(data))
+    with open(path, "w") as f:
+        json.dump(data, f)
+
+    def state():
+        return AlgebraContext(3, laurent_params(1, 5), cache_dir=str(tmp_path),
+                              verify=False).stats["cache"]
+
+    assert state() == "corrupt"
+    with open(path) as f:
+        assert f.read() == fresh
+    assert state() == "hit"
+
+
+def test_laurent_cache_of_other_series_is_rebuilt(tmp_path):
+    fresh, path = _laurent_file(tmp_path)
+    for key, value in (("label", "regime2(omega=5)"),
+                       ("q", json.loads(fresh)["nu"])):
+        data = json.loads(fresh)
+        data[key] = value
+        with open(path, "w") as f:
+            json.dump(data, f)
+        ctx = AlgebraContext(3, laurent_params(1, 5),
+                             cache_dir=str(tmp_path), verify=False)
+        assert ctx.stats["cache"] == "corrupt", key
+        with open(path) as f:
+            assert f.read() == fresh
+
+
+def test_laurent_cache_file_is_read_only_by_its_series(tmp_path):
+    _, path = _laurent_file(tmp_path)
+    others = [laurent_params(2, 5), laurent_params(1, Fr(7, 2)),
+              laurent_params(1, 5, 5), laurent_params(1, 5, 3)]
+    for params in others:
+        ctx = AlgebraContext(3, params, cache_dir=str(tmp_path), verify=False)
+        assert ctx.stats["cache"] == "miss", params.label
+        assert ctx._cache_path != path
+    assert len(os.listdir(tmp_path)) == 1 + len(others)
+
+
+def test_edited_laurent_table_is_rebuilt_by_a_verified_build(tmp_path):
+    fresh, path = _laurent_file(tmp_path)
+    data = json.loads(fresh)
+    # T1 * T1 = 2 + ...: normal form, wrong product
+    s = _series_of(data)
+    s[:] = [0, s[1], 1, [2] + [0] * (s[1] - 1)]
+    with open(path, "w") as f:
+        json.dump(data, f)
+
+    def build(verify):
+        return AlgebraContext(3, laurent_params(1, 5),
+                              cache_dir=str(tmp_path), verify=verify)
+
+    # unchecked, the edited table is served, as a rational one is
+    assert build(False).stats["cache"] == "hit"
+    ctx = build(True)
+    assert ctx.stats["cache"] == "corrupt"
+    assert all(r["ok"] for r in ctx.verify_relations())
+    with open(path) as f:
+        assert f.read() == fresh
+
+
+def test_canonical_words_are_searched_once(tmp_path, monkeypatch):
+    """reduce_word looks for a redex in a canonical word once per context:
+    a cold n = 5 build at (6/5, 7/3) ran 71,850 redex searches without
+    that, 30,374 of them on 1,113 canonical words.  The file is the
+    pinned one."""
+    monkeypatch.delenv("BMWF_CACHE", raising=False)
+    found = []
+    search = AlgebraContext._find_redex
+
+    def counted(self, w):
+        red = search(self, w)
+        found.append(red is None)
+        return red
+
+    monkeypatch.setattr(AlgebraContext, "_find_redex", counted)
+    ctx = build_context(5, q=Fr(6, 5), nu=Fr(7, 3), cache_dir=str(tmp_path))
+    assert len(found) == 71850 - 30374 + 1113
+    assert sum(found) == len(ctx._canonical) == 1113
+    assert all(search(ctx, w) is None for w in ctx._canonical)
+    with open(ctx._cache_path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == N5_CACHE_SHA256
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -337,6 +337,26 @@ def test_export_brauer_idempotent_n5_default_truncation(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == N5_BRAUER_SHA256
 
 
+def test_export_brauer_idempotent_warm_cache(tmp_path):
+    # the Laurent context is cached: the warm run loads it and prints the
+    # same stdout
+    from bmwfusion import AlgebraContext, laurent_params
+    args = ("export", "--kind", "brauer-idempotent", "--n", "4", "--tableau",
+            "1;2;2,1;2,2", "--regime", "1", "--omega", "5", "--cache-dir",
+            str(tmp_path))
+    cold = run_cli(*args)
+    assert cold.returncode == 0, cold.stderr
+    (path,) = tmp_path.iterdir()
+    inode = path.stat().st_ino
+    warm = run_cli(*args)
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
+    assert path.stat().st_ino == inode, "the warm run rewrote the cache"
+    ctx = AlgebraContext(4, laurent_params(1, 5, 4), cache_dir=str(tmp_path),
+                         verify=False)
+    assert ctx.stats["cache"] == "hit"
+
+
 def test_export_brauer_n5_short_truncation_exit_2(monkeypatch, capsys):
     from bmwfusion import cli
 
@@ -344,6 +364,7 @@ def test_export_brauer_n5_short_truncation_exit_2(monkeypatch, capsys):
         pytest.fail("built a context for a rejected truncation")
 
     monkeypatch.setattr(cli, "build_context", no_build)
+    monkeypatch.setattr(cli, "AlgebraContext", no_build)
     assert cli.main(["export", "--n", "5", "--kind", "brauer-idempotent",
                      "--tableau", N5_TABLEAU, "--truncation", "4"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"

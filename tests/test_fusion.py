@@ -489,6 +489,17 @@ def test_verify_idempotent_flags_match_the_left_products(ctx3):
             assert verify_idempotent(other, ctx3)["jm_eigenvalues"] is left
 
 
+def test_verifying_a_copy_keeps_the_original_flags(ctx2):
+    # a dataclasses.replace copy shares the original's verified dict
+    i = jm_oracle_idempotent(enumerate_tableaux(2)[0], ctx2)
+    verify_idempotent(i, ctx2)
+    assert i.verified and all(i.verified.values())
+    flags = verify_idempotent(
+        dataclasses.replace(i, element=i.element + ctx2.gen_T(1)), ctx2)
+    assert not all(flags.values())
+    assert i.verified and all(i.verified.values())
+
+
 def broken_systems(idems, ctx, shorter):
     """(name, system) for a complete system made incomplete, not
     orthogonal, split or mixed in length; ``shorter`` is the idempotent of
