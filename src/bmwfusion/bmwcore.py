@@ -139,8 +139,65 @@ class LaurentParams:
         self.c = -(qinv * self.nu_inv)
 
 
-class AlgebraContext:
-    """Immutable context: canonical words and memoized rewriting for one n.
+class RowAlgebra:
+    """The base of the BMW, Hecke and Brauer algebras: after its build an
+    algebra is a row table that :func:`fold_products` multiplies.
+
+    A subclass fills ``words`` (its basis keys, the unit first), their
+    ``word_index`` and the rows ``_rows[l][i]`` of each letter l on each
+    basis index i, integers over one denominator when ``rational``.  It
+    names its ``element_type`` and spells each basis key as a word in the
+    letters (``spell``, by default through ``_spellings``)."""
+
+    rational = True
+    _one = Fraction(1)
+
+    def spell(self, key):
+        """The word in the letters whose product from 1 is ``key``."""
+        return self._spellings[key]
+
+    def one(self):
+        return self.element_type(self, {self.words[0]: self._one})
+
+    def zero(self):
+        return self.element_type(self, {})
+
+    def gen_T(self, i):
+        return self._generator(T_KIND, i)
+
+    def gen_K(self, i):
+        return self._generator(K_KIND, i)
+
+    def _generator(self, kind, i):
+        """1 times the letter of this kind and index i, read off its row on
+        the unit (a series row is over 1)."""
+        check_index(i, self.n)
+        den, pairs = self._rows[letter(kind, i)][0]
+        words, rational = self.words, self.rational
+        return self.element_type(self, {
+            words[j]: Fraction(x, den) if rational else x for j, x in pairs})
+
+    def from_terms(self, terms):
+        """The element sum c * k over {basis key k: c}; any other key
+        raises DomainMismatch."""
+        for k in terms:
+            if k not in self.word_index:
+                raise DomainMismatch("%r is not a basis key of %s_%d" % (
+                    k, type(self).__name__, self.n))
+        return self.element_type(self, terms)
+
+    def product(self, a, b):
+        """a * b for two elements of this algebra: every basis key of b
+        spelled as a word, then one :func:`fold_products` call."""
+        a._check(b)
+        spell = self.spell
+        return self.element_type(self, fold_products(
+            self, a.terms, [{spell(k): c for k, c in b.terms.items()}])[0])
+
+
+class AlgebraContext(RowAlgebra):
+    """Immutable context: canonical words and memoized rewriting for one n,
+    and after the build its row table.
 
     Use :func:`build_context`; the constructor itself performs the closure.
     """
@@ -154,8 +211,6 @@ class AlgebraContext:
                 raise NotGeneric("certified_n",
                                  "params certified only for n=%d"
                                  % params.certified_n)
-            self._one = Fraction(1)
-            self.rational = True
         elif isinstance(params, LaurentParams):
             if n >= 5 and params.q.prec < default_truncation(n):
                 raise DimensionMismatch("the closure at n = %d needs %d series"
@@ -771,11 +826,9 @@ class AlgebraContext:
     # element constructors
     # ------------------------------------------------------------------
 
-    def zero(self):
-        return AlgebraElement(self, {})
-
-    def one(self):
-        return AlgebraElement(self, {(): self._one})
+    def spell(self, w):
+        """A canonical word is its own spelling."""
+        return w
 
     def from_terms(self, terms):
         """The element sum c * w over {word: c}, reduced onto the basis.
@@ -800,14 +853,6 @@ class AlgebraContext:
                 prev = out.get(u)
                 out[u] = cu if prev is None else prev + cu
         return AlgebraElement(self, out)
-
-    def gen_T(self, i):
-        check_index(i, self.n)
-        return AlgebraElement(self, {(letter(T_KIND, i),): self._one})
-
-    def gen_K(self, i):
-        check_index(i, self.n)
-        return AlgebraElement(self, {(letter(K_KIND, i),): self._one})
 
     def gen_Tinv(self, i):
         """T_i^-1 = T_i - delta + delta K_i."""
@@ -1166,10 +1211,11 @@ class AlgebraElement(SparseElement):
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check(other)
-        ctx = self.algebra
-        return AlgebraElement(ctx, fold_products(
-            ctx, self.terms, [other.terms])[0])
+        return self.algebra.product(self, other)
+
+
+# named here, as the element class follows the context in this module
+AlgebraContext.element_type = AlgebraElement
 
 
 def build_context(n, params=None, q=None, nu=None, cache_dir=None):

@@ -2,16 +2,17 @@
 
 A diagram is a perfect matching on the 2n points {top 0..n-1, bottom
 n..2n-1}; concatenation closes with one factor of omega per closed loop.
-Generators: s_i (simple transposition) and e_i (cup-cap).
+Generators: s_i (simple transposition) and e_i (cup-cap), the letters
+T_i and K_i of ``bmwcore``, whose rows ``bmwcore.fold_products`` reads.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .bmwcore import SparseElement, check_index
+from .bmwcore import K_KIND, T_KIND, RowAlgebra, SparseElement, letter
 from .combinatorics import check_strands
-from .errors import DomainMismatch
 
 Diagram = frozenset  # of sorted 2-tuples covering {0..2n-1}
 
@@ -73,65 +74,32 @@ def diagram_mul(n: int, d1: Diagram, d2: Diagram):
     return frozenset(pairs), loops
 
 
-def all_diagrams(n: int):
-    """All (2n-1)!! perfect matchings on 2n points, deterministic order."""
-    points = list(range(2 * n))
-    out = []
-
-    def rec(rest, acc):
-        if not rest:
-            out.append(frozenset(acc))
-            return
-        a = rest[0]
-        for k in range(1, len(rest)):
-            b = rest[k]
-            acc.append((a, b))
-            rec(rest[1:k] + rest[k + 1:], acc)
-            acc.pop()
-
-    rec(points, [])
-    return out
-
-
-class BrauerAlgebra:
-    """B_n(omega) over exact rationals, 1 <= n <= STRAND_CAP."""
-
-    def __init__(self, n: int, omega):
-        check_strands(n)
-        self.n = n
-        self.omega = Fraction(omega)
-
-    def __eq__(self, other):
-        if not isinstance(other, BrauerAlgebra):
-            return NotImplemented
-        return (self.n, self.omega) == (other.n, other.omega)
-
-    def __hash__(self):
-        return hash((self.n, self.omega))
-
-    def one(self) -> "BrauerElement":
-        return BrauerElement(self, {identity_diagram(self.n): Fraction(1)})
-
-    def zero(self) -> "BrauerElement":
-        return BrauerElement(self, {})
-
-    def s(self, i: int) -> "BrauerElement":
-        check_index(i, self.n)
-        return BrauerElement(self, {s_diagram(self.n, i): Fraction(1)})
-
-    def e(self, i: int) -> "BrauerElement":
-        check_index(i, self.n)
-        return BrauerElement(self, {e_diagram(self.n, i): Fraction(1)})
-
-    def from_terms(self, terms) -> "BrauerElement":
-        """The element sum c * d over {d: c}; a key that is not n sorted
-        pairs covering 0..2n-1 once raises DomainMismatch."""
-        for d in terms:
-            if any(len(p) != 2 or p[0] > p[1] for p in d) or \
-                    sorted(sum(d, ())) != list(range(2 * self.n)):
-                raise DomainMismatch("%r is not a Brauer diagram on %d "
-                                     "strands" % (sorted(d), self.n))
-        return BrauerElement(self, dict(terms))
+@functools.cache
+def _table(n: int, omega: Fraction):
+    """The row table of B_n(omega), memoised by (n, omega) and shared by
+    every algebra of that (n, omega), so read only: the diagrams in
+    breadth-first order from the identity over the loop-free right
+    products by s_i (letter T_i) and e_i (letter K_i), their index, the
+    word of the first such product that reaches each diagram, and the
+    rows d_i g_l = omega^loops d_j as (b^loops, ((j, a^loops),)) for
+    omega = a/b, empty when omega = 0 and a loop closes."""
+    gens = {letter(k, i): (s_diagram if k == T_KIND else e_diagram)(n, i)
+            for i in range(1, n) for k in (T_KIND, K_KIND)}
+    words = [identity_diagram(n)]
+    spellings = {words[0]: ()}
+    found = {l: [] for l in gens}     # per letter: (d g_l, loops) by index
+    for d in words:                   # visits the diagrams it appends
+        for l, g in gens.items():
+            p, loops = diagram_mul(n, d, g)
+            if not loops and p not in spellings:
+                spellings[p] = spellings[d] + (l,)
+                words.append(p)
+            found[l].append((p, loops))
+    index = {d: k for k, d in enumerate(words)}
+    a, b = omega.numerator, omega.denominator
+    rows = {l: tuple((b ** k, ((index[p], a ** k),) if a or not k else ())
+                     for p, k in prods) for l, prods in found.items()}
+    return tuple(words), index, spellings, rows
 
 
 class BrauerElement(SparseElement):
@@ -148,18 +116,33 @@ class BrauerElement(SparseElement):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
-        alg = self.algebra
-        n, w = alg.n, alg.omega
-        out = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                d, loops = diagram_mul(n, d1, d2)
-                c = c1 * c2 * w ** loops
-                out[d] = out.get(d, Fraction(0)) + c
-        return BrauerElement(alg, out)
+        return self.algebra.product(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
+
+
+class BrauerAlgebra(RowAlgebra):
+    """B_n(omega) over exact rationals, 1 <= n <= STRAND_CAP, on the row
+    table of its (n, omega); each diagram is spelled by its word there."""
+
+    element_type = BrauerElement
+
+    def __init__(self, n: int, omega):
+        check_strands(n)
+        self.n = n
+        self.omega = Fraction(omega)
+        self.words, self.word_index, self._spellings, self._rows = \
+            _table(n, self.omega)
+
+    def __eq__(self, other):
+        if not isinstance(other, BrauerAlgebra):
+            return NotImplemented
+        return (self.n, self.omega) == (other.n, other.omega)
+
+    def __hash__(self):
+        return hash((self.n, self.omega))
+
+    s, e = RowAlgebra.gen_T, RowAlgebra.gen_K

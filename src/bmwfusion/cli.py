@@ -277,9 +277,8 @@ def _suite_contraction(ctx, rnd, report, cache_dir=None):
                 ok = False
                 first = first or "regime %d (%s,%s,%s)" % (regime, th1,
                                                            th2, om)
-    n_or = min(ctx.n, 3)
-    lp = laurent_params(1, 5, 4)
-    lctx = AlgebraContext(n_or, lp, cache_dir=cache_dir, verify=False)
+    lctx = AlgebraContext(min(ctx.n, 3), laurent_params(1, 5, 4),
+                          cache_dir=cache_dir)
     orc = structure_constant_oracle(lctx, 5)
     if not orc.get("ok"):
         ok = False
@@ -406,7 +405,7 @@ def cmd_export(args) -> int:
         omega = parse_rational(args.omega)
         lctx = AlgebraContext(
             args.n, laurent_params(args.regime, omega, args.truncation),
-            cache_dir=args.cache_dir, verify=False)
+            cache_dir=args.cache_dir)
         e = brauer_idempotent_via_contraction(tab, args.regime, omega,
                                               ctx=lctx)
         _emit(args, brauer_to_json(e))

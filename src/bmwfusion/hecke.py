@@ -4,9 +4,9 @@ from BMW_n, and the one-parameter family of fusion idempotents.
 Permutations are tuples in 0-indexed one-line notation.  The quadratic
 relation is T_i^2 = 1 + (q - q^-1) T_i, matching the image of the BMW
 quadratic relation at kappa = 0.  Products run on the letter-row fold of
-``bmwcore``: the basis is the n! permutations, the letters are the
-generator indices 1..n-1, and each right-hand T_w is spelled as its
-lexicographically minimal reduced word.
+``bmwcore``: the basis is the n! permutations, the letters are the T_i of
+``bmwcore``, and each right-hand T_w is spelled as its lexicographically
+minimal reduced word.
 """
 
 from __future__ import annotations
@@ -14,16 +14,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bmwcore import (AlgebraElement, T_KIND, SparseElement, check_index,
-                      fold_products, letter_index, letter_kind)
+from .bmwcore import (AlgebraElement, RowAlgebra, T_KIND, SparseElement,
+                      fold_products, letter, letter_kind)
 from .combinatorics import UpDownTableau, check_strands, quantum_contents
 from .errors import DivisionByZero, DomainMismatch, NotGeneric
 from .fusion import SpectralView, consecutive_evaluation
 from .scalars import format_rational
-
-
-def identity_perm(n: int):
-    return tuple(range(n))
 
 
 def perm_inversions(w) -> int:
@@ -39,8 +35,8 @@ def apply_s_right(w, i: int):
 
 
 def lex_min_reduced_word(w):
-    """The lexicographically minimal reduced word, via the exchange
-    condition: repeatedly strip the smallest admissible left factor."""
+    """The lexicographically minimal reduced word in the letters T_i, by
+    the exchange condition: strip the smallest admissible left factor."""
     w = list(w)
     n = len(w)
     out = []
@@ -55,73 +51,10 @@ def lex_min_reduced_word(w):
                 break
         if best is None:
             return tuple(out)
-        out.append(best)
+        out.append(letter(T_KIND, best))
         a, b = inv[best - 1], inv[best]
         w[a], w[b] = w[b], w[a]
         inv[best - 1], inv[best] = b, a
-
-
-class HeckeAlgebra:
-    """H_n(q) with exact rational q != 0, 1 <= n <= STRAND_CAP.  Its rows
-    for ``bmwcore.fold_products`` are integers over one denominator."""
-
-    rational = True
-
-    def __init__(self, n: int, q):
-        check_strands(n)
-        self.n = n
-        self.q = Fraction(q)
-        if not self.q:
-            raise DivisionByZero("the Hecke algebra needs q != 0")
-        self.delta = self.q - 1 / self.q
-        self.words = list(itertools.permutations(range(n)))
-        self.word_index = {w: k for k, w in enumerate(self.words)}
-        # T_w T_l on basis indices, filled here
-        self._rows = {l: [self._row(l, i) for i in range(len(self.words))]
-                      for l in range(1, n)}
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeAlgebra):
-            return NotImplemented
-        return (self.n, self.q) == (other.n, other.q)
-
-    def __hash__(self):
-        return hash((self.n, self.q))
-
-    def _row(self, l, i):
-        """T_w T_l = T_{w s_l}, plus delta T_w when l is a descent of w."""
-        w, d = self.words[i], self.delta.denominator
-        nums = ((self.word_index[apply_s_right(w, l)], d),)
-        if w[l - 1] > w[l]:
-            nums += ((i, self.delta.numerator),)
-        return d, nums
-
-    def one(self):
-        return HeckeElement(self, {identity_perm(self.n): Fraction(1)})
-
-    def zero(self):
-        return HeckeElement(self, {})
-
-    def gen_K(self, i: int):
-        """The image of kappa_i: zero in the quotient."""
-        return self.zero()
-
-    def gen_T(self, i: int):
-        check_index(i, self.n)
-        return HeckeElement(
-            self, {apply_s_right(identity_perm(self.n), i): Fraction(1)})
-
-    def from_terms(self, terms):
-        """The element sum c * T_w over {w: c}; a key that is not a
-        permutation of range(n) raises DomainMismatch."""
-        out = {}
-        for w, c in terms.items():
-            w = tuple(w)
-            if w not in self.word_index:
-                raise DomainMismatch("%r is not a permutation of 0..%d"
-                                     % (w, self.n - 1))
-            out[w] = c
-        return HeckeElement(self, out)
 
 
 class HeckeElement(SparseElement):
@@ -135,10 +68,48 @@ class HeckeElement(SparseElement):
     def __mul__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        self._check(other)
-        right = {lex_min_reduced_word(w): c for w, c in other.terms.items()}
-        return HeckeElement(self.algebra, fold_products(
-            self.algebra, self.terms, [right])[0])
+        return self.algebra.product(self, other)
+
+
+class HeckeAlgebra(RowAlgebra):
+    """H_n(q) with exact rational q != 0, 1 <= n <= STRAND_CAP.  Its rows
+    for ``bmwcore.fold_products`` are integers over one denominator."""
+
+    element_type = HeckeElement
+
+    def __init__(self, n: int, q):
+        check_strands(n)
+        self.n = n
+        self.q = Fraction(q)
+        if not self.q:
+            raise DivisionByZero("the Hecke algebra needs q != 0")
+        self.delta = self.q - 1 / self.q
+        self.words = list(itertools.permutations(range(n)))
+        self.word_index = {w: k for k, w in enumerate(self.words)}
+        # T_w T_i on basis indices for the letter T_i, filled here
+        self._rows = {letter(T_KIND, i): [self._row(i, k) for k in range(
+            len(self.words))] for i in range(1, n)}
+        self._spellings = {w: lex_min_reduced_word(w) for w in self.words}
+
+    def __eq__(self, other):
+        if not isinstance(other, HeckeAlgebra):
+            return NotImplemented
+        return (self.n, self.q) == (other.n, other.q)
+
+    def __hash__(self):
+        return hash((self.n, self.q))
+
+    def _row(self, i, k):
+        """T_w T_i = T_{w s_i}, plus delta T_w if i is a descent of w_k."""
+        w, d = self.words[k], self.delta.denominator
+        nums = ((self.word_index[apply_s_right(w, i)], d),)
+        if w[i - 1] > w[i]:
+            nums += ((k, self.delta.numerator),)
+        return d, nums
+
+    def gen_K(self, i: int):
+        """The image of kappa_i: zero in the quotient."""
+        return self.zero()
 
 
 def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
@@ -148,8 +119,7 @@ def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
     if hecke.n != ctx.n or not ctx.rational or ctx.params.q != hecke.q:
         raise DomainMismatch("the element is not in BMW_%d at q = %s"
                              % (hecke.n, format_rational(hecke.q)))
-    words = {tuple(letter_index(l) for l in w): c
-             for w, c in elem.terms.items()
+    words = {w: c for w, c in elem.terms.items()
              if all(letter_kind(l) == T_KIND for l in w)}
     return HeckeElement(hecke,
                         fold_products(hecke, hecke.one().terms, [words])[0])

@@ -3,9 +3,15 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import BrauerAlgebra, CapExceeded, DomainMismatch
-from bmwfusion.brauer import all_diagrams, diagram_mul
-from bmwfusion.bmwcore import double_factorial
+from bmwfusion import BrauerAlgebra, BrauerElement, CapExceeded, \
+    DomainMismatch
+from bmwfusion.brauer import diagram_mul, e_diagram, s_diagram
+from bmwfusion.bmwcore import (K_KIND, T_KIND, double_factorial,
+                               fold_products, letter)
+from bmwfusion.contraction import word_to_diagram
+
+OMEGAS = pytest.mark.parametrize("omega", [Fr(5), Fr(7, 2), Fr(0)],
+                                 ids=["5", "7_2", "0"])
 
 
 def test_generator_relations():
@@ -22,8 +28,72 @@ def test_generator_relations():
 
 
 def test_diagram_counts():
+    # the breadth-first search reaches every diagram, each spelled by a
+    # loop-free word that folds from 1 through the rows to the diagram
     for n in (1, 2, 3, 4, 5):
-        assert len(all_diagrams(n)) == double_factorial(2 * n - 1)
+        B = BrauerAlgebra(n, 5)
+        assert len(set(B.words)) == double_factorial(2 * n - 1)
+        for d in B.words:
+            assert sorted(sum(d, ())) == list(range(2 * n))
+            assert all(a < b for a, b in d)
+            assert word_to_diagram(n, B.spell(d)) == (d, 0)
+        lengths = [len(B.spell(d)) for d in B.words]
+        assert lengths == sorted(lengths)
+        got = fold_products(B, B.one().terms,
+                            [{B.spell(d): 1} for d in B.words])
+        assert got == [{d: 1} for d in B.words]
+
+
+@OMEGAS
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rows_are_the_stacked_products(n, omega):
+    B = BrauerAlgebra(n, omega)
+    gens = {}
+    for i in range(1, n):
+        gens[letter(T_KIND, i)] = s_diagram(n, i)
+        gens[letter(K_KIND, i)] = e_diagram(n, i)
+    assert set(B._rows) == set(gens)
+    for l, row_of in B._rows.items():
+        assert len(row_of) == len(B.words)
+        for d, (den, pairs) in zip(B.words, row_of):
+            p, loops = diagram_mul(n, d, gens[l])
+            c = omega ** loops
+            assert {B.words[j]: Fr(x, den) for j, x in pairs} == \
+                ({p: c} if c else {})
+
+
+def pair_product(a, b):
+    """a * b over every pair of diagrams, with omega^loops for each: the
+    product before the row table, kept as the reference."""
+    alg = a.algebra
+    out = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            d, loops = diagram_mul(alg.n, d1, d2)
+            out[d] = out.get(d, Fr(0)) + c1 * c2 * alg.omega ** loops
+    return BrauerElement(alg, out)
+
+
+@OMEGAS
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_row_product_matches_the_pair_product(n, omega):
+    # every diagram at n <= 4, 60 random ones at n = 5
+    B = BrauerAlgebra(n, omega)
+    rnd = random.Random(n)
+
+    def dense():
+        keys = B.words if n <= 4 else rnd.sample(B.words, 60)
+        return B.from_terms({d: Fr(rnd.randint(-9, 9), rnd.randint(1, 4))
+                             for d in keys})
+
+    for _ in range(2):
+        a, b = dense(), dense()
+        assert (a * b).terms == pair_product(a, b).terms
+
+
+def test_tables_are_memoised_by_n_and_omega():
+    assert BrauerAlgebra(4, 5)._rows is BrauerAlgebra(4, Fr(10, 2))._rows
+    assert BrauerAlgebra(4, 5)._rows is not BrauerAlgebra(4, 7)._rows
 
 
 def _reference_diagram_mul(n, d1, d2):
@@ -81,7 +151,7 @@ def _reference_diagram_mul(n, d1, d2):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diagram_mul_matches_reference_on_every_pair(n):
-    diagrams = all_diagrams(n)
+    diagrams = BrauerAlgebra(n, 5).words
     for d1 in diagrams:
         for d2 in diagrams:
             assert diagram_mul(n, d1, d2) == \
@@ -89,7 +159,7 @@ def test_diagram_mul_matches_reference_on_every_pair(n):
 
 
 def test_diagram_mul_matches_reference_on_random_n5_pairs():
-    diagrams = all_diagrams(5)
+    diagrams = BrauerAlgebra(5, 5).words
     rnd = random.Random(5)
     loops = set()
     for _ in range(5000):
@@ -102,7 +172,7 @@ def test_diagram_mul_matches_reference_on_random_n5_pairs():
 
 def test_brauer_associativity():
     B = BrauerAlgebra(3, Fr(7, 2))
-    diagrams = all_diagrams(3)
+    diagrams = B.words
     rnd = random.Random(0)
 
     def rand():

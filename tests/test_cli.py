@@ -357,6 +357,38 @@ def test_export_brauer_idempotent_warm_cache(tmp_path):
     assert ctx.stats["cache"] == "hit"
 
 
+def test_export_rebuilds_an_edited_laurent_cache(tmp_path):
+    # an edit that keeps every series in normal form passes the file's
+    # format checks; the export builds its context verified, so the hit
+    # fails the relation suite and is rebuilt (it used to exit 3)
+    from bmwfusion import (AlgebraContext, NegativeValuation,
+                           brauer_idempotent_via_contraction,
+                           enumerate_tableaux, laurent_params)
+    args = ("export", "--kind", "brauer-idempotent", "--n", "4", "--tableau",
+            "1;2;2,1;2,2", "--regime", "1", "--omega", "5", "--cache-dir",
+            str(tmp_path))
+    cold = run_cli(*args)
+    assert cold.returncode == 0, cold.stderr
+    (path,) = tmp_path.iterdir()
+    fresh = path.read_text()
+    data = json.loads(fresh)
+    # the constant term of the row of T1 * T1 (letter T1, basis word T1)
+    # at the word 1, raised by 1
+    val, _, den, nums = data["rows"][0][1][1][0][1]
+    nums[-val] += den
+    path.write_text(json.dumps(data))
+    edited = AlgebraContext(4, laurent_params(1, 5, 4),
+                            cache_dir=str(tmp_path), verify=False)
+    assert edited.stats["cache"] == "hit"
+    tab, = [t for t in enumerate_tableaux(4) if t.encode() == "1;2;2,1;2,2"]
+    with pytest.raises(NegativeValuation):
+        brauer_idempotent_via_contraction(tab, 1, 5, ctx=edited)
+    warm = run_cli(*args)
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
+    assert path.read_text() == fresh, "the edited file was not rewritten"
+
+
 def test_export_brauer_n5_short_truncation_exit_2(monkeypatch, capsys):
     from bmwfusion import cli
 

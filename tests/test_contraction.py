@@ -280,6 +280,12 @@ def test_laurent_closure_at_n5_regime_2(ctx5):
     assert ctx.stats["closure"] == "replay"
     assert ctx.words == ctx5.words
     assert sorted(ctx._dyn) == sorted(ctx5._dyn)
+    # an idempotent of B_5(7/2) with 81 diagrams, squared on the row table
+    tab, = [t for t in enumerate_tableaux(5)
+            if t.encode() == "1;1,1;1;1,1;1"]
+    E = brauer_idempotent_via_contraction(tab, 2, Fr(7, 2), ctx=ctx)
+    assert len(E.terms) == 81
+    assert E * E == E
 
 
 def test_laurent_n5_below_default_truncation_rejected():

@@ -9,7 +9,8 @@ from bmwfusion import (AlgebraContext, CapExceeded, DivisionByZero,
                        enumerate_tableaux, fusion_idempotent,
                        hecke_family_idempotent, hecke_quotient,
                        laurent_params, quantum_contents)
-from bmwfusion.bmwcore import K_KIND, letter_index, letter_kind
+from bmwfusion.bmwcore import (K_KIND, T_KIND, letter, letter_index,
+                               letter_kind)
 from bmwfusion.hecke import (HeckeElement, apply_s_right,
                              lex_min_reduced_word, perm_inversions)
 from bmwfusion.scalars import TruncLaurent
@@ -24,7 +25,7 @@ def reference_mul(a, b):
     out = {}
     for w2, c2 in b.terms.items():
         vec = a.terms
-        for i in lex_min_reduced_word(w2):
+        for i in map(letter_index, lex_min_reduced_word(w2)):
             nxt = {}
             for v, c in vec.items():
                 u = apply_s_right(v, i)
@@ -73,19 +74,19 @@ def test_dimension_and_associativity():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rows_filled_at_build(n):
     hk = HeckeAlgebra(n, Q)
-    assert set(hk._rows) == set(range(1, n))
+    assert set(hk._rows) == {letter(T_KIND, i) for i in range(1, n)}
     for l, row_of in hk._rows.items():
         assert len(row_of) == len(hk.words)
         for w, (den, row) in zip(hk.words, row_of):
             got = {hk.words[j]: Fr(x, den) for j, x in row}
             assert got == reference_mul(hk.from_terms({w: Fr(1)}),
-                                        hk.gen_T(l)).terms
+                                        hk.gen_T(letter_index(l))).terms
 
 
 def test_lex_min_reduced_words():
     for n in (3, 4):
         for w in permutations(range(n)):
-            word = lex_min_reduced_word(w)
+            word = [letter_index(l) for l in lex_min_reduced_word(w)]
             assert len(word) == perm_inversions(w)
             # rebuilding the permutation from the word gives w back
             cur = tuple(range(n))
