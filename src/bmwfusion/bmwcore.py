@@ -223,14 +223,19 @@ class AlgebraContext(RowAlgebra):
         self.nu = params.nu
         self.nu_inv = self._one / params.nu
         self.mu = params.mu
+        # 1 as the rewriting carries it: an integer numerator, or a series
+        self._num_one = 1 if self.rational else self._one
         self.letters = [letter(k, i)
                         for i in range(1, n) for k in (T_KIND, K_KIND)]
-        self._memo, self._dyn, self._jm = {}, {}, {}
+        self._memo, self._dyn, self._jm, self._rules = {}, {}, {}, {}
+        self._steps = self._searches = 0     # rewrite counts, see _build
         # the words _find_redex found canonical: it reads the relations
         # alone, so a verdict holds for the life of the context
         self._canonical = set()
         self._cache_path = self._cache_file(cache_dir)
-        # what the build did, never printed; a cold _close sets the last two
+        # what the build did, never printed; a cold _close sets "closure"
+        # and "rules_added", and a cold _build the redexes applied and the
+        # _find_redex calls
         self.stats = {"cache": self._load_cache(), "closure": "cache",
                       "rules_added": 0}
         bad = self._build(verify)
@@ -251,6 +256,8 @@ class AlgebraContext(RowAlgebra):
         them; the failed relations if ``verify``, else none."""
         if self.stats["cache"] != "hit":
             self.words = self._close()
+            self.stats.update(rewrite_steps=self._steps,
+                              redex_searches=self._searches)
             self.word_index = {w: k for k, w in enumerate(self.words)}
             # right action of each letter on each basis index, filled from
             # the products w * l the closure left in the memo: each row
@@ -379,6 +386,13 @@ class AlgebraContext(RowAlgebra):
         return [((Th, Ki, T2, Kh), one), ((Ki, T2, Kh), -d),
                 ((Kh, Ti, K2, Kh), d)]
 
+    def _f1_rule(self, i, kx):
+        """T_i T_{i+1} T_i X_{i+2} K_{i+1}: the braid relation, then
+        _inv_rule on T_{i+1} X_{i+2} K_{i+1}."""
+        head = (letter(T_KIND, i + 1), letter(T_KIND, i))
+        return [(head + frag, c)
+                for frag, c in self._inv_rule(i + 1, T_KIND, kx, K_KIND)]
+
     def _fuse_pair(self, j, z, c):
         """T_j z T_j with z of lower level carrying at most one (j-1)-letter."""
         one, d, nu = self._one, self.delta, self.nu
@@ -419,18 +433,44 @@ class AlgebraContext(RowAlgebra):
     # redex search
     # ------------------------------------------------------------------
 
+    def _redex(self, lo, hi, left, right, make, *args):
+        """The redex w[lo:hi] -> left + make(*args) + right as (lo, hi,
+        (den, [(fragment, numerator)])), or None if the rule leaves it
+        canonical.  Each rule's coefficients are formed once per context:
+        integer numerators over their least common denominator in a
+        rational context, the series over 1 in a Laurent one."""
+        key = (make.__name__, *args)
+        rule = self._rules.get(key, key)
+        if rule is key:
+            rule = make(*args)
+            if rule is not None and self.rational:
+                den = math.lcm(*(c.denominator for _, c in rule))
+                rule = den, [(f, c.numerator * (den // c.denominator))
+                             for f, c in rule]
+            elif rule is not None:
+                rule = 1, rule
+            self._rules[key] = rule
+        if rule is None:
+            return None
+        if left or right:
+            rule = rule[0], [(left + f + right, c) for f, c in rule[1]]
+        return lo, hi, rule
+
     def _find_redex(self, w):
-        one = self._one
+        """(start, end, (den, [(fragment, numerator)])) for the first
+        redex of w: w[start:end] is the sum of the fragments' numerators
+        over den.  None = canonical."""
+        redex = self._redex
         L = len(w)
         for p in range(L - 1):
             la, lb = w[p], w[p + 1]
             a, ka = letter_index(la), letter_kind(la)
             b, kb = letter_index(lb), letter_kind(lb)
             if a == b:
-                return (p, p + 2, self._pair_rule(ka, a, kb))
+                return redex(p, p + 2, (), (), self._pair_rule, ka, a, kb)
             if a >= b + 2:
                 # distant pair, sort ascending
-                return (p, p + 2, [((lb, la), one)])
+                return (p, p + 2, (1, [((lb, la), self._num_one)]))
             if a == b + 1:
                 # F-family: A_j B_{j-1} W C_j with W of index <= j-2
                 j = a
@@ -438,10 +478,8 @@ class AlgebraContext(RowAlgebra):
                 while qpos < L and letter_index(w[qpos]) <= j - 2:
                     qpos += 1
                 if qpos < L and letter_index(w[qpos]) == j:
-                    rep = self._f_rule(j, ka, kb, letter_kind(w[qpos]))
-                    W = w[p + 2:qpos]
-                    return (p, qpos + 1,
-                            [(frag + W, c) for (frag, c) in rep])
+                    return redex(p, qpos + 1, (), w[p + 2:qpos], self._f_rule,
+                                 j, ka, kb, letter_kind(w[qpos]))
             if b >= a + 1:
                 # INV-family: A_i W B_{i+1} C_i with W of index >= i+2
                 i = a
@@ -450,12 +488,11 @@ class AlgebraContext(RowAlgebra):
                     qpos += 1
                 if (qpos + 1 < L and letter_index(w[qpos]) == i + 1
                         and letter_index(w[qpos + 1]) == i):
-                    rep = self._inv_rule(i, ka, letter_kind(w[qpos]),
-                                         letter_kind(w[qpos + 1]))
-                    if rep is not None:
-                        W = w[p + 1:qpos]
-                        return (p, qpos + 2,
-                                [(W + frag, c) for (frag, c) in rep])
+                    red = redex(p, qpos + 2, w[p + 1:qpos], (),
+                                self._inv_rule, i, ka, letter_kind(w[qpos]),
+                                letter_kind(w[qpos + 1]))
+                    if red is not None:
+                        return red
             # G1 (B = K), FAM-F1 (B = T): T_i B_{i+1} T_i [W] X_{i+2} K_{i+1}
             if (ka == T_KIND and b == a + 1 and p + 2 < L
                     and w[p + 2] == letter(T_KIND, a)):
@@ -469,12 +506,9 @@ class AlgebraContext(RowAlgebra):
                     W = w[p + 3:qpos]
                     Whi = tuple(l for l in W if letter_index(l) >= i + 3)
                     Wlo = tuple(l for l in W if letter_index(l) <= i - 1)
-                    kx = letter_kind(w[qpos])
-                    rep = self._g1_rule(i, kx) if kb == K_KIND else [
-                        ((lb, la) + frag, c) for frag, c
-                        in self._inv_rule(i + 1, T_KIND, kx, K_KIND)]
-                    return (p, qpos + 2,
-                            [(Whi + frag + Wlo, c) for (frag, c) in rep])
+                    return redex(p, qpos + 2, Whi, Wlo,
+                                 self._g1_rule if kb == K_KIND
+                                 else self._f1_rule, i, letter_kind(w[qpos]))
             # G2: K_{i+1} T_i [W] X_{i+2} Y_{i+1} T_i
             if ka == K_KIND and kb == T_KIND and b == a - 1:
                 i = a - 1
@@ -484,11 +518,9 @@ class AlgebraContext(RowAlgebra):
                 if (qpos + 2 < L and letter_index(w[qpos]) == i + 2
                         and letter_index(w[qpos + 1]) == i + 1
                         and w[qpos + 2] == letter(T_KIND, i)):
-                    rep = self._g2_rule(i, letter_kind(w[qpos]),
-                                        letter_kind(w[qpos + 1]))
-                    W = w[p + 2:qpos]
-                    return (p, qpos + 3,
-                            [(W + frag, c) for (frag, c) in rep])
+                    return redex(p, qpos + 3, w[p + 2:qpos], (),
+                                 self._g2_rule, i, letter_kind(w[qpos]),
+                                 letter_kind(w[qpos + 1]))
             # S-family: K_i B_{i-1} [W] C_{i+1} K_i
             if ka == K_KIND and b == a - 1:
                 i = a
@@ -498,15 +530,13 @@ class AlgebraContext(RowAlgebra):
                     qpos += 1
                 if (qpos + 1 < L and letter_index(w[qpos]) == i + 1
                         and w[qpos + 1] == letter(K_KIND, i)):
-                    rep = self._s_rule(i, kb, letter_kind(w[qpos]))
-                    if rep is not None:
-                        W = w[p + 2:qpos]
-                        Whi = tuple(l for l in W
-                                    if letter_index(l) >= i + 2)
-                        Wlo = tuple(l for l in W
-                                    if letter_index(l) <= i - 2)
-                        return (p, qpos + 2,
-                                [(Whi + frag + Wlo, c) for (frag, c) in rep])
+                    W = w[p + 2:qpos]
+                    Whi = tuple(l for l in W if letter_index(l) >= i + 2)
+                    Wlo = tuple(l for l in W if letter_index(l) <= i - 2)
+                    red = redex(p, qpos + 2, Whi, Wlo, self._s_rule, i, kb,
+                                letter_kind(w[qpos]))
+                    if red is not None:
+                        return red
             # FAM-F2: A_i T_{i+1} [W] X_{i+2} T_{i+1} D_i, (A,D) != (T,T)
             if b == a + 1 and kb == T_KIND:
                 i = a
@@ -518,10 +548,9 @@ class AlgebraContext(RowAlgebra):
                         and letter_index(w[qpos + 2]) == i):
                     kd = letter_kind(w[qpos + 2])
                     if not (ka == T_KIND and kd == T_KIND):
-                        rep = self._fam_f2(i, ka, letter_kind(w[qpos]), kd)
-                        W = w[p + 2:qpos]
-                        return (p, qpos + 3,
-                                [(W + frag, c) for (frag, c) in rep])
+                        return redex(p, qpos + 3, w[p + 2:qpos], (),
+                                     self._fam_f2, i, ka, letter_kind(w[qpos]),
+                                     kd)
         return self._slide_redex(w)
 
     def _slide_redex(self, w):
@@ -552,26 +581,52 @@ class AlgebraContext(RowAlgebra):
                 return None
         if not has_k:
             return None
-        return (0, L, [(w[s:] + tuple(shifted), self._one)])
+        return (0, L, (1, [(w[s:] + tuple(shifted), self._num_one)]))
 
     # ------------------------------------------------------------------
     # reduction, closure, completion
     # ------------------------------------------------------------------
 
     def reduce_word(self, word):
-        """Rewrite a word into {canonical word: coefficient}, through the
-        relations and then every elimination rule set so far.  This is
-        the only place where a word meets the rules; each read stores the
-        memo entry back canonical."""
-        done = self._memo.get(word)
-        if done is None:
+        """Rewrite a word into {canonical word: coefficient}: the vector
+        of ``_reduce``, each numerator over its denominator."""
+        return self._coefficients(self._reduce(word))
+
+    def _coefficients(self, vec):
+        """{word: coefficient} of a vector (den, {word: numerator}): a
+        Fraction each in a rational context, the series themselves in a
+        Laurent one."""
+        den, nums = vec
+        if not self.rational:
+            return nums
+        return {w: Fraction(x, den) for w, x in nums.items()}
+
+    def _reduce(self, word):
+        """Rewrite a word into (den, {canonical word: numerator}), through
+        the relations and then every elimination rule set so far.  This
+        is the only place where a word meets the rules; each read stores
+        the memo entry back canonical.
+
+        In a rational context every coefficient is an integer numerator
+        over the one denominator den, the content divided out at the end:
+        a redex whose rule is over r first multiplies den and every other
+        numerator by r over its gcd with the redex's own numerator.  A
+        Laurent context runs the same loop over 1 with its series, each
+        sum and product in the order the Fraction loop formed it, so no
+        series window moves."""
+        vec = self._memo.get(word)
+        if vec is None:
             canonical = self._canonical
-            pending = {word: self._one}
-            done = {}
-            steps = 0
+            find = self._find_redex
+            den, pending, done = 1, {word: self._num_one}, {}
+            steps = searches = 0
             while pending:
                 w, c = pending.popitem()
-                red = None if w in canonical else self._find_redex(w)
+                if w in canonical:
+                    red = None
+                else:
+                    searches += 1
+                    red = find(w)
                 if red is None:
                     canonical.add(w)
                     prev = done.get(w)
@@ -581,7 +636,16 @@ class AlgebraContext(RowAlgebra):
                 if steps > STEP_CAP:
                     raise RewriteLimit("step cap %d exceeded reducing %s"
                                        % (STEP_CAP, word_name(word)))
-                lo, hi, rep = red
+                lo, hi, (r, rep) = red
+                if r != 1:
+                    g = math.gcd(c, r)
+                    c, r = c // g, r // g
+                    if r != 1:
+                        den *= r
+                        for u in pending:
+                            pending[u] *= r
+                        for u in done:
+                            done[u] *= r
                 pre, post = w[:lo], w[hi:]
                 for frag, coeff in rep:
                     nw = pre + frag + post
@@ -590,34 +654,46 @@ class AlgebraContext(RowAlgebra):
                         nc = pending.pop(nw) + nc
                     if nc != 0:
                         pending[nw] = nc
-            done = {w: c for w, c in done.items() if c != 0}
+            self._steps += steps
+            self._searches += searches
+            vec = _lowest(den, done)
         if self._dyn:
-            done = self._renormalize(done)
-        self._memo[word] = done
-        return done
+            vec = self._renormalize(vec)
+        self._memo[word] = vec
+        return vec
 
     def _renormalize(self, vec):
-        """Push a vector through the dynamic elimination rules."""
+        """Push a vector (den, {word: numerator}) through the elimination
+        rules, over one denominator as ``_reduce`` keeps it."""
+        den, nums = vec
+        dyn = self._dyn
         out = {}
-        stack = list(vec.items())
+        stack = list(nums.items())
         while stack:
             w, c = stack.pop()
-            rep = self._dyn.get(w)
-            if rep is None:
+            rule = dyn.get(w)
+            if rule is None:
                 prev = out.get(w)
                 out[w] = c if prev is None else prev + c
-            else:
-                for u, cu in rep.items():
-                    stack.append((u, c * cu))
-        return {w: c for w, c in out.items() if c != 0}
+                continue
+            r, rep = rule
+            if r != 1:
+                g = math.gcd(c, r)
+                c, r = c // g, r // g
+                if r != 1:
+                    den *= r
+                    stack = [(u, x * r) for u, x in stack]
+                    for u in out:
+                        out[u] *= r
+            for u, cu in rep.items():
+                stack.append((u, c * cu))
+        return _lowest(den, out)
 
     def _row(self, vec):
-        """A reduced vector as (den, ((j, numerator), ...)) by ascending
-        basis index j, so no row depends on the memo's history: integer
-        numerators over their least common denominator in a rational
-        context, the series themselves over 1 in a Laurent one."""
-        den, nums = _over_common_denominator(vec) if self.rational \
-            else (1, vec)
+        """A reduced vector (den, {word: numerator}) as (den, ((j,
+        numerator), ...)) by ascending basis index j, so no row depends on
+        the memo's history."""
+        den, nums = vec
         widx = self.word_index
         return den, tuple(sorted((widx[u], x) for u, x in nums.items()))
 
@@ -630,7 +706,7 @@ class AlgebraContext(RowAlgebra):
             nxt = []
             for w in frontier:
                 for l in self.letters:
-                    for u in self.reduce_word(w + (l,)):
+                    for u in self._reduce(w + (l,))[1]:
                         if u not in basis:
                             basis[u] = None
                             nxt.append(u)
@@ -638,22 +714,29 @@ class AlgebraContext(RowAlgebra):
         return sorted(basis, key=lambda w: (len(w), w))
 
     def _defect(self, w, vg, g, h, gh):
-        """The rule lead -> rep of the associativity defect (w.g).h -
-        w.(g.h), given vg = w.g and gh = g.h as vectors, or None if it
-        vanishes.  The lead is the defect's longest (then greatest) word."""
+        """The rule lead -> (den, rep) of the associativity defect (w.g).h
+        - w.(g.h), given vg = w.g and gh = g.h as vectors (den, {word:
+        numerator}), or None if it vanishes.  The lead is the defect's
+        longest (then greatest) word."""
         def times(vec, l):
-            out = {}
-            for u, a in vec.items():
-                for v, x in self.reduce_word(u + (l,)).items():
-                    prev = out.get(v)
-                    out[v] = a * x if prev is None else prev + a * x
-            return {v: c for v, c in out.items() if c}
+            den, nums = vec
+            got = []
+            for u, a in nums.items():
+                d, red = self._reduce(u + (l,))
+                got.append((a, (d, red.items())))
+            return _sum_rows(den, got, True, None)
 
-        D = times(vg, h)
-        for v, cv in gh.items():
-            t = {w: cv}
+        den, D = times(vg, h)
+        for v, cv in gh[1].items():
+            t = (gh[0], {w: cv})
             for l in v:
                 t = times(t, l)
+            tden, t = t
+            if tden != den:     # rational: both over the lcm
+                m = math.lcm(den, tden)
+                D = {u: c * (m // den) for u, c in D.items()}
+                t = {u: b * (m // tden) for u, b in t.items()}
+                den = m
             for u, b in t.items():
                 prev = D.get(u)
                 D[u] = -b if prev is None else prev - b
@@ -661,7 +744,10 @@ class AlgebraContext(RowAlgebra):
         if D:
             lead = max(D, key=lambda x: (len(x), x))
             cl = D.pop(lead)
-            return lead, {u: -c / cl for u, c in D.items()}
+            if not self.rational:
+                return lead, (1, {u: -c / cl for u, c in D.items()})
+            return lead, _lowest(abs(cl), {u: -c if cl > 0 else c
+                                           for u, c in D.items()})
 
     def _close(self):
         """Replay CLOSURE_PLANS[n] and return the basis of (2n-1)!! words.
@@ -680,8 +766,8 @@ class AlgebraContext(RowAlgebra):
         self.stats["closure"] = "replay" if text else "none"
         for k, (w, g, h, starts) in enumerate(_read_plan(text or ""), 1):
             if starts:
-                vg = self.reduce_word(w + (g,))
-            rule = self._defect(w, vg, g, h, self.reduce_word((g, h)))
+                vg = self._reduce(w + (g,))
+            rule = self._defect(w, vg, g, h, self._reduce((g, h)))
             if rule is None or rule[0] in self._dyn:
                 raise DimensionMismatch(
                     "closure plan entry %d (%s.%d%d) for n=%d: %s" % (
@@ -760,11 +846,15 @@ class AlgebraContext(RowAlgebra):
             if data.get("version") != CACHE_FORMAT_VERSION:
                 return "miss"
             if data["n"] != self.n or any(
-                    data[k] != v for k, v in self._point().items()):
+                    data[k] != v for k, v in self._point().items()) or any(
+                    type(data[k]) is not list for k in ("dyn", "words",
+                                                        "rows")):
                 return "corrupt"
             dyn = {word(ent["word"]): {word(u): coeff(c)
                                        for u, c in ent["expansion"]}
                    for ent in data["dyn"]}
+            dyn = {w: _over_common_denominator(v) if self.rational
+                   else (1, v) for w, v in dyn.items()}
             words = [word(w) for w in data["words"]]
             rows = data.pop("rows")
             del data
@@ -798,7 +888,8 @@ class AlgebraContext(RowAlgebra):
             "n": self.n,
             **self._point(),
             # the rules, which reduce_word needs after the build
-            "dyn": [{"word": w, "expansion": sorted(v.items())}
+            "dyn": [{"word": w,
+                     "expansion": sorted(self._coefficients(v).items())}
                     for w, v in sorted(self._dyn.items())],
             # the basis, and the rows of each letter as _rows holds them
             "words": self.words,
@@ -1104,10 +1195,17 @@ def _sum_rows(den, got, exact, lift):
     den *= row_den
     if not exact:
         return den, {j: _sum_raw(ts) for j, ts in nxt.items()}
-    g = 1 if den == 1 else math.gcd(den, *nxt.values())
+    return _lowest(den, nxt)
+
+
+def _lowest(den, nums):
+    """(den, nums) with the zero terms dropped and the content
+    gcd(den, *nums) divided out (no gcd over denominator 1, so series
+    numerators pass over 1 as they are)."""
+    g = 1 if den == 1 else math.gcd(den, *nums.values())
     if g == 1:
-        return den, {j: a for j, a in nxt.items() if a}
-    return den // g, {j: a // g for j, a in nxt.items() if a}
+        return den, {j: a for j, a in nums.items() if a}
+    return den // g, {j: a // g for j, a in nums.items() if a}
 
 
 def fold_products(algebra, left, rights):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -154,8 +155,7 @@ def _reference_product(a, b):
     out = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            red = ctx._renormalize(ctx.reduce_word(w1 + w2))
-            for u, cu in red.items():
+            for u, cu in ctx.reduce_word(w1 + w2).items():
                 prev = out.get(u)
                 out[u] = c1 * c2 * cu if prev is None \
                     else prev + c1 * c2 * cu
@@ -190,6 +190,102 @@ def test_product_matches_reference(domain):
         got = fold_products(ctx, a.terms, [r.terms for r in rights])
         assert [AlgebraElement(ctx, p) for p in got] == \
             [_reference_product(a, r) for r in rights]
+
+
+def _as_coefficients(ctx, den, rep):
+    """A rule's or a rewriting's numerators, each over den: Fractions in a
+    rational context, the series themselves (over 1) in a Laurent one."""
+    return [(w, Fr(x, den) if ctx.rational else x) for w, x in rep]
+
+
+def _reference_reduce(ctx, word):
+    """word rewritten into {canonical word: coefficient} by the loop that
+    carried a Fraction or a series per word: each redex of
+    ``ctx._find_redex`` and then each rule of ``ctx._dyn`` applied with
+    its coefficients, with no memo and no integer numerators."""
+    pending = {word: ctx._one}
+    done = {}
+    while pending:
+        w, c = pending.popitem()
+        red = ctx._find_redex(w)
+        if red is None:
+            prev = done.get(w)
+            done[w] = c if prev is None else prev + c
+            continue
+        lo, hi, rule = red
+        pre, post = w[:lo], w[hi:]
+        for frag, coeff in _as_coefficients(ctx, *rule):
+            nw = pre + frag + post
+            nc = c * coeff
+            if nw in pending:
+                nc = pending.pop(nw) + nc
+            if nc != 0:
+                pending[nw] = nc
+    done = {w: c for w, c in done.items() if c != 0}
+    if not ctx._dyn:
+        return done
+    dyn = {w: dict(_as_coefficients(ctx, den, rep.items()))
+           for w, (den, rep) in ctx._dyn.items()}
+    out = {}
+    stack = list(done.items())
+    while stack:
+        w, c = stack.pop()
+        rep = dyn.get(w)
+        if rep is None:
+            prev = out.get(w)
+            out[w] = c if prev is None else prev + c
+        else:
+            for u, cu in rep.items():
+                stack.append((u, c * cu))
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _assert_reduces_as_the_reference(ctx, words):
+    for w in words:
+        got = ctx.reduce_word(w)
+        assert _as_stored(got) == _as_stored(_reference_reduce(ctx, w)), \
+            word_name(w)
+        if ctx.rational:
+            assert all(type(c) is Fr for c in got.values())
+    # each memoised rule holds the coefficients of its rule method
+    for (name, *args), rule in ctx._rules.items():
+        want = getattr(ctx, name)(*args)
+        if want is None:
+            assert rule is None, name
+            continue
+        assert [(f, _as_stored({(): c})) for f, c in want] == \
+            [(f, _as_stored({(): c}))
+             for f, c in _as_coefficients(ctx, *rule)], name
+
+
+def _random_words(ctx, seed, count=40):
+    rnd = random.Random(seed)
+    return [tuple(rnd.choice(ctx.letters) for _ in range(rnd.randint(3, 10)))
+            for _ in range(count)]
+
+
+def test_reduce_word_matches_the_reference_on_short_words(ctx4):
+    words = [w for k in range(5)
+             for w in itertools.product(ctx4.letters, repeat=k)]
+    assert len(words) == 1 + 6 + 6 ** 2 + 6 ** 3 + 6 ** 4
+    _assert_reduces_as_the_reference(ctx4, words)
+
+
+@pytest.mark.parametrize("point", ["6/5,7/3", "-5/6,3/7"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reduce_word_matches_the_reference_rational(n, point, request):
+    q, nu = map(Fr, point.split(","))
+    ctx = request.getfixturevalue("ctx%d" % n) if point == "6/5,7/3" else \
+        AlgebraContext(n, make_params(q, nu, n), verify=False)
+    _assert_reduces_as_the_reference(ctx, _random_words(ctx, n))
+
+
+@pytest.mark.parametrize("omega", [5, Fr(7, 2)], ids=["5", "7_2"])
+@pytest.mark.parametrize("regime", [1, 2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_reduce_word_matches_the_reference_laurent(n, regime, omega):
+    ctx = AlgebraContext(n, laurent_params(regime, omega), verify=False)
+    _assert_reduces_as_the_reference(ctx, _random_words(ctx, n))
 
 
 def _fold_reference(ctx, left, right):
@@ -389,6 +485,8 @@ def test_cache_round_trip(tmp_path):
     a = ctx_a.gen_T(1) * ctx_a.gen_K(2) * ctx_a.gen_T(2)
     b = ctx_b.gen_T(1) * ctx_b.gen_K(2) * ctx_b.gen_T(2)
     assert sorted(a.terms.items()) == sorted(b.terms.items())
+    # a hit rewrites no word at build, and after it as a cold build does
+    assert ctx_b.reduce_word(jm_word(3)) == ctx_a.reduce_word(jm_word(3))
 
 
 def _as_stored(vec):
@@ -587,13 +685,21 @@ def test_replay_rejects_a_lead_that_has_a_rule(monkeypatch):
 
 
 def test_build_stats(ctx4, ctx5, ctx5_search):
+    # the rewrite counts are the redexes applied and the _find_redex calls
+    # of the cold build: the replay's 13,178 and 14,043, then 28,298 and
+    # 28,546 in the closure
     assert ctx5.stats == {"cache": "miss", "closure": "replay",
-                          "rules_added": 164}
+                          "rules_added": 164, "rewrite_steps": 41476,
+                          "redex_searches": 42589}
     assert ctx5_search.stats == {"cache": "miss", "closure": "search",
-                                 "rules_added": 164}
-    assert set(ctx4.stats) == {"cache", "closure", "rules_added"}
+                                 "rules_added": 164, "rewrite_steps": 106741,
+                                 "redex_searches": 107881}
+    assert set(ctx4.stats) == {"cache", "closure", "rules_added",
+                               "rewrite_steps", "redex_searches"}
     assert ctx4.stats["closure"] == "none"
     assert ctx4.stats["rules_added"] == 0
+    assert ctx4.stats["rewrite_steps"] == 1372
+    assert ctx4.stats["redex_searches"] == 1477
 
 
 def test_build_stats_cache_states(tmp_path, monkeypatch):
@@ -645,7 +751,7 @@ def test_edited_cache_table_is_rebuilt_and_rewritten(tmp_path, monkeypatch):
 
 def _stored_table(ctx):
     """The rules and rows of ctx with every series as stored."""
-    return ({w: _as_stored(v) for w, v in ctx._dyn.items()},
+    return ({w: (den, _as_stored(v)) for w, (den, v) in ctx._dyn.items()},
             {l: [(den, [(j, (x.val, x.prec, x.den, x.nums)) for j, x in pairs])
                  for den, pairs in row_of] for l, row_of in ctx._rows.items()})
 

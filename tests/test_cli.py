@@ -442,11 +442,19 @@ def _short_words(data):
     return data
 
 
+def _rows_object(data):
+    # enumerate over these keys, while rows[k] was set, once raised a
+    # RuntimeError outside the cache's except tuple
+    data["rows"] = {"": 0}
+    return data
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda data: [], _short_row_list, _index_outside_basis,
-    _non_integer_numerator, _zero_denominator, _short_words],
+    _non_integer_numerator, _zero_denominator, _short_words, _rows_object],
     ids=["list", "short-row-list", "index-outside-basis",
-         "non-integer-numerator", "zero-denominator", "short-words"])
+         "non-integer-numerator", "zero-denominator", "short-words",
+         "rows-object"])
 def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     args = ("idempotents", "--n", "2")
     cache = tmp_path / "cache"

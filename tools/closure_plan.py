@@ -56,11 +56,11 @@ class SearchContext(AlgebraContext):
             leads, found = len(self._dyn), 0
             for w in basis:
                 for g in self.letters:
-                    vg = self.reduce_word(w + (g,))
+                    vg = self._reduce(w + (g,))
                     fresh, starts = found, True
                     for h in self.letters:
-                        gh = self.reduce_word((g, h))
-                        if found == fresh and gh == {(g, h): 1}:
+                        gh = self._reduce((g, h))
+                        if found == fresh and gh == (1, {(g, h): 1}):
                             continue
                         rule = self._defect(w, vg, g, h, gh)
                         if rule is None:
