@@ -29,8 +29,8 @@ from fractions import Fraction
 from .combinatorics import check_strands
 from .errors import (DimensionMismatch, DomainMismatch, NotGeneric,
                      RewriteLimit)
-from .scalars import (ParamSet, TruncLaurent, _mul_raw, _normal, _raw,
-                      _sum_raw, _window, format_rational, make_params,
+from .scalars import (ParamSet, TruncLaurent, _dot_raw, _normal, _raw,
+                      _window, format_rational, make_params,
                       parse_rational)
 
 T_KIND, K_KIND = 0, 1
@@ -664,9 +664,13 @@ class AlgebraContext(RowAlgebra):
 
     def _renormalize(self, vec):
         """Push a vector (den, {word: numerator}) through the elimination
-        rules, over one denominator as ``_reduce`` keeps it."""
+        rules, over one denominator as ``_reduce`` keeps it.  A vector
+        with no word that has a rule is returned as it is: ``_reduce``
+        keeps its vectors in lowest terms."""
         den, nums = vec
         dyn = self._dyn
+        if not any(w in dyn for w in nums):
+            return vec
         out = {}
         stack = list(nums.items())
         while stack:
@@ -1170,8 +1174,9 @@ def _sum_rows(den, got, exact, lift):
     (denominator, {key: coeff}) over den times the rows' common denominator.
 
     ``exact``: zero terms are dropped and the content is divided out (no
-    gcd over denominator 1).  Otherwise each key sums its terms
-    a * lift(x) once, zeros kept: a zero series bounds its sums' window.
+    gcd over denominator 1).  Otherwise each key collects its pairs
+    (a, lift(x)) and sums their products once (``scalars._dot_raw``),
+    zeros kept: a zero series bounds its sums' window.
     """
     row_den = 1
     for _, (d, _) in got:
@@ -1187,14 +1192,14 @@ def _sum_rows(den, got, exact, lift):
                 row = [(j, x * (row_den // d)) for j, x in row]
         if not exact:
             for j, x in row:
-                nxt.setdefault(j, []).append(_mul_raw(a, lift(x)))
+                nxt.setdefault(j, []).append((a, lift(x)))
             continue
         for j, x in row:
             prev = get(j)
             nxt[j] = a * x if prev is None else prev + a * x
     den *= row_den
     if not exact:
-        return den, {j: _sum_raw(ts) for j, ts in nxt.items()}
+        return den, {j: _dot_raw(ps) for j, ps in nxt.items()}
     return _lowest(den, nxt)
 
 
@@ -1224,10 +1229,11 @@ def fold_products(algebra, left, rights):
     the content at every step and builds one Fraction per output
     coefficient, each right factor over its own common denominator.
     Otherwise 1/den goes into the right-hand coefficient once per leaf.
-    Truncated Laurent series, with rationals or not, stay raw
-    (``scalars._sum_raw``) until each output coefficient is normalised
-    once; other coefficients (RatFunc) keep their own arithmetic.  Each
-    product is the one computed alone.
+    Truncated Laurent series, with rationals or not, stay raw: each row
+    step and each leaf collects (coeff, coeff) pairs per index, and
+    ``scalars._dot_raw`` forms every sum of products in one pass, the
+    output coefficients normalised once.  Other coefficients (RatFunc)
+    keep their own arithmetic.  Each product is the one computed alone.
     """
     rows = algebra._rows
     types = {c.__class__ for t in (left, *rights) for c in t.values()}
@@ -1266,7 +1272,7 @@ def fold_products(algebra, left, rights):
                 if not exact:
                     c2 = lift(c2)
                     for j, a in nums.items():
-                        acc.setdefault(j, []).append(_mul_raw(a, c2))
+                        acc.setdefault(j, []).append((a, c2))
                     continue
                 get = acc.get
                 for j, a in nums.items():
@@ -1276,8 +1282,8 @@ def fold_products(algebra, left, rights):
     out = []
     for (den2, _), group in zip(rights, groups):
         if not exact:
-            out.append({words[j]: _normal(_sum_raw(ts))
-                        for j, ts in group.get(1, {}).items()})
+            out.append({words[j]: _normal(_dot_raw(ps))
+                        for j, ps in group.get(1, {}).items()})
             continue
         common = math.lcm(*group)
         acc = {}

@@ -158,8 +158,10 @@ def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
         if c0 == 0:
             continue
         d, loops = word_to_diagram(brauer.n, w)
-        c0 = c0 * brauer.omega ** loops
-        terms[d] = terms.get(d, Fraction(0)) + c0
+        if loops:   # a canonical word has none
+            c0 = c0 * brauer.omega ** loops
+        prev = terms.get(d)
+        terms[d] = c0 if prev is None else prev + c0
     return BrauerElement(brauer, terms)
 
 

@@ -10,9 +10,11 @@ Two coefficient domains are used throughout the package:
 
 ``TruncLaurent`` is stored fraction-free: integer numerators over one
 positive denominator, with their common content divided out.  Its sums
-and products run on raw series, the same fields with no gcd taken
-(``_mul_raw``, ``_sum_raw``, the one home of the window rules); the
-element fold keeps its series raw and normalises each output once.
+and products run on raw series, the same fields with no gcd taken: the
+window rules live in ``_mul_raw`` (a product's window) and ``_dot_raw``
+(a sum of products formed in one pass, which ``_sum_raw`` also sums
+through).  The element fold keeps its series raw, forms each output
+coefficient with ``_dot_raw`` and normalises it once.
 :class:`RatFunc`, gcd-normalised rational functions, is off the fusion
 path; it remains as public API (the baxterized elements accept it as a
 spectral argument) and as a target of the traced benchmark.
@@ -429,17 +431,68 @@ def _sum_raw(terms):
             series.append(_lift(t, prec))
     if prec is None or len(series) == 1:
         return s if prec is None else series[0]
+    # _mul_raw(t, 1) is t on its window and denominator
+    return _dot_raw([(t, 1) for t in series])
+
+
+def _dot_raw(pairs):
+    """The sum of the products over ``pairs`` [(a, b), ...], exactly
+    ``_sum_raw([_mul_raw(a, b) for a, b in pairs])``, with no product
+    formed alone.  A header pass takes each product's window, valuation
+    and denominator as ``_mul_raw`` would (a zero product bounds the
+    window only); one pass then convolves every pair straight into one
+    integer array over the lcm of the denominators.  A pair of two values
+    that are not raw series sends the whole sum through ``_sum_raw`` of
+    the products, which keeps their own arithmetic."""
+    if len(pairs) == 1:
+        return _mul_raw(*pairs[0])
+    prec, heads = None, []
+    for a, b in pairs:
+        if a.__class__ is not tuple:
+            if b.__class__ is not tuple:
+                return _sum_raw([_mul_raw(a, b) for a, b in pairs])
+            a, b = b, a
+        av, ap, ad, an = a
+        if b.__class__ is not tuple:
+            if b:   # an exact scalar: the window stays, its numerator scales
+                p = ap
+                heads.append((av, ad * b.denominator, an, b.numerator))
+            else:   # times const(0, ap), the zero series on [ap, ap)
+                p = ap + (av if av < ap else ap)
+        else:
+            bv, bp, bd, bn = b
+            p = ap + bv if ap + bv < bp + av else bp + av
+            if an and bn:
+                heads.append((av + bv, ad * bd, an, bn))
+        if prec is None or p < prec:
+            prec = p
     val, den = prec, 1
-    for tv, _, td, _ in series:
-        val = min(val, tv)
+    for tv, td, _, _ in heads:
+        if tv < val:
+            val = tv
         if den % td:
             den = math.lcm(den, td)
     out = [0] * (prec - val)
-    for tv, _, td, tn in series:
+    for tv, td, an, bn in heads:
+        n = prec - tv      # the terms of this product inside the window
+        if n <= 0:
+            continue
         f, k = den // td, tv - val
-        for x in tn[:prec - tv] if tv < prec else ():
-            out[k] += x * f
-            k += 1
+        if bn.__class__ is int:
+            f *= bn
+            for x in an[:n]:
+                out[k] += x * f
+                k += 1
+            continue
+        for i in range(n):
+            x = an[i]
+            if x:
+                if f != 1:
+                    x *= f
+                j = k + i
+                for y in bn[:n - i]:
+                    out[j] += x * y
+                    j += 1
     return _window(val, prec, den, out, False)
 
 

@@ -17,7 +17,9 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
 from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
                                fold_products, jm_word, letter, word_name,
                                K_KIND, T_KIND)
+from bmwfusion.combinatorics import extension_spectrum, quantum_contents
 from bmwfusion.errors import NegativeValuation
+from bmwfusion.scalars import _mul_raw, _normal, _raw, _sum_raw
 from closure_plan import plan_text
 from conftest import closure_rows
 
@@ -367,6 +369,72 @@ def test_fold_keeps_the_windows_of_term_by_term_products(case, ctx3, ctx4,
         if NegativeValuation not in alone:
             assert _stored(fold_products, ctx, a.terms,
                            [r.terms for r in rights]) == [p for p, in alone]
+
+
+def _sum_rows_by_products(den, got):
+    """The fold's row step over series, each key keeping the list of its
+    products a * x, summed once by ``_sum_raw``."""
+    row_den = math.lcm(*(d for _, (d, _) in got))
+    nxt = {}
+    for a, (d, row) in got:
+        if d != row_den:
+            row = [(j, x * (row_den // d)) for j, x in row]
+        for j, x in row:
+            nxt.setdefault(j, []).append(_mul_raw(a, _raw(x)))
+    return den * row_den, {j: _sum_raw(ts) for j, ts in nxt.items()}
+
+
+def _fold_by_product_lists(ctx, left, rights):
+    """``fold_products`` over series coefficients with the products of
+    each key in a list, as the fold was written before its fused kernel:
+    the same trie, row steps and leaves."""
+    trie = {}
+    for k, right in enumerate(rights):
+        for w, c in right.items():
+            node = trie
+            for l in w:
+                node = node.setdefault(l, {})
+            node.setdefault(None, []).append((k, c))
+    groups = [{} for _ in rights]
+    stack = [(trie, (1, {ctx.word_index[w]: _raw(a)
+                         for w, a in left.items()}))]
+    while stack:
+        node, (den, nums) = stack.pop()
+        for l, child in node.items():
+            if l is not None:
+                got = [(a, ctx._rows[l][i]) for i, a in nums.items()]
+                stack.append((child, _sum_rows_by_products(den, got)))
+                continue
+            for k, c2 in child:
+                c2 = _raw(c2 * Fr(1, den) if den != 1 else c2)
+                for j, a in nums.items():
+                    groups[k].setdefault(j, []).append(_mul_raw(a, c2))
+    return [{ctx.words[j]: _normal(_sum_raw(ts)) for j, ts in g.items()}
+            for g in groups]
+
+
+@pytest.mark.parametrize("omega", [Fr(5), Fr(7, 2)], ids=str)
+@pytest.mark.parametrize("regime", [1, 2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_fold_equals_the_sums_of_its_product_lists(n, regime, omega):
+    # the fused multiply-sum against the list of products per key, every
+    # coefficient as stored: dense left elements times the JM factors
+    # s (y_k - Y) of the interpolation, one for each Y of the spectrum
+    ctx = AlgebraContext(n, laurent_params(regime, omega), verify=False)
+    rights, tabs = [], enumerate_tableaux(n)
+    for tab in (tabs[0], tabs[-1]):
+        contents = quantum_contents(tab, ctx.params)
+        for k in range(2, n + 1):
+            for Y in extension_spectrum(tab.shapes[k - 2], ctx.params):
+                if Y != contents[k - 1]:
+                    s = 1 / (contents[k - 1] - Y)
+                    rights.append((ctx.jm_element(k)
+                                   - ctx.one().scale(Y)).scale(s).terms)
+    rnd = random.Random("%d-%d-%s" % (n, regime, omega))
+    for _ in range(2):
+        left = {w: _pole_coeff(rnd) for w in ctx.words}
+        assert _stored(fold_products, ctx, left, rights) == \
+            _stored(_fold_by_product_lists, ctx, left, rights)
 
 
 def _jm_by_products(ctx, k):

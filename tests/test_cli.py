@@ -337,6 +337,17 @@ def test_export_brauer_idempotent_n5_default_truncation(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == N5_BRAUER_SHA256
 
 
+def test_export_brauer_idempotent_non_integer_omega(capsys):
+    # series denominators from omega = 7/2 through the Laurent fold
+    from bmwfusion import cli
+    assert cli.main(["export", "--kind", "brauer-idempotent", "--n", "4",
+                     "--tableau", "1;2;2,1;2,2", "--regime", "2",
+                     "--omega", "7/2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "4ddf13e2033dc9ac956eae86dbda9c9767896e67ff732f928ee7934b2c213128"
+
+
 def test_export_brauer_idempotent_warm_cache(tmp_path):
     # the Laurent context is cached: the warm run loads it and prints the
     # same stdout

@@ -10,9 +10,9 @@ from bmwfusion import (CapExceeded, DivisionByZero, NotGeneric,
                        q_factorial, q_number)
 from bmwfusion.errors import NegativeValuation, NonInvertible
 from bmwfusion.jsonio import laurent_to_json
-from bmwfusion.scalars import (_mul_raw, _normal, _sum_raw, format_rational,
-                               genericity_check, parse_rational,
-                               suggest_params)
+from bmwfusion.scalars import (_dot_raw, _mul_raw, _normal, _sum_raw,
+                               format_rational, genericity_check,
+                               parse_rational, suggest_params)
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=7)
@@ -476,9 +476,11 @@ def _raw_outcome(f):
 
 @given(x=laurent_args, y=laurent_args, z=laurent_args, c=rationals,
        i=st.one_of(st.sampled_from((0, 1, -1)), st.integers(-30, 30)),
-       m=st.integers(1, 6))
+       m=st.integers(1, 6),
+       picks=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                      min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_raw_kernel_matches_reference(x, y, z, c, i, m):
+def test_raw_kernel_matches_reference(x, y, z, c, i, m, picks):
     pairs = [_pair(t) for t in (x, y, z)]
     if None in pairs:
         return
@@ -507,3 +509,13 @@ def test_raw_kernel_matches_reference(x, y, z, c, i, m):
     for got, want in ((_mul_raw(c, i), c * i), (_sum_raw([i, c]), i + c),
                       (_sum_raw([i, i]), i + i)):
         assert got == want and type(got) is type(want)
+    # the fused multiply-sum is its definition, field by field as raw
+    # series: unreduced series, zero ones (with an empty window too) and
+    # scalars on either side, or scalars alone in their own type
+    values = [*raws, c, i, 0, (a[1], a[1], 1, ())]
+    pairs = [(values[u], values[v]) for u, v in picks]
+    got = _dot_raw(pairs)
+    want = _sum_raw([_mul_raw(u, v) for u, v in pairs])
+    assert got == want and type(got) is type(want)
+    if got.__class__ is tuple:
+        assert type(got[3]) is type(want[3])
