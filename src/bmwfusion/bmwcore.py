@@ -1300,9 +1300,9 @@ class AlgebraElement(SparseElement):
     """Sparse linear combination of canonical words over one scalar domain.
 
     ``algebra`` is the :class:`AlgebraContext`.  The coefficient domain
-    may be richer than the context's parameter domain (series in
-    h = u - c_k during the fusion step, or rational functions of a
-    RatFunc spectral argument), and it may mix with the rationals it
+    may be richer than the context's parameter domain (truncated Laurent
+    series, or rational functions of a RatFunc spectral argument), and
+    it may mix with the rationals it
     contains.  Products run on :func:`fold_products` over the context's
     one row table.
     """

@@ -9,25 +9,28 @@ replaced by the contents, so every coefficient is a univariate rational
 function in the single active variable u.  Its denominator is a product
 of known linear factors in u, read off the closed forms of the factors.
 Individual factors may vanish at the evaluation point c_k, so the step
-runs at u = c_k + h with numerators that are truncated Laurent series
-in h (``scalars.TruncLaurent``) and takes no polynomial gcd: the value is
-the first coefficient the vanishing factors leave, and a nonzero one
-below it is a true pole.
+runs at u = c_k + h, fraction-free, and takes no polynomial gcd: the
+numerator is one vector of integer h-polynomials over one common
+denominator, multiplied factor by factor over the algebra's integer
+rows.  The value is the first coefficient the vanishing factors leave,
+and a nonzero one below it is a true pole.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from .bmwcore import (AlgebraContext, AlgebraElement, check_jm_index,
-                      fold_products, jm_word)
+from .bmwcore import (K_KIND, T_KIND, AlgebraContext, AlgebraElement,
+                      _over_common_denominator, check_jm_index,
+                      fold_products, jm_word, letter)
 from .combinatorics import (UpDownTableau, enumerate_tableaux,
                             extension_spectrum, quantum_contents)
 from .errors import (BmwError, DomainMismatch, NonInvertible,
                      PoleAtEvaluation, PoleError)
-from .scalars import (ParamSet, TruncLaurent, format_rational, q_factorial,
-                      q_number)
+from .scalars import ParamSet, format_rational, q_factorial, q_number
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,40 @@ def Y_script(ctx, j: int, contents, u, view) -> AlgebraElement:
     return E
 
 
+def _times(f):
+    """p -> p f to h^m, f of length m + 1: zip pairs p with f's heads."""
+    heads = [f[e::-1] for e in range(len(f))]
+    return lambda p: [sum(map(mul, p, g)) for g in heads]
+
+
+def _apply_block(D, vec, parts):
+    """The vector D, vec = {basis index: h-polynomial} (integer numerators
+    over D) times the sum of f l over ``parts`` = [(f, the rows of l)],
+    each f an h-polynomial of Fractions and the rows None for l = 1, as
+    such a vector with its content divided out."""
+    bden = math.lcm(*(x.denominator for f, _ in parts for x in f))
+    rows = [row_of or {j: (1, ((j, 1),)) for j in vec} for _, row_of in parts]
+    dens = [{row_of[j][0] for j in vec} for row_of in rows]
+    L = math.lcm(*(d for ds in dens for d in ds))
+    # all over bden L: a row over d takes its polynomial times bden L / d
+    parts = [({d: _times([x.numerator * (bden // x.denominator) * (L // d)
+                          for x in f]) for d in ds}, row_of)
+             for (f, _), row_of, ds in zip(parts, rows, dens)]
+    out = {}
+    get = out.get
+    for j, p in vec.items():
+        for times, row_of in parts:
+            d, row = row_of[j]
+            pf = times[d](p)
+            for j2, x in row:
+                acc = get(j2)
+                out[j2] = [x * y for y in pf] if acc is None else \
+                    [a + x * y for a, y in zip(acc, pf)]
+    D *= bden * L
+    g = math.gcd(D, *(x for p in out.values() for x in p))
+    return D // g, {j: [x // g for x in p] for j, p in out.items() if any(p)}
+
+
 def fusion_step(E_prev, contents, k: int, ctx, view):
     """One consecutive-evaluation step: assemble
     phi(u) = (u - c_k)/(c u c_k - 1) * E_prev * Y_k(c_1, ..., c_{k-1}, u)
@@ -142,27 +179,33 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
     ``ctx`` is a BMW context or, for the kappa = 0 image, a Hecke algebra.
     Every factor of Y_k is a numerator element over a product of known
     linear factors in u, read off its closed form.  The step runs at
-    u = c_k + h: with m of those factors vanishing at c_k, every
-    numerator coefficient is a series in h to h^m, multiplied by the
-    existing element kernels.  The value is the h^m coefficient over the
-    other factors' values and the vanishing factors' slopes; a nonzero
-    lower coefficient is a true pole."""
+    u = c_k + h: with m of those factors vanishing at c_k, the numerator
+    is one vector of integer h-polynomials to h^m over one denominator,
+    times each factor of Y_k in one pass over the integer rows and times
+    (c u - 1)(u - c_k) at the end.  The value is its h^m coefficient
+    (exact: every factor is a polynomial in h) over the other factors'
+    values and the vanishing factors' slopes; a nonzero lower
+    coefficient is a true pole."""
     d, q, c = view.delta, view.q, view.c
     r = q / view.nu
     ck = contents[k - 1]
-    one = ctx.one()
-    # the denominator's linear factors f0 + f1 u, in the order of phi
-    den = []
+    # the denominator's linear factors f0 + f1 u in the order of phi; the
+    # factors t T_i + s + kap kappa_i of Y_k, each of t, s, kap as poly args
+    den, blocks = [], []
     for i in range(k - 1, 0, -1):
         # Q_i(c_i, u) with x = c c_i u, over (x - 1)(1 + (q/nu) x)
         x1 = c * contents[i - 1]
-        den += ((-1, x1), (1, r * x1))
+        a, b = (-1, x1), (1, r * x1)
+        den += (a, b)
+        blocks.append((i, (1, a, b), (d, b), (d, a)))
     den.append((-1, 1))                  # the Y_1 scalar (c u - 1)/(u - 1)
     for i in range(1, k):
         # T_i(c_i, u) f(c_i, u) with one (u - c_i) cancelled, over
         # (c_i + (q/nu) u)(u - q^2 c_i)(u - q^-2 c_i)
         ci = contents[i - 1]
-        den += ((ci, r), (-q * q * ci, 1), (-ci / (q * q), 1))
+        a, b = (-ci, 1), (ci, r)
+        den += (b, (-q * q * ci, 1), (-ci / (q * q), 1))
+        blocks.append((i, (1, a, a, b), (d * ci, a, b), (d * ci, a, a)))
     den.append((-1, c * ck))             # the prefactor's c u c_k - 1
     m, scale = 0, Fraction(1)
     for f0, f1 in den:
@@ -173,33 +216,30 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
             m += 1
             scale *= f1
 
-    def lin(f0, f1):
-        """f0 + f1 u at u = c_k + h, to h^m."""
-        return TruncLaurent(0, (f0 + f1 * ck, f1), m + 1)
+    def poly(coeff, *factors):
+        """coeff times the linear factors (f0, f1) at u = c_k + h, to h^m."""
+        p = [Fraction(coeff)] + [0] * m
+        for f0, f1 in factors:
+            a = f0 + f1 * ck
+            p = [a * x + f1 * y for x, y in zip(p, [0] + p)]
+        return p
 
-    def block(i, t, s, kap):
-        """t T_i + s + kap kappa_i."""
-        return ctx.gen_T(i).scale(t) + one.scale(s) + ctx.gen_K(i).scale(kap)
-
-    num = E_prev.map_coefficients(lambda x: TruncLaurent.const(x, m + 1))
-    for i in range(k - 1, 0, -1):
-        x1 = c * contents[i - 1]
-        a, b = lin(-1, x1), lin(1, r * x1)
-        num = num * block(i, a * b, d * b, d * a)
-    num = num.scale(lin(-1, c))
-    for i in range(1, k):
-        ci = contents[i - 1]
-        a, b = lin(-ci, 1), lin(ci, r)
-        num = num * block(i, a * a * b, d * ci * a * b, d * ci * a * a)
-    num = num.scale(lin(-ck, 1))
-
-    def at(s):
-        if s.val < m:
+    rows = ctx._rows
+    D, vec = _over_common_denominator(E_prev.terms)
+    vec = {ctx.word_index[w]: [x] + [0] * m for w, x in vec.items()}
+    for i, t, s, kap in blocks:
+        parts = [(poly(*t), rows[letter(T_KIND, i)]), (poly(*s), None)]
+        if letter(K_KIND, i) in rows:   # a Hecke algebra has no kappa_i
+            parts.append((poly(*kap), rows[letter(K_KIND, i)]))
+        D, vec = _apply_block(D, vec, parts)
+    D, vec = _apply_block(D, vec, [(poly(1, (-1, c), (-ck, 1)), None)])
+    out, scale = {}, D * scale
+    for j, p in vec.items():
+        if any(p[:m]):
             raise PoleAtEvaluation("pole of the fusion function at u = %s"
                                    % format_rational(ck))
-        return s[m] / scale
-
-    return num.map_coefficients(at)
+        out[ctx.words[j]] = p[m] / scale
+    return ctx.element_type(ctx, out)
 
 
 def _check_length(tab, ctx):

@@ -58,8 +58,8 @@ def lex_min_reduced_word(w):
 
 
 class HeckeElement(SparseElement):
-    """Sparse combination of T_w; coefficients rational, or truncated
-    Laurent series in the local variable h during the fusion step."""
+    """Sparse combination of T_w; coefficients rational, or any scalars
+    the fold multiplies (truncated Laurent series, rational functions)."""
 
     __slots__ = ()
 

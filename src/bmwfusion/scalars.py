@@ -5,8 +5,7 @@ Two coefficient domains are used throughout the package:
 
 * ``fractions.Fraction`` -- the ground field for specialized parameters;
 * :class:`TruncLaurent` -- truncated Laurent series in one variable
-  ``h``: the contraction parameter of the Brauer limits, and the local
-  variable u = c_k + h of the fusion step at a quantum content c_k.
+  ``h``: the contraction parameter of the Brauer limits.
 
 ``TruncLaurent`` is stored fraction-free: integer numerators over one
 positive denominator, with their common content divided out.  Its sums

@@ -124,11 +124,11 @@ def test_criterion_3_oracle_equivalence(n, ctx2, ctx3, ctx4):
 
 
 def test_criterion_3_oracle_equivalence_n5(ctx5):
-    tabs = enumerate_tableaux(5)[::10]
-    assert len(tabs) == 9
+    tabs = enumerate_tableaux(5)
+    assert len(tabs) == 81
     ok = all(fusion_idempotent(tab, ctx5).element
              == jm_oracle_idempotent(tab, ctx5).element for tab in tabs)
-    _report(3, ok, "fusion = JM interpolation on every 10th of the 81 "
+    _report(3, ok, "fusion = JM interpolation on every one of the 81 "
             "tableaux, n=5")
 
 
@@ -212,12 +212,14 @@ def test_criterion_5_identity_suites(ctx4):
             "%s" % counts)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_criterion_6_hecke_family(n, ctx2, ctx3, ctx4):
-    ctx = {2: ctx2, 3: ctx3, 4: ctx4}[n]
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_criterion_6_hecke_family(n, ctx2, ctx3, ctx4, ctx5):
+    # at n = 5 one c besides 0, and no pairwise products: the 650 products
+    # of the 26 idempotents in H_5 would take longer than the rest
+    ctx = {2: ctx2, 3: ctx3, 4: ctx4, 5: ctx5}[n]
     hk = HeckeAlgebra(n, ctx.params.q)
     tabs = [t for t in enumerate_tableaux(n) if t.is_standard()]
-    cs = [Fr(0), Fr(1, 2), Fr(-2, 3), Fr(3, 7)]
+    cs = [Fr(0), Fr(1, 2), Fr(-2, 3), Fr(3, 7)][:2 if n == 5 else 4]
     ok = True
     idems = []
     for tab in tabs:
@@ -233,14 +235,15 @@ def test_criterion_6_hecke_family(n, ctx2, ctx3, ctx4):
     total = hk.zero()
     for a, e in enumerate(idems):
         total = total + e
-        for b, f in enumerate(idems):
+        for b, f in enumerate(idems if n < 5 else ()):
             if a != b:
                 ok = ok and (e * f).is_zero()
     ok = ok and (total - hk.one()).is_zero()
     _report(6, ok, "Hecke family idempotents: c-independent over %d values "
-            "incl. 0, orthogonal and complete, and equal to the kappa->0 "
-            "quotient at c=-1/(q nu), n=%d (%d standard tableaux)"
-            % (len(cs), n, len(tabs)))
+            "incl. 0, %s and complete, and equal to the kappa->0 quotient "
+            "at c=-1/(q nu), n=%d (%d standard tableaux)"
+            % (len(cs), "orthogonal" if n < 5 else "idempotent", n,
+               len(tabs)))
 
 
 def test_criterion_7_contraction():

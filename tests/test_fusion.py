@@ -19,7 +19,7 @@ from bmwfusion.errors import BmwError, NonInvertible
 from bmwfusion.fusion import (L_operator, baxterized_T_one_arg,
                               consecutive_evaluation, fusion_step,
                               pole_factor_f)
-from bmwfusion.scalars import RatFunc
+from bmwfusion.scalars import RatFunc, TruncLaurent
 
 
 def closed_forms(ctx):
@@ -381,17 +381,117 @@ def test_hecke_family_matches_ratfunc_reference(params4):
             assert got == want, (tab.encode(), c)
 
 
+# no tableau has these contents (c c_1 c_2 = 1 and c_2 c_3 = nu^2); the
+# first two steps are regular and the third has a true pole
+def true_pole_contents(view):
+    return (Fr(2), 1 / (2 * view.c), -2 * view.nu / view.q)
+
+
 def test_fusion_step_true_pole_matches_reference(ctx3):
-    # no tableau has these contents (c c_1 c_2 = 1 and c_2 c_3 = nu^2);
-    # the first two steps are regular and the third has a true pole
     view = SpectralView.of(ctx3.params)
-    contents = (Fr(2), 1 / (2 * view.c), -2 * view.nu / view.q)
+    contents = true_pole_contents(view)
     prefix = [chain(step, contents[:2], ctx3, view)
               for step in (reference_step, fusion_step)]
     assert prefix[0] == prefix[1]
     for step, E in zip((reference_step, fusion_step), prefix):
         with pytest.raises(PoleAtEvaluation):
             step(E, contents, 3, ctx3, view)
+
+
+def series_step(E_prev, contents, k, ctx, view):
+    """The fusion step with every numerator coefficient a truncated
+    Laurent series in h = u - c_k, each block t T_i + s + kap kappa_i an
+    element of series multiplied through the element product."""
+    d, q, c = view.delta, view.q, view.c
+    r = q / view.nu
+    ck = contents[k - 1]
+    den = []
+    for i in range(k - 1, 0, -1):
+        x1 = c * contents[i - 1]
+        den += ((-1, x1), (1, r * x1))
+    den.append((-1, 1))
+    for i in range(1, k):
+        ci = contents[i - 1]
+        den += ((ci, r), (-q * q * ci, 1), (-ci / (q * q), 1))
+    den.append((-1, c * ck))
+    m, scale = 0, Fr(1)
+    for f0, f1 in den:
+        value = f0 + f1 * ck
+        if value:
+            scale *= value
+        else:
+            m += 1
+            scale *= f1
+
+    def lin(f0, f1):
+        return TruncLaurent(0, (f0 + f1 * ck, f1), m + 1)
+
+    def block(i, t, s, kap):
+        return ctx.gen_T(i).scale(t) + ctx.one().scale(s) \
+            + ctx.gen_K(i).scale(kap)
+
+    num = E_prev.map_coefficients(lambda x: TruncLaurent.const(x, m + 1))
+    for i in range(k - 1, 0, -1):
+        x1 = c * contents[i - 1]
+        a, b = lin(-1, x1), lin(1, r * x1)
+        num = num * block(i, a * b, d * b, d * a)
+    num = num.scale(lin(-1, c))
+    for i in range(1, k):
+        ci = contents[i - 1]
+        a, b = lin(-ci, 1), lin(ci, r)
+        num = num * block(i, a * a * b, d * ci * a * b, d * ci * a * a)
+    num = num.scale(lin(-ck, 1))
+
+    def at(s):
+        if s.val < m:
+            raise PoleAtEvaluation("pole at u = %s" % ck)
+        return s[m] / scale
+
+    return num.map_coefficients(at)
+
+
+def assert_steps_match_series(contents, ctx, view):
+    """fusion_step = series_step at every step from E_1 = 1, a pole of
+    the one a pole of the other."""
+    E = ctx.one()
+    for k in range(2, len(contents) + 1):
+        try:
+            want = series_step(E, contents, k, ctx, view)
+        except PoleAtEvaluation:
+            with pytest.raises(PoleAtEvaluation):
+                fusion_step(E, contents, k, ctx, view)
+            return
+        E = fusion_step(E, contents, k, ctx, view)
+        assert E == want, (contents, k)
+
+
+@pytest.mark.parametrize("point", ["6/5,7/3", "-5/6,3/7"])
+def test_fusion_step_matches_series_step(point):
+    q, nu = map(Fr, point.split(","))
+    ctx = build_context(4, q=q, nu=nu)
+    view = SpectralView.of(ctx.params)
+    for n in (2, 3, 4):
+        for tab in enumerate_tableaux(n):
+            assert_steps_match_series(quantum_contents(tab, view), ctx, view)
+
+
+def test_hecke_fusion_step_matches_series_step(params4):
+    hk = HeckeAlgebra(4, params4.q)
+    tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
+    for c in (Fr(0), params4.c):
+        view = SpectralView(q=hk.q, nu=params4.nu, c=c)
+        for tab in tabs:
+            assert_steps_match_series(quantum_contents(tab, params4), hk,
+                                      view)
+
+
+def test_fusion_step_true_pole_matches_series_step(ctx3):
+    view = SpectralView.of(ctx3.params)
+    contents = true_pole_contents(view)
+    assert_steps_match_series(contents, ctx3, view)
+    with pytest.raises(PoleAtEvaluation):
+        series_step(chain(fusion_step, contents[:2], ctx3, view), contents,
+                    3, ctx3, view)
 
 
 # ---------------------------------------------------------------------------
