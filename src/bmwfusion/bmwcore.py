@@ -4,14 +4,14 @@ Letters are encoded as small integers: T_i -> 2i, K_i -> 2i+1 (kappa_i),
 1 <= i <= n-1; a word is a tuple of letters.  Inverse generators are
 eliminated on input via T_i^-1 = T_i - delta + delta K_i.
 
-Multiplication rewrites words onto a canonical spanning set using an
-oriented rule system derived from the defining relations (each rule is an
-exact consequence; the derivation is named next to the rule).  The rule
-system is complete for n <= 4.  At n = 5 the construction adds the
-word-elimination rules of a committed closure plan: each is an
-associativity defect, an exact linear dependency over the spanning set,
-and together they bring the dimension to (2n-1)!!.  A plan that does not
-replay raises DIMENSION_MISMATCH.
+A cold build rewrites words onto a canonical spanning set by an oriented
+rule system derived from the defining relations (each rule is an exact
+consequence, its derivation named next to it), complete for n <= 4.  At
+n = 5 it adds the word-elimination rules of a committed closure plan:
+associativity defects, exact linear dependencies that bring the dimension
+to (2n-1)!!; a plan that does not replay raises DIMENSION_MISMATCH.  The
+rules exist only while a cold build runs.  Multiplication rewrites
+nothing: every product, reduction and rho folds through the rows.
 
 Contexts carry either rational parameters (certified generic) or truncated
 Laurent parameters for the classical-limit mode.
@@ -30,12 +30,11 @@ from .combinatorics import check_strands
 from .errors import (DimensionMismatch, DomainMismatch, NotGeneric,
                      RewriteLimit)
 from .scalars import (ParamSet, TruncLaurent, _dot_raw, _normal, _raw,
-                      _window, format_rational, make_params,
-                      parse_rational)
+                      _window, format_rational, make_params)
 
 T_KIND, K_KIND = 0, 1
 
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 STEP_CAP = 10 ** 6   # rewrite steps allowed for one word
 DEFAULT_TRUNCATION = 4
 
@@ -196,11 +195,10 @@ class RowAlgebra:
 
 
 class AlgebraContext(RowAlgebra):
-    """Immutable context: canonical words and memoized rewriting for one n,
-    and after the build its row table.
-
-    Use :func:`build_context`; the constructor itself performs the closure.
-    """
+    """Immutable context for one n (use :func:`build_context`): the
+    canonical words and their row table, read from the cache file or built
+    cold.  A cold build drops its rewriting state (``_memo``, ``_dyn``,
+    ``_canonical``, ``_rules``) once the rows are filled."""
 
     def __init__(self, n, params, cache_dir=None, verify=True):
         check_strands(n)
@@ -227,11 +225,7 @@ class AlgebraContext(RowAlgebra):
         self._num_one = 1 if self.rational else self._one
         self.letters = [letter(k, i)
                         for i in range(1, n) for k in (T_KIND, K_KIND)]
-        self._memo, self._dyn, self._jm, self._rules = {}, {}, {}, {}
-        self._steps = self._searches = 0     # rewrite counts, see _build
-        # the words _find_redex found canonical: it reads the relations
-        # alone, so a verdict holds for the life of the context
-        self._canonical = set()
+        self._jm, self._rho = {}, None
         self._cache_path = self._cache_file(cache_dir)
         # what the build did, never printed; a cold _close sets "closure"
         # and "rules_added", and a cold _build the redexes applied and the
@@ -241,7 +235,7 @@ class AlgebraContext(RowAlgebra):
         bad = self._build(verify)
         if bad and self.stats["cache"] == "hit":
             # an edited cache file: build cold once, and rewrite the file
-            self._memo, self._dyn, self._jm = {}, {}, {}
+            self._jm = {}
             self.stats["cache"] = "corrupt"
             bad = self._build(verify)
         if bad:
@@ -255,17 +249,24 @@ class AlgebraContext(RowAlgebra):
         """Close the basis and fill the rows, unless a cache hit loaded
         them; the failed relations if ``verify``, else none."""
         if self.stats["cache"] != "hit":
+            # rewriting state; a word _find_redex found canonical stays so
+            self._memo, self._dyn, self._rules = {}, {}, {}
+            self._canonical, self._steps, self._searches = set(), 0, 0
             self.words = self._close()
             self.stats.update(rewrite_steps=self._steps,
                               redex_searches=self._searches)
             self.word_index = {w: k for k, w in enumerate(self.words)}
             # right action of each letter on each basis index, filled from
-            # the products w * l the closure left in the memo: each row
-            # replaces its memo entry, so a context keeps one copy of each
+            # the products w * l the closure left in the memo
             self._rows = {l: [self._row(self._memo.pop(w + (l,)))
                               for w in self.words] for l in self.letters}
+            self._drop_rules()
         return [r for r in self.verify_relations() if not r["ok"]] \
             if verify else []
+
+    def _drop_rules(self):
+        """End the cold build: the rows now hold all the rules gave."""
+        del self._memo, self._dyn, self._canonical, self._rules
 
     # ------------------------------------------------------------------
     # rewriting rules (each an exact consequence of the defining relations)
@@ -436,7 +437,7 @@ class AlgebraContext(RowAlgebra):
     def _redex(self, lo, hi, left, right, make, *args):
         """The redex w[lo:hi] -> left + make(*args) + right as (lo, hi,
         (den, [(fragment, numerator)])), or None if the rule leaves it
-        canonical.  Each rule's coefficients are formed once per context:
+        canonical.  Each rule's coefficients are formed once per build:
         integer numerators over their least common denominator in a
         rational context, the series over 1 in a Laurent one."""
         key = (make.__name__, *args)
@@ -587,25 +588,11 @@ class AlgebraContext(RowAlgebra):
     # reduction, closure, completion
     # ------------------------------------------------------------------
 
-    def reduce_word(self, word):
-        """Rewrite a word into {canonical word: coefficient}: the vector
-        of ``_reduce``, each numerator over its denominator."""
-        return self._coefficients(self._reduce(word))
-
-    def _coefficients(self, vec):
-        """{word: coefficient} of a vector (den, {word: numerator}): a
-        Fraction each in a rational context, the series themselves in a
-        Laurent one."""
-        den, nums = vec
-        if not self.rational:
-            return nums
-        return {w: Fraction(x, den) for w, x in nums.items()}
-
     def _reduce(self, word):
         """Rewrite a word into (den, {canonical word: numerator}), through
-        the relations and then every elimination rule set so far.  This
-        is the only place where a word meets the rules; each read stores
-        the memo entry back canonical.
+        the relations and then every elimination rule set so far.  In a
+        cold build this is the only place where a word meets the rules;
+        each read stores the memo entry back canonical.
 
         In a rational context every coefficient is an integer numerator
         over the one denominator den, the content divided out at the end:
@@ -819,9 +806,9 @@ class AlgebraContext(RowAlgebra):
         return os.path.join(cache_dir, key)
 
     def _load_cache(self):
-        """Fill ``_dyn``, ``words``, ``word_index`` and ``_rows`` from the
-        cache file and return the cache state: "off" without a cache file,
-        "hit", "miss" for a missing or other-version file, "corrupt" for an
+        """Fill ``words``, ``word_index`` and ``_rows`` from the cache file
+        and return the cache state: "off" without a cache file, "hit",
+        "miss" for a missing or other-version file, "corrupt" for an
         unreadable or malformed one, or one recorded for other parameters
         or another n.  A series is read only in the normal form
         ``_read_series`` accepts.  The build rewrites the file unless it
@@ -842,8 +829,6 @@ class AlgebraContext(RowAlgebra):
             return w
 
         seen = {}   # one TruncLaurent for each distinct series
-        coeff = parse_rational if self.rational else \
-            (lambda x: _read_series(x, seen))
         try:
             with open(path) as f:
                 data = json.load(f)
@@ -851,21 +836,16 @@ class AlgebraContext(RowAlgebra):
                 return "miss"
             if data["n"] != self.n or any(
                     data[k] != v for k, v in self._point().items()) or any(
-                    type(data[k]) is not list for k in ("dyn", "words",
-                                                        "rows")):
+                    type(data[k]) is not list for k in ("words", "rows")):
                 return "corrupt"
-            dyn = {word(ent["word"]): {word(u): coeff(c)
-                                       for u, c in ent["expansion"]}
-                   for ent in data["dyn"]}
-            dyn = {w: _over_common_denominator(v) if self.rational
-                   else (1, v) for w, v in dyn.items()}
             words = [word(w) for w in data["words"]]
             rows = data.pop("rows")
             del data
             num = int if self.rational else TruncLaurent
             for k, row_of in enumerate(rows):   # freed as it is converted
                 rows[k] = [(den, tuple(map(tuple, pairs)) if self.rational
-                            else tuple((j, coeff(x)) for j, x in pairs))
+                            else tuple((j, _read_series(x, seen))
+                                       for j, x in pairs))
                            for den, pairs in row_of]
             size = len(words)
             if size != double_factorial(2 * self.n - 1) or \
@@ -878,7 +858,7 @@ class AlgebraContext(RowAlgebra):
                 return "corrupt"
         except (OSError, ValueError, AttributeError, KeyError, TypeError):
             return "corrupt"
-        self._dyn, self.words = dyn, words
+        self.words = words
         self.word_index = {w: k for k, w in enumerate(words)}
         self._rows = dict(zip(self.letters, rows))
         return "hit"
@@ -891,10 +871,6 @@ class AlgebraContext(RowAlgebra):
             "version": CACHE_FORMAT_VERSION,
             "n": self.n,
             **self._point(),
-            # the rules, which reduce_word needs after the build
-            "dyn": [{"word": w,
-                     "expansion": sorted(self._coefficients(v).items())}
-                    for w, v in sorted(self._dyn.items())],
             # the basis, and the rows of each letter as _rows holds them
             "words": self.words,
             "rows": [self._rows[l] for l in self.letters],
@@ -926,28 +902,32 @@ class AlgebraContext(RowAlgebra):
         return w
 
     def from_terms(self, terms):
-        """The element sum c * w over {word: c}, reduced onto the basis.
-
-        A letter outside this algebra's generators raises DomainMismatch.
-        """
-        widx = self.word_index
-        letters = set(self.letters)
-        out = {}
+        """The element sum c * w over {word: c}, the words outside the basis
+        multiplied out from 1 through the rows in one :func:`fold_products`
+        call.  A letter outside the generators raises DomainMismatch."""
+        widx, letters = self.word_index, set(self.letters)
+        out, rest = {}, {}
         for w, c in terms.items():
             w = tuple(w)
-            if w in widx:
-                red = ((w, c),)
-            else:
+            if w not in widx:
                 bad = [l for l in w if l not in letters]
                 if bad:
                     raise DomainMismatch(
                         "letter %r outside the generators of BMW_%d"
                         % (bad[0], self.n))
-                red = [(u, c * cu) for u, cu in self.reduce_word(w).items()]
-            for u, cu in red:
-                prev = out.get(u)
-                out[u] = cu if prev is None else prev + cu
+                rest[w] = c
+            else:
+                out[w] = out[w] + c if w in out else c
+        if rest:
+            rest, = fold_products(self, {(): self._one}, [rest])
+            for u, c in rest.items():
+                out[u] = out[u] + c if u in out else c
         return AlgebraElement(self, out)
+
+    def reduce_word(self, word):
+        """A word as {basis word: coefficient}: 1 times the word through
+        the rows (``from_terms``)."""
+        return self.from_terms({tuple(word): self._one}).terms
 
     def gen_Tinv(self, i):
         """T_i^-1 = T_i - delta + delta K_i."""
@@ -969,8 +949,22 @@ class AlgebraContext(RowAlgebra):
         return hit
 
     def rho(self, elem):
-        """The anti-automorphism fixing every generator (word reversal)."""
-        return self.from_terms({w[::-1]: c for w, c in elem.terms.items()})
+        """The anti-automorphism fixing every generator (word reversal),
+        read off a table of rho(w) for each basis word w: 1 times the
+        reversed words, one :func:`fold_products` call on first use.  A
+        coefficient whose entry is one word with coefficient 1 is copied."""
+        if self._rho is None:
+            prods = fold_products(self, {(): self._one},
+                                  [{w[::-1]: self._one} for w in self.words])
+            self._rho = {w: [(u, None if len(p) == 1 and x == 1 else x)
+                             for u, x in p.items()]
+                         for w, p in zip(self.words, prods)}
+        out = {}
+        for w, c in elem.terms.items():
+            for u, x in self._rho[w]:
+                y = c if x is None else c * x
+                out[u] = out[u] + y if u in out else y
+        return AlgebraElement(self, out)
 
     # ------------------------------------------------------------------
     # relation suite

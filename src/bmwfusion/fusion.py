@@ -262,7 +262,10 @@ def consecutive_evaluation(ctx, contents, view):
 def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext) -> Idempotent:
     """The primitive idempotent by consecutive evaluation of the fusion
     function at the tableau's content sequence.  The same steps over the
-    starred view (contents included) give the transposed tableau's."""
+    starred view (contents included) give the transposed tableau's.  A
+    Laurent context raises DomainMismatch: the step is rational."""
+    if not ctx.rational:
+        raise DomainMismatch("fusion idempotents need rational parameters")
     _check_length(tab, ctx)
     view = SpectralView.of(ctx.params)
     contents = quantum_contents(tab, ctx.params)

@@ -7,13 +7,45 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
-from bmwfusion import build_context, make_params  # noqa: E402
+from bmwfusion import AlgebraContext, build_context, make_params  # noqa: E402
 from closure_plan import SearchContext  # noqa: E402
 
 Q = Fraction(6, 5)
 NU = Fraction(7, 3)
 
 _ACCEPTANCE_LINES = []
+
+# what a cold build rewrites with, and drops when its rows are filled
+REWRITING_STATE = ("_memo", "_dyn", "_canonical", "_rules")
+
+
+class KeepsRules:
+    """Mixed into a context class, it keeps the rewriting state of the
+    cold build, which the library drops, so tests can compare the rows
+    with the rules.  A cache hit has no rules, so without a cache_dir it
+    reads no cache file, $BMWF_CACHE included."""
+
+    def __init__(self, n, params, cache_dir="", verify=True):
+        super().__init__(n, params, cache_dir=cache_dir, verify=verify)
+
+    def _drop_rules(self):
+        pass
+
+    def rules_reduce(self, word):
+        """{canonical word: coefficient} of word through the rules: a
+        Fraction each in a rational context, the series in a Laurent one."""
+        den, nums = self._reduce(tuple(word))
+        if not self.rational:
+            return nums
+        return {w: Fraction(x, den) for w, x in nums.items()}
+
+
+class RulesContext(KeepsRules, AlgebraContext):
+    """An AlgebraContext closed by the replay, keeping its rules."""
+
+
+class SearchRulesContext(KeepsRules, SearchContext):
+    """A SearchContext closed by the search, keeping its rules."""
 
 
 def record_acceptance(line):
@@ -49,11 +81,18 @@ def ctx5(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def ctx5_rules():
+    """The n = 5 context built cold by the replay, keeping its rules."""
+    return RulesContext(5, make_params(Q, NU, 5))
+
+
+@pytest.fixture(scope="session")
 def ctx5_search(tmp_path_factory):
     """The n = 5 context built cold by the plan regenerator's closure
-    search.  It writes its cache file into a fresh directory."""
+    search, keeping its rules.  It writes its cache file into a fresh
+    directory."""
     cache = tmp_path_factory.mktemp("cache5-search")
-    return SearchContext(5, make_params(Q, NU, 5), cache_dir=str(cache))
+    return SearchRulesContext(5, make_params(Q, NU, 5), cache_dir=str(cache))
 
 
 def closure_rows(ctx):

@@ -21,7 +21,7 @@ from bmwfusion.combinatorics import extension_spectrum, quantum_contents
 from bmwfusion.errors import NegativeValuation
 from bmwfusion.scalars import _mul_raw, _normal, _raw, _sum_raw
 from closure_plan import plan_text
-from conftest import closure_rows
+from conftest import REWRITING_STATE, RulesContext, closure_rows
 
 
 def test_dimensions(ctx2, ctx3, ctx4):
@@ -151,13 +151,14 @@ def domain(request, ctx2, ctx3, ctx4):
     return {2: ctx2, 3: ctx3, 4: ctx4}[n], coeff
 
 
-def _reference_product(a, b):
-    """sum c1 c2 w1 w2 with each w1 w2 rewritten from scratch."""
+def _reference_product(a, b, rules):
+    """sum c1 c2 w1 w2 with each w1 w2 rewritten by the rules of the
+    context ``rules``, built cold at the parameters of a's."""
     ctx = a.algebra
     out = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            for u, cu in ctx.reduce_word(w1 + w2).items():
+            for u, cu in rules.rules_reduce(w1 + w2).items():
                 prev = out.get(u)
                 out[u] = c1 * c2 * cu if prev is None \
                     else prev + c1 * c2 * cu
@@ -166,11 +167,12 @@ def _reference_product(a, b):
 
 def test_product_matches_reference(domain):
     ctx, coeff = domain
+    rules = RulesContext(ctx.n, ctx.params, verify=False)
     rnd = random.Random(ctx.n)
     for _ in range(20):
         a = _random_element(ctx, rnd, coeff=coeff)
         b = _random_element(ctx, rnd, coeff=coeff)
-        assert a * b == _reference_product(a, b)
+        assert a * b == _reference_product(a, b, rules)
         if coeff is None:
             # the coefficient types select the arithmetic of the next
             # product: two Fraction factors give Fractions, never ints
@@ -182,7 +184,7 @@ def test_product_matches_reference(domain):
         c = coeff(rnd) if coeff else Fr(rnd.randint(1, 6), 7)
         y = AlgebraElement(ctx, {jm_word(k): c, (): c})
         assert jm_word(k) not in ctx.word_index
-        assert a * y == _reference_product(a, y)
+        assert a * y == _reference_product(a, y, rules)
         assert a * y == a * (ctx.jm_element(k) + ctx.one()).scale(c)
     # one batch of right factors, one of them repeated and one empty: each
     # product is the one formed alone
@@ -191,7 +193,7 @@ def test_product_matches_reference(domain):
         rights = [b1, b2, b1, ctx.zero()]
         got = fold_products(ctx, a.terms, [r.terms for r in rights])
         assert [AlgebraElement(ctx, p) for p in got] == \
-            [_reference_product(a, r) for r in rights]
+            [_reference_product(a, r, rules) for r in rights]
 
 
 def _as_coefficients(ctx, den, rep):
@@ -243,6 +245,8 @@ def _reference_reduce(ctx, word):
 
 
 def _assert_reduces_as_the_reference(ctx, words):
+    """On a context that keeps its rules: the row fold of ``reduce_word``
+    gives each word as the rules do, field by field."""
     for w in words:
         got = ctx.reduce_word(w)
         assert _as_stored(got) == _as_stored(_reference_reduce(ctx, w)), \
@@ -266,19 +270,26 @@ def _random_words(ctx, seed, count=40):
             for _ in range(count)]
 
 
-def test_reduce_word_matches_the_reference_on_short_words(ctx4):
+def test_reduce_word_matches_the_reference_on_short_words(params4):
+    ctx = RulesContext(4, params4)
     words = [w for k in range(5)
-             for w in itertools.product(ctx4.letters, repeat=k)]
+             for w in itertools.product(ctx.letters, repeat=k)]
     assert len(words) == 1 + 6 + 6 ** 2 + 6 ** 3 + 6 ** 4
-    _assert_reduces_as_the_reference(ctx4, words)
+    _assert_reduces_as_the_reference(ctx, words)
+
+
+def _rules_context(n, point, request):
+    """The context at the point "q,nu" that keeps its rules."""
+    q, nu = map(Fr, point.split(","))
+    if n == 5 and point == "6/5,7/3":
+        return request.getfixturevalue("ctx5_rules")
+    return RulesContext(n, make_params(q, nu, n), verify=False)
 
 
 @pytest.mark.parametrize("point", ["6/5,7/3", "-5/6,3/7"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_reduce_word_matches_the_reference_rational(n, point, request):
-    q, nu = map(Fr, point.split(","))
-    ctx = request.getfixturevalue("ctx%d" % n) if point == "6/5,7/3" else \
-        AlgebraContext(n, make_params(q, nu, n), verify=False)
+    ctx = _rules_context(n, point, request)
     _assert_reduces_as_the_reference(ctx, _random_words(ctx, n))
 
 
@@ -286,8 +297,42 @@ def test_reduce_word_matches_the_reference_rational(n, point, request):
 @pytest.mark.parametrize("regime", [1, 2])
 @pytest.mark.parametrize("n", [3, 4])
 def test_reduce_word_matches_the_reference_laurent(n, regime, omega):
-    ctx = AlgebraContext(n, laurent_params(regime, omega), verify=False)
+    ctx = RulesContext(n, laurent_params(regime, omega), verify=False)
     _assert_reduces_as_the_reference(ctx, _random_words(ctx, n))
+
+
+def _assert_rho_table_is_the_rules(ctx):
+    """Each entry of the rho table, on a context that keeps its rules, is
+    the rules' reduction of the reversed basis word, field by field; an
+    entry of one word with coefficient 1 is marked to copy; the number of
+    those."""
+    ctx.rho(ctx.one())      # the table is made on first use
+    assert list(ctx._rho) == ctx.words
+    copies = 0
+    for w in ctx.words:
+        want = ctx.rules_reduce(w[::-1])
+        got = ctx._rho[w]
+        if len(want) == 1 and list(want.values()) == [1]:
+            assert got == [(next(iter(want)), None)], word_name(w)
+            copies += 1
+        else:
+            assert _as_stored(dict(got)) == _as_stored(want), word_name(w)
+    return copies
+
+
+@pytest.mark.parametrize("point", ["6/5,7/3", "-5/6,3/7"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rho_table_equals_the_rules_rational(n, point, request):
+    ctx = _rules_context(n, point, request)
+    assert _assert_rho_table_is_the_rules(ctx) == {3: 15, 4: 105, 5: 941}[n]
+
+
+@pytest.mark.parametrize("omega", [5, Fr(7, 2)], ids=["5", "7_2"])
+@pytest.mark.parametrize("regime", [1, 2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_rho_table_equals_the_rules_laurent(n, regime, omega):
+    ctx = RulesContext(n, laurent_params(regime, omega), verify=False)
+    assert _assert_rho_table_is_the_rules(ctx) == {3: 15, 4: 105}[n]
 
 
 def _fold_reference(ctx, left, right):
@@ -553,7 +598,7 @@ def test_cache_round_trip(tmp_path):
     a = ctx_a.gen_T(1) * ctx_a.gen_K(2) * ctx_a.gen_T(2)
     b = ctx_b.gen_T(1) * ctx_b.gen_K(2) * ctx_b.gen_T(2)
     assert sorted(a.terms.items()) == sorted(b.terms.items())
-    # a hit rewrites no word at build, and after it as a cold build does
+    # after the build a hit reduces a word as a cold build does
     assert ctx_b.reduce_word(jm_word(3)) == ctx_a.reduce_word(jm_word(3))
 
 
@@ -564,23 +609,23 @@ def _as_stored(vec):
 
 
 def _assert_rows_filled(ctx, params):
-    """Every row of ctx is set by the build, its memo keeps no basis
-    product w l, and at n <= 4 each row is the one a context with an
-    empty memo reduces from scratch."""
+    """Every row of ctx is set by the build, ctx keeps no rewriting
+    state, and at n <= 4 each row is the one the rules of a context with
+    an empty memo reduce from scratch."""
     assert set(ctx._rows) == set(ctx.letters)
-    fresh = AlgebraContext(ctx.n, params, verify=False)
+    assert not any(hasattr(ctx, a) for a in REWRITING_STATE)
+    fresh = RulesContext(ctx.n, params, verify=False)
     fresh._memo.clear()
     for l in ctx.letters:
         assert len(ctx._rows[l]) == len(ctx.words)
         for w, row in zip(ctx.words, ctx._rows[l]):
-            assert w + (l,) not in ctx._memo
             assert row is not None
             if ctx.n <= 4:
                 den, pairs = row
                 got = {ctx.words[j]: x if den == 1 else Fr(x, den)
                        for j, x in pairs}
                 assert _as_stored(got) == _as_stored(
-                    fresh.reduce_word(w + (l,))), word_name(w + (l,))
+                    fresh.rules_reduce(w + (l,))), word_name(w + (l,))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -602,8 +647,8 @@ def test_rows_filled_at_build_laurent(regime):
                                       for n in range(1, 6)]
                          + [(4, Fr(-5, 6), Fr(3, 7))])
 def test_cache_hit_runs_no_closure(n, q, nu, tmp_path, request, monkeypatch):
-    """A hit loads the rules, words and rows the cold build wrote: no
-    closure and no rewriting, every row as the cold build stored it."""
+    """A hit loads the words and rows the cold build wrote: no closure,
+    no rewriting and no rules, every row as the cold build stored it."""
     cold = request.getfixturevalue("ctx5") if n == 5 else \
         build_context(n, q=q, nu=nu, cache_dir=str(tmp_path))
 
@@ -611,6 +656,7 @@ def test_cache_hit_runs_no_closure(n, q, nu, tmp_path, request, monkeypatch):
         pytest.fail("a cache hit rewrote words")
 
     monkeypatch.setattr(AlgebraContext, "_close", closure)
+    monkeypatch.setattr(AlgebraContext, "_reduce", closure)
     monkeypatch.setattr(AlgebraContext, "reduce_word", closure)
     warm = AlgebraContext(n, cold.params,
                           cache_dir=os.path.dirname(cold._cache_path))
@@ -618,16 +664,89 @@ def test_cache_hit_runs_no_closure(n, q, nu, tmp_path, request, monkeypatch):
                           "rules_added": 0}
     assert warm.words == cold.words
     assert warm.word_index == cold.word_index
-    assert warm._dyn == cold._dyn
     assert warm._rows == cold._rows
-    assert not warm._memo
+    for ctx in (cold, warm):
+        assert not any(hasattr(ctx, a) for a in REWRITING_STATE)
+
+
+def _warm_and_cold(n, params, request, tmp_path):
+    """A cold build of n at params that wrote its cache file (ctx5 at n =
+    5), and a warm build read from that file."""
+    cold = request.getfixturevalue("ctx5") if n == 5 else \
+        AlgebraContext(n, params, cache_dir=str(tmp_path))
+    warm = AlgebraContext(n, params,
+                          cache_dir=os.path.dirname(cold._cache_path))
+    assert (cold.stats["cache"], warm.stats["cache"]) == ("miss", "hit")
+    return cold, warm
+
+
+@pytest.mark.parametrize("n, regime", [(3, 0), (4, 0), (5, 0), (3, 1),
+                                       (4, 2)])
+def test_warm_from_terms_and_rho_equal_the_cold_ones(n, regime, request,
+                                                     tmp_path):
+    """Words outside the basis, with seeded coefficients, and rho of
+    seeded elements give a warm context what they give a cold one, field
+    by field; regime 0 is the rational pair (6/5, 7/3)."""
+    params = make_params(Fr(6, 5), Fr(7, 3), n) if regime == 0 else \
+        laurent_params(regime, Fr(7, 2))
+    cold, warm = _warm_and_cold(n, params, request, tmp_path)
+    rnd = random.Random(n)
+    coeff = _laurent_coeff if regime else None
+    terms = {w: coeff(rnd) if coeff else Fr(rnd.randint(1, 9), 7)
+             for w in _random_words(cold, n)}
+    assert any(w not in cold.word_index for w in terms)
+    elems = [_random_element(cold, rnd, nterms=9, coeff=coeff)
+             for _ in range(10)]
+    got, want = ([ctx.from_terms(terms)] + [
+        ctx.rho(AlgebraElement(ctx, e.terms)) for e in elems]
+        for ctx in (warm, cold))
+    assert [_as_stored(e.terms) for e in got] == \
+        [_as_stored(e.terms) for e in want]
+
+
+def test_built_context_holds_no_rewriting_state(ctx2, ctx3, ctx4, ctx5,
+                                                tmp_path):
+    """Cold or warm, rational or Laurent, a built context keeps no rules;
+    a context that keeps them has each of the names."""
+    kept = RulesContext(3, make_params(Fr(6, 5), Fr(7, 3), 3))
+    assert all(hasattr(kept, a) for a in REWRITING_STATE)
+    built = [ctx2, ctx3, ctx4, ctx5]
+    for params in (make_params(Fr(6, 5), Fr(7, 3), 3),
+                   laurent_params(1, 5), laurent_params(2, Fr(7, 2))):
+        built += [AlgebraContext(3, params, cache_dir=str(tmp_path))
+                  for _ in ("miss", "hit")]
+    assert [c.stats["cache"] for c in built[4:]] == ["miss", "hit"] * 3
+    for ctx in built:
+        assert not [a for a in REWRITING_STATE if hasattr(ctx, a)], ctx.n
+
+
+def test_format_3_cache_file_is_a_miss(tmp_path):
+    """A format-3 payload, rules included, under the format-4 file name is
+    a miss, and the build writes the file again with no rules."""
+    def build():
+        return build_context(3, q=Fr(6, 5), nu=Fr(7, 3),
+                             cache_dir=str(tmp_path))
+
+    path = build()._cache_path
+    with open(path) as f:
+        fresh = f.read()
+    data = json.loads(fresh)
+    assert "dyn" not in data and data["version"] == 4
+    data.update(version=3, dyn=[{"word": [5, 3, 5],
+                                 "expansion": [[[5], "1"]]}])
+    with open(path, "w") as f:
+        json.dump(data, f)
+    assert build().stats["cache"] == "miss"
+    with open(path) as f:
+        assert f.read() == fresh
+    assert build().stats["cache"] == "hit"
 
 
 # sha256 of the cache files at (6/5, 7/3) for n = 2, 3, 4
 CACHE_SHA256 = {
-    2: "9507eb9ff57a06fcf9ac3da0a659f56401096bfb41f45fd7ce0a79a457a768b4",
-    3: "b4e83309a40086e62acb147fec3c1c80e8801a5ec28a40f14ae3948286b9b8e4",
-    4: "6235a0c76d41348c5a56505fbf7948e825462b920c8a9401e408c352a3502f88",
+    2: "20a276e3ccd787184bc06285115466facb4498561515484ba0927437db8ebbbb",
+    3: "21f1d27ce602e4076d68ec18fcd6d231d6bb8e16d5cba5eadfd5563b0fc2bc59",
+    4: "f5b6c7aded9dfa1c7e969db3ba2af8d91c980676c5af690432db401a64333bb7",
 }
 
 
@@ -664,20 +783,21 @@ def test_cache_file_of_other_parameters_is_rebuilt(n, tmp_path):
     assert build(Fr(-5, 6), Fr(3, 7), "b").stats["cache"] == "corrupt"
 
 
-# sha256 of the n = 5 cache file at (6/5, 7/3): it pins the closure's rules
-# and the rows
+# sha256 of the n = 5 cache file at (6/5, 7/3): it pins the words and rows
 N5_CACHE_SHA256 = \
-    "c1c5a91c5253f3ebe3cc6dc060bd4d8d7ef3f88fc24d21ef1444038ad1620e9e"
+    "44ceca5940a8e3f7c35a61c9aba46fc4b5d22d442f09af211fa795c42b103242"
 
 
-def test_n5_cache_file_pinned(ctx5, ctx5_search):
+def test_n5_cache_file_pinned(ctx5, ctx5_search, ctx5_rules):
     path = ctx5._cache_path
     with open(path, "rb") as f:
         data = f.read()
     assert hashlib.sha256(data).hexdigest() == N5_CACHE_SHA256
     with open(ctx5_search._cache_path, "rb") as f:
         assert f.read() == data, "search and replay wrote other files"
-    assert len(ctx5._dyn) == 164
+    assert sorted(json.loads(data)) == ["n", "nu", "q", "rows", "version",
+                                        "words"]
+    assert len(ctx5_rules._dyn) == 164
     inode = os.stat(path).st_ino
     warm = build_context(5, q=Fr(6, 5), nu=Fr(7, 3),
                          cache_dir=os.path.dirname(path))
@@ -697,20 +817,52 @@ def test_search_records_the_committed_plan(ctx5_search):
     assert plan_text(plan) == " ".join(CLOSURE_PLANS[5].split())
 
 
-def test_reduce_word_returns_canonical_words(ctx5):
-    """After the build, reduce_word of every memoised word holds no word
-    that has an elimination rule."""
-    stale = [word_name(w) for w in list(ctx5._memo)
-             if not ctx5._dyn.keys().isdisjoint(ctx5.reduce_word(w))]
+# two words of the closure's memo that the rules leave as words outside
+# the basis: each is a word with no redex and no elimination rule
+OFF_BASIS_N5 = [(2, 6, 4, 2, 9, 6, 5, 2), (4, 2, 6, 4, 2, 9, 6, 5, 2)]
+
+
+def test_reduce_word_returns_canonical_words(ctx5, ctx5_rules):
+    """After a cold build that keeps its rules, the rules reduce every
+    memoised word to words that have no elimination rule.  The row fold
+    of ``reduce_word`` on a library context gives basis words only, the
+    rules' reduction wherever that lies on the basis."""
+    dyn, widx = ctx5_rules._dyn, ctx5.word_index
+    stale, off_basis = [], []
+    for w in list(ctx5_rules._memo):
+        got, fold = ctx5_rules.rules_reduce(w), ctx5.reduce_word(w)
+        if not dyn.keys().isdisjoint(got) or not widx.keys() >= fold.keys():
+            stale.append(word_name(w))
+        elif not widx.keys() >= got.keys():
+            off_basis.append(w)
+        elif got != fold:
+            stale.append(word_name(w))
     assert not stale, stale[:5]
+    assert sorted(off_basis) == sorted(OFF_BASIS_N5)
+    assert all(ctx5_rules.rules_reduce(w) == {w: 1} for w in OFF_BASIS_N5)
 
 
-def test_replay_equals_search(ctx5, ctx5_search):
-    assert ctx5.stats["closure"] == "replay"
+def test_from_terms_of_a_word_the_rules_leave_off_the_basis(ctx5):
+    """The rules left these words as they are, so ``from_terms`` gave an
+    element on a word outside the basis, and its product a KeyError; the
+    row fold gives the product of the word's generators."""
+    for w in OFF_BASIS_N5:
+        got = ctx5.from_terms({w: Fr(3, 7)})
+        assert got.terms.keys() <= ctx5.word_index.keys()
+        want = ctx5.one()
+        for l in w:
+            want = want * ctx5._generator(l & 1, l >> 1)
+        assert got == want.scale(Fr(3, 7))
+        assert got * ctx5.one() == got
+
+
+def test_replay_equals_search(ctx5, ctx5_search, ctx5_rules):
+    assert ctx5.stats["closure"] == ctx5_rules.stats["closure"] == "replay"
     assert ctx5_search.stats["closure"] == "search"
-    assert ctx5._dyn == ctx5_search._dyn
-    assert ctx5.words == ctx5_search.words
-    assert closure_rows(ctx5) == closure_rows(ctx5_search)
+    assert ctx5_rules._dyn == ctx5_search._dyn
+    assert ctx5.words == ctx5_search.words == ctx5_rules.words
+    assert closure_rows(ctx5) == closure_rows(ctx5_search) == \
+        closure_rows(ctx5_rules)
 
 
 def _build_with_plan(monkeypatch, plan):
@@ -818,16 +970,16 @@ def test_edited_cache_table_is_rebuilt_and_rewritten(tmp_path, monkeypatch):
 
 
 def _stored_table(ctx):
-    """The rules and rows of ctx with every series as stored."""
-    return ({w: (den, _as_stored(v)) for w, (den, v) in ctx._dyn.items()},
-            {l: [(den, [(j, (x.val, x.prec, x.den, x.nums)) for j, x in pairs])
-                 for den, pairs in row_of] for l, row_of in ctx._rows.items()})
+    """The rows of ctx with every series as stored."""
+    return {l: [(den, [(j, (x.val, x.prec, x.den, x.nums)) for j, x in pairs])
+                for den, pairs in row_of] for l, row_of in ctx._rows.items()}
 
 
 def _laurent_round_trip(n, params, cache_dir, monkeypatch):
-    """A cold build, then a warm one that must hit with no closure and no
-    rewriting and leave the file as it was; both contexts."""
-    cold = AlgebraContext(n, params, cache_dir=cache_dir, verify=False)
+    """A cold build that keeps its rules, then a warm one that must hit
+    with no closure, no rewriting and no rules and leave the file as it
+    was; both contexts."""
+    cold = RulesContext(n, params, cache_dir=cache_dir, verify=False)
     assert cold.stats["cache"] == "miss"
     inode = os.stat(cold._cache_path).st_ino
 
@@ -836,6 +988,7 @@ def _laurent_round_trip(n, params, cache_dir, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(AlgebraContext, "_close", closure)
+        m.setattr(AlgebraContext, "_reduce", closure)
         m.setattr(AlgebraContext, "reduce_word", closure)
         warm = AlgebraContext(n, params, cache_dir=cache_dir, verify=False)
     assert warm.stats == {"cache": "hit", "closure": "cache",
@@ -843,7 +996,7 @@ def _laurent_round_trip(n, params, cache_dir, monkeypatch):
     assert os.stat(cold._cache_path).st_ino == inode, "a hit rewrote the file"
     assert warm.words == cold.words
     assert warm.word_index == cold.word_index
-    assert warm._dyn.keys() == cold._dyn.keys()
+    assert not any(hasattr(warm, a) for a in REWRITING_STATE)
     assert _stored_table(warm) == _stored_table(cold)
     return cold, warm
 
@@ -964,8 +1117,8 @@ def test_edited_laurent_table_is_rebuilt_by_a_verified_build(tmp_path):
 
 
 def test_canonical_words_are_searched_once(tmp_path, monkeypatch):
-    """reduce_word looks for a redex in a canonical word once per context:
-    a cold n = 5 build at (6/5, 7/3) ran 71,850 redex searches without
+    """The rewriting looks for a redex in a canonical word once per cold
+    build: an n = 5 build at (6/5, 7/3) ran 71,850 redex searches without
     that, 30,374 of them on 1,113 canonical words.  The file is the
     pinned one."""
     monkeypatch.delenv("BMWF_CACHE", raising=False)
@@ -978,7 +1131,8 @@ def test_canonical_words_are_searched_once(tmp_path, monkeypatch):
         return red
 
     monkeypatch.setattr(AlgebraContext, "_find_redex", counted)
-    ctx = build_context(5, q=Fr(6, 5), nu=Fr(7, 3), cache_dir=str(tmp_path))
+    ctx = RulesContext(5, make_params(Fr(6, 5), Fr(7, 3), 5),
+                       cache_dir=str(tmp_path))
     assert len(found) == 71850 - 30374 + 1113
     assert sum(found) == len(ctx._canonical) == 1113
     assert all(search(ctx, w) is None for w in ctx._canonical)
@@ -987,12 +1141,12 @@ def test_canonical_words_are_searched_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_chain_followed_by_a_slid_letter_is_an_f_redex(n, ctx4, ctx5,
+def test_chain_followed_by_a_slid_letter_is_an_f_redex(n, params4, ctx5_rules,
                                                        monkeypatch):
     """A word with (T_m..T_j) X_g, j+1 <= g <= m, contains the F-family
     redex T_g T_{g-1} [T_{g-2}..T_j] X_g: ``_find_redex`` returns a redex
     starting at or before T_g without reaching the chain slides."""
-    ctx = {4: ctx4, 5: ctx5}[n]
+    ctx = RulesContext(4, params4) if n == 4 else ctx5_rules
 
     def unreachable(w):
         raise AssertionError("chain slide reached for %s" % word_name(w))

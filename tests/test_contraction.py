@@ -16,8 +16,7 @@ from bmwfusion.brauer import diagram_mul, e_diagram, s_diagram
 from bmwfusion.contraction import (_constant_rows, constant_term_element,
                                    default_truncation, spectral_series,
                                    word_to_diagram)
-from closure_plan import SearchContext
-from conftest import closure_rows
+from conftest import RulesContext, SearchRulesContext, closure_rows
 
 
 def test_block_checks_worked_examples():
@@ -259,27 +258,27 @@ def test_contraction_rejects_a_context_of_other_precision():
         == brauer_idempotent_via_contraction(tab, 1, 5, ctx=ctx)
 
 
-def test_laurent_closure_at_n5_matches_the_rational_one(ctx5):
+def test_laurent_closure_at_n5_matches_the_rational_one(ctx5, ctx5_rules):
     # the regenerator's search over TruncLaurent reaches the same basis by
     # eliminating the same words
-    lctx = SearchContext(5, laurent_params(1, 5, 5), verify=False)
+    lctx = SearchRulesContext(5, laurent_params(1, 5, 5), verify=False)
     assert lctx.stats["closure"] == "search"
     assert lctx.words == ctx5.words
-    assert sorted(lctx._dyn) == sorted(ctx5._dyn)
+    assert sorted(lctx._dyn) == sorted(ctx5_rules._dyn)
     # the rational plan replays over series to the same rules and rows
-    replay = AlgebraContext(5, laurent_params(1, 5, 5), verify=False)
+    replay = RulesContext(5, laurent_params(1, 5, 5), verify=False)
     assert replay.stats["closure"] == "replay"
     assert sorted(replay._dyn) == sorted(lctx._dyn)
     assert replay.words == lctx.words
     assert closure_rows(replay) == closure_rows(lctx)
 
 
-def test_laurent_closure_at_n5_regime_2(ctx5):
+def test_laurent_closure_at_n5_regime_2(ctx5, ctx5_rules):
     # the rational plan replays over the series of the second regime
-    ctx = AlgebraContext(5, laurent_params(2, Fr(7, 2), 5))
+    ctx = RulesContext(5, laurent_params(2, Fr(7, 2), 5))
     assert ctx.stats["closure"] == "replay"
     assert ctx.words == ctx5.words
-    assert sorted(ctx._dyn) == sorted(ctx5._dyn)
+    assert sorted(ctx._dyn) == sorted(ctx5_rules._dyn)
     # an idempotent of B_5(7/2) with 81 diagrams, squared on the row table
     tab, = [t for t in enumerate_tableaux(5)
             if t.encode() == "1;1,1;1;1,1;1"]

@@ -11,7 +11,8 @@ from bmwfusion import (DomainMismatch, HeckeAlgebra, PoleAtEvaluation,
                        complete_system_checks,
                        enumerate_tableaux, fusion_idempotent,
                        hecke_family_idempotent, jm_oracle_idempotent,
-                       quantum_contents, symmetrizer, verify_idempotent)
+                       laurent_params, quantum_contents, symmetrizer,
+                       verify_idempotent)
 from bmwfusion import fusion
 from bmwfusion.bmwcore import AlgebraContext, AlgebraElement
 from bmwfusion.combinatorics import extension_spectrum
@@ -121,6 +122,22 @@ def test_tableau_longer_than_the_algebra(build, ctx2, ctx3):
     # a shorter tableau builds its idempotent in the larger algebra
     for tab in enumerate_tableaux(2):
         assert all(verify_idempotent(build(tab, ctx3), ctx3).values())
+
+
+@pytest.mark.parametrize("regime, omega", [(1, 5), (2, Fr(7, 2))])
+def test_fusion_on_a_laurent_context_is_a_domain_mismatch(regime, omega,
+                                                          monkeypatch):
+    # it ended in a bare AttributeError from the rational step
+    ctx = AlgebraContext(3, laurent_params(regime, omega), verify=False)
+
+    def arithmetic(*args):
+        pytest.fail("the fusion step ran on a Laurent context")
+
+    monkeypatch.setattr(fusion, "quantum_contents", arithmetic)
+    monkeypatch.setattr(fusion, "consecutive_evaluation", arithmetic)
+    for tab in enumerate_tableaux(3):
+        with pytest.raises(DomainMismatch):
+            fusion_idempotent(tab, ctx)
 
 
 def test_pole_at_equal_arguments(ctx2):

@@ -12,8 +12,7 @@ import pytest
 from bmwfusion import (build_context, complete_system_checks,
                        enumerate_tableaux, fusion_idempotent,
                        jm_oracle_idempotent, make_params, verify_idempotent)
-from closure_plan import SearchContext
-from conftest import closure_rows
+from conftest import RulesContext, SearchRulesContext, closure_rows
 
 SWEEP = [(Fr(5, 6), Fr(7, 3)), (Fr(-6, 5), Fr(7, 3)),
          (Fr(6, 5), Fr(3, 7)), (Fr(-5, 6), Fr(3, 7))]
@@ -64,8 +63,8 @@ def test_jm_complete_system_n5_second_pair():
 def test_n5_closure_words_second_pair(ctx5, monkeypatch):
     # the plan recorded at (6/5, 7/3) replays here to the search's rules
     monkeypatch.delenv("BMWF_CACHE", raising=False)
-    ctx = build_context(5, q=Fr(-5, 6), nu=Fr(3, 7))
-    search = SearchContext(5, make_params(Fr(-5, 6), Fr(3, 7), 5))
+    ctx = RulesContext(5, make_params(Fr(-5, 6), Fr(3, 7), 5))
+    search = SearchRulesContext(5, make_params(Fr(-5, 6), Fr(3, 7), 5))
     assert ctx.stats["closure"] == "replay"
     assert search.stats["closure"] == "search"
     assert ctx._dyn == search._dyn
