@@ -6,12 +6,13 @@ eliminated on input via T_i^-1 = T_i - delta + delta K_i.
 
 A cold build rewrites words onto a canonical spanning set by an oriented
 rule system derived from the defining relations (each rule is an exact
-consequence, its derivation named next to it), complete for n <= 4.  At
-n = 5 it adds the word-elimination rules of a committed closure plan:
-associativity defects, exact linear dependencies that bring the dimension
-to (2n-1)!!; a plan that does not replay raises DIMENSION_MISMATCH.  The
-rules exist only while a cold build runs.  Multiplication rewrites
-nothing: every product, reduction and rho folds through the rows.
+consequence, its derivation named next to it), complete for n <= 3.  At
+n = 4 and 5 it adds the word-elimination rules of a committed closure
+plan, 8 and 309 of them: associativity defects, exact linear dependencies
+that bring the dimension to (2n-1)!!; a plan that does not replay raises
+DIMENSION_MISMATCH.  The rules exist only while a cold build runs.
+Multiplication rewrites nothing: every product, reduction and rho folds
+through the rows.
 
 Contexts carry either rational parameters (certified generic) or truncated
 Laurent parameters for the classical-limit mode.
@@ -86,26 +87,39 @@ def jm_word(k: int):
 
 
 # per n, the rules tools/closure_plan.py writes at (6/5, 7/3); see _read_plan
-CLOSURE_PLANS = {5: """5386.85 5387.85 24286.85 24287.85 24864.83 24874.83
-25286.85 25287.85 26864.63 26865.63 26964.63 26965.63 34864.83 34874.823
-36864.63 36865.623 36964.623 36965.623 52758.72 52759.72 52865.82 52874.82
-52875.82 65386.85 65387.85 75386.85 75396.85 246864.63 246964.63 252874.82
-346864.63 346964.623 426487.88 426586.84 426587.82 426864.63 426865.63
-426964.63 426965.63 436487.88 436586.84 436864.63 436865.623 436964.623
-436965.623 526487.84 526586.84 526587.82 526864.63 526865.623 526964.623
-526965.623 536864.63 536865.6236 536964.623 242649.72 426487.84 436487.84
-642865.668 642965.668 643864.62 643964.62 652865.82 652874.82 652875.82
-742864.22 742865.668 742875.82 742964.62 742964.82 742965.668 742974.62
-742975.82 743964.62 743964.82 743965.22 743965.62 752964.22 2426487.88
-2426864.63 2426964.63 2427487.44 2427487.62 2526487.88 2526864.63 2526864.72
-2526964.623 2642865.66 2642865.8467 2642874.62 2642965.82 2652865.22
-2652865.8246 2652874.824 265297.85 742865.62 2742865.66 2742865.84 4264287.845
-4264874.82 4265287.845 4642865.668 4642965.668 4643864.62 4643964.62
-4742865.6268 4742964.62 4742965.6268 24269652.22 24742964.62 27428652.22
-27428742.628 27429652.82 42642865.66 42642865.84 42642874.62 42642874.82
-42642965.82 42652865.22 42652865.824 4265287.85 4265297.85 4742865.62
-4742965.62 42742865.66 42742865.84 242742965.82 427428652.22 2427429652.22
-2427429742.22"""}
+CLOSURE_PLANS = {4: "264.63 265.63 364.623 365.623 5264.62 5265.22", 5: """
+264.63 265.63 364.623 365.623 486.85 487.85 586.845 587.845 2464.83 2464.93
+2474.83 2474.93 2486.85 2487.85 2586.845 2587.845 2864.63 2865.63 2964.63
+2965.63 3464.823 3464.923 3474.823 3474.923 3486.85 3487.85 3586.845 3587.845
+3864.623 3865.623 3964.623 3965.623 5264.62 5265.2289 5265.82 5265.92 7486.84
+7487.44 7487.823 7586.623 24286.85 24287.85 24648.63 24649.63 24748.63 24749.63
+24864.83 24874.83 25286.85 25287.85 25296.85 25297.85 26864.63 26865.63
+26964.63 26965.63 27486.84 27487.44 27487.82 27586.62 34648.623 34648.72
+34649.623 34748.623 34749.623 34864.823 34874.823 36864.623 36865.623 36964.623
+36965.623 37486.84 42864.83 42874.83 48643.84 48743.84 52658.62 52658.72
+52659.62 52659.72 52864.62 52864.823 52865.228 52865.823 52874.823 52875.823
+53648.62 53648.72 53649.62 53649.72 53864.82 74287.845 74387.845 242864.83
+242874.83 246864.63 246964.63 252864.823 252874.823 274287.845 346864.623
+346964.623 426487.88 426586.84 426587.82 426864.63 426865.63 426964.63
+426965.63 427486.84 427487.44 427487.82 427586.62 436487.88 436586.84
+436864.623 436865.623 436964.623 436965.623 437486.84 437487.22 526487.88
+526586.84 526587.82 526597.22 526864.623 526865.623 526865.72 526964.623
+526965.623 527486.84 242649.72 426487.84 436487.84 526487.84 536864.623
+536964.623 642865.668 642965.668 643864.62 643964.62 652864.62 652864.82
+652865.228 652865.82 652874.82 652875.82 652964.62 652965.22 653864.82
+742865.668 742874.82 742875.82 742965.668 742975.22 742975.82 743864.62
+743964.62 743964.82 743965.22 743965.62 752864.62 752864.82 752865.226
+752865.62 752865.82 752874.445 752874.62 752874.82 753864.82 265287.85
+265297.85 642865.62 642965.62 742864.62 742865.62 742964.62 743864.62
+2426487.88 2426864.63 2426964.63 2427487.44 2427487.62 2526487.88 2526864.623
+2526864.72 2526964.623 2568643.66 2568643.84 2568652.22 2569643.66 2569652.22
+2642865.66 2642865.8467 2648642.85 2648742.85 2652864.82 2652865.22
+2652865.8246 2652874.82 2742865.66 2742865.84 4264287.845 4264874.82
+4265287.845 4274287.845 4642865.668 4642965.668 4642865.62 4642965.62
+4643864.62 4643964.62 4742864.62 4742865.6268 4742964.62 4742965.6268
+4743864.62 24269652.22 24742864.62 24742964.62 27429652.228 42642865.66
+42642865.84 42642874.82 42652865.22 42652865.824 42652874.84 42652965.22
+42742865.66 42742865.846 42742874.62 42742964.82"""}
 
 
 def _read_plan(text):
@@ -181,9 +195,13 @@ class RowAlgebra:
         raises DomainMismatch."""
         for k in terms:
             if k not in self.word_index:
-                raise DomainMismatch("%r is not a basis key of %s_%d" % (
-                    k, type(self).__name__, self.n))
+                raise self._outside(k)
         return self.element_type(self, terms)
+
+    def _outside(self, key):
+        """The DomainMismatch of a key outside the basis."""
+        return DomainMismatch("%s is not a basis key of %s_%d" % (
+            self.element_type._key_name(key), type(self).__name__, self.n))
 
     def product(self, a, b):
         """a * b for two elements of this algebra: every basis key of b
@@ -332,24 +350,6 @@ class AlgebraContext(RowAlgebra):
             return [((Ki, Th), one), ((Ki,), -d), ((Ki, Kh), d)]
         return [((Ki,), one)]                      # K_i K_h K_i = K_i
 
-    def _s_rule(self, i, kb, kc):
-        """K_i B_{i-1} C_{i+1} K_i; None = canonical.
-
-        The reducible cases follow from the cap absorptions
-        K K T K = K T K K (exact) and K K K K = K T T K + d K T K K
-        - d nu^-1 K, both proved from the tangle relations.
-        """
-        one, d, nui = self._one, self.delta, self.nu_inv
-        Ki = letter(K_KIND, i)
-        Tl = letter(T_KIND, i - 1)
-        Th, Kh = letter(T_KIND, i + 1), letter(K_KIND, i + 1)
-        if kb == T_KIND:
-            return None
-        if kc == T_KIND:
-            return [((Ki, Tl, Kh, Ki), one)]
-        return [((Ki, Tl, Th, Ki), one), ((Ki, Tl, Kh, Ki), d),
-                ((Ki,), -(d * nui))]
-
     def _g2_rule(self, i, kx, ky):
         """K_{i+1} T_i X_{i+2} Y_{i+1} T_i -> canonical combination."""
         one, d, nui = self._one, self.delta, self.nu_inv
@@ -393,42 +393,6 @@ class AlgebraContext(RowAlgebra):
         head = (letter(T_KIND, i + 1), letter(T_KIND, i))
         return [(head + frag, c)
                 for frag, c in self._inv_rule(i + 1, T_KIND, kx, K_KIND)]
-
-    def _fuse_pair(self, j, z, c):
-        """T_j z T_j with z of lower level carrying at most one (j-1)-letter."""
-        one, d, nu = self._one, self.delta, self.nu
-        Tj, Kj = letter(T_KIND, j), letter(K_KIND, j)
-        bpos = None
-        for t, l in enumerate(z):
-            if letter_index(l) == j - 1:
-                bpos = t
-                break
-        if bpos is None:
-            return [(z, c), (z + (Tj,), c * d), (z + (Kj,), -(c * d * nu))]
-        z1, B, z2 = z[:bpos], z[bpos], z[bpos + 1:]
-        mid = self._f_rule(j, T_KIND, letter_kind(B), T_KIND)
-        return [(z1 + frag + z2, c * cf) for (frag, cf) in mid]
-
-    def _fam_f2(self, i, ka, kx, kd):
-        """A_i T_{i+1} X_{i+2} T_{i+1} D_i with (A,D) != (T,T)."""
-        one, d = self._one, self.delta
-        Ai, Di = letter(ka, i), letter(kd, i)
-        Th, Kh = letter(T_KIND, i + 1), letter(K_KIND, i + 1)
-        Kj = letter(K_KIND, i + 2)
-        out = []
-        if kx == T_KIND:
-            for (z, c) in self._inv_rule(i, ka, T_KIND, kd):
-                out.extend(self._fuse_pair(i + 2, z, c))
-            return out
-        for (z, c) in self._inv_rule(i, ka, K_KIND, kd):
-            out.extend(self._fuse_pair(i + 2, z, c))
-        parts = [((Th,), one), ((), -d), ((Kh,), d)]
-        for (x, cx) in parts:
-            for (y, cy) in parts:
-                if x == (Th,) and y == (Th,):
-                    continue
-                out.append(((Ai,) + x + (Kj,) + y + (Di,), -(cx * cy)))
-        return out
 
     # ------------------------------------------------------------------
     # redex search
@@ -522,67 +486,7 @@ class AlgebraContext(RowAlgebra):
                     return redex(p, qpos + 3, w[p + 2:qpos], (),
                                  self._g2_rule, i, letter_kind(w[qpos]),
                                  letter_kind(w[qpos + 1]))
-            # S-family: K_i B_{i-1} [W] C_{i+1} K_i
-            if ka == K_KIND and b == a - 1:
-                i = a
-                qpos = p + 2
-                while qpos < L and (letter_index(w[qpos]) <= i - 2
-                                    or letter_index(w[qpos]) >= i + 2):
-                    qpos += 1
-                if (qpos + 1 < L and letter_index(w[qpos]) == i + 1
-                        and w[qpos + 1] == letter(K_KIND, i)):
-                    W = w[p + 2:qpos]
-                    Whi = tuple(l for l in W if letter_index(l) >= i + 2)
-                    Wlo = tuple(l for l in W if letter_index(l) <= i - 2)
-                    red = redex(p, qpos + 2, Whi, Wlo, self._s_rule, i, kb,
-                                letter_kind(w[qpos]))
-                    if red is not None:
-                        return red
-            # FAM-F2: A_i T_{i+1} [W] X_{i+2} T_{i+1} D_i, (A,D) != (T,T)
-            if b == a + 1 and kb == T_KIND:
-                i = a
-                qpos = p + 2
-                while qpos < L and letter_index(w[qpos]) >= i + 3:
-                    qpos += 1
-                if (qpos + 2 < L and letter_index(w[qpos]) == i + 2
-                        and w[qpos + 1] == letter(T_KIND, i + 1)
-                        and letter_index(w[qpos + 2]) == i):
-                    kd = letter_kind(w[qpos + 2])
-                    if not (ka == T_KIND and kd == T_KIND):
-                        return redex(p, qpos + 3, w[p + 2:qpos], (),
-                                     self._fam_f2, i, ka, letter_kind(w[qpos]),
-                                     kd)
-        return self._slide_redex(w)
-
-    def _slide_redex(self, w):
-        """Suffix slide P C -> C P' (P index-shifted) for a chain
-        C = T_m..T_j ending the word and a pinned prefix with a kappa among
-        its shifted letters.  A backslide (T_m..T_j) X_g, j < g <= m, needs
-        no rule: T_g T_{g-1} [T_{g-2}..T_j] X_g is an F-family redex."""
-        L = len(w)
-        if L == 0 or letter_kind(w[-1]) != T_KIND:
-            return None
-        s = L - 1
-        while s > 0 and w[s - 1] == letter(T_KIND, letter_index(w[s]) + 1):
-            s -= 1
-        if L - s < 2 or s == 0:
-            return None
-        j, m = letter_index(w[-1]), letter_index(w[s])
-        shifted = []
-        has_k = False
-        for l in w[:s]:
-            ii, kk = letter_index(l), letter_kind(l)
-            if j <= ii <= m - 1:
-                shifted.append(letter(kk, ii + 1))
-                if kk == K_KIND:
-                    has_k = True
-            elif ii <= j - 2:
-                shifted.append(l)
-            else:
-                return None
-        if not has_k:
-            return None
-        return (0, L, (1, [(w[s:] + tuple(shifted), self._num_one)]))
+        return None
 
     # ------------------------------------------------------------------
     # reduction, closure, completion
@@ -960,10 +864,13 @@ class AlgebraContext(RowAlgebra):
                              for u, x in p.items()]
                          for w, p in zip(self.words, prods)}
         out = {}
-        for w, c in elem.terms.items():
-            for u, x in self._rho[w]:
-                y = c if x is None else c * x
-                out[u] = out[u] + y if u in out else y
+        try:
+            for w, c in elem.terms.items():
+                for u, x in self._rho[w]:
+                    y = c if x is None else c * x
+                    out[u] = out[u] + y if u in out else y
+        except KeyError:
+            raise self._outside(w) from None
         return AlgebraElement(self, out)
 
     # ------------------------------------------------------------------
@@ -1249,7 +1156,10 @@ def fold_products(algebra, left, rights):
             node.setdefault(None, []).append((k, c))
     groups = [{} for _ in rights]   # per right: leaf den -> {index: coeff}
     widx = algebra.word_index
-    stack = [(trie, (den1, {widx[w]: a for w, a in left.items()}))]
+    try:
+        stack = [(trie, (den1, {widx[w]: a for w, a in left.items()}))]
+    except KeyError as exc:     # an element built on a key off the basis
+        raise algebra._outside(exc.args[0]) from None
     while stack:
         node, (den, nums) = stack.pop()
         for l, child in node.items():
