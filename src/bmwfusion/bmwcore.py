@@ -808,17 +808,13 @@ class AlgebraContext(RowAlgebra):
     def from_terms(self, terms):
         """The element sum c * w over {word: c}, the words outside the basis
         multiplied out from 1 through the rows in one :func:`fold_products`
-        call.  A letter outside the generators raises DomainMismatch."""
-        widx, letters = self.word_index, set(self.letters)
+        call, which raises DomainMismatch for a letter outside the
+        generators."""
+        widx = self.word_index
         out, rest = {}, {}
         for w, c in terms.items():
             w = tuple(w)
             if w not in widx:
-                bad = [l for l in w if l not in letters]
-                if bad:
-                    raise DomainMismatch(
-                        "letter %r outside the generators of BMW_%d"
-                        % (bad[0], self.n))
                 rest[w] = c
             else:
                 out[w] = out[w] + c if w in out else c
@@ -882,88 +878,138 @@ class AlgebraContext(RowAlgebra):
 
         Returns a list of {"relation", "instance", "ok"} dicts; the
         rho-images of the one-sided relations are included.
+
+        Each side with a product is a left element times a combination of
+        words: the words of its first right factor, then the basis words
+        of every later factor concatenated, their coefficients multiplied.
+        ``one()``, ``gen_T(i)``, ``gen_K(i)`` and ``T_i - delta`` are 1
+        folded through their words (``gen_T`` reads the row of T_i at the
+        unit, the fold of (T_i,) from 1), and a row step is linear in the
+        vector it acts on, so a chain led by one of them is 1 folded
+        through its words: the coefficients of the chained products, read
+        off the same rows, on an edited table too.  The products run as
+        one :func:`fold_products` call per left element: 1 for the chains
+        led by a generator, the literal T_i^-1 for the three it leads
+        ("inverse (left)", the right side of (2.10), rho(2.12)), each y_a
+        for its commutators, and the products y_j y_{j+1} and K_j y_{j+1}
+        of those folds for the two chains of (2.23).  A side with no
+        product stands as it is; so the right side of "kappa-def", which
+        mixes ``gen_T`` with the literal T_i^-1, is not folded from 1: on
+        an edited table that would read other rows.
         """
-        report = []
+        n, one, dlt = self.n, self._one, self.delta
+        idx = range(1, n)
+        T = {i: self.gen_T(i) for i in idx}
+        K = {i: self.gen_K(i) for i in idx}
+        Ti = {i: self.gen_Tinv(i) for i in idx}
+        unit = self.one()
+        D = {i: T[i] - unit.scale(dlt) for i in idx}
+        ys = [self.jm_element(a) for a in range(1, n + 1)]
+        # the words of 1 * T_i, 1 * K_i and 1 * (T_i - delta)
+        t = {i: {(letter(T_KIND, i),): one} for i in idx}
+        k = {i: {(letter(K_KIND, i),): one} for i in idx}
+        d = {i: {(letter(T_KIND, i),): one, (): -(one * dlt)} for i in idx}
+        # per fold its left terms (1: the unit), unless it is a product of
+        # another fold
+        lefts = {1: {(): one}, **{("Ti", i): Ti[i].terms for i in idx},
+                 **{("y", a): y.terms for a, y in enumerate(ys)}}
+        rights, done = {}, {}
+
+        def mul(left, first, *later):
+            """left * first * later, deferred to the fold of ``left``, with
+            ``first`` a {word: coeff} and each later factor an element:
+            a handle (left, position of the right factor)."""
+            combo = first
+            for f in later:
+                nxt = {}
+                for w, c in combo.items():
+                    for u, x in f.terms.items():
+                        wu = w + u
+                        nxt[wu] = nxt[wu] + c * x if wu in nxt else c * x
+                combo = nxt
+            got = rights.setdefault(left, [])
+            got.append(combo)
+            return left, len(got) - 1
+
+        def value(side):
+            """The element of a side: itself, or its product, once the
+            fold of its left has run."""
+            if not isinstance(side, tuple):
+                return side
+            left, pos = side
+            if left not in done:
+                terms = lefts[left] if left in lefts else value(left).terms
+                done[left] = fold_products(self, terms, rights[left])
+            return AlgebraElement(self, done[left][pos])
+
+        checks = []
 
         def chk(name, inst, lhs, rhs):
-            ok = (lhs - rhs).is_zero()
-            report.append({"relation": name, "instance": inst, "ok": ok})
-
-        n = self.n
-        one = self.one()
-        dlt = self.delta
-
-        def T(i):
-            return self.gen_T(i)
-
-        def Ti(i):
-            return self.gen_Tinv(i)
-
-        def K(i):
-            return self.gen_K(i)
+            checks.append((name, inst, lhs, rhs))
 
         for i in range(1, n - 1):
-            chk("braid", "i=%d" % i,
-                T(i) * T(i + 1) * T(i), T(i + 1) * T(i) * T(i + 1))
-        for i in range(1, n):
+            chk("braid", "i=%d" % i, mul(1, t[i], T[i + 1], T[i]),
+                mul(1, t[i + 1], T[i], T[i + 1]))
+        for i in idx:
             for jj in range(i + 2, n):
                 chk("distant", "i=%d j=%d" % (i, jj),
-                    T(i) * T(jj), T(jj) * T(i))
-        for i in range(1, n):
-            chk("inverse", "i=%d" % i, T(i) * Ti(i), one)
-            chk("inverse", "i=%d (left)" % i, Ti(i) * T(i), one)
+                    mul(1, t[i], T[jj]), mul(1, t[jj], T[i]))
+        for i in idx:
+            chk("inverse", "i=%d" % i, mul(1, t[i], Ti[i]), unit)
+            chk("inverse", "i=%d (left)" % i, mul(("Ti", i), T[i].terms),
+                unit)
             chk("kappa-def", "i=%d" % i,
-                K(i), one - (T(i) - Ti(i)).scale(self._one / dlt))
-            chk("KT=nuK", "i=%d" % i, K(i) * T(i), K(i).scale(self.nu))
-            chk("TK=nuK", "i=%d" % i, T(i) * K(i), K(i).scale(self.nu))
-            chk("K^2=muK", "i=%d" % i, K(i) * K(i), K(i).scale(self.mu))
-        for i in range(1, n):
+                K[i], unit - (T[i] - Ti[i]).scale(one / dlt))
+            chk("KT=nuK", "i=%d" % i, mul(1, k[i], T[i]), K[i].scale(self.nu))
+            chk("TK=nuK", "i=%d" % i, mul(1, t[i], K[i]), K[i].scale(self.nu))
+            chk("K^2=muK", "i=%d" % i, mul(1, k[i], K[i]), K[i].scale(self.mu))
+        for i in idx:
             for eps in (1, -1):
                 j = i + eps
                 if not 1 <= j <= n - 1:
                     continue
-                chk("K T^e K = nu^-e K", "i=%d e=%+d" % (i, eps),
-                    K(i) * T(j) * K(i), K(i).scale(self.nu_inv))
-                chk("K T^-e K", "i=%d e=%+d" % (i, eps),
-                    K(i) * Ti(j) * K(i), K(i).scale(self.nu))
-                chk("K T T = T T K (2.7)", "i=%d e=%+d" % (i, eps),
-                    K(i) * T(j) * T(i), T(j) * T(i) * K(j))
-                chk("KKK=K", "i=%d e=%+d" % (i, eps),
-                    K(i) * K(j) * K(i), K(i))
-                dmt_i = T(i) - one.scale(dlt)
-                dmt_j = T(j) - one.scale(dlt)
-                chk("square exchange (2.9)", "i=%d e=%+d" % (i, eps),
-                    dmt_i * K(j) * dmt_i, dmt_j * K(i) * dmt_j)
-                chk("T K T = T^-1 K T^-1 (2.10)", "i=%d e=%+d" % (i, eps),
-                    T(j) * K(i) * T(j), Ti(i) * K(j) * Ti(i))
-                chk("K T T = K K (2.11)", "i=%d e=%+d" % (i, eps),
-                    K(i) * T(j) * T(i), K(i) * K(j))
-                chk("K T- T- = K K (2.12)", "i=%d e=%+d" % (i, eps),
-                    K(i) * Ti(j) * Ti(i), K(i) * K(j))
-                chk("K K (T - d) (2.13)", "i=%d e=%+d" % (i, eps),
-                    K(j) * K(i) * dmt_j, K(j) * dmt_i)
+                inst = "i=%d e=%+d" % (i, eps)
+                ktt, kk = mul(1, k[i], T[j], T[i]), mul(1, k[i], K[j])
+                ttk, kk_ji = mul(1, t[i], T[j], K[i]), mul(1, k[j], K[i])
+                chk("K T^e K = nu^-e K", inst, mul(1, k[i], T[j], K[i]),
+                    K[i].scale(self.nu_inv))
+                chk("K T^-e K", inst, mul(1, k[i], Ti[j], K[i]),
+                    K[i].scale(self.nu))
+                chk("K T T = T T K (2.7)", inst, ktt, mul(1, t[j], T[i], K[j]))
+                chk("KKK=K", inst, mul(1, k[i], K[j], K[i]), K[i])
+                chk("square exchange (2.9)", inst, mul(1, d[i], K[j], D[i]),
+                    mul(1, d[j], K[i], D[j]))
+                chk("T K T = T^-1 K T^-1 (2.10)", inst,
+                    mul(1, t[j], K[i], T[j]),
+                    mul(("Ti", i), K[j].terms, Ti[i]))
+                chk("K T T = K K (2.11)", inst, ktt, kk)
+                chk("K T- T- = K K (2.12)", inst,
+                    mul(1, k[i], Ti[j], Ti[i]), kk)
+                chk("K K (T - d) (2.13)", inst, mul(1, k[j], K[i], D[j]),
+                    mul(1, k[j], D[i]))
                 # rho-images
-                chk("rho(2.7)", "i=%d e=%+d" % (i, eps),
-                    T(i) * T(j) * K(i), K(j) * T(i) * T(j))
-                chk("rho(2.11)", "i=%d e=%+d" % (i, eps),
-                    T(i) * T(j) * K(i), K(j) * K(i))
-                chk("rho(2.12)", "i=%d e=%+d" % (i, eps),
-                    Ti(i) * Ti(j) * K(i), K(j) * K(i))
-                chk("rho(2.13)", "i=%d e=%+d" % (i, eps),
-                    dmt_j * K(i) * K(j), dmt_i * K(j))
+                chk("rho(2.7)", inst, ttk, mul(1, k[j], T[i], T[j]))
+                chk("rho(2.11)", inst, ttk, kk_ji)
+                chk("rho(2.12)", inst, mul(("Ti", i), Ti[j].terms, K[i]),
+                    kk_ji)
+                chk("rho(2.13)", inst, mul(1, d[j], K[i], K[j]),
+                    mul(1, d[i], K[j]))
         # Jucys-Murphy identities
-        ys = [self.jm_element(k) for k in range(1, n + 1)]
+        yy = {(a, b): mul(("y", a), ys[b].terms)
+              for a in range(n) for b in range(n) if a != b}
         for a in range(n):
             for b in range(a + 1, n):
                 chk("JM commute", "y%d y%d" % (a + 1, b + 1),
-                    ys[a] * ys[b], ys[b] * ys[a])
+                    yy[a, b], yy[b, a])
         nu2 = self.nu * self.nu
-        for j in range(1, n):
+        for j in idx:
             chk("K y y = nu^2 K (2.23)", "j=%d" % j,
-                K(j) * ys[j] * ys[j - 1], K(j).scale(nu2))
+                mul(mul(1, k[j], ys[j]), ys[j - 1].terms), K[j].scale(nu2))
             chk("y y K = nu^2 K (2.23)", "j=%d" % j,
-                ys[j - 1] * ys[j] * K(j), K(j).scale(nu2))
-        return report
+                mul(yy[j - 1, j], K[j].terms), K[j].scale(nu2))
+        return [{"relation": name, "instance": inst,
+                 "ok": (value(lhs) - value(rhs)).is_zero()}
+                for name, inst, lhs, rhs in checks]
 
 
 def _series_json(x):
@@ -1122,13 +1168,14 @@ def fold_products(algebra, left, rights):
     rows ``algebra._rows[l][i]``, all filled at build: the right action of
     letter ``l`` on basis index ``i`` as (den, ((j, numerator), ...)).
     ``left`` is keyed by basis elements, each right by words in the
-    letters.  The words of all right factors are merged into one trie
-    whose leaves hold (k, coeff) for right factor k, so the row step of
-    each prefix is applied once to the vector of ``left``; every vector
-    of the fold is (den, {index: coeff}).  With ``algebra.rational``
-    (integer rows) and only rational coefficients, the fold divides out
-    the content at every step and builds one Fraction per output
-    coefficient, each right factor over its own common denominator.
+    letters; a letter without rows raises DomainMismatch.  The words of
+    all right factors are merged into one trie whose leaves hold
+    (k, coeff) for right factor k, so the row step of each prefix is
+    applied once to the vector of ``left``; every vector of the fold is
+    (den, {index: coeff}).  With ``algebra.rational`` (integer rows) and
+    only rational coefficients, the fold divides out the content at
+    every step and builds one Fraction per output coefficient, each
+    right factor over its own common denominator.
     Otherwise 1/den goes into the right-hand coefficient once per leaf.
     Truncated Laurent series, with rationals or not, stay raw: each row
     step and each leaf collects (coeff, coeff) pairs per index, and
@@ -1152,7 +1199,14 @@ def fold_products(algebra, left, rights):
         for w, c in right.items():
             node = trie
             for l in w:
-                node = node.setdefault(l, {})
+                child = node.get(l)
+                if child is None:   # a new node: check its letter once
+                    if l not in rows:
+                        raise DomainMismatch(
+                            "letter %r outside the generators of %s_%d"
+                            % (l, type(algebra).__name__, algebra.n))
+                    child = node[l] = {}
+                node = child
             node.setdefault(None, []).append((k, c))
     groups = [{} for _ in rights]   # per right: leaf den -> {index: coeff}
     widx = algebra.word_index

@@ -2,7 +2,8 @@
 
 Subcommands: idempotents, verify, tableaux, symmetrizers, params suggest,
 export.  Exit codes: 0 all checks pass, 1 verification failure, 2 invalid
-or non-generic input, 3 internal error (poles, rewrite limits).
+or non-generic input, 3 internal error (poles, rewrite limits) or a
+stdout closed before the output was written.
 
 The cache directory is taken from --cache-dir or the BMWF_CACHE
 environment variable; cache writes are atomic.  Output is deterministic
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -486,7 +488,19 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left: what is still buffered goes nowhere,
+        # so the interpreter's last flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(json.dumps({"error": "INTERNAL", "message":
+                          "stdout closed before the output was written"}),
+              file=sys.stderr)
+        return EXIT_INTERNAL
     except (NotGeneric, CapExceeded, DomainMismatch, ValueError) as exc:
         print(json.dumps({"error": getattr(exc, "code", "BAD_INPUT"),
                           "message": str(exc)}), file=sys.stderr)

@@ -886,6 +886,18 @@ def test_an_element_on_a_word_off_the_basis_is_a_domain_mismatch(ctx3):
     assert ctx3.one() * e == ctx3.jm_element(3).scale(Fr(2))
 
 
+def test_a_right_factor_on_a_foreign_letter_is_a_domain_mismatch(ctx3):
+    """A right factor on a letter with no rows ended in a bare KeyError
+    in the fold; it names the letter now."""
+    e = AlgebraElement(ctx3, {(9,): Fr(1)})
+    with pytest.raises(DomainMismatch, match="^letter 9 outside the gen"):
+        ctx3.one() * e
+    with pytest.raises(DomainMismatch, match="^letter 9 outside the gen"):
+        fold_products(ctx3, ctx3.one().terms,
+                      [{(letter(T_KIND, 1),): Fr(1)},
+                       {(letter(T_KIND, 1), 9): Fr(1)}])
+
+
 def test_replay_equals_search(ctx5, ctx5_search, ctx5_rules):
     assert ctx5.stats["closure"] == ctx5_rules.stats["closure"] == "replay"
     assert ctx5_search.stats["closure"] == "search"

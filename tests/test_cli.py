@@ -13,15 +13,20 @@ CLI = [sys.executable, "-m", "bmwfusion.cli"]
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
-def run_cli(*args, env=None):
-    """The CLI in a subprocess that imports this checkout's ``src``."""
+def cli_env(env=None):
+    """The environment of a CLI subprocess that imports this checkout's
+    ``src``, updated by ``env``."""
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    if env:
-        full_env.update(env)
+    full_env.update(env or {})
+    return full_env
+
+
+def run_cli(*args, env=None):
+    """The CLI in a subprocess that imports this checkout's ``src``."""
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=full_env)
+                          env=cli_env(env))
 
 
 def test_tableaux_command():
@@ -73,6 +78,21 @@ def test_verify_relations_suite():
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["pass"] and data["suites"]["relations"]["failed"] == 0
+
+
+def test_closed_stdout_exits_3_without_a_traceback():
+    """``bmwf verify ... | head -n 1`` ended in a BrokenPipeError
+    traceback: here the reader closes the pipe before the payload is
+    written, while the child still imports and builds."""
+    proc = subprocess.Popen(CLI + ["verify", "--suite", "relations",
+                                   "--n", "3"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=cli_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 3
+    assert "Traceback" not in err
+    assert json.loads(err.splitlines()[-1])["error"] == "INTERNAL"
 
 
 def test_verify_contraction_suite():
