@@ -10,9 +10,9 @@ consequence, its derivation named next to it), complete for n <= 3.  At
 n = 4 and 5 it adds the word-elimination rules of a committed closure
 plan, 8 and 309 of them: associativity defects, exact linear dependencies
 that bring the dimension to (2n-1)!!; a plan that does not replay raises
-DIMENSION_MISMATCH.  The rules exist only while a cold build runs.
-Multiplication rewrites nothing: every product, reduction and rho folds
-through the rows.
+DIMENSION_MISMATCH.  One loop applies both kinds of rule, which exist
+only while a cold build runs.  Multiplication rewrites nothing: every
+product, reduction and rho folds through the rows.
 
 Contexts carry either rational parameters (certified generic) or truncated
 Laurent parameters for the classical-limit mode.
@@ -493,96 +493,77 @@ class AlgebraContext(RowAlgebra):
     # ------------------------------------------------------------------
 
     def _reduce(self, word):
-        """Rewrite a word into (den, {canonical word: numerator}), through
-        the relations and then every elimination rule set so far.  In a
-        cold build this is the only place where a word meets the rules;
-        each read stores the memo entry back canonical.
-
-        In a rational context every coefficient is an integer numerator
-        over the one denominator den, the content divided out at the end:
-        a redex whose rule is over r first multiplies den and every other
-        numerator by r over its gcd with the redex's own numerator.  A
-        Laurent context runs the same loop over 1 with its series, each
-        sum and product in the order the Fraction loop formed it, so no
-        series window moves."""
+        """Rewrite a word into (den, {canonical word: numerator}) by
+        ``_rewrite`` through the relations, then, if the result holds a
+        word with an elimination rule, through those rules, their counts
+        kept out of ``stats``.  Two passes: one that applied a rule the
+        moment its lead is popped would sum series in another order.  Each
+        read stores the memo entry back canonical."""
         vec = self._memo.get(word)
         if vec is None:
-            canonical = self._canonical
-            find = self._find_redex
-            den, pending, done = 1, {word: self._num_one}, {}
-            steps = searches = 0
-            while pending:
-                w, c = pending.popitem()
-                if w in canonical:
-                    red = None
-                else:
-                    searches += 1
-                    red = find(w)
-                if red is None:
-                    canonical.add(w)
-                    prev = done.get(w)
-                    done[w] = c if prev is None else prev + c
-                    continue
-                steps += 1
-                if steps > STEP_CAP:
-                    raise RewriteLimit("step cap %d exceeded reducing %s"
-                                       % (STEP_CAP, word_name(word)))
-                lo, hi, (r, rep) = red
-                if r != 1:
-                    g = math.gcd(c, r)
-                    c, r = c // g, r // g
-                    if r != 1:
-                        den *= r
-                        for u in pending:
-                            pending[u] *= r
-                        for u in done:
-                            done[u] *= r
-                pre, post = w[:lo], w[hi:]
-                for frag, coeff in rep:
-                    nw = pre + frag + post
-                    nc = c * coeff
-                    if nw in pending:
-                        nc = pending.pop(nw) + nc
-                    if nc != 0:
-                        pending[nw] = nc
+            vec, steps, searches = self._rewrite(
+                word, 1, {word: self._num_one}, self._find_redex,
+                self._canonical)
             self._steps += steps
             self._searches += searches
-            vec = _lowest(den, done)
-        if self._dyn:
-            vec = self._renormalize(vec)
+        if not self._dyn.keys().isdisjoint(vec[1]):
+            vec = self._rewrite(word, vec[0], dict(vec[1]), self._dyn_redex,
+                                set())[0]
         self._memo[word] = vec
         return vec
 
-    def _renormalize(self, vec):
-        """Push a vector (den, {word: numerator}) through the elimination
-        rules, over one denominator as ``_reduce`` keeps it.  A vector
-        with no word that has a rule is returned as it is: ``_reduce``
-        keeps its vectors in lowest terms."""
-        den, nums = vec
-        dyn = self._dyn
-        if not any(w in dyn for w in nums):
-            return vec
-        out = {}
-        stack = list(nums.items())
-        while stack:
-            w, c = stack.pop()
-            rule = dyn.get(w)
-            if rule is None:
-                prev = out.get(w)
-                out[w] = c if prev is None else prev + c
+    def _dyn_redex(self, w):
+        """The elimination rule of w as a redex spanning all of w, or None."""
+        rule = self._dyn.get(w)
+        if rule is not None:
+            return 0, len(w), (rule[0], rule[1].items())
+
+    def _rewrite(self, word, den, pending, find, known):
+        """Rewrite pending {word: numerator} over den until ``find`` (a
+        word -> its redex or None) finds none: the vector (den, {word:
+        numerator}) in lowest terms, the redexes applied and the ``find``
+        calls.  A word of ``known`` is not searched; a canonical one joins
+        it.  Past STEP_CAP redexes REWRITE_LIMIT names ``word``.  A rational
+        context keeps integer numerators over den: a redex over r first
+        multiplies den and the other numerators by r over its gcd with the
+        redex's own.  A Laurent context runs over 1 with its series."""
+        done = {}
+        steps = searches = 0
+        while pending:
+            w, c = pending.popitem()
+            if w in known:
+                red = None
+            else:
+                searches += 1
+                red = find(w)
+            if red is None:
+                known.add(w)
+                prev = done.get(w)
+                done[w] = c if prev is None else prev + c
                 continue
-            r, rep = rule
+            steps += 1
+            if steps > STEP_CAP:
+                raise RewriteLimit("step cap %d exceeded reducing %s"
+                                   % (STEP_CAP, word_name(word)))
+            lo, hi, (r, rep) = red
             if r != 1:
                 g = math.gcd(c, r)
                 c, r = c // g, r // g
                 if r != 1:
                     den *= r
-                    stack = [(u, x * r) for u, x in stack]
-                    for u in out:
-                        out[u] *= r
-            for u, cu in rep.items():
-                stack.append((u, c * cu))
-        return _lowest(den, out)
+                    for u in pending:
+                        pending[u] *= r
+                    for u in done:
+                        done[u] *= r
+            pre, post = w[:lo], w[hi:]
+            for frag, coeff in rep:
+                nw = pre + frag + post
+                nc = c * coeff
+                if nw in pending:
+                    nc = pending.pop(nw) + nc
+                if nc != 0:
+                    pending[nw] = nc
+        return _lowest(den, done), steps, searches
 
     def _row(self, vec):
         """A reduced vector (den, {word: numerator}) as (den, ((j,
@@ -621,21 +602,14 @@ class AlgebraContext(RowAlgebra):
                 got.append((a, (d, red.items())))
             return _sum_rows(den, got, True, None)
 
-        den, D = times(vg, h)
+        rows = [(1, times(vg, h))]
         for v, cv in gh[1].items():
             t = (gh[0], {w: cv})
             for l in v:
                 t = times(t, l)
-            tden, t = t
-            if tden != den:     # rational: both over the lcm
-                m = math.lcm(den, tden)
-                D = {u: c * (m // den) for u, c in D.items()}
-                t = {u: b * (m // tden) for u, b in t.items()}
-                den = m
-            for u, b in t.items():
-                prev = D.get(u)
-                D[u] = -b if prev is None else prev - b
-        D = {u: c for u, c in D.items() if c}
+            rows.append((-1, t))
+        _, D = _sum_rows(1, [(a, (d, t.items())) for a, (d, t) in rows],
+                         True, None)
         if D:
             lead = max(D, key=lambda x: (len(x), x))
             cl = D.pop(lead)

@@ -203,18 +203,19 @@ def count_tableaux(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def quantum_contents(tab: UpDownTableau, params):
-    """Quantum contents: q^(2(b-a)) for an added box (a,b), nu^2 q^(2(a-b))
-    for a removed one.  The first value is always 1.  ``params`` is any
-    object with ``q`` and ``nu``: rationals or truncated Laurent series."""
-    q, nu = params.q, params.nu
-    out = []
-    for st in tab.steps:
-        e = 2 * (st.col - st.row)
-        if st.added:
-            out.append(q ** e)
-        else:
-            out.append(nu * nu * q ** (-e))
-    return tuple(out)
+    """The quantum content of the box of each step (``_box_content``).
+    The first value is always 1.  ``params`` is any object with ``q`` and
+    ``nu``: rationals or truncated Laurent series."""
+    return tuple(_box_content(params, st.row, st.col, st.added)
+                 for st in tab.steps)
+
+
+def _box_content(params, a, b, added):
+    """The quantum content q^(2(b-a)) of an added box (a,b), nu^2 q^(2(a-b))
+    of a removed one."""
+    if added:
+        return params.q ** (2 * (b - a))
+    return params.nu * params.nu * params.q ** (2 * (a - b))
 
 
 def classical_contents(tab: UpDownTableau, omega, t_classical=False):
@@ -239,12 +240,9 @@ def extension_spectrum(shape: Partition, params):
     current idempotent.  Pairwise distinct under certified parameters; a
     collision raises NOT_GENERIC.  The values are compared with ``==``
     (truncated Laurent series are unhashable)."""
-    q, nu = params.q, params.nu
-    vals = []
-    for (a, b) in addable_boxes(shape):
-        vals.append(q ** (2 * (b - a)))
-    for (a, b) in removable_boxes(shape):
-        vals.append(nu * nu * q ** (2 * (a - b)))
+    vals = [_box_content(params, a, b, True) for a, b in addable_boxes(shape)]
+    vals += [_box_content(params, a, b, False)
+             for a, b in removable_boxes(shape)]
     if any(vals[a] == vals[b] for a in range(len(vals)) for b in range(a)):
         raise NotGeneric("extension spectrum collision on %r" % (shape,))
     return tuple(vals)

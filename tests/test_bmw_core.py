@@ -1043,12 +1043,42 @@ def _laurent_round_trip(n, params, cache_dir, monkeypatch):
     return cold, warm
 
 
+# sha256 of the Laurent cache files with 4 series terms, regime 1 at
+# omega = 5 and regime 2 at omega = 7/2: they pin the words, the rows and
+# every series window
+LAURENT_CACHE_SHA256 = {
+    (2, 1, 5):
+        "b5199a97eaaddd6bd1a2b511babd628f3df4cdf90b88d464fb280d0031b2ce6d",
+    (3, 1, 5):
+        "d06021e29710706baea16ea530a7a85acaae3fd740aef7bbd51cd70cff6cac26",
+    (4, 1, 5):
+        "a1c05839deed05eb218b033afd927bc2165cde7696b46214a523f6bed678b2e9",
+    (2, 2, Fr(7, 2)):
+        "cdce5c2d6f0c406c8e2f24123d6ac9cb2b7a3b39b57e286579a2397dae8008c1",
+    (3, 2, Fr(7, 2)):
+        "9445b9be08ca4d06e26638875625e82b54d0a607c3bb68ff614c1bd56712b436",
+    (4, 2, Fr(7, 2)):
+        "7e7dfddc78c9f0581fe3b27c844556892768ba964e39a62035aad2118bd55569",
+}
+
+# the same for the n = 5 file of regime 1 at omega = 5 with 5 terms
+LAURENT_N5_CACHE_SHA256 = \
+    "6f983307555a94413f155694ab2fc535016b272ff44f1d7b916fe90b84b9e7af"
+
+
+def _file_sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("regime", [1, 2])
 @pytest.mark.parametrize("omega", [5, Fr(7, 2)], ids=["5", "7_2"])
 def test_laurent_cache_round_trip(n, regime, omega, tmp_path, monkeypatch):
     cold, warm = _laurent_round_trip(n, laurent_params(regime, omega),
                                      str(tmp_path), monkeypatch)
+    pin = LAURENT_CACHE_SHA256.get((n, regime, omega))
+    assert pin is None or _file_sha256(cold._cache_path) == pin
     # every tableau at n <= 3, every 6th at n = 4
     for tab in enumerate_tableaux(n)[::6 if n == 4 else 1]:
         want = brauer_idempotent_via_contraction(tab, regime, omega, ctx=cold)
@@ -1060,6 +1090,7 @@ def test_laurent_cache_round_trip_n5(tmp_path, monkeypatch):
     cold, _ = _laurent_round_trip(5, laurent_params(1, 5, 5), str(tmp_path),
                                   monkeypatch)
     assert len(cold._dyn) == 309
+    assert _file_sha256(cold._cache_path) == LAURENT_N5_CACHE_SHA256
 
 
 def _laurent_file(tmp_path):

@@ -300,6 +300,18 @@ def test_hecke_suite_internal_error_exit_3(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "INTERNAL"
 
 
+def test_rewrite_limit_exit_3(monkeypatch, capsys):
+    # a cold build past the step cap names the word it was reducing, not
+    # an intermediate word of its rewriting
+    from bmwfusion import bmwcore, cli
+    monkeypatch.delenv("BMWF_CACHE", raising=False)
+    monkeypatch.setattr(bmwcore, "STEP_CAP", 3)
+    assert cli.main(["idempotents", "--n", "3"]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "REWRITE_LIMIT",
+        "message": "step cap 3 exceeded reducing T2*K1*T2"}
+
+
 def test_contraction_suite_internal_error_exit_3(monkeypatch, capsys):
     # only a block without a limit at the sampled point is skipped
     from bmwfusion import cli
