@@ -602,14 +602,14 @@ class AlgebraContext(RowAlgebra):
                 got.append((a, (d, red.items())))
             return _sum_rows(den, got, True, None)
 
-        rows = [(1, times(vg, h))]
+        d, t = times(vg, h)
+        got = [(1, (d, t.items()))]
         for v, cv in gh[1].items():
             t = (gh[0], {w: cv})
             for l in v:
                 t = times(t, l)
-            rows.append((-1, t))
-        _, D = _sum_rows(1, [(a, (d, t.items())) for a, (d, t) in rows],
-                         True, None)
+            got.append((-1, (t[0], t[1].items())))
+        _, D = _sum_rows(1, got, True, None)
         if D:
             lead = max(D, key=lambda x: (len(x), x))
             cl = D.pop(lead)
