@@ -212,6 +212,24 @@ class RowAlgebra:
             self, a.terms, [{spell(k): c for k, c in b.terms.items()}])[0])
 
 
+def _walk_basis(start, letters, step):
+    """The basis of a :class:`RowAlgebra` whose right products by a letter
+    ``step(key, l) = (product, k)`` grow when k is 0: the keys reached
+    from ``start`` by growing products in breadth-first order, their
+    index, each key's spelling (the first growing word that reaches it)
+    and, per letter l, ``step(key, l)`` for every key in order."""
+    keys, spellings = [start], {start: ()}
+    steps = {l: [] for l in letters}
+    for key in keys:                  # visits the keys it appends
+        for l in letters:
+            p, k = step(key, l)
+            if not k and p not in spellings:
+                spellings[p] = spellings[key] + (l,)
+                keys.append(p)
+            steps[l].append((p, k))
+    return keys, {key: j for j, key in enumerate(keys)}, spellings, steps
+
+
 class AlgebraContext(RowAlgebra):
     """Immutable context for one n (use :func:`build_context`): the
     canonical words and their row table, read from the cache file or built

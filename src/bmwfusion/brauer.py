@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .bmwcore import K_KIND, T_KIND, RowAlgebra, SparseElement, letter
+from .bmwcore import (K_KIND, T_KIND, RowAlgebra, SparseElement, _walk_basis,
+                      letter)
 from .combinatorics import check_strands
 
 Diagram = frozenset  # of sorted 2-tuples covering {0..2n-1}
@@ -77,25 +78,15 @@ def diagram_mul(n: int, d1: Diagram, d2: Diagram):
 @functools.cache
 def _table(n: int, omega: Fraction):
     """The row table of B_n(omega), memoised by (n, omega) and shared by
-    every algebra of that (n, omega), so read only: the diagrams in
-    breadth-first order from the identity over the loop-free right
-    products by s_i (letter T_i) and e_i (letter K_i), their index, the
-    word of the first such product that reaches each diagram, and the
-    rows d_i g_l = omega^loops d_j as (b^loops, ((j, a^loops),)) for
-    omega = a/b, empty when omega = 0 and a loop closes."""
+    every algebra of that (n, omega), so read only: the diagrams, their
+    index and spellings by ``bmwcore._walk_basis`` from the identity over
+    the loop-free right products by s_i (letter T_i) and e_i (letter
+    K_i), and the rows d_i g_l = omega^loops d_j as (b^loops, ((j,
+    a^loops),)) for omega = a/b, empty when omega = 0 and a loop closes."""
     gens = {letter(k, i): (s_diagram if k == T_KIND else e_diagram)(n, i)
             for i in range(1, n) for k in (T_KIND, K_KIND)}
-    words = [identity_diagram(n)]
-    spellings = {words[0]: ()}
-    found = {l: [] for l in gens}     # per letter: (d g_l, loops) by index
-    for d in words:                   # visits the diagrams it appends
-        for l, g in gens.items():
-            p, loops = diagram_mul(n, d, g)
-            if not loops and p not in spellings:
-                spellings[p] = spellings[d] + (l,)
-                words.append(p)
-            found[l].append((p, loops))
-    index = {d: k for k, d in enumerate(words)}
+    words, index, spellings, found = _walk_basis(
+        identity_diagram(n), gens, lambda d, l: diagram_mul(n, d, gens[l]))
     a, b = omega.numerator, omega.denominator
     rows = {l: tuple((b ** k, ((index[p], a ** k),) if a or not k else ())
                      for p, k in prods) for l, prods in found.items()}

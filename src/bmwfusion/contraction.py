@@ -99,7 +99,8 @@ def _expected_blocks(regime, i, th1, th2, omega, brauer):
 
 def contraction_block_check(regime: int, i: int, th1, th2, omega) -> dict:
     """Compare the h^0 terms of the Laurent Q- and T-blocks with the
-    limiting Brauer expressions.  Returns per-block pass flags."""
+    limiting Brauer expressions.  Returns per-block pass flags; a point
+    where a limiting block has a pole raises NonInvertible."""
     prec = DEFAULT_TRUNCATION
     p = laurent_params(regime, omega, prec)
     u1 = spectral_series(regime, th1, omega, prec)
@@ -115,10 +116,11 @@ def contraction_block_check(regime: int, i: int, th1, th2, omega) -> dict:
             e.scale((d / (TruncLaurent.const(1, prec) + p.nu_inv * q * x))
                     .constant_term())
 
+    # Q_i(u1, u2; c) is the block at x = c u1 u2, T_i(u1, u2) at u2/u1,
+    # formed first: at a pole of a limit the series division raises
+    qb, tb = block(c * u1 * u2), block(u2 / u1)
     eq, et = _expected_blocks(regime, i, th1, th2, omega, brauer)
-    # Q_i(u1, u2; c) is the block at x = c u1 u2, T_i(u1, u2) at u2/u1
-    return {"q_block": (block(c * u1 * u2) - eq).is_zero(),
-            "t_block": (block(u2 / u1) - et).is_zero()}
+    return {"q_block": (qb - eq).is_zero(), "t_block": (tb - et).is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -232,30 +234,25 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
 # ---------------------------------------------------------------------------
 
 def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
-                                      omega, prec: int = None,
-                                      ctx: AlgebraContext = None
+                                      omega, ctx: AlgebraContext = None
                                       ) -> BrauerElement:
     """Constant term of the Jucys-Murphy interpolation run over Laurent
     parameters; the result is an idempotent of B_n(omega).
 
     The extension spectra must be pairwise distinct as series, as on the
     rational path; collisions raise NOT_GENERIC.  A given ``ctx`` must be
-    the Laurent context of this regime and omega on len(tab) strands, at
-    ``prec`` series terms if ``prec`` is given, or DOMAIN_MISMATCH is
-    raised.  ``prec`` defaults to ``default_truncation(len(tab))``."""
+    the Laurent context of this regime and omega on len(tab) strands, or
+    DOMAIN_MISMATCH is raised; without one the context is built at
+    ``default_truncation(len(tab))`` series terms."""
     n = len(tab)
     omega = Fraction(omega)
     if ctx is None:
-        if prec is None:
-            prec = default_truncation(n)
-        ctx = AlgebraContext(n, laurent_params(regime, omega, prec),
+        ctx = AlgebraContext(n, laurent_params(regime, omega,
+                                               default_truncation(n)),
                              verify=False)
     elif ctx.n != n:
         raise DomainMismatch("tableau of length %d on a context with n = %d"
                              % (n, ctx.n))
     _check_laurent(ctx, omega, (regime,))
-    if prec is not None and prec != ctx.params.q.prec:
-        raise DomainMismatch("context with %d series terms, expected %d"
-                             % (ctx.params.q.prec, prec))
     _, E = _jm_interpolation(tab, ctx)
     return constant_term_element(E, BrauerAlgebra(n, omega))

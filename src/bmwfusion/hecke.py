@@ -5,26 +5,22 @@ Permutations are tuples in 0-indexed one-line notation.  The quadratic
 relation is T_i^2 = 1 + (q - q^-1) T_i, matching the image of the BMW
 quadratic relation at kappa = 0.  Products run on the letter-row fold of
 ``bmwcore``: the basis is the n! permutations, the letters are the T_i of
-``bmwcore``, and each right-hand T_w is spelled as its lexicographically
-minimal reduced word.
+``bmwcore``, and each right-hand T_w is spelled by the breadth-first walk
+of ``bmwcore._walk_basis`` from the identity: the first word of growing
+right products by the T_i that reaches w, a reduced word.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .bmwcore import (AlgebraElement, RowAlgebra, T_KIND, SparseElement,
-                      fold_products, letter, letter_kind)
+                      _walk_basis, fold_products, letter, letter_index,
+                      letter_kind)
 from .combinatorics import UpDownTableau, check_strands, quantum_contents
 from .errors import DivisionByZero, DomainMismatch, NotGeneric
 from .fusion import SpectralView, consecutive_evaluation
 from .scalars import format_rational
-
-
-def perm_inversions(w) -> int:
-    n = len(w)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
 
 
 def apply_s_right(w, i: int):
@@ -32,29 +28,6 @@ def apply_s_right(w, i: int):
     out = list(w)
     out[i - 1], out[i] = out[i], out[i - 1]
     return tuple(out)
-
-
-def lex_min_reduced_word(w):
-    """The lexicographically minimal reduced word in the letters T_i, by
-    the exchange condition: strip the smallest admissible left factor."""
-    w = list(w)
-    n = len(w)
-    out = []
-    inv = [0] * n
-    for a, x in enumerate(w):
-        inv[x] = a
-    while True:
-        best = None
-        for i in range(1, n):
-            if inv[i - 1] > inv[i]:
-                best = i
-                break
-        if best is None:
-            return tuple(out)
-        out.append(letter(T_KIND, best))
-        a, b = inv[best - 1], inv[best]
-        w[a], w[b] = w[b], w[a]
-        inv[best - 1], inv[best] = b, a
 
 
 class HeckeElement(SparseElement):
@@ -84,12 +57,20 @@ class HeckeAlgebra(RowAlgebra):
         if not self.q:
             raise DivisionByZero("the Hecke algebra needs q != 0")
         self.delta = self.q - 1 / self.q
-        self.words = list(itertools.permutations(range(n)))
-        self.word_index = {w: k for k, w in enumerate(self.words)}
-        # T_w T_i on basis indices for the letter T_i, filled here
-        self._rows = {letter(T_KIND, i): [self._row(i, k) for k in range(
-            len(self.words))] for i in range(1, n)}
-        self._spellings = {w: lex_min_reduced_word(w) for w in self.words}
+
+        def step(w, l):               # w s_i, and whether i is a descent
+            i = letter_index(l)
+            return apply_s_right(w, i), w[i - 1] > w[i]
+
+        # breadth-first levels are lengths, so every spelling is reduced
+        self.words, self.word_index, self._spellings, prods = _walk_basis(
+            tuple(range(n)), [letter(T_KIND, i) for i in range(1, n)], step)
+        # T_w T_i = T_{w s_i}, plus delta T_w if i is a descent of w
+        d, a = self.delta.denominator, self.delta.numerator
+        index = self.word_index
+        self._rows = {l: [(d, ((index[p], d),) + ((k, a),) * descent)
+                          for k, (p, descent) in enumerate(found)]
+                      for l, found in prods.items()}
 
     def __eq__(self, other):
         if not isinstance(other, HeckeAlgebra):
@@ -98,14 +79,6 @@ class HeckeAlgebra(RowAlgebra):
 
     def __hash__(self):
         return hash((self.n, self.q))
-
-    def _row(self, i, k):
-        """T_w T_i = T_{w s_i}, plus delta T_w if i is a descent of w_k."""
-        w, d = self.words[k], self.delta.denominator
-        nums = ((self.word_index[apply_s_right(w, i)], d),)
-        if w[i - 1] > w[i]:
-            nums += ((k, self.delta.numerator),)
-        return d, nums
 
     def gen_K(self, i: int):
         """The image of kappa_i: zero in the quotient."""

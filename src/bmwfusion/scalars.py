@@ -726,16 +726,11 @@ def genericity_check(q: Fraction, nu: Fraction, n: int):
     pole of the Q-factors or the fusion prefactor on contents, (d) no
     mu-type degeneration.
     """
+    # (a) needs no loop: the only rational roots of unity are +1 and -1
     if q == 0 or q == 1 or q == -1:
         return "q in {0, +1, -1} (q - q^-1 vanishes)"
     if nu == 0:
         return "nu = 0"
-    # (a) q^k != 1
-    p = Fraction(1)
-    for k in range(1, 4 * n + 5):
-        p *= q
-        if p == 1:
-            return "q^%d = 1" % k
     # (b) contents pairwise distinct
     vals = _content_set(q, nu, n)
     if len(set(vals)) != len(vals):

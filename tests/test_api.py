@@ -20,7 +20,6 @@ OPTIONS = [
     ("RatFunc", "_normalized", "False"),
     ("TruncLaurent", "prec", "None"),
     ("antisymmetrizer", "form", "'chain'"),
-    ("brauer_idempotent_via_contraction", "prec", "None"),
     ("brauer_idempotent_via_contraction", "ctx", "None"),
     ("build_context", "params", "None"),
     ("build_context", "q", "None"),
@@ -52,4 +51,4 @@ def public_options():
 
 def test_public_options_are_pinned():
     assert public_options() == OPTIONS
-    assert len(OPTIONS) == 20
+    assert len(OPTIONS) == 19

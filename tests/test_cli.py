@@ -324,6 +324,15 @@ def test_contraction_suite_internal_error_exit_3(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "INTERNAL"
 
 
+def test_contraction_suite_skips_a_pole_of_a_limit(capsys):
+    # seed 10 draws theta = (-1/6, 1/3) at omega = 7/3, where
+    # th1 + th2 = omega/2 - 1: this ended in a ZeroDivisionError, exit 1
+    from bmwfusion import cli
+    assert cli.main(["verify", "--suite", "contraction", "--n", "2",
+                     "--seed", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 @pytest.mark.parametrize("args,digest", [
     (("--n", "2", "--kind", "brauer-idempotent", "--tableau", "1;"),
      "dcaa7e84bb9c558c1a7fdf3dbba64c75d2f51d7d27ae6cfb53ce69dc97c78294"),

@@ -11,11 +11,27 @@ from bmwfusion import (AlgebraContext, CapExceeded, DivisionByZero,
                        laurent_params, quantum_contents)
 from bmwfusion.bmwcore import (K_KIND, T_KIND, letter, letter_index,
                                letter_kind)
-from bmwfusion.hecke import (HeckeElement, apply_s_right,
-                             lex_min_reduced_word, perm_inversions)
+from bmwfusion.hecke import HeckeElement, apply_s_right
 from bmwfusion.scalars import TruncLaurent
 
 Q = Fr(6, 5)
+
+
+def perm_inversions(w) -> int:
+    n = len(w)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
+
+
+def reduced_word(w):
+    """A reduced word of w as generator indices: strip a right descent
+    w = (w s_i) s_i until the identity is left."""
+    word = []
+    while True:
+        i = next((i for i in range(1, len(w)) if w[i - 1] > w[i]), None)
+        if i is None:
+            return word[::-1]
+        word.append(i)
+        w = apply_s_right(w, i)
 
 
 def reference_mul(a, b):
@@ -25,7 +41,7 @@ def reference_mul(a, b):
     out = {}
     for w2, c2 in b.terms.items():
         vec = a.terms
-        for i in map(letter_index, lex_min_reduced_word(w2)):
+        for i in reduced_word(w2):
             nxt = {}
             for v, c in vec.items():
                 u = apply_s_right(v, i)
@@ -40,7 +56,7 @@ def reference_mul(a, b):
 
 
 def _random_element(hk, rnd, coeff):
-    perms = hk.words
+    perms = sorted(hk.words)
     return hk.from_terms({rnd.choice(perms): coeff()
                           for _ in range(rnd.randint(1, 6))})
 
@@ -56,7 +72,7 @@ def test_basic_relations():
 
 def test_dimension_and_associativity():
     hk = HeckeAlgebra(4, Q)
-    perms = hk.words
+    perms = sorted(hk.words)
     assert len(perms) == 24
     rnd = random.Random(5)
 
@@ -83,10 +99,13 @@ def test_rows_filled_at_build(n):
                                         hk.gen_T(letter_index(l))).terms
 
 
-def test_lex_min_reduced_words():
-    for n in (3, 4):
-        for w in permutations(range(n)):
-            word = [letter_index(l) for l in lex_min_reduced_word(w)]
+def test_spellings_are_reduced_words():
+    # the breadth-first walk spells each T_w by a word of length l(w)
+    for n in range(1, 6):
+        hk = HeckeAlgebra(n, Q)
+        assert sorted(hk.words) == list(permutations(range(n)))
+        for w in hk.words:
+            word = [letter_index(l) for l in hk.spell(w)]
             assert len(word) == perm_inversions(w)
             # rebuilding the permutation from the word gives w back
             cur = tuple(range(n))
