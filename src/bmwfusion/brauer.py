@@ -81,8 +81,9 @@ def _table(n: int, omega: Fraction):
     every algebra of that (n, omega), so read only: the diagrams, their
     index and spellings by ``bmwcore._walk_basis`` from the identity over
     the loop-free right products by s_i (letter T_i) and e_i (letter
-    K_i), and the rows d_i g_l = omega^loops d_j as (b^loops, ((j,
-    a^loops),)) for omega = a/b, empty when omega = 0 and a loop closes."""
+    K_i), the diagram of each spelling, and the rows d_i g_l =
+    omega^loops d_j as (b^loops, ((j, a^loops),)) for omega = a/b, empty
+    when omega = 0 and a loop closes."""
     gens = {letter(k, i): (s_diagram if k == T_KIND else e_diagram)(n, i)
             for i in range(1, n) for k in (T_KIND, K_KIND)}
     words, index, spellings, found = _walk_basis(
@@ -90,7 +91,8 @@ def _table(n: int, omega: Fraction):
     a, b = omega.numerator, omega.denominator
     rows = {l: tuple((b ** k, ((index[p], a ** k),) if a or not k else ())
                      for p, k in prods) for l, prods in found.items()}
-    return tuple(words), index, spellings, rows
+    return (tuple(words), index, spellings,
+            {w: d for d, w in spellings.items()}, rows)
 
 
 class BrauerElement(SparseElement):
@@ -117,7 +119,8 @@ class BrauerElement(SparseElement):
 
 class BrauerAlgebra(RowAlgebra):
     """B_n(omega) over exact rationals, 1 <= n <= STRAND_CAP, on the row
-    table of its (n, omega); each diagram is spelled by its word there."""
+    table of its (n, omega); each diagram is spelled by its word there,
+    and ``_diagram_of`` maps each spelling back to its diagram."""
 
     element_type = BrauerElement
 
@@ -125,8 +128,8 @@ class BrauerAlgebra(RowAlgebra):
         check_strands(n)
         self.n = n
         self.omega = Fraction(omega)
-        self.words, self.word_index, self._spellings, self._rows = \
-            _table(n, self.omega)
+        (self.words, self.word_index, self._spellings, self._diagram_of,
+         self._rows) = _table(n, self.omega)
 
     def __eq__(self, other):
         if not isinstance(other, BrauerAlgebra):

@@ -24,11 +24,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .bmwcore import (DEFAULT_TRUNCATION, AlgebraContext, AlgebraElement,
-                      K_KIND, LaurentParams, _over_common_denominator,
-                      check_index, default_truncation, fold_products,
-                      letter_index, letter_kind)
-from .brauer import BrauerAlgebra, BrauerElement, diagram_mul, e_diagram, \
-    identity_diagram, s_diagram
+                      LaurentParams, _over_common_denominator,
+                      default_truncation, fold_products, word_name)
+from .brauer import BrauerAlgebra, BrauerElement, diagram_mul
 from .combinatorics import UpDownTableau
 from .errors import DomainMismatch
 from .fusion import _jm_interpolation
@@ -127,41 +125,28 @@ def contraction_block_check(regime: int, i: int, th1, th2, omega) -> dict:
 # BMW words -> Brauer diagrams and the structure-constant oracle
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def word_to_diagram(n: int, word):
-    """T_i -> s_i, K_i -> e_i as a diagram; returns (diagram, loops),
-    memoised by (n, word).  An index outside 1..n-1 raises IndexError."""
-    d = identity_diagram(n)
-    loops = 0
-    for l in word:
-        i = letter_index(l)
-        check_index(i, n)
-        g = s_diagram(n, i) if letter_kind(l) != K_KIND else e_diagram(n, i)
-        d, extra = diagram_mul(n, d, g)
-        loops += extra
-    return d, loops
-
-
 def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
-    """h^0 part of a Laurent-coefficient BMW element as a Brauer element;
-    an int or Fraction coefficient is its own h^0 part.  An element
+    """h^0 part of a Laurent-coefficient BMW element as a Brauer element,
+    each word on the diagram it spells in ``brauer`` (T_i -> s_i, K_i ->
+    e_i); an int or Fraction coefficient is its own h^0 part.  An element
     outside the Laurent context of either regime at the omega of
-    ``brauer``, or a Brauer algebra on another strand count, raises
-    DOMAIN_MISMATCH."""
+    ``brauer``, a Brauer algebra on another strand count, or a word that
+    is not a Brauer spelling raises DOMAIN_MISMATCH."""
     _check_laurent(elem.algebra if isinstance(elem, AlgebraElement)
                    else None, brauer.omega)
     if brauer.n != elem.algebra.n:
         raise DomainMismatch("element of BMW_%d into B_%d"
                              % (elem.algebra.n, brauer.n))
-    terms = {}
+    terms, diagram_of = {}, brauer._diagram_of
     for w, coeff in elem.terms.items():
+        d = diagram_of.get(w)
+        if d is None:
+            raise DomainMismatch("%s is not a Brauer spelling of B_%d"
+                                 % (word_name(w), brauer.n))
         c0 = coeff if isinstance(coeff, (int, Fraction)) \
             else coeff.constant_term()
         if c0 == 0:
             continue
-        d, loops = word_to_diagram(brauer.n, w)
-        if loops:   # a canonical word has none
-            c0 = c0 * brauer.omega ** loops
         prev = terms.get(d)
         terms[d] = c0 if prev is None else prev + c0
     return BrauerElement(brauer, terms)
@@ -189,10 +174,11 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     """Constant terms of all canonical pair products must reproduce the
     independent Brauer multiplication under T -> s, K -> e.
 
-    Also asserts that the canonical words map bijectively onto diagrams
-    with no loop factors.  ``ctx`` must be the Laurent context of either
-    regime at this omega, or DOMAIN_MISMATCH is raised.  The products of
-    one left word with every basis word run as one batch of
+    Also asserts that the canonical words are exactly the Brauer
+    spellings: each a loop-free word of its own diagram, so the words map
+    bijectively onto diagrams.  ``ctx`` must be the Laurent context of
+    either regime at this omega, or DOMAIN_MISMATCH is raised.  The
+    products of one left word with every basis word run as one batch of
     ``bmwcore.fold_products``: over the h^0 parts of the rows when every
     row coefficient has valuation >= 0 (``_constant_rows``), over the
     series otherwise."""
@@ -200,17 +186,10 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     _check_laurent(ctx, omega)
     n = ctx.n
     brauer = BrauerAlgebra(n, omega)
-    diag_of = {}
-    seen = {}
-    for w in ctx.words:
-        d, loops = word_to_diagram(n, w)
-        if loops:
-            return {"ok": False, "reason": "loop in canonical word image"}
-        if d in seen:
-            return {"ok": False,
-                    "reason": "canonical words not diagram-bijective"}
-        seen[d] = w
-        diag_of[w] = d
+    diag_of = brauer._diagram_of
+    if ctx.word_index.keys() != diag_of.keys():
+        return {"ok": False,
+                "reason": "canonical words are not the Brauer spellings"}
     const = _constant_rows(ctx)
     alg, one = (ctx, ctx._one) if const is None else (const, 1)
     rights = [{w: one} for w in ctx.words]

@@ -731,18 +731,15 @@ def genericity_check(q: Fraction, nu: Fraction, n: int):
         return "q in {0, +1, -1} (q - q^-1 vanishes)"
     if nu == 0:
         return "nu = 0"
-    # (b) contents pairwise distinct
+    # (b) contents pairwise distinct: with q past (a) the q-powers are, and
+    # so are the nu^2 q-powers, so a collision is nu^2 q^2m = q^2k
     vals = _content_set(q, nu, n)
     if len(set(vals)) != len(vals):
-        seen = {}
-        for m in range(-n, n + 1):
-            seen.setdefault(q ** (2 * m), "q^%d" % (2 * m))
+        seen = {q ** (2 * m): "q^%d" % (2 * m) for m in range(-n, n + 1)}
         for m in range(-n, n + 1):
             v = nu * nu * q ** (2 * m)
             if v in seen:
                 return "content collision nu^2 q^%d = %s" % (2 * m, seen[v])
-            seen[v] = "nu^2 q^%d" % (2 * m)
-        return "content collision"
     # (c) c x y != 1 for contents x, y (poles of Q-factors and prefactor)
     c = Fraction(-1) / (q * nu)
     for x in vals:

@@ -8,6 +8,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
 from bmwfusion import AlgebraContext, build_context, make_params  # noqa: E402
+from bmwfusion.bmwcore import (T_KIND, letter_index,  # noqa: E402
+                               letter_kind)
+from bmwfusion.brauer import (diagram_mul, e_diagram,  # noqa: E402
+                              identity_diagram, s_diagram)
 from closure_plan import SearchContext  # noqa: E402
 
 Q = Fraction(6, 5)
@@ -100,6 +104,19 @@ def closure_rows(ctx):
     filled it, series windows included."""
     return [repr((den, sorted(row)))
             for l in ctx.letters for den, row in ctx._rows[l]]
+
+
+def word_diagram(n, word):
+    """(diagram, loops) of a word under T_i -> s_i, K_i -> e_i: the
+    ``diagram_mul`` chain over its letters from the identity, a reference
+    that reads no Brauer row table."""
+    d, loops = identity_diagram(n), 0
+    for l in word:
+        g = (s_diagram if letter_kind(l) == T_KIND else e_diagram)(
+            n, letter_index(l))
+        d, k = diagram_mul(n, d, g)
+        loops += k
+    return d, loops
 
 
 def pytest_terminal_summary(terminalreporter):

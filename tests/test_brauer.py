@@ -8,7 +8,7 @@ from bmwfusion import BrauerAlgebra, BrauerElement, CapExceeded, \
 from bmwfusion.brauer import diagram_mul, e_diagram, s_diagram
 from bmwfusion.bmwcore import (K_KIND, T_KIND, double_factorial,
                                fold_products, letter)
-from bmwfusion.contraction import word_to_diagram
+from conftest import word_diagram
 
 OMEGAS = pytest.mark.parametrize("omega", [Fr(5), Fr(7, 2), Fr(0)],
                                  ids=["5", "7_2", "0"])
@@ -36,7 +36,7 @@ def test_diagram_counts():
         for d in B.words:
             assert sorted(sum(d, ())) == list(range(2 * n))
             assert all(a < b for a, b in d)
-            assert word_to_diagram(n, B.spell(d)) == (d, 0)
+            assert word_diagram(n, B.spell(d)) == (d, 0)
         lengths = [len(B.spell(d)) for d in B.words]
         assert lengths == sorted(lengths)
         got = fold_products(B, B.one().terms,

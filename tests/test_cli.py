@@ -227,17 +227,12 @@ def test_verify_n1_runs_without_generators():
 
 
 @pytest.mark.parametrize("args", [
-    ("--kind", "brauer-idempotent", "--tableau", "1;2;3",
-     "--truncation", "0"),
-    ("--kind", "brauer-idempotent", "--tableau", "1;2;3",
-     "--truncation", "-3"),
     ("--kind", "hecke-idempotent", "--tableau", "1;2"),
     ("--kind", "idempotent", "--tableau", "1;2"),
     ("--kind", "brauer-idempotent", "--tableau", "1;2"),
     ("--kind", "idempotent", "--tableau", "1;2;1,1,1"),
-], ids=["truncation-0", "truncation-negative", "hecke-tableau-length",
-        "idempotent-tableau-length", "brauer-tableau-length",
-        "idempotent-not-up-down"])
+], ids=["hecke-tableau-length", "idempotent-tableau-length",
+        "brauer-tableau-length", "idempotent-not-up-down"])
 def test_export_bad_input_exit_2(args):
     r = run_cli("export", "--n", "3", *args)
     assert r.returncode == 2
@@ -363,7 +358,7 @@ def test_unusable_cache_dir_is_skipped(tmp_path):
 
 
 N5_TABLEAU = "1;2;2,1;2,1,1;2,1,1,1"
-# the same export at --truncation 8
+# at default_truncation(5) = 5 series terms; 8 terms print the same
 N5_BRAUER_SHA256 = \
     "a028c228ba0b34f297682cd11e1554d0d395000ba77dc2776f554ae69236af1e"
 
@@ -439,19 +434,6 @@ def test_export_rebuilds_an_edited_laurent_cache(tmp_path):
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout == cold.stdout
     assert path.read_text() == fresh, "the edited file was not rewritten"
-
-
-def test_export_brauer_n5_short_truncation_exit_2(monkeypatch, capsys):
-    from bmwfusion import cli
-
-    def no_build(*args, **kwargs):
-        pytest.fail("built a context for a rejected truncation")
-
-    monkeypatch.setattr(cli, "build_context", no_build)
-    monkeypatch.setattr(cli, "AlgebraContext", no_build)
-    assert cli.main(["export", "--n", "5", "--kind", "brauer-idempotent",
-                     "--tableau", N5_TABLEAU, "--truncation", "4"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "BAD_INPUT"
 
 
 def test_broken_closure_plan_exit_3(monkeypatch, capsys):

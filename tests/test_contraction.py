@@ -9,15 +9,15 @@ from bmwfusion import (BrauerAlgebra, DimensionMismatch, DomainMismatch,
                        TruncLaurent,
                        brauer_idempotent_via_contraction,
                        contraction_block_check, enumerate_tableaux,
-                       jm_oracle_idempotent, laurent_params,
+                       jm_oracle_idempotent, laurent_params, make_params,
                        structure_constant_oracle)
-from bmwfusion.bmwcore import (K_KIND, T_KIND, AlgebraContext,
+from bmwfusion.bmwcore import (T_KIND, AlgebraContext,
                                AlgebraElement, fold_products, letter)
-from bmwfusion.brauer import diagram_mul, e_diagram, s_diagram
+from bmwfusion.brauer import diagram_mul
 from bmwfusion.contraction import (_constant_rows, constant_term_element,
-                                   default_truncation, spectral_series,
-                                   word_to_diagram)
-from conftest import RulesContext, SearchRulesContext, closure_rows
+                                   default_truncation, spectral_series)
+from conftest import (RulesContext, SearchRulesContext, closure_rows,
+                      word_diagram)
 
 
 def test_block_checks_worked_examples():
@@ -106,7 +106,7 @@ def series_oracle(ctx, omega):
     omega = Fr(omega)
     n = ctx.n
     brauer = BrauerAlgebra(n, omega)
-    diag_of = {w: word_to_diagram(n, w)[0] for w in ctx.words}
+    diag_of = {w: word_diagram(n, w)[0] for w in ctx.words}
     rights = [{w: ctx._one} for w in ctx.words]
     checked = 0
     for w1 in ctx.words:
@@ -128,6 +128,8 @@ def series_oracle(ctx, omega):
 def test_oracle_h0_fold_matches_the_series_fold(regime, omega):
     for n in (2, 3, 4):
         ctx = AlgebraContext(n, laurent_params(regime, omega), verify=False)
+        B = BrauerAlgebra(n, omega)
+        assert list(ctx.words) == [B.spell(d) for d in B.words]
         assert _constant_rows(ctx) is not None
         got = structure_constant_oracle(ctx, omega)
         assert got == series_oracle(ctx, omega) == \
@@ -315,33 +317,33 @@ def test_regime2_equals_regime1_on_transpose():
             assert (a - b).is_zero()
 
 
-def test_word_diagram_bijection():
-    params = laurent_params(1, 5, 4)
-    ctx = AlgebraContext(3, params, verify=False)
-    seen = set()
-    for w in ctx.words:
-        d, loops = word_to_diagram(3, w)
-        assert loops == 0
-        assert d not in seen
-        seen.add(d)
+def test_canonical_words_are_the_brauer_spellings():
+    # in the same order, so each word is a loop-free spelling of its own
+    # diagram and the words map bijectively onto the diagrams
+    for q, nu in ((Fr(6, 5), Fr(7, 3)), (Fr(-5, 6), Fr(3, 7)),
+                  (Fr(13, 11), Fr(17, 19))):
+        for n in (1, 2, 3, 4, 5):
+            ctx = AlgebraContext(n, make_params(q, nu, n), verify=False)
+            B = BrauerAlgebra(n, 5)
+            assert list(ctx.words) == [B.spell(d) for d in B.words]
 
 
-def test_word_to_diagram_rejects_a_letter_index_out_of_range():
-    # K2 on 2 strands used to give {(0, 2), (1, 2), (3, 4)}
-    for word in ((letter(K_KIND, 2),),
-                 (letter(T_KIND, 1), letter(T_KIND, 0))):
-        with pytest.raises(IndexError):
-            word_to_diagram(2, word)
-    assert word_to_diagram(3, (letter(K_KIND, 2),))[0] == e_diagram(3, 2)
+def test_constant_term_of_a_word_outside_the_spellings():
+    # T1*T1 is no basis word, also under a coefficient with no h^0 term
+    ctx = AlgebraContext(2, laurent_params(1, 5), verify=False)
+    t1 = letter(T_KIND, 1)
+    for c in (ctx._one, TruncLaurent(1, (Fr(1),), 4)):
+        elem = AlgebraElement(ctx, {(t1,): ctx._one, (t1, t1): c})
+        with pytest.raises(DomainMismatch, match="T1\\*T1 is not a Brauer"):
+            constant_term_element(elem, BrauerAlgebra(2, 5))
 
 
-@pytest.mark.parametrize("order", [(2, 3), (3, 2)])
-def test_word_to_diagram_memo_keys_by_strand_count(order):
-    word_to_diagram.cache_clear()
-    t1 = (letter(T_KIND, 1),)
-    got = {n: word_to_diagram(n, t1) for n in order}
-    assert got == {n: (s_diagram(n, 1), 0) for n in order}
-    assert got[2] != got[3]
+def test_structure_constant_oracle_sees_a_word_outside_the_spellings():
+    ctx = AlgebraContext(2, laurent_params(1, 5), verify=False)
+    t1 = letter(T_KIND, 1)
+    ctx.word_index[(t1, t1)] = ctx.word_index.pop((t1,))
+    assert structure_constant_oracle(ctx, 5) == {
+        "ok": False, "reason": "canonical words are not the Brauer spellings"}
 
 
 def test_negative_valuation_reported():
@@ -371,7 +373,7 @@ def test_regime3_generator_sign_homomorphism():
         for w, c in elem.terms.items():
             c0 = c.constant_term() * sign(w)
             if c0:
-                d, loops = word_to_diagram(2, w)
+                d, loops = word_diagram(2, w)
                 terms[d] = terms.get(d, Fr(0)) + c0 * omega ** loops
         return brauer.from_terms(terms)
 
@@ -380,7 +382,7 @@ def test_regime3_generator_sign_homomorphism():
             prod = ctx.from_terms({w1: ctx._one}) * \
                 ctx.from_terms({w2: ctx._one})
             got = signed_limit(prod).scale(sign(w1) * sign(w2))
-            d, loops = diagram_mul(2, word_to_diagram(2, w1)[0],
-                                   word_to_diagram(2, w2)[0])
+            d, loops = diagram_mul(2, word_diagram(2, w1)[0],
+                                   word_diagram(2, w2)[0])
             want = brauer.from_terms({d: omega ** loops})
             assert (got - want).is_zero(), (w1, w2)

@@ -13,9 +13,10 @@ defect (w.g).h - w.(g.h) into an elimination rule until the basis has
 
 The plans go to stdout as ``CLOSURE_PLANS[n]`` writes them, n = 4 then
 n = 5: one token w.gh... per group of rules.  The sweep exits 1 unless,
-at n = 4 and at n = 5, every case replays to (2n-1)!! words and, at
-every rational pair, the Jucys-Murphy idempotents form a complete system
-that ``complete_system_checks`` certifies.  On a 2-CPU VM the two
+at n = 4 and at n = 5, every case replays to (2n-1)!! words that are
+the Brauer spellings in order and, at every rational pair, the
+Jucys-Murphy idempotents form a complete system that
+``complete_system_checks`` certifies.  On a 2-CPU VM the two
 searches take about 3.5 s, the sweep about 85 s.
 """
 
@@ -31,9 +32,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
 from bmwfusion import (AlgebraContext, BmwError,  # noqa: E402
-                       DimensionMismatch, NotGeneric, complete_system_checks,
-                       enumerate_tableaux, jm_oracle_idempotent,
-                       laurent_params, make_params)
+                       BrauerAlgebra, DimensionMismatch, NotGeneric,
+                       complete_system_checks, enumerate_tableaux,
+                       jm_oracle_idempotent, laurent_params, make_params)
 from bmwfusion.bmwcore import (default_truncation,  # noqa: E402
                                double_factorial)
 
@@ -133,6 +134,17 @@ def sweep_cases(n):
 
 
 CERTIFIED = "complete JM system"
+SPELLED = "the Brauer spellings"
+
+
+def spellings(ctx):
+    """SPELLED when the canonical words are the Brauer spellings in order
+    (the spellings walk over loop-free products, so omega does not
+    change them)."""
+    B = BrauerAlgebra(ctx.n, 5)
+    if list(ctx.words) == [B.spell(d) for d in B.words]:
+        return SPELLED
+    return "not " + SPELLED
 
 
 def jm_system(ctx):
@@ -145,11 +157,12 @@ def jm_system(ctx):
 
 def sweep():
     """Build every case of ``sweep_cases`` at each n of PLAN_STRANDS; 0 if
-    each one closes by the replay to (2n-1)!! words and each rational
-    pair's JM system is complete, else 1."""
+    each one closes by the replay to (2n-1)!! words, the Brauer spellings
+    in order, and each rational pair's JM system is complete, else 1."""
     tally = []
     for n in PLAN_STRANDS:
-        replayed = "replay, %d words" % double_factorial(2 * n - 1)
+        replayed = "replay, %d words, %s" % (double_factorial(2 * n - 1),
+                                             SPELLED)
         for cases, want in zip(sweep_cases(n), (replayed + ", " + CERTIFIED,
                                                 replayed)):
             passed = 0
@@ -157,8 +170,9 @@ def sweep():
                 start = time.perf_counter()
                 try:
                     ctx = build()
-                    got = "%s, %d words" % (ctx.stats["closure"],
-                                            len(ctx.words))
+                    got = "%s, %d words, %s" % (ctx.stats["closure"],
+                                                len(ctx.words),
+                                                spellings(ctx))
                     if got == replayed and ctx.rational:
                         got += ", " + jm_system(ctx)
                 except BmwError as exc:
@@ -169,8 +183,9 @@ def sweep():
                     "ok" if ok else "FAIL", n, name, got,
                     time.perf_counter() - start))
             tally += [passed, len(cases)]
-        print("sweep n=%d: %d/%d rational pairs replay with a complete JM"
-              " system, %d/%d Laurent cases replay" % (n, *tally[-4:]))
+        print("sweep n=%d: %d/%d rational pairs replay to the Brauer"
+              " spellings with a complete JM system, %d/%d Laurent cases"
+              " replay to them" % (n, *tally[-4:]))
     return 0 if tally[0::2] == tally[1::2] else 1
 
 
@@ -178,8 +193,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--sweep", action="store_true",
                     help="replay the committed plans at %d seeded rational"
-                         " pairs, with their JM systems, and 4 Laurent cases"
-                         " instead" % SWEEP_PAIRS)
+                         " pairs, with their spellings and JM systems, and 4"
+                         " Laurent cases instead" % SWEEP_PAIRS)
     args = ap.parse_args(argv)
     os.environ.pop("BMWF_CACHE", None)     # a cache hit would skip the work
     if args.sweep:
