@@ -12,8 +12,9 @@ Individual factors may vanish at the evaluation point c_k, so the step
 runs at u = c_k + h, fraction-free, and takes no polynomial gcd: the
 numerator is one vector of integer h-polynomials over one common
 denominator, multiplied factor by factor over the algebra's integer
-rows.  The value is the first coefficient the vanishing factors leave,
-and a nonzero one below it is a true pole.
+rows, and the factors' own h-polynomials and values are integers over
+one denominator too.  The value is the first coefficient the vanishing
+factors leave, and a nonzero one below it is a true pole.
 """
 
 from __future__ import annotations
@@ -146,16 +147,17 @@ def _times(f):
 def _apply_block(D, vec, parts):
     """The vector D, vec = {basis index: h-polynomial} (integer numerators
     over D) times the sum of f l over ``parts`` = [(f, the rows of l)],
-    each f an h-polynomial of Fractions and the rows None for l = 1, as
-    such a vector with its content divided out."""
-    bden = math.lcm(*(x.denominator for f, _ in parts for x in f))
+    each f an h-polynomial (integer numerators over one denominator) and
+    the rows None for l = 1, as such a vector with its content divided
+    out."""
+    bden = math.lcm(*(fden for (fden, _), _ in parts))
     rows = [row_of or {j: (1, ((j, 1),)) for j in vec} for _, row_of in parts]
     dens = [{row_of[j][0] for j in vec} for row_of in rows]
     L = math.lcm(*(d for ds in dens for d in ds))
     # all over bden L: a row over d takes its polynomial times bden L / d
-    parts = [({d: _times([x.numerator * (bden // x.denominator) * (L // d)
-                          for x in f]) for d in ds}, row_of)
-             for (f, _), row_of, ds in zip(parts, rows, dens)]
+    parts = [({d: _times([x * (bden // fden) * (L // d) for x in f])
+               for d in ds}, row_of)
+             for ((fden, f), _), row_of, ds in zip(parts, rows, dens)]
     out = {}
     get = out.get
     for j, p in vec.items():
@@ -179,50 +181,56 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
     ``ctx`` is a BMW context or, for the kappa = 0 image, a Hecke algebra.
     Every factor of Y_k is a numerator element over a product of known
     linear factors in u, read off its closed form.  The step runs at
-    u = c_k + h: with m of those factors vanishing at c_k, the numerator
-    is one vector of integer h-polynomials to h^m over one denominator,
-    times each factor of Y_k in one pass over the integer rows and times
+    u = c_k + h in integers: each linear factor is its value and slope
+    over one denominator, formed once.  With m of them vanishing at c_k,
+    the numerator is one vector of integer h-polynomials to h^m over one
+    denominator, times each factor of Y_k (integer h-polynomials over one
+    denominator) in one pass over the integer rows and times
     (c u - 1)(u - c_k) at the end.  The value is its h^m coefficient
     (exact: every factor is a polynomial in h) over the other factors'
-    values and the vanishing factors' slopes; a nonzero lower
-    coefficient is a true pole."""
+    values and the vanishing factors' slopes, one Fraction of two integers
+    per coefficient; a nonzero lower coefficient is a true pole."""
     d, q, c = view.delta, view.q, view.c
     r = q / view.nu
     ck = contents[k - 1]
+    cn, cd = ck.numerator, ck.denominator
+
+    def lin(f0, f1):
+        """f0 + f1 u at u = c_k + h: (g, value, slope) over g."""
+        a, b, e, f = f0.numerator, f0.denominator, f1.numerator, f1.denominator
+        return b * f * cd, a * f * cd + e * cn * b, e * b * cd
+
     # the denominator's linear factors f0 + f1 u in the order of phi; the
     # factors t T_i + s + kap kappa_i of Y_k, each of t, s, kap as poly args
     den, blocks = [], []
     for i in range(k - 1, 0, -1):
         # Q_i(c_i, u) with x = c c_i u, over (x - 1)(1 + (q/nu) x)
         x1 = c * contents[i - 1]
-        a, b = (-1, x1), (1, r * x1)
+        a, b = lin(-1, x1), lin(1, r * x1)
         den += (a, b)
         blocks.append((i, (1, a, b), (d, b), (d, a)))
-    den.append((-1, 1))                  # the Y_1 scalar (c u - 1)/(u - 1)
+    den.append(lin(-1, 1))               # the Y_1 scalar (c u - 1)/(u - 1)
     for i in range(1, k):
         # T_i(c_i, u) f(c_i, u) with one (u - c_i) cancelled, over
         # (c_i + (q/nu) u)(u - q^2 c_i)(u - q^-2 c_i)
         ci = contents[i - 1]
-        a, b = (-ci, 1), (ci, r)
-        den += (b, (-q * q * ci, 1), (-ci / (q * q), 1))
+        a, b = lin(-ci, 1), lin(ci, r)
+        den += (b, lin(-q * q * ci, 1), lin(-ci / (q * q), 1))
         blocks.append((i, (1, a, a, b), (d * ci, a, b), (d * ci, a, a)))
-    den.append((-1, c * ck))             # the prefactor's c u c_k - 1
-    m, scale = 0, Fraction(1)
-    for f0, f1 in den:
-        value = f0 + f1 * ck
-        if value:
-            scale *= value
-        else:
-            m += 1
-            scale *= f1
+    den.append(lin(-1, c * ck))          # the prefactor's c u c_k - 1
+    m, snum, sden = 0, 1, 1
+    for g, value, slope in den:
+        m += not value
+        snum *= value or slope
+        sden *= g
 
     def poly(coeff, *factors):
-        """coeff times the linear factors (f0, f1) at u = c_k + h, to h^m."""
-        p = [Fraction(coeff)] + [0] * m
-        for f0, f1 in factors:
-            a = f0 + f1 * ck
-            p = [a * x + f1 * y for x, y in zip(p, [0] + p)]
-        return p
+        """coeff times the linear factors, to h^m: (denominator, ints)."""
+        pden, p = coeff.denominator, [coeff.numerator] + [0] * m
+        for g, value, slope in factors:
+            pden *= g
+            p = [value * x + slope * y for x, y in zip(p, [0] + p)]
+        return pden, p
 
     rows = ctx._rows
     D, vec = _over_common_denominator(E_prev.terms)
@@ -232,13 +240,13 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
         if letter(K_KIND, i) in rows:   # a Hecke algebra has no kappa_i
             parts.append((poly(*kap), rows[letter(K_KIND, i)]))
         D, vec = _apply_block(D, vec, parts)
-    D, vec = _apply_block(D, vec, [(poly(1, (-1, c), (-ck, 1)), None)])
-    out, scale = {}, D * scale
+    D, vec = _apply_block(D, vec, [(poly(1, lin(-1, c), lin(-ck, 1)), None)])
+    out, D = {}, D * snum
     for j, p in vec.items():
         if any(p[:m]):
             raise PoleAtEvaluation("pole of the fusion function at u = %s"
                                    % format_rational(ck))
-        out[ctx.words[j]] = p[m] / scale
+        out[ctx.words[j]] = Fraction(p[m] * sden, D)
     return ctx.element_type(ctx, out)
 
 

@@ -333,7 +333,10 @@ def test_contraction_suite_skips_a_pole_of_a_limit(capsys):
      "dcaa7e84bb9c558c1a7fdf3dbba64c75d2f51d7d27ae6cfb53ce69dc97c78294"),
     (("--n", "3", "--kind", "hecke-idempotent", "--tableau", "1;1,1;2,1"),
      "1405a4f4bbb25169a61ac15937999b43c39b14ea02b5c327f9fccba5cdc7fdc9"),
-], ids=["brauer", "hecke"])
+    (("--n", "4", "--kind", "hecke-idempotent", "--tableau", "1;2;3;3,1",
+      "--c-param", "1/2"),
+     "a786411d93bfb777d1121c797e48fd0490ff9f037d175d1bdaf4a94523376755"),
+], ids=["brauer", "hecke", "hecke-n4"])
 def test_export_without_bmw_context(monkeypatch, capsys, args, digest):
     # these kinds never multiply in BMW_n, so no rational context is built
     from bmwfusion import cli
@@ -519,7 +522,9 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
      "034ac17c3ced27c29a7578281ea4170d56bb6d2bb9674de31d155542a24867ff"),
     (("verify", "--suite", "reflection", "--n", "4"),
      "af7ebaa38e961b299acde19630b1d5fb4156133008a56380e2c0935b51eace37"),
-], ids=["all-n3", "reflection-n4"])
+    (("verify", "--suite", "hecke", "--n", "4"),
+     "9ba284fdac92bc4d08f7b6e0c5e70c3d9015172cb9cd546071334f3afeb70e1a"),
+], ids=["all-n3", "reflection-n4", "hecke-n4"])
 def test_verify_stdout_pinned(tmp_path, args, digest):
     r = run_cli(*args, "--cache-dir", str(tmp_path))
     assert r.returncode == 0

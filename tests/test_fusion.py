@@ -11,8 +11,8 @@ from bmwfusion import (DomainMismatch, HeckeAlgebra, PoleAtEvaluation,
                        complete_system_checks,
                        enumerate_tableaux, fusion_idempotent,
                        hecke_family_idempotent, jm_oracle_idempotent,
-                       laurent_params, quantum_contents, symmetrizer,
-                       verify_idempotent)
+                       laurent_params, make_params, quantum_contents,
+                       symmetrizer, verify_idempotent)
 from bmwfusion import fusion
 from bmwfusion.bmwcore import AlgebraContext, AlgebraElement
 from bmwfusion.combinatorics import extension_spectrum
@@ -486,20 +486,26 @@ def assert_steps_match_series(contents, ctx, view):
 def test_fusion_step_matches_series_step(point):
     q, nu = map(Fr, point.split(","))
     ctx = build_context(4, q=q, nu=nu)
-    view = SpectralView.of(ctx.params)
-    for n in (2, 3, 4):
-        for tab in enumerate_tableaux(n):
-            assert_steps_match_series(quantum_contents(tab, view), ctx, view)
+    # the plain view and the starred one, q -> -1/q
+    for view in (SpectralView.of(ctx.params),
+                 SpectralView.of(ctx.params).starred()):
+        for n in (2, 3, 4):
+            for tab in enumerate_tableaux(n):
+                assert_steps_match_series(quantum_contents(tab, view), ctx,
+                                          view)
 
 
-def test_hecke_fusion_step_matches_series_step(params4):
-    hk = HeckeAlgebra(4, params4.q)
-    tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
-    for c in (Fr(0), params4.c):
-        view = SpectralView(q=hk.q, nu=params4.nu, c=c)
-        for tab in tabs:
-            assert_steps_match_series(quantum_contents(tab, params4), hk,
-                                      view)
+def test_hecke_fusion_step_matches_series_step():
+    # both points, every c of the CLI Hecke suite
+    for q, nu in ((Fr(6, 5), Fr(7, 3)), (Fr(-5, 6), Fr(3, 7))):
+        params = make_params(q, nu, 4)
+        hk = HeckeAlgebra(4, q)
+        tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
+        for c in (Fr(0), Fr(1, 2), Fr(-2, 3), params.c):
+            view = SpectralView(q=q, nu=nu, c=c)
+            for tab in tabs:
+                assert_steps_match_series(quantum_contents(tab, params), hk,
+                                          view)
 
 
 def test_fusion_step_true_pole_matches_series_step(ctx3):
