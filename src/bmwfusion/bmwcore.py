@@ -261,7 +261,8 @@ class AlgebraContext(RowAlgebra):
         self._num_one = 1 if self.rational else self._one
         self.letters = [letter(k, i)
                         for i in range(1, n) for k in (T_KIND, K_KIND)]
-        self._jm, self._rho = {}, None
+        # _shared: the work fusion.py shares between idempotents
+        self._jm, self._rho, self._shared = {}, None, {}
         self._cache_path = self._cache_file(cache_dir)
         # what the build did, never printed; a cold _close sets "closure"
         # and "rules_added", and a cold _build the redexes applied and the
@@ -271,7 +272,7 @@ class AlgebraContext(RowAlgebra):
         bad = self._build(verify)
         if bad and self.stats["cache"] == "hit":
             # an edited cache file: build cold once, and rewrite the file
-            self._jm = {}
+            self._jm, self._shared = {}, {}
             self.stats["cache"] = "corrupt"
             bad = self._build(verify)
         if bad:

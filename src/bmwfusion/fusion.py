@@ -250,20 +250,46 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
     return ctx.element_type(ctx, out)
 
 
-def _check_length(tab, ctx):
-    """A tableau longer than the algebra's strand count is DomainMismatch;
-    a shorter one builds the idempotent of its sub-algebra."""
+def _check_context(tab, ctx):
+    """DomainMismatch unless ctx is a BMW context (an AlgebraContext) on at
+    least len(tab) strands; a shorter tableau builds the idempotent of its
+    sub-algebra."""
+    if not isinstance(ctx, AlgebraContext):
+        raise DomainMismatch("expected a BMW context, got %s"
+                             % type(ctx).__name__)
     if len(tab) > ctx.n:
         raise DomainMismatch("tableau of length %d on a context with n = %d"
                              % (len(tab), ctx.n))
 
 
+def _prefix_path(ctx, slot, keys, first, step):
+    """The entry of the path along ``keys`` from ``first``, the k-th entry
+    ``step(k, entry k - 1)``, which must depend on keys[:k] alone.  The
+    context keeps the path of the last call per slot, (keys, entries),
+    and a call starts from the longest prefix it shares with it."""
+    old, path = ctx._shared.pop(slot, ((), []))    # re-inserted last
+    p = 0
+    while p < min(len(old), len(keys)) and old[p] == keys[p]:
+        p += 1
+    path = path[:p] or [first]
+    for k in range(len(path) + 1, len(keys) + 1):
+        path.append(step(k, path[-1]))
+    ctx._shared[slot] = (tuple(keys), path)
+    return path[len(keys) - 1]
+
+
 def consecutive_evaluation(ctx, contents, view):
     """The fusion function at the content sequence: ``fusion_step`` for
-    k = 2, ..., len(contents) from E_1 = 1, in a BMW or Hecke algebra."""
-    E = ctx.one()
-    for k in range(2, len(contents) + 1):
-        E = fusion_step(E, contents, k, ctx, view)
+    k = 2, ..., len(contents) from E_1 = 1, in a BMW or Hecke algebra.
+
+    The step for k reads contents[:k] only, so the algebra keeps a prefix
+    path per view (``_prefix_path``), for the two views used last: the
+    plain and the starred view, or the Hecke family at two values of c."""
+    E = _prefix_path(ctx, view, contents, ctx.one(),
+                     lambda k, E: fusion_step(E, contents, k, ctx, view))
+    views = [v for v in ctx._shared if isinstance(v, SpectralView)]
+    if len(views) > 2:
+        del ctx._shared[views[0]]
     return E
 
 
@@ -272,9 +298,9 @@ def fusion_idempotent(tab: UpDownTableau, ctx: AlgebraContext) -> Idempotent:
     function at the tableau's content sequence.  The same steps over the
     starred view (contents included) give the transposed tableau's.  A
     Laurent context raises DomainMismatch: the step is rational."""
+    _check_context(tab, ctx)
     if not ctx.rational:
         raise DomainMismatch("fusion idempotents need rational parameters")
-    _check_length(tab, ctx)
     view = SpectralView.of(ctx.params)
     contents = quantum_contents(tab, ctx.params)
     return Idempotent(tableau=tab, element=consecutive_evaluation(
@@ -301,24 +327,70 @@ def _times_jm(ctx, terms, factors):
     return fold_products(ctx, terms, rights)
 
 
+def _newton_child(ctx, newton, ck):
+    """The child of content c_k of a prefix whose first child formed
+    ``newton`` = [x, sigma, Q]: the Newton form of
+    prod_{Y != c_k} (u - Y)/(c_k - Y) over the nodes x, whose basis
+    polynomials at y_k give E (y_k - x_0) ... (y_k - x_{m-1}) =
+    sigma_m Q_m, with the divided differences b_m as coefficients, so
+    sum_m b_m sigma_m Q_m summed in integers over one denominator."""
+    x, sigma, Q = newton
+    if not isinstance(Q[0], tuple):     # the second child: once, in place
+        Q = newton[2] = [_over_common_denominator(q.terms) for q in Q]
+    b = [Fraction(Y == ck) for Y in x]
+    for level in range(1, len(x)):
+        for i in range(len(x) - 1, level - 1, -1):
+            b[i] = (b[i] - b[i - 1]) / (x[i] - x[i - level])
+    parts = [(a * s, D, nums) for a, s, (D, nums) in zip(b, sigma, Q) if a]
+    L = math.lcm(*(a.denominator * D for a, D, _ in parts))
+    acc = {}
+    for a, D, nums in parts:
+        f = a.numerator * (L // (a.denominator * D))
+        for w, v in nums.items():
+            acc[w] = acc.get(w, 0) + f * v
+    return AlgebraElement(ctx, {w: Fraction(v, L)
+                                for w, v in acc.items() if v})
+
+
 def _jm_interpolation(tab: UpDownTableau, ctx: AlgebraContext):
     """(contents, E): at each step multiply by
     prod_{Y != c_k} (y_k - Y)/(c_k - Y) over the spectrum of y_k on the
     image of the previous idempotent, one factor at a time through
     ``_times_jm``.  Runs over rational or truncated Laurent parameters
-    alike."""
-    _check_length(tab, ctx)
+    alike.
+
+    The idempotent of a prefix depends on its shapes alone, so the
+    context keeps a prefix path of (E_k, newton) (``_prefix_path``).  In
+    a rational context the first child of a prefix keeps its partial
+    products Q_m, with the spectrum, c_k last, as nodes x and
+    sigma_m = (c_k - x_0) ... (c_k - x_{m-1}), and a later child is
+    their combination (``_newton_child``), with no fold.  A Laurent
+    context multiplies factor by factor for every child, since a sum of
+    series products would change the coefficient windows."""
+    _check_context(tab, ctx)
     params = ctx.params
     contents = quantum_contents(tab, params)
-    E = ctx.one()
-    for k in range(2, len(tab) + 1):
+
+    def child(k, prefix):
+        E, newton = prefix
         ck = contents[k - 1]
-        for Y in extension_spectrum(tab.shapes[k - 2], params):
-            if Y == ck:
-                continue
-            E = AlgebraElement(ctx, _times_jm(ctx, E.terms,
-                                              [(k, Y, 1 / (ck - Y))])[0])
-    return contents, E
+        if newton:
+            return _newton_child(ctx, newton, ck), []
+        x = [Y for Y in extension_spectrum(tab.shapes[k - 2], params)
+             if Y != ck]
+        Q = [E]
+        for Y in x:
+            Q.append(AlgebraElement(ctx, _times_jm(
+                ctx, Q[-1].terms, [(k, Y, 1 / (ck - Y))])[0]))
+        if ctx.rational:
+            sigma = [Fraction(1)]
+            for Y in x:
+                sigma.append(sigma[-1] * (ck - Y))
+            newton += [x + [ck], sigma, Q]
+        return Q[-1], []
+
+    return contents, _prefix_path(ctx, "jm", tab.shapes, (ctx.one(), []),
+                                  child)[0]
 
 
 def jm_oracle_idempotent(tab: UpDownTableau,
@@ -330,10 +402,19 @@ def jm_oracle_idempotent(tab: UpDownTableau,
 
 
 def _right_eigenvector(ctx, E, contents):
-    """Whether E y_j = c_j E for every j, in one fold."""
+    """Whether E y_j = c_j E for every j, in one fold.  A rational context
+    keeps the verdict per content sequence with the terms it was formed
+    on, and serves it again for an element with equal terms."""
+    seen = ctx._shared.setdefault("eigen", {}) if ctx.rational else None
+    hit = seen.get(contents) if seen else None
+    if hit and hit[0] == E.terms:
+        return hit[1]
     factors = [(j, cj, 1) for j, cj in enumerate(contents, start=1)]
-    return all(AlgebraElement(ctx, p).is_zero()
-               for p in _times_jm(ctx, E.terms, factors))
+    ok = all(AlgebraElement(ctx, p).is_zero()
+             for p in _times_jm(ctx, E.terms, factors))
+    if seen is not None:
+        seen[contents] = (dict(E.terms), ok)
+    return ok
 
 
 def verify_idempotent(idem: Idempotent, ctx: AlgebraContext) -> dict:
@@ -342,8 +423,17 @@ def verify_idempotent(idem: Idempotent, ctx: AlgebraContext) -> dict:
     E E = E is a direct product.  The eigenvalues y_j E = c_j E are read
     on R = rho(E) as R y_j = c_j R, every j in one fold: rho is an
     anti-automorphism fixing y_j, whose defining word is a palindrome.
-    rho_symmetric is R = E."""
+    rho_symmetric is R = E.
+
+    The idempotent must be an element of ctx, labelled with its tableau's
+    content sequence (the eigenvalues checked), or DomainMismatch."""
     E = idem.element
+    _check_context(idem.tableau, ctx)
+    if E.algebra != ctx:
+        raise DomainMismatch("the idempotent is not an element of ctx")
+    if idem.contents != quantum_contents(idem.tableau, ctx.params):
+        raise DomainMismatch("the contents of %s are not its tableau's"
+                             % idem.tableau.encode())
     R = ctx.rho(E)
     flags = {"idempotent": (E * E - E).is_zero(),
              "jm_eigenvalues": _right_eigenvector(ctx, R, idem.contents),

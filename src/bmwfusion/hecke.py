@@ -57,6 +57,7 @@ class HeckeAlgebra(RowAlgebra):
         if not self.q:
             raise DivisionByZero("the Hecke algebra needs q != 0")
         self.delta = self.q - 1 / self.q
+        self._shared = {}     # the fusion paths of fusion.py
 
         def step(w, l):               # w s_i, and whether i is a descent
             i = letter_index(l)

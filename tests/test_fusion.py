@@ -1,10 +1,12 @@
 import dataclasses
+import os
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from bmwfusion import (DomainMismatch, HeckeAlgebra, PoleAtEvaluation,
+from bmwfusion import (BrauerAlgebra, DomainMismatch, HeckeAlgebra,
+                       Idempotent, PoleAtEvaluation,
                        PoleError, SpectralView, Y_script, antisymmetrizer,
                        baxterized_Q, baxterized_T, baxterized_T_inverse,
                        build_context, check_reflection,
@@ -103,16 +105,71 @@ def test_oracle_equivalence_and_system(n, ctx2, ctx3):
     assert checks["orthogonal"] and checks["complete"]
 
 
-def test_system_checks_see_a_broken_system(ctx3):
+def test_system_checks_see_a_broken_system(ctx3, monkeypatch):
     idems = [jm_oracle_idempotent(t, ctx3) for t in enumerate_tableaux(3)]
+    for idem in idems:      # the context keeps every eigenvalue verdict
+        assert verify_idempotent(idem, ctx3) == direct_flags(idem, ctx3)
+    # one coefficient of a copy changed, its contents kept, and the change
+    # taken back in a second copy, so the system still sums to 1
+    w, c = next(iter(idems[0].element.terms.items()))
+    N = AlgebraElement(ctx3, {w: c + 1})
+    edited = [dataclasses.replace(idems[0], element=idems[0].element + N),
+              dataclasses.replace(idems[1], element=idems[1].element - N)]
+    for idem in fresh(edited):
+        flags = verify_idempotent(idem, ctx3)
+        assert flags == direct_flags(idem, ctx3)
+        assert not flags["jm_eigenvalues"]
+    systems = [edited + idems[2:]]
     for a, b in ((0, 1), (len(idems) - 1, 0)):
         broken = list(idems)
         broken[a] = dataclasses.replace(
             idems[a], element=idems[a].element + idems[b].element)
-        assert not complete_system_checks(broken, ctx3)["orthogonal"]
-    for a in (0, len(idems) - 1):
-        assert complete_system_checks(idems[:a] + idems[a + 1:], ctx3) == \
-            {"orthogonal": True, "complete": False}
+        systems.append(broken)
+    systems += [idems[:a] + idems[a + 1:] for a in (0, len(idems) - 1)]
+    by_products = []
+    products = fusion._orthogonal_by_products
+    monkeypatch.setattr(fusion, "_orthogonal_by_products", lambda idems, ctx:
+                        by_products.append(idems) or products(idems, ctx))
+    got = []
+    for system in systems:
+        copies = fresh(system)
+        got.append(complete_system_checks(copies, ctx3))
+        assert got[-1] == direct_system(system, ctx3)
+        assert not any(i.verified for i in copies)
+        for idem in copies:
+            assert verify_idempotent(idem, ctx3) == direct_flags(idem, ctx3)
+    # the edited system sums to 1, so only the eigenvalue check, formed
+    # again on its terms, keeps it from the certificate
+    assert got[0] == {"orthogonal": False, "complete": True}
+    assert all(not all(g.values()) for g in got)
+    assert len(by_products) == len(systems)
+
+
+def test_verify_idempotent_refuses_a_mislabelled_idempotent(ctx3):
+    tabs = enumerate_tableaux(3)
+    E = jm_oracle_idempotent(tabs[2], ctx3)
+    other = build_context(3, q=Fr(-5, 6), nu=Fr(3, 7))
+    for name, idem in [
+            ("default contents", Idempotent(tabs[5], E.element, E.method)),
+            ("another tableau's contents",
+             dataclasses.replace(E, tableau=tabs[5])),
+            ("contents longer than n",
+             dataclasses.replace(E, contents=E.contents + (Fr(2),))),
+            ("tableau longer than n",
+             dataclasses.replace(E, tableau=enumerate_tableaux(4)[0])),
+            ("another context's element",
+             jm_oracle_idempotent(tabs[2], other))]:
+        with pytest.raises(DomainMismatch):
+            verify_idempotent(idem, ctx3)
+        assert not idem.verified, name
+
+
+@pytest.mark.parametrize("build", [fusion_idempotent, jm_oracle_idempotent])
+def test_idempotents_need_a_bmw_context(build, params4):
+    tab = enumerate_tableaux(3)[0]
+    for ctx in (HeckeAlgebra(4, params4.q), BrauerAlgebra(4, 5), None):
+        with pytest.raises(DomainMismatch):
+            build(tab, ctx)
 
 
 @pytest.mark.parametrize("build", [fusion_idempotent, jm_oracle_idempotent])
@@ -572,22 +629,96 @@ def direct_system(idems, ctx):
             "complete": total == ctx.one()}
 
 
-@pytest.mark.parametrize("q, nu", [(Fr(6, 5), Fr(7, 3)),
-                                   (Fr(-5, 6), Fr(3, 7))],
-                         ids=["q=6/5,nu=7/3", "q=-5/6,nu=3/7"])
-def test_jm_interpolation_by_defining_words_n4(q, nu):
-    ctx = build_context(4, q=q, nu=nu)
-    tabs = enumerate_tableaux(4)
-    assert len(tabs) == 25
+def in_four_orders(tabs, build, contexts):
+    """{tab: build(tab, ctx)} four ways: in order on one context, in
+    reverse on another, in a shuffled order alternating between two
+    more, and each tableau alone on a fresh context from ``contexts()``.
+    A context keeps the path of its last idempotent, so each way shares
+    other prefixes."""
+    shuffled = list(tabs)
+    random.Random(0).shuffle(shuffled)
+    first, second, pair = contexts(), contexts(), (contexts(), contexts())
+    return [{t: build(t, first) for t in tabs},
+            {t: build(t, second) for t in reversed(tabs)},
+            {t: build(t, pair[i % 2]) for i, t in enumerate(shuffled)},
+            {t: build(t, contexts()) for t in tabs}]
+
+
+def jm_and_fusion(tab, ctx):
+    return (jm_oracle_idempotent(tab, ctx).element.terms,
+            fusion_idempotent(tab, ctx).element.terms)
+
+
+POINTS = pytest.mark.parametrize(
+    "q, nu", [(Fr(6, 5), Fr(7, 3)), (Fr(-5, 6), Fr(3, 7))],
+    ids=["q=6/5,nu=7/3", "q=-5/6,nu=3/7"])
+
+
+@POINTS
+def test_jm_interpolation_by_defining_words_n4(q, nu, tmp_path):
+    # every tableau of length <= 4 in each call order, and the fusion
+    # idempotents on the same contexts (fusion = JM)
+    tabs = [t for n in range(1, 5) for t in enumerate_tableaux(n)]
+    assert len(tabs) == 36
+
+    def contexts():
+        return build_context(4, q=q, nu=nu, cache_dir=str(tmp_path))
+
+    ways = in_four_orders(tabs, jm_and_fusion, contexts)
+    ctx = contexts()
     for tab in tabs:
-        assert jm_oracle_idempotent(tab, ctx).element == \
-            reduced_jm_interpolation(tab, ctx), tab.encode()
+        want = reduced_jm_interpolation(tab, ctx).terms
+        assert [way[tab] for way in ways] == [(want, want)] * 4, \
+            tab.encode()
 
 
 def test_jm_interpolation_by_defining_words_n5(ctx5):
-    for tab in enumerate_tableaux(5)[::10]:
-        assert jm_oracle_idempotent(tab, ctx5).element == \
-            reduced_jm_interpolation(tab, ctx5), tab.encode()
+    cache = os.path.dirname(ctx5._cache_path)
+    tabs = enumerate_tableaux(5)[::10]
+    ways = in_four_orders(tabs, jm_and_fusion, lambda: build_context(
+        5, params=ctx5.params, cache_dir=cache))
+    for tab in tabs:
+        want = reduced_jm_interpolation(tab, ctx5).terms
+        assert [way[tab] for way in ways] == [(want, want)] * 4, \
+            tab.encode()
+
+
+@POINTS
+def test_hecke_family_paths_do_not_depend_on_the_call_order(q, nu):
+    # c = 0 and c = params.c one after the other, as the benchmark calls
+    params = make_params(q, nu, 4)
+    cs = (Fr(0), params.c)
+    tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
+
+    def family(tab, hk):
+        return [hecke_family_idempotent(tab, c, hk, params).terms
+                for c in cs]
+
+    ways = in_four_orders(tabs, family, lambda: HeckeAlgebra(4, q))
+    hk = HeckeAlgebra(4, q)
+    for tab in tabs:
+        want = [chain(fusion_step, quantum_contents(tab, params), hk,
+                      SpectralView(q=q, nu=nu, c=c)).terms for c in cs]
+        assert [way[tab] for way in ways] == [want] * 4, tab.encode()
+
+
+@pytest.mark.parametrize("regime, omega", [(1, 5), (2, Fr(7, 2))])
+def test_laurent_jm_paths_do_not_depend_on_the_call_order(regime, omega):
+    # the BMW side of the Brauer idempotents at n <= 4, in both regimes:
+    # every series coefficient with its window, (val, prec, den, nums)
+    params = laurent_params(regime, omega)
+
+    def series(tab, ctx):
+        return {w: (c.val, c.prec, c.den, c.nums) for w, c in
+                jm_oracle_idempotent(tab, ctx).element.terms.items()}
+
+    for n in (2, 3, 4):
+        tabs = enumerate_tableaux(n)
+        ways = in_four_orders(tabs, series, lambda: AlgebraContext(
+            n, params, verify=False))
+        for tab in tabs:
+            assert all(way[tab] == ways[-1][tab] for way in ways), \
+                tab.encode()
 
 
 def test_L_operator_powers_by_defining_words(ctx4):
