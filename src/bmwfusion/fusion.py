@@ -151,17 +151,23 @@ def _apply_block(D, vec, parts):
     the rows None for l = 1, as such a vector with its content divided
     out."""
     bden = math.lcm(*(fden for (fden, _), _ in parts))
-    rows = [row_of or {j: (1, ((j, 1),)) for j in vec} for _, row_of in parts]
-    dens = [{row_of[j][0] for j in vec} for row_of in rows]
+    dens = [{row_of[j][0] for j in vec} if row_of else {1}
+            for _, row_of in parts]
     L = math.lcm(*(d for ds in dens for d in ds))
     # all over bden L: a row over d takes its polynomial times bden L / d
     parts = [({d: _times([x * (bden // fden) * (L // d) for x in f])
                for d in ds}, row_of)
-             for ((fden, f), _), row_of, ds in zip(parts, rows, dens)]
+             for ((fden, f), row_of), ds in zip(parts, dens)]
     out = {}
     get = out.get
     for j, p in vec.items():
         for times, row_of in parts:
+            if row_of is None:          # the scalar part: f p at j
+                pf = times[1](p)
+                acc = get(j)
+                out[j] = pf if acc is None else \
+                    [a + y for a, y in zip(acc, pf)]
+                continue
             d, row = row_of[j]
             pf = times[d](p)
             for j2, x in row:
@@ -184,12 +190,15 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
     u = c_k + h in integers: each linear factor is its value and slope
     over one denominator, formed once.  With m of them vanishing at c_k,
     the numerator is one vector of integer h-polynomials to h^m over one
-    denominator, times each factor of Y_k (integer h-polynomials over one
-    denominator) in one pass over the integer rows and times
-    (c u - 1)(u - c_k) at the end.  The value is its h^m coefficient
-    (exact: every factor is a polynomial in h) over the other factors'
-    values and the vanishing factors' slopes, one Fraction of two integers
-    per coefficient; a nonzero lower coefficient is a true pole."""
+    denominator, times each factor t T_i + s + kap kappa_i of Y_k (t, s,
+    kap integer h-polynomials over one denominator) in one pass over the
+    integer rows.  The middle two, Q_1 and T_1(c_1, u)^-1, run as their
+    product, one such factor by the relations of T_1 and kappa_1, and the
+    scalar (c u - 1)(u - c_k) rides in the first, so step k makes 2k - 3
+    passes.  The value is the h^m coefficient (exact: every factor is a
+    polynomial in h) over the other factors' values and the vanishing
+    factors' slopes, one Fraction of two integers per coefficient; a
+    nonzero lower coefficient is a true pole."""
     d, q, c = view.delta, view.q, view.c
     r = q / view.nu
     ck = contents[k - 1]
@@ -201,14 +210,17 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
         return b * f * cd, a * f * cd + e * cn * b, e * b * cd
 
     # the denominator's linear factors f0 + f1 u in the order of phi; the
-    # factors t T_i + s + kap kappa_i of Y_k, each of t, s, kap as poly args
-    den, blocks = [], []
+    # factors t T_i + s + kap kappa_i of Y_k, each of t, s, kap a list of
+    # terms (coeff, *linear factors) to sum
+    den, blocks, scalar = [], [], (lin(-1, c), lin(-ck, 1))
     for i in range(k - 1, 0, -1):
         # Q_i(c_i, u) with x = c c_i u, over (x - 1)(1 + (q/nu) x)
         x1 = c * contents[i - 1]
         a, b = lin(-1, x1), lin(1, r * x1)
         den += (a, b)
-        blocks.append((i, (1, a, b), (d, b), (d, a)))
+        blocks.append((i, [(1, a, b, *scalar)], [(d, b, *scalar)],
+                       [(d, a, *scalar)]))
+        scalar = ()
     den.append(lin(-1, 1))               # the Y_1 scalar (c u - 1)/(u - 1)
     for i in range(1, k):
         # T_i(c_i, u) f(c_i, u) with one (u - c_i) cancelled, over
@@ -216,7 +228,7 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
         ci = contents[i - 1]
         a, b = lin(-ci, 1), lin(ci, r)
         den += (b, lin(-q * q * ci, 1), lin(-ci / (q * q), 1))
-        blocks.append((i, (1, a, a, b), (d * ci, a, b), (d * ci, a, a)))
+        blocks.append((i, [(1, a, a, b)], [(d * ci, a, b)], [(d * ci, a, a)]))
     den.append(lin(-1, c * ck))          # the prefactor's c u c_k - 1
     m, snum, sden = 0, 1, 1
     for g, value, slope in den:
@@ -224,23 +236,45 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
         snum *= value or slope
         sden *= g
 
-    def poly(coeff, *factors):
-        """coeff times the linear factors, to h^m: (denominator, ints)."""
-        pden, p = coeff.denominator, [coeff.numerator] + [0] * m
-        for g, value, slope in factors:
-            pden *= g
-            p = [value * x + slope * y for x, y in zip(p, [0] + p)]
-        return pden, p
-
     rows = ctx._rows
+    kappa = letter(K_KIND, 1) in rows    # a Hecke algebra has no kappa_i
+
+    def term(coeff, f, g):
+        """The term coeff f g of two terms."""
+        return (coeff * f[0] * g[0],) + f[1:] + g[1:]
+
+    # Q_1 T_1(c_1, u)^-1 as one factor: T^2 = 1 + delta T - delta nu kappa,
+    # T kappa = kappa T = nu kappa, kappa^2 = mu kappa (T^2 = 1 + delta T
+    # in a Hecke algebra); every view has the algebra's delta
+    _, (t1,), (s1,), (k1,) = blocks[k - 2]
+    _, (t2,), (s2,), (k2,) = blocks.pop(k - 1)
+    blocks[k - 2] = (1, [term(1, t1, s2), term(1, s1, t2), term(d, t1, t2)],
+                     [term(1, s1, s2), term(1, t1, t2)],
+                     [term(1, s1, k2), term(1, k1, s2), term(ctx.nu, t1, k2),
+                      term(ctx.nu, k1, t2), term(ctx.mu, k1, k2),
+                      term(-d * ctx.nu, t1, t2)] if kappa else [])
+
+    def poly(terms):
+        """The sum of the terms, each coeff times its linear factors, to
+        h^m: (denominator, ints)."""
+        ps = []
+        for coeff, *factors in terms:
+            pden, p = coeff.denominator, [coeff.numerator] + [0] * m
+            for g, value, slope in factors:
+                pden *= g
+                p = [value * x + slope * y for x, y in zip(p, [0] + p)]
+            ps.append((pden, p))
+        L = math.lcm(*(pden for pden, _ in ps))
+        return L, [sum(col) for col in
+                   zip(*([x * (L // pden) for x in p] for pden, p in ps))]
+
     D, vec = _over_common_denominator(E_prev.terms)
     vec = {ctx.word_index[w]: [x] + [0] * m for w, x in vec.items()}
     for i, t, s, kap in blocks:
-        parts = [(poly(*t), rows[letter(T_KIND, i)]), (poly(*s), None)]
-        if letter(K_KIND, i) in rows:   # a Hecke algebra has no kappa_i
-            parts.append((poly(*kap), rows[letter(K_KIND, i)]))
+        parts = [(poly(t), rows[letter(T_KIND, i)]), (poly(s), None)]
+        if kappa:
+            parts.append((poly(kap), rows[letter(K_KIND, i)]))
         D, vec = _apply_block(D, vec, parts)
-    D, vec = _apply_block(D, vec, [(poly(1, lin(-1, c), lin(-ck, 1)), None)])
     out, D = {}, D * snum
     for j, p in vec.items():
         if any(p[:m]):
@@ -417,6 +451,17 @@ def _right_eigenvector(ctx, E, contents):
     return ok
 
 
+def _check_labels(idem, ctx):
+    """DomainMismatch unless the idempotent is an element of ctx labelled
+    with its tableau's content sequence."""
+    _check_context(idem.tableau, ctx)
+    if idem.element.algebra != ctx:
+        raise DomainMismatch("the idempotent is not an element of ctx")
+    if idem.contents != quantum_contents(idem.tableau, ctx.params):
+        raise DomainMismatch("the contents of %s are not its tableau's"
+                             % idem.tableau.encode())
+
+
 def verify_idempotent(idem: Idempotent, ctx: AlgebraContext) -> dict:
     """Idempotency and Jucys-Murphy eigenvalue checks, exact.
 
@@ -427,13 +472,8 @@ def verify_idempotent(idem: Idempotent, ctx: AlgebraContext) -> dict:
 
     The idempotent must be an element of ctx, labelled with its tableau's
     content sequence (the eigenvalues checked), or DomainMismatch."""
+    _check_labels(idem, ctx)
     E = idem.element
-    _check_context(idem.tableau, ctx)
-    if E.algebra != ctx:
-        raise DomainMismatch("the idempotent is not an element of ctx")
-    if idem.contents != quantum_contents(idem.tableau, ctx.params):
-        raise DomainMismatch("the contents of %s are not its tableau's"
-                             % idem.tableau.encode())
     R = ctx.rho(E)
     flags = {"idempotent": (E * E - E).is_zero(),
              "jm_eigenvalues": _right_eigenvector(ctx, R, idem.contents),
@@ -473,9 +513,13 @@ def complete_system_checks(idems, ctx: AlgebraContext) -> dict:
     series, separating by c_j(a) - c_j(b) costs precision.
 
     Otherwise no flag is set (the caller verifies those idempotents) and
-    orthogonality is read from every product E_a E_b with a != b."""
+    orthogonality is read from every product E_a E_b with a != b.  Every
+    idempotent must be an element of ctx labelled with its tableau's
+    content sequence, as ``verify_idempotent`` requires, or
+    DomainMismatch before any flag is set."""
     total = ctx.zero()
-    for idem in idems:      # DomainMismatch for another algebra's element
+    for idem in idems:
+        _check_labels(idem, ctx)
         total = total + idem.element
     complete = (total - ctx.one()).is_zero()
     seqs = [idem.contents for idem in idems]

@@ -164,6 +164,18 @@ def test_verify_idempotent_refuses_a_mislabelled_idempotent(ctx3):
         assert not idem.verified, name
 
 
+def test_system_checks_refuse_a_mislabelled_system(ctx3):
+    # the first two tableau labels swapped, elements and contents kept
+    idems = [jm_oracle_idempotent(t, ctx3) for t in enumerate_tableaux(3)]
+    swapped = [dataclasses.replace(idems[0], tableau=idems[1].tableau),
+               dataclasses.replace(idems[1], tableau=idems[0].tableau)]
+    for system in (swapped + idems[2:], idems[2:] + swapped):
+        copies = fresh(system)
+        with pytest.raises(DomainMismatch):
+            complete_system_checks(copies, ctx3)
+        assert not any(i.verified for i in copies)
+
+
 @pytest.mark.parametrize("build", [fusion_idempotent, jm_oracle_idempotent])
 def test_idempotents_need_a_bmw_context(build, params4):
     tab = enumerate_tableaux(3)[0]
@@ -572,6 +584,29 @@ def test_fusion_step_true_pole_matches_series_step(ctx3):
     with pytest.raises(PoleAtEvaluation):
         series_step(chain(fusion_step, contents[:2], ctx3, view), contents,
                     3, ctx3, view)
+
+
+def test_fusion_step_makes_2k_minus_3_passes(ctx4, params4, monkeypatch):
+    # the middle pair Q_1 T_1(c_1, u)^-1 as one factor, the closing scalar
+    # in the first: one row pass per factor of Y_k but one
+    passes = []
+    apply_block = fusion._apply_block
+    monkeypatch.setattr(fusion, "_apply_block", lambda *a: passes.append(
+        1) or apply_block(*a))
+    hk = HeckeAlgebra(4, params4.q)
+    plain = SpectralView.of(params4)
+    runs = [(ctx4, plain, t) for t in enumerate_tableaux(4)]
+    runs += [(ctx4, plain.starred(), t) for t in enumerate_tableaux(4)]
+    runs += [(hk, SpectralView(q=hk.q, nu=params4.nu, c=c), t)
+             for c in (Fr(0), params4.c)
+             for t in enumerate_tableaux(4) if t.is_standard()]
+    for ctx, view, tab in runs:
+        contents = quantum_contents(tab, view)
+        E = ctx.one()
+        for k in range(2, 5):
+            passes.clear()
+            E = fusion_step(E, contents, k, ctx, view)
+            assert len(passes) == 2 * k - 3, (tab.encode(), k)
 
 
 # ---------------------------------------------------------------------------
