@@ -13,8 +13,10 @@ runs at u = c_k + h, fraction-free, and takes no polynomial gcd: the
 numerator is one vector of integer h-polynomials over one common
 denominator, multiplied factor by factor over the algebra's integer
 rows, and the factors' own h-polynomials and values are integers over
-one denominator too.  The value is the first coefficient the vanishing
-factors leave, and a nonzero one below it is a true pole.
+one denominator too.  Within a pass over the rows each h-polynomial p is
+the one integer p(2^B), with B bounded so that no coefficient overflows
+its digit (Kronecker substitution).  The value is the first coefficient
+the vanishing factors leave, and a nonzero one below it is a true pole.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import lshift
 
 from .bmwcore import (K_KIND, T_KIND, AlgebraContext, AlgebraElement,
                       _over_common_denominator, check_jm_index,
@@ -138,45 +141,89 @@ def Y_script(ctx, j: int, contents, u, view) -> AlgebraElement:
     return E
 
 
-def _times(f):
-    """p -> p f to h^m, f of length m + 1: zip pairs p with f's heads."""
-    heads = [f[e::-1] for e in range(len(f))]
-    return lambda p: [sum(map(mul, p, g)) for g in heads]
+def _bounded_rows(ctx):
+    """{letter: (its rows, the bits of their largest numerator, the length
+    of their longest row)} of the algebra's integer rows, formed once per
+    algebra: rows never change after build, and a scan of every row on
+    every pass would cost most of what ``_apply_block`` saves."""
+    got = ctx._shared.get("rows")
+    if got is None:
+        got = ctx._shared["rows"] = {
+            l: (rows, max(abs(x) for _, row in rows
+                          for _, x in row).bit_length(),
+                max(len(row) for _, row in rows))
+            for l, rows in ctx._rows.items()}
+    return got
 
 
 def _apply_block(D, vec, parts):
-    """The vector D, vec = {basis index: h-polynomial} (integer numerators
-    over D) times the sum of f l over ``parts`` = [(f, the rows of l)],
+    """The vector D, vec = {basis index: h-polynomial to h^m} (integer
+    numerators over D) times the sum of f l over ``parts`` = [(f, rows)],
     each f an h-polynomial (integer numerators over one denominator) and
-    the rows None for l = 1, as such a vector with its content divided
-    out."""
+    rows None for l = 1, else l's entry of ``_bounded_rows``, as such a
+    vector with its content divided out.
+
+    Each polynomial p runs packed as the one integer P = p(2^B) (Kronecker
+    substitution): each (index, part) pair costs one product P F, each row
+    term one multiply-add, and each output index is unpacked once, for the
+    content gcd.  The base-2^B digits of P F are the coefficients of p f.
+    Its high part is a multiple of 2^((m+1)B), whatever its size, so the
+    balanced residue of P F mod 2^((m+1)B) is p f to h^m, and a sum of
+    such residues times row numerators is the output, as soon as every
+    low digit lies in (-2^(B-1), 2^(B-1)).  B makes each fit: a digit of
+    p f sums at most m + 1 products of a coefficient of p and one of f,
+    and a digit at an output index sums one such digit times a row
+    numerator (1 for the scalar part) per row term that reaches the
+    index, at most len(vec) (the summed longest rows of the parts + 1)
+    of them.  So B adds the bits of the largest coefficient of vec, of
+    the scaled f and of a row numerator, the bits of that count times
+    m + 1, and one bit for the sign."""
     bden = math.lcm(*(fden for (fden, _), _ in parts))
-    dens = [{row_of[j][0] for j in vec} if row_of else {1}
-            for _, row_of in parts]
+    dens = [{rows[0][j][0] for j in vec} if rows else {1}
+            for _, rows in parts]
     L = math.lcm(*(d for ds in dens for d in ds))
     # all over bden L: a row over d takes its polynomial times bden L / d
-    parts = [({d: _times([x * (bden // fden) * (L // d) for x in f])
-               for d in ds}, row_of)
-             for ((fden, f), row_of), ds in zip(parts, dens)]
+    scales = [{d: bden // fden * (L // d) for d in ds}
+              for ((fden, _), _), ds in zip(parts, dens)]
+    m1 = len(parts[0][0][1])
+    bounds = [rows[1:] for _, rows in parts if rows]
+    B = max(map(abs, chain.from_iterable(vec.values())),
+            default=0).bit_length() \
+        + max(max(map(abs, f)) * max(ks.values(), default=0)
+              for ((_, f), _), ks in zip(parts, scales)).bit_length() \
+        + max((bits for bits, _ in bounds), default=1) \
+        + (m1 * len(vec) * (1 + sum(longest for _, longest in bounds))
+           ).bit_length() + 1
+    shifts = range(0, m1 * B, B)
+    half = 1 << m1 * B - 1
+    mask = 2 * half - 1
+    packed = {j: sum(map(lshift, p, shifts)) for j, p in vec.items()}
     out = {}
     get = out.get
-    for j, p in vec.items():
-        for times, row_of in parts:
-            if row_of is None:          # the scalar part: f p at j
-                pf = times[1](p)
-                acc = get(j)
-                out[j] = pf if acc is None else \
-                    [a + y for a, y in zip(acc, pf)]
-                continue
-            d, row = row_of[j]
-            pf = times[d](p)
+    for ((_, f), rows), ks in zip(parts, scales):
+        F = sum(map(lshift, f, shifts))
+        if rows is None:                # the scalar part: f p at j
+            F *= ks[1]
+            for j, P in packed.items():
+                out[j] = get(j, 0) + ((P * F + half) & mask) - half
+            continue
+        F = {d: F * k for d, k in ks.items()}
+        for j, P in packed.items():
+            d, row = rows[0][j]
+            R = ((P * F[d] + half) & mask) - half
             for j2, x in row:
-                acc = get(j2)
-                out[j2] = [x * y for y in pf] if acc is None else \
-                    [a + x * y for a, y in zip(acc, pf)]
+                out[j2] = get(j2, 0) + x * R
+    # each digit plus 2^(B-1) is a digit in [0, 2^B): no carries; the
+    # digits of all output indices in one list, for one gcd
+    digit = 1 << B - 1
+    bias, low = sum(digit << s for s in shifts), 2 * digit - 1
+    keys = [j for j, P in out.items() if P]
+    flat = [(U >> s & low) - digit for U in [out[j] + bias for j in keys]
+            for s in shifts]
     D *= bden * L
-    g = math.gcd(D, *(x for p in out.values() for x in p))
-    return D // g, {j: [x // g for x in p] for j, p in out.items() if any(p)}
+    g = math.gcd(D, *flat)
+    flat = iter([x // g for x in flat])
+    return D // g, dict(zip(keys, map(list, zip(*[flat] * m1))))
 
 
 def fusion_step(E_prev, contents, k: int, ctx, view):
@@ -192,13 +239,14 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
     the numerator is one vector of integer h-polynomials to h^m over one
     denominator, times each factor t T_i + s + kap kappa_i of Y_k (t, s,
     kap integer h-polynomials over one denominator) in one pass over the
-    integer rows.  The middle two, Q_1 and T_1(c_1, u)^-1, run as their
-    product, one such factor by the relations of T_1 and kappa_1, and the
-    scalar (c u - 1)(u - c_k) rides in the first, so step k makes 2k - 3
-    passes.  The value is the h^m coefficient (exact: every factor is a
-    polynomial in h) over the other factors' values and the vanishing
-    factors' slopes, one Fraction of two integers per coefficient; a
-    nonzero lower coefficient is a true pole."""
+    integer rows, which packs each h-polynomial p into the one integer
+    p(2^B) (``_apply_block``).  The middle two, Q_1 and T_1(c_1, u)^-1,
+    run as their product, one such factor by the relations of T_1 and
+    kappa_1, and the scalar (c u - 1)(u - c_k) rides in the first, so step
+    k makes 2k - 3 passes.  The value is the h^m coefficient (exact: every
+    factor is a polynomial in h) over the other factors' values and the
+    vanishing factors' slopes, one Fraction of two integers per
+    coefficient; a nonzero lower coefficient is a true pole."""
     d, q, c = view.delta, view.q, view.c
     r = q / view.nu
     ck = contents[k - 1]
@@ -236,7 +284,7 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
         snum *= value or slope
         sden *= g
 
-    rows = ctx._rows
+    rows = _bounded_rows(ctx)
     kappa = letter(K_KIND, 1) in rows    # a Hecke algebra has no kappa_i
 
     def term(coeff, f, g):

@@ -11,14 +11,29 @@ from bmwfusion import BmwError, DomainMismatch, build_context
 
 CLI = [sys.executable, "-m", "bmwfusion.cli"]
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+# what every CLI subprocess adds to its environment: BMWF_CACHE, the
+# session's shared cache directory (``shared_cache``)
+SHARED_ENV = {}
+# the environment of a CLI run with no cache
+NO_CACHE = {"BMWF_CACHE": ""}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def shared_cache(tmp_path_factory):
+    """One cache directory for the CLI subprocesses of the session, so
+    each context they use is built cold once.  A test whose subject is the
+    cache, or cold against warm behaviour, passes its own --cache-dir, or
+    ``NO_CACHE`` for a run with no cache."""
+    SHARED_ENV["BMWF_CACHE"] = str(tmp_path_factory.mktemp("cli-cache"))
 
 
 def cli_env(env=None):
     """The environment of a CLI subprocess that imports this checkout's
-    ``src``, updated by ``env``."""
+    ``src`` and shares the session's cache, updated by ``env``."""
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    full_env.update(SHARED_ENV)
     full_env.update(env or {})
     return full_env
 
@@ -126,7 +141,8 @@ def test_determinism_and_cache(tmp_path):
     warm = run_cli(*args)
     assert warm.returncode == 0
     assert cold.stdout == warm.stdout
-    nocache = run_cli("idempotents", "--n", "3", "--seed", "0")
+    nocache = run_cli("idempotents", "--n", "3", "--seed", "0",
+                      env=NO_CACHE)
     assert nocache.stdout == cold.stdout
 
 
@@ -357,7 +373,7 @@ def test_unusable_cache_dir_is_skipped(tmp_path):
     args = ("idempotents", "--n", "2")
     r = run_cli(*args, "--cache-dir", str(path))
     assert r.returncode == 0, r.stderr
-    assert r.stdout == run_cli(*args).stdout
+    assert r.stdout == run_cli(*args, env=NO_CACHE).stdout
 
 
 N5_TABLEAU = "1;2;2,1;2,1,1;2,1,1,1"
@@ -505,7 +521,7 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     (spare / path.name).write_text(path.read_text())
     r = run_cli(*args, "--cache-dir", str(cache))
     assert r.returncode == 0, r.stderr
-    assert r.stdout == run_cli(*args).stdout
+    assert r.stdout == run_cli(*args, env=NO_CACHE).stdout
     # the build rewrote the file
     assert json.loads(path.read_text()) == good
 
@@ -525,8 +541,8 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     (("verify", "--suite", "hecke", "--n", "4"),
      "9ba284fdac92bc4d08f7b6e0c5e70c3d9015172cb9cd546071334f3afeb70e1a"),
 ], ids=["all-n3", "reflection-n4", "hecke-n4"])
-def test_verify_stdout_pinned(tmp_path, args, digest):
-    r = run_cli(*args, "--cache-dir", str(tmp_path))
+def test_verify_stdout_pinned(args, digest):
+    r = run_cli(*args)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
@@ -536,9 +552,8 @@ def test_verify_stdout_pinned(tmp_path, args, digest):
     ("fusion",
      "959d9fa7419fda0ad06aa6290629b6aca64faffefffb51bb978d9ee2ae3afc55"),
 ])
-def test_idempotents_stdout_pinned(tmp_path, method, digest):
+def test_idempotents_stdout_pinned(method, digest):
     # the full system at (6/5, 7/3): records, flags and system checks
-    r = run_cli("idempotents", "--n", "4", "--method", method,
-                "--cache-dir", str(tmp_path))
+    r = run_cli("idempotents", "--n", "4", "--method", method)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 import os
 import random
+import types
 from fractions import Fraction as Fr
+from operator import mul
 
 import pytest
 
@@ -16,7 +19,7 @@ from bmwfusion import (BrauerAlgebra, DomainMismatch, HeckeAlgebra,
                        laurent_params, make_params, quantum_contents,
                        symmetrizer, verify_idempotent)
 from bmwfusion import fusion
-from bmwfusion.bmwcore import AlgebraContext, AlgebraElement
+from bmwfusion.bmwcore import T_KIND, AlgebraContext, AlgebraElement, letter
 from bmwfusion.combinatorics import extension_spectrum
 from bmwfusion.errors import BmwError, NonInvertible
 from bmwfusion.fusion import (L_operator, baxterized_T_one_arg,
@@ -607,6 +610,125 @@ def test_fusion_step_makes_2k_minus_3_passes(ctx4, params4, monkeypatch):
             passes.clear()
             E = fusion_step(E, contents, k, ctx, view)
             assert len(passes) == 2 * k - 3, (tab.encode(), k)
+
+
+# ---------------------------------------------------------------------------
+# the packed row pass against the list-form one
+# ---------------------------------------------------------------------------
+
+def _times(f):
+    """p -> p f to h^m, f of length m + 1: zip pairs p with f's heads."""
+    heads = [f[e::-1] for e in range(len(f))]
+    return lambda p: [sum(map(mul, p, g)) for g in heads]
+
+
+def list_apply_block(D, vec, parts):
+    """``fusion._apply_block`` with every h-polynomial a list of m + 1
+    integers and ``parts`` = [(f, the rows of l, None for l = 1)]: one
+    list product per (index, part) pair and one list multiply-add per row
+    term, the content divided out."""
+    bden = math.lcm(*(fden for (fden, _), _ in parts))
+    dens = [{row_of[j][0] for j in vec} if row_of else {1}
+            for _, row_of in parts]
+    L = math.lcm(*(d for ds in dens for d in ds))
+    # all over bden L: a row over d takes its polynomial times bden L / d
+    parts = [({d: _times([x * (bden // fden) * (L // d) for x in f])
+               for d in ds}, row_of)
+             for ((fden, f), row_of), ds in zip(parts, dens)]
+    out = {}
+    get = out.get
+    for j, p in vec.items():
+        for times, row_of in parts:
+            if row_of is None:          # the scalar part: f p at j
+                pf = times[1](p)
+                acc = get(j)
+                out[j] = pf if acc is None else \
+                    [a + y for a, y in zip(acc, pf)]
+                continue
+            d, row = row_of[j]
+            pf = times[d](p)
+            for j2, x in row:
+                acc = get(j2)
+                out[j2] = [x * y for y in pf] if acc is None else \
+                    [a + x * y for a, y in zip(acc, pf)]
+    D *= bden * L
+    g = math.gcd(D, *(x for p in out.values() for x in p))
+    return D // g, {j: [x // g for x in p] for j, p in out.items() if any(p)}
+
+
+def both_passes(algebra, D, vec, parts):
+    """The packed pass and the list-form one on ``parts`` = [(f, letter
+    or None)] of the algebra's rows."""
+    bounded = fusion._bounded_rows(algebra)
+    return (fusion._apply_block(D, vec, [(f, l and bounded[l])
+                                         for f, l in parts]),
+            list_apply_block(D, vec, [(f, l and algebra._rows[l])
+                                      for f, l in parts]))
+
+
+def random_poly(rnd, m1):
+    """m + 1 = m1 integers of 3 to 240 bits, of either sign, some zero."""
+    bits = rnd.choice((3, 40, 200, 240))
+    return [rnd.choice((0, 1)) * rnd.randint(-2 ** bits, 2 ** bits)
+            for _ in range(m1)]
+
+
+@pytest.mark.parametrize("m1", [1, 2, 3, 4])
+@pytest.mark.parametrize("algebra", ["bmw", "hecke"])
+def test_packed_pass_matches_the_list_form(m1, algebra, ctx4, params4):
+    alg = ctx4 if algebra == "bmw" else HeckeAlgebra(4, params4.q)
+    letters = list(alg._rows)
+    rnd = random.Random(m1)
+    for _ in range(20):
+        indices = rnd.sample(range(len(alg.words)),
+                             rnd.randint(1, len(alg.words)))
+        vec = {j: random_poly(rnd, m1) for j in indices}
+        parts = [((rnd.choice((1, 7, 3 ** 130)), random_poly(rnd, m1)), l)
+                 for l in rnd.sample(letters, rnd.randint(1, 3))]
+        parts.insert(rnd.randint(0, len(parts)),
+                     ((rnd.randint(1, 10 ** 6), random_poly(rnd, m1)), None))
+        D = rnd.choice((1, rnd.randint(1, 2 ** 220)))
+        packed, listed = both_passes(alg, D, vec, parts)
+        assert packed == listed
+
+
+@pytest.mark.parametrize("algebra", ["bmw", "hecke"])
+def test_packed_pass_drops_a_cancelled_index(algebra, ctx4, params4):
+    # T_1 by f and by -f cancel: only the scalar part's indices are left
+    alg = ctx4 if algebra == "bmw" else HeckeAlgebra(4, params4.q)
+    t1 = letter(T_KIND, 1)
+    vec = {0: [3, -2 ** 210], 5: [-7, 1]}
+    parts = [((3, [2, -7]), t1), ((5, [1, 4]), None), ((3, [-2, 7]), t1)]
+    packed, listed = both_passes(alg, 11, vec, parts)
+    assert packed == listed
+    assert set(packed[1]) == {0, 5}
+    reached = {j2 for j in vec for j2, _ in alg._rows[t1][j][1]}
+    assert reached - {0, 5}, "no index for the rows to cancel at"
+
+
+@pytest.mark.parametrize("algebra", ["bmw", "hecke"])
+def test_packed_pass_of_an_empty_vector(algebra, ctx4, params4):
+    # (1, {}) as the list form gives, and no max() of nothing
+    alg = ctx4 if algebra == "bmw" else HeckeAlgebra(4, params4.q)
+    parts = [((3, [2, -7]), l) for l in alg._rows] + [((5, [1, 4]), None)]
+    assert both_passes(alg, 11, {}, parts) == ((1, {}), (1, {}))
+
+
+@pytest.mark.parametrize("m1", [1, 3])
+def test_packed_pass_at_its_bound(m1):
+    # every row term of every index hits index 0: the top digit there is
+    # within a factor 0.94 of 2^(B - 1), so a B one bit smaller overflows
+    n, length, x = 15 // m1, 8, 2 ** 20 - 1
+    rows = [(1, ((0, x),) * length) for _ in range(n)]
+    algebra = types.SimpleNamespace(_rows={"a": rows}, _shared={})
+    big, f = 2 ** 200 - 1, (1, [2 ** 64 - 1] * m1)
+    vec = {j: [big] * m1 for j in range(n)}
+    packed, listed = both_passes(algebra, 1, vec,
+                                 [(f, "a"), (f, None), (f, "a")])
+    assert packed == listed
+    digit = m1 * big * f[1][0] * (2 * n * length * x + 1)
+    assert digit.bit_length() == 200 + 64 + 20 + (
+        m1 * n * (2 * length + 1)).bit_length()
 
 
 # ---------------------------------------------------------------------------
