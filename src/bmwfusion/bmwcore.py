@@ -619,7 +619,7 @@ class AlgebraContext(RowAlgebra):
             for u, a in nums.items():
                 d, red = self._reduce(u + (l,))
                 got.append((a, (d, red.items())))
-            return _sum_rows(den, got, True, None)
+            return _sum_rows(den, got, True)
 
         d, t = times(vg, h)
         got = [(1, (d, t.items()))]
@@ -628,7 +628,7 @@ class AlgebraContext(RowAlgebra):
             for l in v:
                 t = times(t, l)
             got.append((-1, (t[0], t[1].items())))
-        _, D = _sum_rows(1, got, True, None)
+        _, D = _sum_rows(1, got, True)
         if D:
             lead = max(D, key=lambda x: (len(x), x))
             cl = D.pop(lead)
@@ -708,9 +708,10 @@ class AlgebraContext(RowAlgebra):
         "miss" for a missing or other-version file, "corrupt" for an
         unreadable or malformed one, or one recorded for other parameters
         or another n.  A series is read only in the normal form
-        ``_read_series`` accepts.  The build rewrites the file unless it
-        was a hit; a hit that fails the relation suite is built again cold
-        and becomes "corrupt".
+        ``_read_series`` accepts, and a series row only over 1, as the
+        build writes it.  The build rewrites the file unless it was a hit;
+        a hit that fails the relation suite is built again cold and
+        becomes "corrupt".
         """
         path = self._cache_path
         if path is None:
@@ -748,7 +749,8 @@ class AlgebraContext(RowAlgebra):
             if size != double_factorial(2 * self.n - 1) or \
                     len(set(words)) != size or len(rows) != len(letters) or \
                     any(len(row_of) != size for row_of in rows) or not all(
-                        type(den) is int and den > 0 and all(
+                        type(den) is int and (den > 0 if self.rational
+                                              else den == 1) and all(
                             type(j) is int and type(x) is num and 0 <= j < size
                             for j, x in pairs)
                         for row_of in rows for den, pairs in row_of):
@@ -1074,12 +1076,6 @@ class SparseElement:
         return type(self)(self.algebra,
                           {k: c * x for k, c in self.terms.items()})
 
-    def map_coefficients(self, f):
-        """Apply f to every coefficient (e.g. evaluation of rational
-        functions at a point)."""
-        return type(self)(self.algebra,
-                          {k: f(c) for k, c in self.terms.items()})
-
     def is_zero(self):
         return not self.terms
 
@@ -1108,16 +1104,21 @@ def _over_common_denominator(terms):
                  for k, c in terms.items()}
 
 
-def _sum_rows(den, got, exact, lift):
+def _sum_rows(den, got, rational):
     """The vector sum a * row / den over got = [(a, (d, pairs))], each row
-    given by (key, numerator) pairs over its integer denominator d, as
-    (denominator, {key: coeff}) over den times the rows' common denominator.
-
-    ``exact``: zero terms are dropped and the content is divided out (no
-    gcd over denominator 1).  Otherwise each key collects its pairs
-    (a, lift(x)) and sums their products once (``scalars._dot_raw``),
-    zeros kept: a zero series bounds its sums' window.
-    """
+    (key, numerator) pairs over its denominator d, as (denominator, {key:
+    coeff}).  ``rational``: integer numerators over den times the rows'
+    common denominator, zero terms dropped and the content divided out (no
+    gcd over 1: the series of a Laurent closure's ``_defect`` sum so, in
+    their own arithmetic).  Otherwise series rows over 1 and raw a: each
+    key sums its pairs (a, raw x) once (``scalars._dot_raw``), zeros kept,
+    as a zero series bounds its sums' window."""
+    if not rational:
+        nxt = {}
+        for a, (_, row) in got:
+            for j, x in row:
+                nxt.setdefault(j, []).append((a, _raw(x)))
+        return den, {j: _dot_raw(ps) for j, ps in nxt.items()}
     row_den = 1
     for _, (d, _) in got:
         if row_den % d:
@@ -1126,21 +1127,11 @@ def _sum_rows(den, got, exact, lift):
     get = nxt.get
     for a, (d, row) in got:
         if d != row_den:        # most rows share row_den: skip a scale by 1
-            if exact:
-                a *= row_den // d
-            else:   # scale the integers: one coefficient product per term
-                row = [(j, x * (row_den // d)) for j, x in row]
-        if not exact:
-            for j, x in row:
-                nxt.setdefault(j, []).append((a, lift(x)))
-            continue
+            a *= row_den // d
         for j, x in row:
             prev = get(j)
             nxt[j] = a * x if prev is None else prev + a * x
-    den *= row_den
-    if not exact:
-        return den, {j: _dot_raw(ps) for j, ps in nxt.items()}
-    return _lowest(den, nxt)
+    return _lowest(den * row_den, nxt)
 
 
 def _lowest(den, nums):
@@ -1165,27 +1156,28 @@ def fold_products(algebra, left, rights):
     all right factors are merged into one trie whose leaves hold
     (k, coeff) for right factor k, so the row step of each prefix is
     applied once to the vector of ``left``; every vector of the fold is
-    (den, {index: coeff}).  With ``algebra.rational`` (integer rows) and
-    only rational coefficients, the fold divides out the content at
-    every step and builds one Fraction per output coefficient, each
-    right factor over its own common denominator.
-    Otherwise 1/den goes into the right-hand coefficient once per leaf.
-    Truncated Laurent series, with rationals or not, stay raw: each row
-    step and each leaf collects (coeff, coeff) pairs per index, and
-    ``scalars._dot_raw`` forms every sum of products in one pass, the
-    output coefficients normalised once.  Other coefficients (RatFunc)
-    keep their own arithmetic.  Each product is the one computed alone.
+    (den, {index: coeff}).  ``algebra.rational`` picks the arithmetic.
+    Integer rows fold int and Fraction coefficients: the fold divides out
+    the content at every step and builds one Fraction per output
+    coefficient, each right factor over its own common denominator.
+    Series rows, always over 1, fold TruncLaurent, Fraction and int
+    coefficients raw: each row step and each leaf collects (coeff, coeff)
+    pairs per index, and ``scalars._dot_raw`` forms every sum of products
+    in one pass, the output coefficients normalised once.  Any other
+    coefficient raises DomainMismatch.  Each product is the one computed
+    alone.
     """
-    rows = algebra._rows
-    types = {c.__class__ for t in (left, *rights) for c in t.values()}
-    exact = algebra.rational and types <= {Fraction, int}
-    lift = _raw if types <= {TruncLaurent, Fraction, int} else (lambda x: x)
-    den1 = 1
-    if exact:
+    rows, rational = algebra._rows, algebra.rational
+    scalars = {Fraction, int} if rational else {TruncLaurent, Fraction, int}
+    if not {c.__class__ for t in (left, *rights) for c in t.values()} <= \
+            scalars:
+        raise DomainMismatch("a coefficient outside the scalars of %s_%d"
+                             % (type(algebra).__name__, algebra.n))
+    if rational:
         den1, left = _over_common_denominator(left)
         rights = [_over_common_denominator(r) for r in rights]
     else:
-        left = {w: lift(a) for w, a in left.items()}
+        den1, left = 1, {w: _raw(a) for w, a in left.items()}
         rights = [(1, r) for r in rights]
     trie = {}
     for k, (_, right) in enumerate(rights):
@@ -1201,7 +1193,8 @@ def fold_products(algebra, left, rights):
                     child = node[l] = {}
                 node = child
             node.setdefault(None, []).append((k, c))
-    groups = [{} for _ in rights]   # per right: leaf den -> {index: coeff}
+    # per right: {leaf den: {index: coeff}}, or {index: [(coeff, coeff)]}
+    groups = [{} for _ in rights]
     widx = algebra.word_index
     try:
         stack = [(trie, (den1, {widx[w]: a for w, a in left.items()}))]
@@ -1213,29 +1206,25 @@ def fold_products(algebra, left, rights):
             if l is not None:
                 row_of = rows[l]
                 got = [(a, row_of[i]) for i, a in nums.items()]
-                stack.append((child, _sum_rows(den, got, exact, lift)))
+                stack.append((child, _sum_rows(den, got, rational)))
                 continue
             for k, c2 in child:
-                d = den
-                if d != 1 and not exact:
-                    c2, d = c2 * Fraction(1, d), 1
-                acc = groups[k].setdefault(d, {})
-                if not exact:
-                    c2 = lift(c2)
+                if rational:
+                    acc = groups[k].setdefault(den, {})
+                    get = acc.get
+                    for j, a in nums.items():
+                        prev = get(j)
+                        acc[j] = a * c2 if prev is None else prev + a * c2
+                else:
+                    acc, c2 = groups[k], _raw(c2)
                     for j, a in nums.items():
                         acc.setdefault(j, []).append((a, c2))
-                    continue
-                get = acc.get
-                for j, a in nums.items():
-                    prev = get(j)
-                    acc[j] = a * c2 if prev is None else prev + a * c2
     words = algebra.words
+    if not rational:
+        return [{words[j]: _normal(_dot_raw(ps)) for j, ps in group.items()}
+                for group in groups]
     out = []
     for (den2, _), group in zip(rights, groups):
-        if not exact:
-            out.append({words[j]: _normal(_dot_raw(ps))
-                        for j, ps in group.get(1, {}).items()})
-            continue
         common = math.lcm(*group)
         acc = {}
         for den, part in group.items():
@@ -1250,12 +1239,11 @@ def fold_products(algebra, left, rights):
 class AlgebraElement(SparseElement):
     """Sparse linear combination of canonical words over one scalar domain.
 
-    ``algebra`` is the :class:`AlgebraContext`.  The coefficient domain
-    may be richer than the context's parameter domain (truncated Laurent
-    series, or rational functions of a RatFunc spectral argument), and
-    it may mix with the rationals it
-    contains.  Products run on :func:`fold_products` over the context's
-    one row table.
+    ``algebra`` is the :class:`AlgebraContext`.  The coefficients are
+    those of its parameters: Fractions (or ints) in a rational context;
+    truncated Laurent series, mixed with Fractions and ints, in a Laurent
+    one.  Products run on :func:`fold_products` over the context's one
+    row table, which raises DomainMismatch for any other coefficient.
     """
 
     __slots__ = ()

@@ -666,8 +666,12 @@ def L_operator(ctx, j, u):
     and (u - y_j)^-1 = h(y_j)/m(u) with h(t) = (m(u) - m(t))/(u - t).  A
     u in the spectrum raises NonInvertible; one more power of y_j checks
     m(y_j) = 0 exactly.  The result is formed as (u - y_j)^-1 (c u y_j - 1),
-    with y_j as its defining word."""
+    with y_j as its defining word.  A Laurent context raises
+    DomainMismatch: series contents compare on a window only, so m(t)
+    has no exact factors there."""
     check_jm_index(j, ctx.n)
+    if not ctx.rational:
+        raise DomainMismatch("L_j(u) needs rational parameters")
     u = Fraction(u)
     spectrum = dict.fromkeys(quantum_contents(tab, ctx.params)[j - 1]
                              for tab in enumerate_tableaux(j))
@@ -699,6 +703,7 @@ def check_reflection(ctx, j, u, v, which="L", contents=None) -> bool:
              = T_j(u/v) L_j(v) T_j(1/(c u v)) L_j(u).
     which="Y": the same with the Y-functions (at the supplied contents)
     and the inverse of T_j(u/v) on both sides.
+    which="L" on a Laurent context raises DomainMismatch (``L_operator``).
     """
     view = SpectralView.of(ctx.params)
     u, v = Fraction(u), Fraction(v)

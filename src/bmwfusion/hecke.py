@@ -31,8 +31,9 @@ def apply_s_right(w, i: int):
 
 
 class HeckeElement(SparseElement):
-    """Sparse combination of T_w; coefficients rational, or any scalars
-    the fold multiplies (truncated Laurent series, rational functions)."""
+    """Sparse combination of T_w with int or Fraction coefficients, the
+    scalars the integer rows fold; any other raises DomainMismatch in a
+    product."""
 
     __slots__ = ()
 

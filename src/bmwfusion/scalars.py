@@ -1,11 +1,15 @@
 """Exact scalar arithmetic: rationals, rational functions, truncated
 Laurent series, q-numbers and the algebra parameter set.
 
-Two coefficient domains are used throughout the package:
+Two coefficient domains are used throughout the package, one per kind
+of algebra:
 
-* ``fractions.Fraction`` -- the ground field for specialized parameters;
+* ``fractions.Fraction`` (and int) -- the ground field for specialized
+  parameters, the coefficients that a rational BMW context and the Hecke
+  and Brauer algebras fold;
 * :class:`TruncLaurent` -- truncated Laurent series in one variable
-  ``h``: the contraction parameter of the Brauer limits.
+  ``h``, the contraction parameter of the Brauer limits: a Laurent
+  context folds them, mixed with Fractions and ints.
 
 ``TruncLaurent`` is stored fraction-free: integer numerators over one
 positive denominator, with their common content divided out.  Its sums
@@ -14,9 +18,10 @@ window rules live in ``_mul_raw`` (a product's window) and ``_dot_raw``
 (a sum of products formed in one pass, which ``_sum_raw`` also sums
 through).  The element fold keeps its series raw, forms each output
 coefficient with ``_dot_raw`` and normalises it once.
-:class:`RatFunc`, gcd-normalised rational functions, is off the fusion
-path; it remains as public API (the baxterized elements accept it as a
-spectral argument) and as a target of the traced benchmark.
+:class:`RatFunc`, gcd-normalised rational functions, is folded by no
+algebra; it remains as public API (the baxterized elements take it as a
+spectral argument, their products do not) and as a target of the traced
+benchmark.
 
 All values are immutable.
 """
@@ -382,7 +387,7 @@ def _mul_raw(a, b):
     """The product of raw series (see ``_window``), no gcd taken: of two,
     on the window min(a.prec + b.val, b.prec + a.val), which a zero factor
     keeps too; of a series and a nonzero scalar, on the series' window.
-    Two values that are not raw series multiply in their own arithmetic."""
+    Two scalars (ints or Fractions) multiply as rationals."""
     if a.__class__ is not tuple:
         if b.__class__ is not tuple:
             return a * b
@@ -413,7 +418,7 @@ def _sum_raw(terms):
     their order would give it: the window is the minimum of the series'
     windows, a zero series included; a scalar meets the series summed so
     far as const(x, prec), the scalars before the first series as their
-    sum.  Values that are not raw series alone sum in their own arithmetic."""
+    sum.  Scalars alone (ints and Fractions) sum as rationals."""
     series, prec, s = [], None, None
     for t in terms:
         if t.__class__ is tuple:
@@ -440,9 +445,9 @@ def _dot_raw(pairs):
     formed alone.  A header pass takes each product's window, valuation
     and denominator as ``_mul_raw`` would (a zero product bounds the
     window only); one pass then convolves every pair straight into one
-    integer array over the lcm of the denominators.  A pair of two values
-    that are not raw series sends the whole sum through ``_sum_raw`` of
-    the products, which keeps their own arithmetic."""
+    integer array over the lcm of the denominators.  A pair of two
+    scalars (ints or Fractions) sends the whole sum through ``_sum_raw``
+    of the products, which sums those as rationals."""
     if len(pairs) == 1:
         return _mul_raw(*pairs[0])
     prec, heads = None, []

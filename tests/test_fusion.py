@@ -25,7 +25,7 @@ from bmwfusion.errors import BmwError, NonInvertible
 from bmwfusion.fusion import (L_operator, baxterized_T_one_arg,
                               consecutive_evaluation, fusion_step,
                               pole_factor_f)
-from bmwfusion.scalars import RatFunc, TruncLaurent
+from bmwfusion.scalars import RatFunc
 
 
 def closed_forms(ctx):
@@ -329,6 +329,16 @@ def test_L_operator_rejects_an_index_outside_1_to_n(ctx3):
             L_operator(ctx3, j, Fr(2, 7))
 
 
+@pytest.mark.parametrize("regime, omega", [(1, 5), (2, Fr(7, 2))])
+def test_L_operator_on_a_laurent_context_is_a_domain_mismatch(regime, omega):
+    # it ended in a bare TypeError: series contents are not hashable
+    ctx = AlgebraContext(3, laurent_params(regime, omega), verify=False)
+    with pytest.raises(DomainMismatch):
+        L_operator(ctx, 2, Fr(2, 7))
+    with pytest.raises(DomainMismatch):
+        check_reflection(ctx, 2, Fr(3), Fr(7), "L")
+
+
 def test_L_operator_checks_the_annihilating_polynomial(ctx3, monkeypatch):
     # with a content missing, m(t) no longer annihilates y_j
     import bmwfusion.fusion as fusion
@@ -377,7 +387,7 @@ def test_symmetrizers_reject_a_bad_strand_count(form, ctx3):
 def test_starred_fusion_gives_transpose(ctx3):
     star = SpectralView.of(ctx3.params).starred()
     for tab in enumerate_tableaux(3):
-        st = chain(fusion_step, quantum_contents(tab, star), ctx3, star)
+        st = consecutive_evaluation(ctx3, quantum_contents(tab, star), star)
         tr = fusion_idempotent(tab.transpose(), ctx3)
         assert (st - tr.element).is_zero()
 
@@ -415,59 +425,177 @@ def test_inverse_identity_at_spec_point():
 
 
 # ---------------------------------------------------------------------------
-# the factored fusion step against a rational-function reference
+# the fusion step against exact interpolation at rational points
 # ---------------------------------------------------------------------------
 
-def reference_step(E_prev, contents, k, ctx, view):
-    """The fusion step with every coefficient a gcd-normalised RatFunc:
-    (u - c_k)/(c u c_k - 1) E_prev Y_k(c_1, ..., c_{k-1}, u) at u = c_k."""
-    u = RatFunc.variable("u")
-    ck = contents[k - 1]
-    phi = E_prev.map_coefficients(RatFunc.const)
+def times_Y(E_prev, contents, k, ctx, view, u):
+    """E_prev Y_k(c_1, ..., c_{k-1}, u) at a rational u, through the
+    baxterized factors and element products: phi(u) but its prefactor,
+    so it does not depend on c_k."""
+    E = E_prev
     for m in range(k - 1, 0, -1):
-        phi = phi * baxterized_Q(ctx, m, contents[m - 1], u, view)
-    phi = phi.scale((view.c * u - 1) / (u - 1))
+        E = E * baxterized_Q(ctx, m, contents[m - 1], u, view)
+    E = E.scale((view.c * u - 1) / (u - 1))
     for m in range(1, k):
-        phi = phi * baxterized_T_inverse(ctx, m, u, contents[m - 1], view)
-    phi = phi.scale((u - ck) / (view.c * ck * u - 1))
-    return phi.map_coefficients(lambda c: c.evaluate_at(ck))
-
-
-def chain(step, contents, ctx, view):
-    E = ctx.one()
-    for k in range(2, len(contents) + 1):
-        E = step(E, contents, k, ctx, view)
+        E = E * baxterized_T_inverse(ctx, m, u, contents[m - 1], view)
     return E
 
 
-@pytest.mark.parametrize("starred", [False, True], ids=["plain", "starred"])
-def test_fusion_step_matches_ratfunc_reference(ctx4, starred):
-    view = SpectralView.of(ctx4.params)
-    if starred:
-        view = view.starred()
+def denominator(contents, k, view):
+    """The 5k - 3 linear factors f0 + f1 u, as (f0, f1), whose product D
+    makes phi D a polynomial of degree <= 5k - 3, read off the closed
+    forms: u - 1 of the Y_1 scalar, c u c_k - 1 of the prefactor, and per
+    i < k (c c_i u - 1)(1 + (q/nu) c c_i u) of Q_i(c_i, u) and
+    (c_i + (q/nu) u)(u - q^2 c_i)(u - q^-2 c_i) of T_i(c_i, u)^-1, whose
+    T_i(c_i, u) cancels one u - c_i of f(c_i, u)."""
+    c, r, q2 = view.c, view.q / view.nu, view.q * view.q
+    out = [(-1, 1), (-1, c * contents[k - 1])]
+    for ci in contents[:k - 1]:
+        out += [(-1, c * ci), (1, r * c * ci), (ci, r), (-q2 * ci, 1),
+                (-ci / q2, 1)]
+    return out
+
+
+def combine(coeffs, points):
+    """sum_i coeffs[i] f_i nums_i over points = [(f_i, {word: int})], as
+    (L, {word: numerator over L})."""
+    fs = [a * f for a, (f, _) in zip(coeffs, points)]
+    L = math.lcm(*(f.denominator for f in fs))
+    out = {}
+    for f, (_, nums) in zip(fs, points):
+        a = f.numerator * (L // f.denominator)
+        for w, x in nums.items():
+            out[w] = out.get(w, 0) + a * x
+    return L, out
+
+
+def interpolation_step(E_prev, contents, k, ctx, view, products):
+    """The fusion step by exact interpolation over the rationals: N =
+    phi D at 5k - 2 rational points off the poles, and at one more where
+    the interpolant must agree (a factor list that misses a pole of phi
+    fails there); N and D expanded in h = u - c_k, and phi(c_k) =
+    N_m / D_m, with m the order of c_k as a root of D; a nonzero N_j,
+    j < m, is a true pole.
+    ``products`` keeps {u: E_prev Y_k(u)} for the next content of the
+    same prefix."""
+    ck = contents[k - 1]
+    factors = denominator(contents, k, view)
+    assert len(factors) == 5 * k - 3
+    points, us, u = [], [], Fr(1)
+    while len(points) < 5 * k - 1:
+        u = -u if u > 0 else 1 - u          # 1, -1, 2, -2, 3, ...
+        D = math.prod(f0 + f1 * u for f0, f1 in factors)
+        if not D or u in contents[:k]:  # f(c_i, c_i) = 0 raises PoleError
+            continue
+        E = products.get(u)
+        if E is None:
+            E = products[u] = times_Y(E_prev, contents, k, ctx, view, u)
+        den = math.lcm(*(x.denominator for x in E.terms.values()))
+        f = D * (u - ck) / (view.c * ck * u - 1) / den
+        points.append((f, {w: x.numerator * (den // x.denominator)
+                           for w, x in E.terms.items()}))
+        us.append(u - ck)
+    # D to h^m, and the h^j coefficients, j <= m, of the Lagrange basis
+    # polynomials of the first 5k - 2 nodes and their values at the last
+    m, d = 0, [Fr(1)]
+    for f0, f1 in factors:
+        m += not f0 + f1 * ck
+        d = [(f0 + f1 * ck) * x + f1 * y for x, y in zip(d + [0], [0] + d)]
+    *hs, extra = us
+    weights, at = [], []
+    for i, hi in enumerate(hs):
+        others = hs[:i] + hs[i + 1:]
+        basis = [Fr(1)]
+        for h in others:            # times h_var - h, to h^m
+            basis = [y - h * x for x, y in
+                     zip(basis + [0], [0] + basis)][:m + 1]
+        scale = math.prod(hi - h for h in others)
+        weights.append([x / scale for x in basis])
+        at.append(math.prod(extra - h for h in others) / scale)
+    *points, (f, nums) = points
+    L, got = combine(at, points)
+    assert {w: Fr(x, L) for w, x in got.items() if x} == \
+        {w: f * x for w, x in nums.items()}, \
+        "phi D is no polynomial of degree <= 5k - 3"
+    N = [combine([ws[j] for ws in weights], points) for j in range(m + 1)]
+    if any(any(got.values()) for _, got in N[:m]):
+        raise PoleAtEvaluation("pole of phi at u = %s" % ck)
+    L, got = N[m]
+    return ctx.element_type(ctx, {w: Fr(x, L) / d[m]
+                                  for w, x in got.items() if x})
+
+
+def reference_path(contents, ctx, view, memo):
+    """[E_2, ..., E_len] of ``interpolation_step`` from E_1 = 1, None for
+    a pole and the path cut there; ``memo`` keeps {content prefix: (its
+    E, its products for the next step)}."""
+    E, products = memo.setdefault(contents[:1], (ctx.one(), {}))
+    path = []
+    for k in range(2, len(contents) + 1):
+        got = memo.get(contents[:k])
+        if got is None:
+            try:
+                got = interpolation_step(E, contents, k, ctx, view, products)
+            except PoleAtEvaluation:
+                got = None
+            got = memo[contents[:k]] = (got, {})
+        E, products = got
+        path.append(E)
+        if E is None:
+            break
+    return path
+
+
+def assert_steps_match_reference(contents, ctx, view, memo):
+    """fusion_step = interpolation_step at every step, each from the
+    reference's previous idempotent, a pole of the one a pole of the
+    other; the last idempotent, or None after a pole."""
+    E = ctx.one()
+    for k, want in enumerate(reference_path(contents, ctx, view, memo), 2):
+        if want is None:
+            with pytest.raises(PoleAtEvaluation):
+                fusion_step(E, contents, k, ctx, view)
+            return None
+        assert fusion_step(E, contents, k, ctx, view) == want, (contents, k)
+        E = want
+    return E
+
+
+@pytest.mark.parametrize("point", ["6/5,7/3", "-5/6,3/7"])
+def test_fusion_step_matches_interpolation(point):
+    q, nu = map(Fr, point.split(","))
+    ctx = build_context(4, q=q, nu=nu)
     tabs = enumerate_tableaux(4)
-    assert len(tabs) == 25
-    for tab in tabs:
-        contents = quantum_contents(tab, view)
-        if starred:
-            got = consecutive_evaluation(ctx4, contents, view)
-        else:
-            got = fusion_idempotent(tab, ctx4).element
-        want = chain(reference_step, contents, ctx4, view)
-        assert got == want, tab.encode()
-
-
-def test_hecke_family_matches_ratfunc_reference(params4):
-    hk = HeckeAlgebra(4, params4.q)
-    tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
-    assert len(tabs) == 10
-    for c in (Fr(0), Fr(1, 2), params4.c):
-        view = SpectralView(q=hk.q, nu=params4.nu, c=c)
+    assert len(tabs) == 25          # their prefixes are every n <= 3 one
+    plain = SpectralView.of(ctx.params)
+    # the plain view and the starred one, q -> -1/q
+    for view in (plain, plain.starred()):
+        memo = {}
         for tab in tabs:
-            got = hecke_family_idempotent(tab, c, hk, params4)
-            want = chain(reference_step, quantum_contents(tab, params4), hk,
-                         view)
-            assert got == want, (tab.encode(), c)
+            contents = quantum_contents(tab, view)
+            want = assert_steps_match_reference(contents, ctx, view, memo)
+            if view is plain:
+                got = fusion_idempotent(tab, ctx).element
+            else:
+                got = consecutive_evaluation(ctx, contents, view)
+            assert got == want, tab.encode()
+
+
+def test_hecke_family_matches_interpolation():
+    # both points, every c of the CLI Hecke suite
+    for q, nu in ((Fr(6, 5), Fr(7, 3)), (Fr(-5, 6), Fr(3, 7))):
+        params = make_params(q, nu, 4)
+        hk = HeckeAlgebra(4, q)
+        tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
+        assert len(tabs) == 10
+        for c in (Fr(0), Fr(1, 2), Fr(-2, 3), params.c):
+            view = SpectralView(q=q, nu=nu, c=c)
+            memo = {}
+            for tab in tabs:
+                want = assert_steps_match_reference(
+                    quantum_contents(tab, params), hk, view, memo)
+                assert hecke_family_idempotent(tab, c, hk, params) == want, \
+                    (tab.encode(), c)
 
 
 # no tableau has these contents (c c_1 c_2 = 1 and c_2 c_3 = nu^2); the
@@ -479,114 +607,21 @@ def true_pole_contents(view):
 def test_fusion_step_true_pole_matches_reference(ctx3):
     view = SpectralView.of(ctx3.params)
     contents = true_pole_contents(view)
-    prefix = [chain(step, contents[:2], ctx3, view)
-              for step in (reference_step, fusion_step)]
-    assert prefix[0] == prefix[1]
-    for step, E in zip((reference_step, fusion_step), prefix):
-        with pytest.raises(PoleAtEvaluation):
-            step(E, contents, 3, ctx3, view)
+    path = reference_path(contents, ctx3, view, {})
+    assert [E is None for E in path] == [False, True]
+    assert assert_steps_match_reference(contents, ctx3, view, {}) is None
 
 
-def series_step(E_prev, contents, k, ctx, view):
-    """The fusion step with every numerator coefficient a truncated
-    Laurent series in h = u - c_k, each block t T_i + s + kap kappa_i an
-    element of series multiplied through the element product."""
-    d, q, c = view.delta, view.q, view.c
-    r = q / view.nu
-    ck = contents[k - 1]
-    den = []
-    for i in range(k - 1, 0, -1):
-        x1 = c * contents[i - 1]
-        den += ((-1, x1), (1, r * x1))
-    den.append((-1, 1))
-    for i in range(1, k):
-        ci = contents[i - 1]
-        den += ((ci, r), (-q * q * ci, 1), (-ci / (q * q), 1))
-    den.append((-1, c * ck))
-    m, scale = 0, Fr(1)
-    for f0, f1 in den:
-        value = f0 + f1 * ck
-        if value:
-            scale *= value
-        else:
-            m += 1
-            scale *= f1
-
-    def lin(f0, f1):
-        return TruncLaurent(0, (f0 + f1 * ck, f1), m + 1)
-
-    def block(i, t, s, kap):
-        return ctx.gen_T(i).scale(t) + ctx.one().scale(s) \
-            + ctx.gen_K(i).scale(kap)
-
-    num = E_prev.map_coefficients(lambda x: TruncLaurent.const(x, m + 1))
-    for i in range(k - 1, 0, -1):
-        x1 = c * contents[i - 1]
-        a, b = lin(-1, x1), lin(1, r * x1)
-        num = num * block(i, a * b, d * b, d * a)
-    num = num.scale(lin(-1, c))
-    for i in range(1, k):
-        ci = contents[i - 1]
-        a, b = lin(-ci, 1), lin(ci, r)
-        num = num * block(i, a * a * b, d * ci * a * b, d * ci * a * a)
-    num = num.scale(lin(-ck, 1))
-
-    def at(s):
-        if s.val < m:
-            raise PoleAtEvaluation("pole at u = %s" % ck)
-        return s[m] / scale
-
-    return num.map_coefficients(at)
-
-
-def assert_steps_match_series(contents, ctx, view):
-    """fusion_step = series_step at every step from E_1 = 1, a pole of
-    the one a pole of the other."""
-    E = ctx.one()
-    for k in range(2, len(contents) + 1):
-        try:
-            want = series_step(E, contents, k, ctx, view)
-        except PoleAtEvaluation:
-            with pytest.raises(PoleAtEvaluation):
-                fusion_step(E, contents, k, ctx, view)
-            return
-        E = fusion_step(E, contents, k, ctx, view)
-        assert E == want, (contents, k)
-
-
-@pytest.mark.parametrize("point", ["6/5,7/3", "-5/6,3/7"])
-def test_fusion_step_matches_series_step(point):
-    q, nu = map(Fr, point.split(","))
-    ctx = build_context(4, q=q, nu=nu)
-    # the plain view and the starred one, q -> -1/q
-    for view in (SpectralView.of(ctx.params),
-                 SpectralView.of(ctx.params).starred()):
-        for n in (2, 3, 4):
-            for tab in enumerate_tableaux(n):
-                assert_steps_match_series(quantum_contents(tab, view), ctx,
-                                          view)
-
-
-def test_hecke_fusion_step_matches_series_step():
-    # both points, every c of the CLI Hecke suite
-    for q, nu in ((Fr(6, 5), Fr(7, 3)), (Fr(-5, 6), Fr(3, 7))):
-        params = make_params(q, nu, 4)
-        hk = HeckeAlgebra(4, q)
-        tabs = [t for t in enumerate_tableaux(4) if t.is_standard()]
-        for c in (Fr(0), Fr(1, 2), Fr(-2, 3), params.c):
-            view = SpectralView(q=q, nu=nu, c=c)
-            for tab in tabs:
-                assert_steps_match_series(quantum_contents(tab, params), hk,
-                                          view)
-
-
-def test_fusion_step_true_pole_matches_series_step(ctx3):
+def test_interpolation_refuses_a_wrong_denominator(ctx3, monkeypatch):
+    # u - 3 for the prefactor's c u c_3 - 1 at step 3: phi D keeps that
+    # pole, so it is no polynomial, and the extra point tells
     view = SpectralView.of(ctx3.params)
-    contents = true_pole_contents(view)
-    assert_steps_match_series(contents, ctx3, view)
-    with pytest.raises(PoleAtEvaluation):
-        series_step(chain(fusion_step, contents[:2], ctx3, view), contents,
-                    3, ctx3, view)
+    contents = quantum_contents(enumerate_tableaux(3)[0], view)
+    right, pre = denominator, (-1, view.c * contents[2])
+    monkeypatch.setitem(globals(), "denominator", lambda *args: [
+        (-3, 1) if f == pre else f for f in right(*args)])
+    with pytest.raises(AssertionError, match="no polynomial"):
+        reference_path(contents, ctx3, view, {})
 
 
 def test_fusion_step_makes_2k_minus_3_passes(ctx4, params4, monkeypatch):
@@ -853,9 +888,10 @@ def test_hecke_family_paths_do_not_depend_on_the_call_order(q, nu):
 
     ways = in_four_orders(tabs, family, lambda: HeckeAlgebra(4, q))
     hk = HeckeAlgebra(4, q)
+    views = [(SpectralView(q=q, nu=nu, c=c), {}) for c in cs]
     for tab in tabs:
-        want = [chain(fusion_step, quantum_contents(tab, params), hk,
-                      SpectralView(q=q, nu=nu, c=c)).terms for c in cs]
+        want = [reference_path(quantum_contents(tab, params), hk, view,
+                               memo)[-1].terms for view, memo in views]
         assert [way[tab] for way in ways] == [want] * 4, tab.encode()
 
 
