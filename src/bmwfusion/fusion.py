@@ -11,12 +11,15 @@ of known linear factors in u, read off the closed forms of the factors.
 Individual factors may vanish at the evaluation point c_k, so the step
 runs at u = c_k + h, fraction-free, and takes no polynomial gcd: the
 numerator is one vector of integer h-polynomials over one common
-denominator, multiplied factor by factor over the algebra's integer
-rows, and the factors' own h-polynomials and values are integers over
-one denominator too.  Within a pass over the rows each h-polynomial p is
-the one integer p(2^B), with B bounded so that no coefficient overflows
-its digit (Kronecker substitution).  The value is the first coefficient
-the vanishing factors leave, and a nonzero one below it is a true pole.
+denominator, multiplied factor by factor over the algebra's row table
+(each letter's integer rows over one denominator, with their largest
+column sum C, formed once), and the factors' own h-polynomials and
+values are integers over one denominator too.  Within a pass each
+h-polynomial p is the one integer p(2^B) (Kronecker substitution), B the
+bits of the vector's largest coefficient, of the largest scaled factor
+and of m + 1 times the parts' summed C, plus a sign bit.  The value is
+the first coefficient the vanishing factors leave, and a nonzero one
+below it is a true pole.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class Idempotent:
 
 
 def _div(num, den, what):
-    """num / den for rational or rational-function values; a vanishing
-    denominator is a pole."""
+    """num / den for the exact rational spectral values of the element
+    constructors; a vanishing denominator is a pole."""
     if den == 0:
         raise PoleError("%s: vanishing denominator" % what)
     return num / den
@@ -142,26 +145,33 @@ def Y_script(ctx, j: int, contents, u, view) -> AlgebraElement:
 
 
 def _bounded_rows(ctx):
-    """{letter: (its rows, the bits of their largest numerator, the length
-    of their longest row)} of the algebra's integer rows, formed once per
-    algebra: rows never change after build, and a scan of every row on
-    every pass would cost most of what ``_apply_block`` saves."""
+    """{letter l: (L_l, rows, C_l)}, formed once per algebra (rows never
+    change after build): rows[j] is l's row on basis index j over L_l, the
+    lcm of l's row denominators, as ((j2, numerator), ...), and C_l is the
+    largest column sum, max over j2 of sum_j |numerator of j2 in rows[j]|.
+    The key None is the scalar part, (1, None, 1): rows over 1 with column
+    sums 1."""
     got = ctx._shared.get("rows")
     if got is None:
-        got = ctx._shared["rows"] = {
-            l: (rows, max(abs(x) for _, row in rows
-                          for _, x in row).bit_length(),
-                max(len(row) for _, row in rows))
-            for l, rows in ctx._rows.items()}
+        got = ctx._shared["rows"] = {None: (1, None, 1)}
+        for l, rows in ctx._rows.items():
+            L = math.lcm(*(d for d, _ in rows))
+            rows = [tuple((j2, x * (L // d)) for j2, x in row)
+                    for d, row in rows]
+            cols = {}
+            for j2, x in chain.from_iterable(rows):
+                cols[j2] = cols.get(j2, 0) + abs(x)
+            got[l] = L, rows, max(cols.values())
     return got
 
 
 def _apply_block(D, vec, parts):
     """The vector D, vec = {basis index: h-polynomial to h^m} (integer
-    numerators over D) times the sum of f l over ``parts`` = [(f, rows)],
-    each f an h-polynomial (integer numerators over one denominator) and
-    rows None for l = 1, else l's entry of ``_bounded_rows``, as such a
-    vector with its content divided out.
+    numerators over D) times the sum of f l over ``parts`` = [(f, l's
+    entry of ``_bounded_rows``)], each f an h-polynomial over its own
+    denominator fden, as such a vector with its content divided out.  The
+    output is over bden L, bden the lcm of the fden and L that of the
+    parts' L_l, so each part takes the one scale bden // fden (L // L_l).
 
     Each polynomial p runs packed as the one integer P = p(2^B) (Kronecker
     substitution): each (index, part) pair costs one product P F, each row
@@ -171,47 +181,35 @@ def _apply_block(D, vec, parts):
     balanced residue of P F mod 2^((m+1)B) is p f to h^m, and a sum of
     such residues times row numerators is the output, as soon as every
     low digit lies in (-2^(B-1), 2^(B-1)).  B makes each fit: a digit of
-    p f sums at most m + 1 products of a coefficient of p and one of f,
-    and a digit at an output index sums one such digit times a row
-    numerator (1 for the scalar part) per row term that reaches the
-    index, at most len(vec) (the summed longest rows of the parts + 1)
-    of them.  So B adds the bits of the largest coefficient of vec, of
-    the scaled f and of a row numerator, the bits of that count times
-    m + 1, and one bit for the sign."""
+    p f sums at most m + 1 products of a coefficient of p and one of the
+    scaled f, and a digit at an output index j2 sums such digits times the
+    numerators of j2 in each part's rows, at most C_l in absolute value.
+    So B adds the bits of the largest coefficient of vec, of the largest
+    scaled f and of (m + 1) times the summed C_l, and one sign bit."""
     bden = math.lcm(*(fden for (fden, _), _ in parts))
-    dens = [{rows[0][j][0] for j in vec} if rows else {1}
-            for _, rows in parts]
-    L = math.lcm(*(d for ds in dens for d in ds))
-    # all over bden L: a row over d takes its polynomial times bden L / d
-    scales = [{d: bden // fden * (L // d) for d in ds}
-              for ((fden, _), _), ds in zip(parts, dens)]
+    L = math.lcm(*(Ll for _, (Ll, _, _) in parts))
+    ks = [bden // fden * (L // Ll) for (fden, _), (Ll, _, _) in parts]
     m1 = len(parts[0][0][1])
-    bounds = [rows[1:] for _, rows in parts if rows]
     B = max(map(abs, chain.from_iterable(vec.values())),
             default=0).bit_length() \
-        + max(max(map(abs, f)) * max(ks.values(), default=0)
-              for ((_, f), _), ks in zip(parts, scales)).bit_length() \
-        + max((bits for bits, _ in bounds), default=1) \
-        + (m1 * len(vec) * (1 + sum(longest for _, longest in bounds))
-           ).bit_length() + 1
+        + max(max(map(abs, f)) * k for ((_, f), _), k in zip(parts, ks)
+              ).bit_length() \
+        + (m1 * sum(C for _, (_, _, C) in parts)).bit_length() + 1
     shifts = range(0, m1 * B, B)
     half = 1 << m1 * B - 1
     mask = 2 * half - 1
     packed = {j: sum(map(lshift, p, shifts)) for j, p in vec.items()}
     out = {}
     get = out.get
-    for ((_, f), rows), ks in zip(parts, scales):
-        F = sum(map(lshift, f, shifts))
+    for ((_, f), (_, rows, _)), k in zip(parts, ks):
+        F = sum(map(lshift, f, shifts)) * k
         if rows is None:                # the scalar part: f p at j
-            F *= ks[1]
             for j, P in packed.items():
                 out[j] = get(j, 0) + ((P * F + half) & mask) - half
             continue
-        F = {d: F * k for d, k in ks.items()}
         for j, P in packed.items():
-            d, row = rows[0][j]
-            R = ((P * F[d] + half) & mask) - half
-            for j2, x in row:
+            R = ((P * F + half) & mask) - half
+            for j2, x in rows[j]:
                 out[j2] = get(j2, 0) + x * R
     # each digit plus 2^(B-1) is a digit in [0, 2^B): no carries; the
     # digits of all output indices in one list, for one gcd
@@ -319,7 +317,7 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
     D, vec = _over_common_denominator(E_prev.terms)
     vec = {ctx.word_index[w]: [x] + [0] * m for w, x in vec.items()}
     for i, t, s, kap in blocks:
-        parts = [(poly(t), rows[letter(T_KIND, i)]), (poly(s), None)]
+        parts = [(poly(t), rows[letter(T_KIND, i)]), (poly(s), rows[None])]
         if kappa:
             parts.append((poly(kap), rows[letter(K_KIND, i)]))
         D, vec = _apply_block(D, vec, parts)

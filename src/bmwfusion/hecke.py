@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bmwcore import (AlgebraElement, RowAlgebra, T_KIND, SparseElement,
-                      _walk_basis, fold_products, letter, letter_index,
-                      letter_kind)
+from .bmwcore import (AlgebraContext, AlgebraElement, RowAlgebra, T_KIND,
+                      SparseElement, _walk_basis, fold_products, letter,
+                      letter_index, letter_kind)
 from .combinatorics import UpDownTableau, check_strands, quantum_contents
 from .errors import DivisionByZero, DomainMismatch, NotGeneric
 from .fusion import SpectralView, consecutive_evaluation
@@ -91,7 +91,8 @@ def hecke_quotient(elem: AlgebraElement, hecke: HeckeAlgebra) -> HeckeElement:
     """Image in the quotient by the ideal (kappa_1): canonical words with a
     kappa letter map to 0, T-words map to the corresponding product."""
     ctx = elem.algebra
-    if hecke.n != ctx.n or not ctx.rational or ctx.params.q != hecke.q:
+    if not isinstance(ctx, AlgebraContext) or hecke.n != ctx.n \
+            or not ctx.rational or ctx.params.q != hecke.q:
         raise DomainMismatch("the element is not in BMW_%d at q = %s"
                              % (hecke.n, format_rational(hecke.q)))
     words = {w: c for w, c in elem.terms.items()

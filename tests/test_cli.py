@@ -11,8 +11,8 @@ from bmwfusion import BmwError, DomainMismatch, build_context
 
 CLI = [sys.executable, "-m", "bmwfusion.cli"]
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-# what every CLI subprocess adds to its environment: BMWF_CACHE, the
-# session's shared cache directory (``shared_cache``)
+# what every CLI run adds to its environment: BMWF_CACHE, the session's
+# shared cache directory (``shared_cache``)
 SHARED_ENV = {}
 # the environment of a CLI run with no cache
 NO_CACHE = {"BMWF_CACHE": ""}
@@ -20,11 +20,29 @@ NO_CACHE = {"BMWF_CACHE": ""}
 
 @pytest.fixture(scope="session", autouse=True)
 def shared_cache(tmp_path_factory):
-    """One cache directory for the CLI subprocesses of the session, so
-    each context they use is built cold once.  A test whose subject is the
+    """One cache directory for the CLI runs of the session, so each
+    context they use is built cold once.  A test whose subject is the
     cache, or cold against warm behaviour, passes its own --cache-dir, or
     ``NO_CACHE`` for a run with no cache."""
     SHARED_ENV["BMWF_CACHE"] = str(tmp_path_factory.mktemp("cli-cache"))
+
+
+@pytest.fixture
+def main(monkeypatch, capsys):
+    """The CLI in process: ``cli.main(args)`` in the environment of a CLI
+    subprocess, updated by ``env``, as a CompletedProcess with its exit
+    code and captured output.  Only the tests of the process boundary
+    (exit codes, a closed stdout) start an interpreter (``run_cli``)."""
+    from bmwfusion import cli
+
+    def run(*args, env=None):
+        for key, value in {**SHARED_ENV, **(env or {})}.items():
+            monkeypatch.setenv(key, value)
+        capsys.readouterr()
+        code = cli.main(list(args))
+        return subprocess.CompletedProcess(args, code, *capsys.readouterr())
+
+    return run
 
 
 def cli_env(env=None):
@@ -44,8 +62,8 @@ def run_cli(*args, env=None):
                           env=cli_env(env))
 
 
-def test_tableaux_command():
-    r = run_cli("tableaux", "--n", "2", "--contents", "all", "--omega", "5")
+def test_tableaux_command(main):
+    r = main("tableaux", "--n", "2", "--contents", "all", "--omega", "5")
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["count"] == 3
@@ -55,8 +73,8 @@ def test_tableaux_command():
     assert rows["1;2"]["t_classical"] == ["2", "1"]
 
 
-def test_params_suggest():
-    r = run_cli("params", "suggest", "--n", "5")
+def test_params_suggest(main):
+    r = main("params", "suggest", "--n", "5")
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["certified_n"] == 5
@@ -74,11 +92,31 @@ def test_idempotents_and_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("cmd", ["tableaux", "idempotents"])
-def test_out_into_a_missing_directory_exit_2(cmd, tmp_path):
-    r = run_cli(cmd, "--n", "2", "--out", str(tmp_path / "missing" / "x.json"))
+def test_out_into_a_missing_directory_exit_2(cmd, tmp_path, main):
+    r = main(cmd, "--n", "2", "--out", str(tmp_path / "missing" / "x.json"))
     assert r.returncode == 2
     assert json.loads(r.stderr.splitlines()[-1])["error"] == "BAD_INPUT"
     assert "Traceback" not in r.stderr
+
+
+# ``python -m bmwfusion.cli`` with a verification that always fails: the
+# module runs as __main__ as -m runs it, after the patch
+FAILING_VERIFY = (
+    "import runpy\n"
+    "from bmwfusion import fusion\n"
+    "fusion.verify_idempotent = lambda idem, ctx: idem.verified.update("
+    "idempotent=False)\n"
+    "runpy.run_module('bmwfusion.cli', run_name='__main__', alter_sys=True)")
+
+
+def test_failed_verification_exit_1():
+    r = subprocess.run([sys.executable, "-c", FAILING_VERIFY, "idempotents",
+                        "--n", "2", "--tableau", "1;2"],
+                       capture_output=True, text=True, env=cli_env())
+    assert r.returncode == 1, r.stderr
+    (record,) = json.loads(r.stdout)["records"]
+    assert record["verified"] == {"idempotent": False}
+    assert r.stderr == ""
 
 
 def test_nongeneric_exit_2():
@@ -88,8 +126,8 @@ def test_nongeneric_exit_2():
     assert err["error"] == "NOT_GENERIC"
 
 
-def test_verify_relations_suite():
-    r = run_cli("verify", "--suite", "relations", "--n", "3")
+def test_verify_relations_suite(main):
+    r = main("verify", "--suite", "relations", "--n", "3")
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["pass"] and data["suites"]["relations"]["failed"] == 0
@@ -110,44 +148,43 @@ def test_closed_stdout_exits_3_without_a_traceback():
     assert json.loads(err.splitlines()[-1])["error"] == "INTERNAL"
 
 
-def test_verify_contraction_suite():
-    r = run_cli("verify", "--suite", "contraction", "--n", "2")
+def test_verify_contraction_suite(main):
+    r = main("verify", "--suite", "contraction", "--n", "2")
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["suites"]["contraction"]["oracle"]["ok"]
 
 
-def test_symmetrizers_command():
-    r = run_cli("symmetrizers", "--n", "3")
+def test_symmetrizers_command(main):
+    r = main("symmetrizers", "--n", "3")
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["symmetrizer"]["forms_agree"]
     assert data["antisymmetrizer"]["forms_agree"]
 
 
-def test_export_jm():
-    r = run_cli("export", "--n", "3", "--kind", "jm", "--index", "2")
+def test_export_jm(main):
+    r = main("export", "--n", "3", "--kind", "jm", "--index", "2")
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["algebra"] == "bmw"
 
 
-def test_determinism_and_cache(tmp_path):
+def test_determinism_and_cache(tmp_path, main):
     cache = tmp_path / "cache"
     args = ("idempotents", "--n", "3", "--seed", "0",
             "--cache-dir", str(cache))
-    cold = run_cli(*args)
+    cold = main(*args)
     assert cold.returncode == 0
-    warm = run_cli(*args)
+    warm = main(*args)
     assert warm.returncode == 0
     assert cold.stdout == warm.stdout
-    nocache = run_cli("idempotents", "--n", "3", "--seed", "0",
-                      env=NO_CACHE)
+    nocache = main("idempotents", "--n", "3", "--seed", "0", env=NO_CACHE)
     assert nocache.stdout == cold.stdout
 
 
-def test_strand_cap_exit_2():
-    r = run_cli("idempotents", "--n", "7")
+def test_strand_cap_exit_2(main):
+    r = main("idempotents", "--n", "7")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
 
@@ -156,17 +193,17 @@ def test_strand_cap_exit_2():
     ("idempotents", "--n", "6"),
     ("params", "suggest", "--n", "6"),
 ], ids=["idempotents", "params-suggest"])
-def test_n6_is_above_the_strand_cap(args):
+def test_n6_is_above_the_strand_cap(args, main):
     # n = 6 does not close at (2n-1)!! words; it fails before any build
-    r = run_cli(*args)
+    r = main(*args)
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
-def test_params_suggest_below_one_exit_2(n):
-    r = run_cli("params", "suggest", "--n", n)
+def test_params_suggest_below_one_exit_2(n, main):
+    r = main("params", "suggest", "--n", n)
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
@@ -181,9 +218,9 @@ def test_params_suggest_below_one_exit_2(n):
     ("export", "--kind", "idempotent", "--tableau", "1"),
 ], ids=["idempotents", "verify", "tableaux", "symmetrizers", "export-jm",
         "export-idempotent"])
-def test_n0_is_below_the_strand_cap(args):
+def test_n0_is_below_the_strand_cap(args, main):
     # the strand count is checked before any other option
-    r = run_cli(*args, "--n", "0")
+    r = main(*args, "--n", "0")
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"] == "CAP_EXCEEDED"
@@ -198,44 +235,44 @@ def test_n0_is_below_the_strand_cap(args):
     ("export", "--n", "2", "--kind", "hecke-idempotent", "--tableau", "1;2",
      "--c-param", "1/0"),
 ], ids=["q", "nu", "omega-tableaux", "omega-export", "c-param"])
-def test_zero_denominator_exit_2(args):
-    r = run_cli(*args)
+def test_zero_denominator_exit_2(args, main):
+    r = main(*args)
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
 
 
-def test_hecke_family_pole_exit_2():
+def test_hecke_family_pole_exit_2(main):
     # c_param c_a c_b = 1 on two contents of the tableau
-    r = run_cli("export", "--n", "4", "--kind", "hecke-idempotent",
-                "--tableau", "1;1,1;2,1;2,2", "--c-param", "1296/625")
+    r = main("export", "--n", "4", "--kind", "hecke-idempotent",
+             "--tableau", "1;1,1;2,1;2,2", "--c-param", "1296/625")
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"] == "NOT_GENERIC"
 
 
-def test_export_jm_index_out_of_range_exit_2():
-    r = run_cli("export", "--n", "3", "--kind", "jm", "--index", "9")
+def test_export_jm_index_out_of_range_exit_2(main):
+    r = main("export", "--n", "3", "--kind", "jm", "--index", "9")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
 
 
-def test_export_idempotent_needs_tableau_exit_2():
-    r = run_cli("export", "--n", "3", "--kind", "idempotent")
+def test_export_idempotent_needs_tableau_exit_2(main):
+    r = main("export", "--n", "3", "--kind", "idempotent")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
 
 
 @pytest.mark.parametrize("tableau", ["bogus", "1;2", "1;2;1,1,1", ""])
-def test_idempotents_unknown_tableau_exit_2(tableau):
-    r = run_cli("idempotents", "--n", "3", "--tableau", tableau)
+def test_idempotents_unknown_tableau_exit_2(tableau, main):
+    r = main("idempotents", "--n", "3", "--tableau", tableau)
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
 
 
-def test_verify_n1_runs_without_generators():
-    r = run_cli("verify", "--n", "1")
+def test_verify_n1_runs_without_generators(main):
+    r = main("verify", "--n", "1")
     assert r.returncode == 0
     data = json.loads(r.stdout)
     assert data["pass"]
@@ -249,8 +286,8 @@ def test_verify_n1_runs_without_generators():
     ("--kind", "idempotent", "--tableau", "1;2;1,1,1"),
 ], ids=["hecke-tableau-length", "idempotent-tableau-length",
         "brauer-tableau-length", "idempotent-not-up-down"])
-def test_export_bad_input_exit_2(args):
-    r = run_cli("export", "--n", "3", *args)
+def test_export_bad_input_exit_2(args, main):
+    r = main("export", "--n", "3", *args)
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "BAD_INPUT"
 
@@ -366,14 +403,14 @@ def test_export_without_bmw_context(monkeypatch, capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_unusable_cache_dir_is_skipped(tmp_path):
+def test_unusable_cache_dir_is_skipped(tmp_path, main):
     # a regular file where the cache directory should be
     path = tmp_path / "F"
     path.write_text("")
     args = ("idempotents", "--n", "2")
-    r = run_cli(*args, "--cache-dir", str(path))
+    r = main(*args, "--cache-dir", str(path))
     assert r.returncode == 0, r.stderr
-    assert r.stdout == run_cli(*args, env=NO_CACHE).stdout
+    assert r.stdout == main(*args, env=NO_CACHE).stdout
 
 
 N5_TABLEAU = "1;2;2,1;2,1,1;2,1,1,1"
@@ -403,18 +440,18 @@ def test_export_brauer_idempotent_non_integer_omega(capsys):
         "4ddf13e2033dc9ac956eae86dbda9c9767896e67ff732f928ee7934b2c213128"
 
 
-def test_export_brauer_idempotent_warm_cache(tmp_path):
+def test_export_brauer_idempotent_warm_cache(tmp_path, main):
     # the Laurent context is cached: the warm run loads it and prints the
     # same stdout
     from bmwfusion import AlgebraContext, laurent_params
     args = ("export", "--kind", "brauer-idempotent", "--n", "4", "--tableau",
             "1;2;2,1;2,2", "--regime", "1", "--omega", "5", "--cache-dir",
             str(tmp_path))
-    cold = run_cli(*args)
+    cold = main(*args)
     assert cold.returncode == 0, cold.stderr
     (path,) = tmp_path.iterdir()
     inode = path.stat().st_ino
-    warm = run_cli(*args)
+    warm = main(*args)
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout == cold.stdout
     assert path.stat().st_ino == inode, "the warm run rewrote the cache"
@@ -423,7 +460,7 @@ def test_export_brauer_idempotent_warm_cache(tmp_path):
     assert ctx.stats["cache"] == "hit"
 
 
-def test_export_rebuilds_an_edited_laurent_cache(tmp_path):
+def test_export_rebuilds_an_edited_laurent_cache(tmp_path, main):
     # an edit that keeps every series in normal form passes the file's
     # format checks; the export builds its context verified, so the hit
     # fails the relation suite and is rebuilt (it used to exit 3)
@@ -433,7 +470,7 @@ def test_export_rebuilds_an_edited_laurent_cache(tmp_path):
     args = ("export", "--kind", "brauer-idempotent", "--n", "4", "--tableau",
             "1;2;2,1;2,2", "--regime", "1", "--omega", "5", "--cache-dir",
             str(tmp_path))
-    cold = run_cli(*args)
+    cold = main(*args)
     assert cold.returncode == 0, cold.stderr
     (path,) = tmp_path.iterdir()
     fresh = path.read_text()
@@ -449,7 +486,7 @@ def test_export_rebuilds_an_edited_laurent_cache(tmp_path):
     tab, = [t for t in enumerate_tableaux(4) if t.encode() == "1;2;2,1;2,2"]
     with pytest.raises(NegativeValuation):
         brauer_idempotent_via_contraction(tab, 1, 5, ctx=edited)
-    warm = run_cli(*args)
+    warm = main(*args)
     assert warm.returncode == 0, warm.stderr
     assert warm.stdout == cold.stdout
     assert path.read_text() == fresh, "the edited file was not rewritten"
@@ -508,10 +545,10 @@ def _rows_object(data):
     ids=["list", "short-row-list", "index-outside-basis",
          "non-integer-numerator", "zero-denominator", "short-words",
          "rows-object"])
-def test_malformed_cache_is_a_miss(tmp_path, corrupt):
+def test_malformed_cache_is_a_miss(tmp_path, corrupt, main):
     args = ("idempotents", "--n", "2")
     cache = tmp_path / "cache"
-    assert run_cli(*args, "--cache-dir", str(cache)).returncode == 0
+    assert main(*args, "--cache-dir", str(cache)).returncode == 0
     (path,) = cache.iterdir()
     good = json.loads(path.read_text())
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
@@ -519,9 +556,9 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     spare = tmp_path / "spare"
     spare.mkdir()
     (spare / path.name).write_text(path.read_text())
-    r = run_cli(*args, "--cache-dir", str(cache))
+    r = main(*args, "--cache-dir", str(cache))
     assert r.returncode == 0, r.stderr
-    assert r.stdout == run_cli(*args, env=NO_CACHE).stdout
+    assert r.stdout == main(*args, env=NO_CACHE).stdout
     # the build rewrote the file
     assert json.loads(path.read_text()) == good
 
@@ -541,8 +578,8 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     (("verify", "--suite", "hecke", "--n", "4"),
      "9ba284fdac92bc4d08f7b6e0c5e70c3d9015172cb9cd546071334f3afeb70e1a"),
 ], ids=["all-n3", "reflection-n4", "hecke-n4"])
-def test_verify_stdout_pinned(args, digest):
-    r = run_cli(*args)
+def test_verify_stdout_pinned(args, digest, main):
+    r = main(*args)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
@@ -552,8 +589,8 @@ def test_verify_stdout_pinned(args, digest):
     ("fusion",
      "959d9fa7419fda0ad06aa6290629b6aca64faffefffb51bb978d9ee2ae3afc55"),
 ])
-def test_idempotents_stdout_pinned(method, digest):
+def test_idempotents_stdout_pinned(method, digest, main):
     # the full system at (6/5, 7/3): records, flags and system checks
-    r = run_cli("idempotents", "--n", "4", "--method", method)
+    r = main("idempotents", "--n", "4", "--method", method)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest

@@ -651,6 +651,37 @@ def test_fusion_step_makes_2k_minus_3_passes(ctx4, params4, monkeypatch):
 # the packed row pass against the list-form one
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("point", ["6/5,7/3", "-5/6,3/7", "hecke"])
+def test_row_table_scales_each_letter_to_one_denominator(point):
+    # each letter's rows over the lcm L_l of their denominators, equal as
+    # rationals, with C_l the largest column sum of their numerators
+    if point == "hecke":
+        alg = HeckeAlgebra(4, Fr(6, 5))
+    else:
+        q, nu = map(Fr, point.split(","))
+        alg = build_context(4, q=q, nu=nu)
+    table = fusion._bounded_rows(alg)
+    assert fusion._bounded_rows(alg) is table
+    assert table[None] == (1, None, 1)
+    assert table.keys() == alg._rows.keys() | {None}
+    mixed = False
+    for l, row_of in alg._rows.items():
+        L, rows, C = table[l]
+        dens = {d for d, _ in row_of}
+        mixed |= len(dens) > 1
+        assert L == math.lcm(*dens)
+        assert len(rows) == len(row_of) == len(alg.words)
+        cols = [0] * len(alg.words)
+        for (d, row), scaled in zip(row_of, rows):
+            assert [(j2, Fr(x, L)) for j2, x in scaled] == \
+                [(j2, Fr(x, d)) for j2, x in row]
+            for j2, x in scaled:
+                cols[j2] += abs(x)
+        assert C == max(cols)
+    # the BMW rows meet several denominators, so the scaling is exercised
+    assert mixed == (point != "hecke")
+
+
 def _times(f):
     """p -> p f to h^m, f of length m + 1: zip pairs p with f's heads."""
     heads = [f[e::-1] for e in range(len(f))]
@@ -694,9 +725,8 @@ def list_apply_block(D, vec, parts):
 def both_passes(algebra, D, vec, parts):
     """The packed pass and the list-form one on ``parts`` = [(f, letter
     or None)] of the algebra's rows."""
-    bounded = fusion._bounded_rows(algebra)
-    return (fusion._apply_block(D, vec, [(f, l and bounded[l])
-                                         for f, l in parts]),
+    table = fusion._bounded_rows(algebra)
+    return (fusion._apply_block(D, vec, [(f, table[l]) for f, l in parts]),
             list_apply_block(D, vec, [(f, l and algebra._rows[l])
                                       for f, l in parts]))
 
@@ -751,19 +781,22 @@ def test_packed_pass_of_an_empty_vector(algebra, ctx4, params4):
 
 @pytest.mark.parametrize("m1", [1, 3])
 def test_packed_pass_at_its_bound(m1):
-    # every row term of every index hits index 0: the top digit there is
-    # within a factor 0.94 of 2^(B - 1), so a B one bit smaller overflows
+    # every row term of every index hits index 0, whose column sum is then
+    # C = n length x: the top digit there is within a factor 0.94 of
+    # 2^(B - 1), B = bits(big) + bits(f) + bits(m1 (2 C + 1)) + 1, so a B
+    # one bit smaller overflows
     n, length, x = 15 // m1, 8, 2 ** 20 - 1
     rows = [(1, ((0, x),) * length) for _ in range(n)]
     algebra = types.SimpleNamespace(_rows={"a": rows}, _shared={})
+    assert fusion._bounded_rows(algebra)["a"][2] == n * length * x
     big, f = 2 ** 200 - 1, (1, [2 ** 64 - 1] * m1)
     vec = {j: [big] * m1 for j in range(n)}
     packed, listed = both_passes(algebra, 1, vec,
                                  [(f, "a"), (f, None), (f, "a")])
     assert packed == listed
     digit = m1 * big * f[1][0] * (2 * n * length * x + 1)
-    assert digit.bit_length() == 200 + 64 + 20 + (
-        m1 * n * (2 * length + 1)).bit_length()
+    assert digit.bit_length() == 200 + 64 + (
+        m1 * (2 * n * length * x + 1)).bit_length()
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ from itertools import permutations
 
 import pytest
 
-from bmwfusion import (AlgebraContext, CapExceeded, DivisionByZero,
-                       DomainMismatch, HeckeAlgebra, NotGeneric,
-                       enumerate_tableaux, fusion_idempotent,
+from bmwfusion import (AlgebraContext, BrauerAlgebra, CapExceeded,
+                       DivisionByZero, DomainMismatch, HeckeAlgebra,
+                       NotGeneric, enumerate_tableaux, fusion_idempotent,
                        hecke_family_idempotent, hecke_quotient,
                        laurent_params, quantum_contents)
 from bmwfusion.bmwcore import (K_KIND, T_KIND, letter, letter_index,
@@ -229,6 +229,14 @@ def test_quotient_needs_a_rational_element_at_the_algebra_q(ctx3):
     lctx = AlgebraContext(3, laurent_params(1, 5), verify=False)
     with pytest.raises(DomainMismatch):
         hecke_quotient(lctx.gen_T(1), HeckeAlgebra(3, Q))
+
+
+def test_quotient_of_an_element_outside_bmw_is_a_domain_mismatch():
+    # an element of H_n or of B_n ended in an AttributeError on .params
+    hk = HeckeAlgebra(3, Q)
+    for elem in (hk.one(), hk.gen_T(1), BrauerAlgebra(3, 5).one()):
+        with pytest.raises(DomainMismatch, match="not in BMW_3 at q = 6/5"):
+            hecke_quotient(elem, hk)
 
 
 def test_from_terms_rejects_a_non_permutation():
