@@ -30,8 +30,8 @@ from fractions import Fraction
 from .combinatorics import check_strands
 from .errors import (DimensionMismatch, DomainMismatch, NotGeneric,
                      RewriteLimit)
-from .scalars import (ParamSet, TruncLaurent, _dot_raw, _normal, _raw,
-                      _window, format_rational, make_params)
+from .scalars import (ParamSet, TruncLaurent, _window, format_rational,
+                      make_params)
 
 T_KIND, K_KIND = 0, 1
 
@@ -619,7 +619,7 @@ class AlgebraContext(RowAlgebra):
             for u, a in nums.items():
                 d, red = self._reduce(u + (l,))
                 got.append((a, (d, red.items())))
-            return _sum_rows(den, got, True)
+            return _sum_rows(den, got)
 
         d, t = times(vg, h)
         got = [(1, (d, t.items()))]
@@ -628,7 +628,7 @@ class AlgebraContext(RowAlgebra):
             for l in v:
                 t = times(t, l)
             got.append((-1, (t[0], t[1].items())))
-        _, D = _sum_rows(1, got, True)
+        _, D = _sum_rows(1, got)
         if D:
             lead = max(D, key=lambda x: (len(x), x))
             cl = D.pop(lead)
@@ -1104,21 +1104,13 @@ def _over_common_denominator(terms):
                  for k, c in terms.items()}
 
 
-def _sum_rows(den, got, rational):
+def _sum_rows(den, got):
     """The vector sum a * row / den over got = [(a, (d, pairs))], each row
     (key, numerator) pairs over its denominator d, as (denominator, {key:
-    coeff}).  ``rational``: integer numerators over den times the rows'
-    common denominator, zero terms dropped and the content divided out (no
-    gcd over 1: the series of a Laurent closure's ``_defect`` sum so, in
-    their own arithmetic).  Otherwise series rows over 1 and raw a: each
-    key sums its pairs (a, raw x) once (``scalars._dot_raw``), zeros kept,
-    as a zero series bounds its sums' window."""
-    if not rational:
-        nxt = {}
-        for a, (_, row) in got:
-            for j, x in row:
-                nxt.setdefault(j, []).append((a, _raw(x)))
-        return den, {j: _dot_raw(ps) for j, ps in nxt.items()}
+    numerator}): integer numerators over den times the rows' common
+    denominator, zero terms dropped and the content divided out (no gcd
+    over 1: the series of a Laurent closure's ``_defect`` sum so, in
+    their own arithmetic).  Series rows fold in ``_fold_series``."""
     row_den = 1
     for _, (d, _) in got:
         if row_den % d:
@@ -1144,6 +1136,279 @@ def _lowest(den, nums):
     return den // g, {j: a // g for j, a in nums.items() if a}
 
 
+# the window of an int or Fraction: it meets a series on the series' window
+_INF = math.inf
+
+
+def _digits(c):
+    """(val, prec, den, nums) of a series, an int or a Fraction: a nonzero
+    scalar is its h^0 term on an unbounded window, a zero scalar has no
+    term and its window is its factor's (see ``_fold_series``)."""
+    if c.__class__ is TruncLaurent:
+        return c.val, c.prec, c.den, c.nums
+    if c:
+        return 0, _INF, c.denominator, (c.numerator,)
+    return _INF, _INF, 1, ()
+
+
+def _pack(nums, shift, B):
+    """sum_t nums[t] 2^(B (shift + t)): the digits nums from digit shift on."""
+    X = 0
+    for x in reversed(nums):
+        X = (X << B) + x
+    return X << B * shift
+
+
+def _unpack(X, B, n):
+    """The n lowest balanced base-2^B digits of X, each in
+    [-2^(B-1), 2^(B-1))."""
+    half = 1 << B - 1
+    mask, out = 2 * half - 1, []
+    for _ in range(n):
+        x = ((X + half) & mask) - half
+        out.append(x)
+        X = (X - x) >> B
+    return out
+
+
+def _series_table(algebra):
+    """{letter l: [L_l, m_l, C_l, {B: packed rows}]} for the series rows
+    of ``algebra``: L_l is the lcm of the denominators of l's row series,
+    m_l their least valuation and C_l the largest column sum, max over j
+    of the sum of |numerator| * L_l / den over every series at j in l's
+    rows.  ``packed[B][i]`` is l's row on index i as ((j, val, prec, P),
+    ...), P the numerators over L_l packed from h^m_l on with B-bit digits
+    (``_pack``), formed the first time a fold runs at that B.  The table
+    is formed on the first Laurent fold and kept with the ``_rows`` it was
+    formed from: a rebuild that replaces them forms it again."""
+    got = algebra.__dict__.get("_series_rows")
+    if got is None or got[0] is not algebra._rows:
+        table = {}
+        for l, row_of in algebra._rows.items():
+            xs = [x for _, pairs in row_of for _, x in pairs]
+            L = math.lcm(*(x.den for x in xs))
+            cols = {}
+            for _, pairs in row_of:
+                for j, x in pairs:
+                    cols[j] = cols.get(j, 0) + \
+                        sum(map(abs, x.nums)) * (L // x.den)
+            table[l] = [L, min((x.val for x in xs), default=0),
+                        max(cols.values(), default=0), {}]
+        got = algebra._series_rows = (algebra._rows, table)
+    return got[1]
+
+
+def _packed_rows(algebra, l, entry, B):
+    """The rows of letter l packed at B (see ``_series_table``)."""
+    L, m, _, packed = entry
+    rows = packed.get(B)
+    if rows is None:
+        rows = packed[B] = [
+            tuple((j, x.val, x.prec,
+                   _pack([a * (L // x.den) for a in x.nums], x.val - m, B))
+                  for j, x in pairs) for _, pairs in algebra._rows[l]]
+    return rows
+
+
+def _pack_vector(D, entries, K):
+    """The packed vector (D, V0, B, M, {index: (val, prec, X)}) of entries
+    {index: (val, prec, digits)}, integers over D on [val, prec): V0 the
+    least val, X the digits packed from h^V0 on, M their largest |digit|
+    and B a multiple of 64 with M K < 2^(B-1)."""
+    V0 = min((v for v, _, _ in entries.values() if v != _INF), default=0)
+    M = max((abs(x) for _, _, xs in entries.values() for x in xs),
+            default=0)
+    B = 64 * ((M * K).bit_length() // 64 + 1)
+    return D, V0, B, M, {i: (v, p, _pack(xs, v - V0, B) if xs else 0)
+                         for i, (v, p, xs) in entries.items()}
+
+
+def _repack(vec, K):
+    """The packed vector with its digits unpacked, the content
+    gcd(D, digits) divided out and packed again (``_pack_vector``)."""
+    D, V0, B, _, coeffs = vec
+    entries = {i: (v, p, _unpack(X >> B * (v - V0), B, p - v))
+               for i, (v, p, X) in coeffs.items()}
+    g = math.gcd(D, *(x for _, _, xs in entries.values() for x in xs))
+    if g > 1:
+        D //= g
+        entries = {i: (v, p, [x // g for x in xs])
+                   for i, (v, p, xs) in entries.items()}
+    return _pack_vector(D, entries, K)
+
+
+def _series_step(vec, rows, entry, zeros):
+    """The packed vector times the rows of one letter (``_fold_series``)."""
+    D, V0, B, M, coeffs = vec
+    L, m, C, _ = entry
+    acc = {}
+    get = acc.get
+    for i, (av, ap, X) in coeffs.items():
+        for j, xv, xp, P in rows[i]:
+            p = ap + xv
+            if xp + av < p:
+                p = xp + av
+            e = get(j)
+            if e is None:
+                acc[j] = [X * P, p]
+            else:
+                e[0] += X * P
+                if p < e[1]:
+                    e[1] = p
+    for i in zeros:             # a zero scalar times x: x's window + x.val
+        for j, xv, xp, _ in rows[i]:
+            e = acc[j]
+            if xp + xv < e[1]:
+                e[1] = xp + xv
+    V0 += m
+    out = {}
+    for j, (S, p) in acc.items():
+        s, R = B * (p - V0), 0
+        if s > 0:               # the balanced residue mod 2^s
+            half = 1 << s - 1
+            R = ((S + half) & (2 * half - 1)) - half
+        out[j] = (V0 + ((R & -R).bit_length() - 1) // B, p, R) if R else \
+            (p, p, 0)
+    return D * L, V0, B, M * C, out
+
+
+def _fold_series(algebra, left, rights, trie):
+    """The Laurent branch of :func:`fold_products` on its trie, whose
+    leaves hold (k, coeff of right factor k).
+
+    Every trie vector is (D, V0, B, M, {index: (val, prec, X)}): the
+    coefficient at index is X(2^B) / D on [val, prec), X packing its
+    integer numerators as B-bit digits from h^V0 on (Kronecker
+    substitution), M a bound on every |digit|.  A row step is one
+    multiply-add X P per (index, row entry) pair, on the window
+    min(ap + xv, xp + av) of the two series, and one balanced residue per
+    output index cuts the sum to its window; the lowest set bit gives its
+    valuation.  The step multiplies D by L_l, moves V0 by m_l and M by C_l
+    (``_series_table``): every digit of the sum at j is at most M times
+    the column sum at j.  A node repacks its vector (``_repack``) only
+    when M K reaches 2^(B-1), K the largest C_l of its letters and T_k of
+    its leaves, T_k the sum of the |numerators| of right factor k over
+    its common denominator d_k.  So every digit of a row step or of a
+    leaf group lies in (-2^(B-1), 2^(B-1)).
+
+    A leaf packs its coefficient over d_k at the node's B from the least
+    valuation of factor k on and adds X C per index to the group
+    (D d_k, offset, B) of factor k.  Each group is unpacked before its
+    digits are scaled to the factor's common denominator, and each output
+    coefficient is normalised once.  An int or Fraction of ``left`` has
+    its h^0 term on an unbounded window, so it meets a series on the
+    series' window, and two of them multiply as rationals.  A zero one
+    bounds the window as the zero series on its factor's window does, the
+    windows of TruncLaurent arithmetic."""
+    table = _series_table(algebra)
+    vmin, T, dens = [], [], []
+    for r in rights:
+        cs = [_digits(c) for c in r.values()]
+        vmin.append(min([v for v, _, _, _ in cs if v != _INF] + [0]))
+        dk = math.lcm(*(d for _, _, d, _ in cs))
+        dens.append(dk)
+        T.append(sum(abs(x) * (dk // d) for _, _, d, xs in cs for x in xs))
+
+    def bound(node):
+        """The largest C_l of the node's letters and T_k of its leaves."""
+        return max((table[l][2] if l is not None else
+                    max(T[k] for k, _ in c) for l, c in node.items()),
+                   default=0)
+
+    widx = algebra.word_index
+    try:
+        cs = {widx[w]: _digits(a) for w, a in left.items()}
+    except KeyError as exc:     # an element built on a key off the basis
+        raise algebra._outside(exc.args[0]) from None
+    D = math.lcm(*(d for _, _, d, _ in cs.values()))
+    vec = _pack_vector(D, {i: (v, p, [x * (D // d) for x in xs])
+                           for i, (v, p, d, xs) in cs.items()}, bound(trie))
+    # the scalars of left, the zero ones among them
+    scalars = {widx[w]: a for w, a in left.items()
+               if a.__class__ is not TruncLaurent}
+    root_zeros = [i for i, a in scalars.items() if not a]
+    # per right: {(den, offset, B): {index: packed sum}}, {index: window}
+    # in the order the indices are reached, {index: rational sum}
+    groups = [{} for _ in rights]
+    wins = [{} for _ in rights]
+    rats = [{} for _ in rights]
+    stack = [(trie, vec)]
+    while stack:
+        node, vec = stack.pop()
+        zeros, K = root_zeros if node is trie else (), bound(node)
+        if vec[3] * K >> vec[2] - 1:
+            vec = _repack(vec, K)
+        D, V0, B, _, coeffs = vec
+        for l, child in node.items():
+            if l is not None:
+                entry = table[l]
+                stack.append((child, _series_step(
+                    vec, _packed_rows(algebra, l, entry, B), entry, zeros)))
+                continue
+            for k, c in child:
+                cv, cp, d, xs = _digits(c)
+                acc = groups[k].setdefault((D * dens[k], V0 + vmin[k], B), {})
+                get, win = acc.get, wins[k]
+                C = _pack(xs, cv - vmin[k], B) * (dens[k] // d) if xs else 0
+                if cp != _INF:          # a series
+                    for i, (av, ap, X) in coeffs.items():
+                        p = ap + cv
+                        if cp + av < p:
+                            p = cp + av
+                        w = win.get(i)
+                        if w is None or p < w:
+                            win[i] = p
+                        acc[i] = get(i, 0) + X * C
+                    for i in zeros:
+                        if cp + cv < win[i]:
+                            win[i] = cp + cv
+                    continue
+                rat = rats[k]
+                for i, (av, ap, X) in coeffs.items():
+                    if ap == _INF:      # two scalars
+                        a = scalars[i] * c
+                        rat[i] = rat[i] + a if i in rat else a
+                        win.setdefault(i, _INF)
+                        continue
+                    p = ap if c else ap + av
+                    w = win.get(i)
+                    if w is None or p < w:
+                        win[i] = p
+                    if c:
+                        acc[i] = get(i, 0) + X * C
+    words, out = algebra.words, []
+    for group, win, rat in zip(groups, wins, rats):
+        den = math.lcm(*(d for d, _, _ in group),
+                       *(x.denominator for x in rat.values()))
+        lo = min([off for _, off, _ in group] + [0])
+        nums = {}
+        for (d, off, B), acc in group.items():
+            f = den // d
+            for j, S in acc.items():
+                n = win[j] - off
+                if n > 0:
+                    xs = nums.get(j)
+                    if xs is None:
+                        xs = nums[j] = [0] * (win[j] - lo)
+                    for t, x in enumerate(_unpack(S, B, n), off - lo):
+                        xs[t] += x * f
+        got = {}
+        for j, p in win.items():
+            x = rat.get(j)
+            if p == _INF:
+                got[words[j]] = x
+                continue
+            xs = nums.get(j)
+            if x and p > 0:     # h^0 of the rational sum, as const(x, p)
+                if xs is None:
+                    xs = [0] * (p - lo)
+                xs[-lo] += x.numerator * (den // x.denominator)
+            got[words[j]] = TruncLaurent._make(
+                *_window(lo, p, den, xs) if xs else (p, p, 1, ()))
+        out.append(got)
+    return out
+
+
 def fold_products(algebra, left, rights):
     """The products left * right for every right in ``rights``, as a list
     of {key: coeff} dicts in the order of ``rights``.
@@ -1155,15 +1420,13 @@ def fold_products(algebra, left, rights):
     letters; a letter without rows raises DomainMismatch.  The words of
     all right factors are merged into one trie whose leaves hold
     (k, coeff) for right factor k, so the row step of each prefix is
-    applied once to the vector of ``left``; every vector of the fold is
-    (den, {index: coeff}).  ``algebra.rational`` picks the arithmetic.
-    Integer rows fold int and Fraction coefficients: the fold divides out
-    the content at every step and builds one Fraction per output
-    coefficient, each right factor over its own common denominator.
-    Series rows, always over 1, fold TruncLaurent, Fraction and int
-    coefficients raw: each row step and each leaf collects (coeff, coeff)
-    pairs per index, and ``scalars._dot_raw`` forms every sum of products
-    in one pass, the output coefficients normalised once.  Any other
+    applied once to the vector of ``left``.  ``algebra.rational`` picks
+    the arithmetic.  Integer rows fold int and Fraction coefficients: every
+    vector is (den, {index: numerator}), the fold divides out the content
+    at every step and builds one Fraction per output coefficient, each
+    right factor over its own common denominator.  Series rows, always
+    over 1, fold TruncLaurent, Fraction and int coefficients as packed
+    integers, each series one integer (``_fold_series``).  Any other
     coefficient raises DomainMismatch.  Each product is the one computed
     alone.
     """
@@ -1176,12 +1439,9 @@ def fold_products(algebra, left, rights):
     if rational:
         den1, left = _over_common_denominator(left)
         rights = [_over_common_denominator(r) for r in rights]
-    else:
-        den1, left = 1, {w: _raw(a) for w, a in left.items()}
-        rights = [(1, r) for r in rights]
     trie = {}
-    for k, (_, right) in enumerate(rights):
-        for w, c in right.items():
+    for k, right in enumerate(rights):
+        for w, c in (right[1] if rational else right).items():
             node = trie
             for l in w:
                 child = node.get(l)
@@ -1193,7 +1453,9 @@ def fold_products(algebra, left, rights):
                     child = node[l] = {}
                 node = child
             node.setdefault(None, []).append((k, c))
-    # per right: {leaf den: {index: coeff}}, or {index: [(coeff, coeff)]}
+    if not rational:
+        return _fold_series(algebra, left, rights, trie)
+    # per right: {leaf den: {index: numerator}}
     groups = [{} for _ in rights]
     widx = algebra.word_index
     try:
@@ -1206,24 +1468,15 @@ def fold_products(algebra, left, rights):
             if l is not None:
                 row_of = rows[l]
                 got = [(a, row_of[i]) for i, a in nums.items()]
-                stack.append((child, _sum_rows(den, got, rational)))
+                stack.append((child, _sum_rows(den, got)))
                 continue
             for k, c2 in child:
-                if rational:
-                    acc = groups[k].setdefault(den, {})
-                    get = acc.get
-                    for j, a in nums.items():
-                        prev = get(j)
-                        acc[j] = a * c2 if prev is None else prev + a * c2
-                else:
-                    acc, c2 = groups[k], _raw(c2)
-                    for j, a in nums.items():
-                        acc.setdefault(j, []).append((a, c2))
-    words = algebra.words
-    if not rational:
-        return [{words[j]: _normal(_dot_raw(ps)) for j, ps in group.items()}
-                for group in groups]
-    out = []
+                acc = groups[k].setdefault(den, {})
+                get = acc.get
+                for j, a in nums.items():
+                    prev = get(j)
+                    acc[j] = a * c2 if prev is None else prev + a * c2
+    words, out = algebra.words, []
     for (den2, _), group in zip(rights, groups):
         common = math.lcm(*group)
         acc = {}

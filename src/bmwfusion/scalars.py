@@ -16,8 +16,9 @@ positive denominator, with their common content divided out.  Its sums
 and products run on raw series, the same fields with no gcd taken: the
 window rules live in ``_mul_raw`` (a product's window) and ``_dot_raw``
 (a sum of products formed in one pass, which ``_sum_raw`` also sums
-through).  The element fold keeps its series raw, forms each output
-coefficient with ``_dot_raw`` and normalises it once.
+through).  The element fold does not run here: ``bmwcore._fold_series``
+folds series packed, each one integer, by the same window rules, and
+normalises each output coefficient once (``_window``).
 :class:`RatFunc`, gcd-normalised rational functions, is folded by no
 algebra; it remains as public API (the baxterized elements take it as a
 spectral argument, their products do not) and as a target of the traced
@@ -541,14 +542,20 @@ class TruncLaurent:
 
     @classmethod
     def const(cls, x, prec):
-        return cls(0, (x,), prec)
+        """x on [0, prec), or the zero series on the empty window
+        [prec, prec) when h^0 lies beyond it, as a scalar meets a series
+        (``_lift``)."""
+        return cls._make(*_window(*_lift(Fraction(x), prec)))
 
     @classmethod
     def exp_h(cls, r, prec):
-        """exp(r h) truncated: 1, r, r^2/2, ... on [0, prec)."""
+        """exp(r h) truncated: 1, r, r^2/2, ... on [0, prec), or the zero
+        series on [prec, prec) when prec <= 0, as ``const``."""
+        if prec <= 0:
+            return cls.zero(prec)
         r = Fraction(r)
         c, out = Fraction(1), []
-        for k in range(max(prec, 0)):
+        for k in range(prec):
             out.append(c)
             c = c * r / (k + 1)
         return cls(0, out, prec)

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import types
 from fractions import Fraction as Fr
 
 import pytest
@@ -13,9 +14,9 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        brauer_idempotent_via_contraction, build_context,
                        enumerate_tableaux, hecke_quotient, laurent_params,
                        make_params)
-from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, double_factorial,
-                               fold_products, jm_word, letter, word_name,
-                               K_KIND, T_KIND)
+from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, _series_table,
+                               double_factorial, fold_products, jm_word,
+                               letter, word_name, K_KIND, T_KIND)
 from bmwfusion.combinatorics import extension_spectrum, quantum_contents
 from bmwfusion.errors import NegativeValuation
 from bmwfusion.scalars import _mul_raw, _normal, _raw, _sum_raw
@@ -441,6 +442,118 @@ def test_fold_equals_the_sums_of_its_product_lists(n, regime, omega):
         left = {w: _pole_coeff(rnd) for w in ctx.words}
         assert _stored(fold_products, ctx, left, rights) == \
             _stored(_fold_by_product_lists, ctx, left, rights)
+
+
+def _series_algebra(rows):
+    """A Laurent row algebra on the basis keys w0, w1, ... whose letter l
+    has the rows rows[l], each over 1."""
+    words = ["w%d" % i for i in range(len(next(iter(rows.values()))))]
+    return types.SimpleNamespace(
+        rational=False, n=1, words=words,
+        word_index={w: i for i, w in enumerate(words)}, _rows=rows)
+
+
+@pytest.mark.parametrize("bits, B", [(63, 64), (64, 128)])
+def test_packed_fold_at_its_bound(bits, B):
+    # every row term of every index hits index 0 with a series on [0, 3)
+    # over 3, whose column sum is then C = 3 n length x; a left vector of
+    # coefficients big on [0, 3) makes the h^2 digit of the step exactly
+    # M C = big C, of `bits` bits: its B has no bit to spare (at 63 bits a
+    # B of 63 overflows, at 64 bits one of 64)
+    n, length, x = 5, 8, 2 ** 10 + 1
+    series = TruncLaurent._make(0, 3, 3, (x,) * 3)
+    alg = _series_algebra({"a": [(1, ((0, series),) * length)] * n})
+    big = (2 ** bits - 1) // (3 * n * length * x)
+    assert (big * 3 * n * length * x).bit_length() == bits
+    left = {w: TruncLaurent(0, (big,) * 3) for w in alg.words}
+    rights = [{("a",): 1}, {("a",): Fr(1, 2), ("a", "a"): 1},
+              {("a", "a", "a"): -1}]
+    got = fold_products(alg, left, rights)
+    assert _stored(lambda: got) == \
+        _stored(_fold_by_product_lists, alg, left, rights)
+    # the digit M C over D = 3
+    assert got[0]["w0"][2] == Fr(big * 3 * n * length * x, 3)
+    assert min(_series_table(alg)["a"][3]) == B
+
+
+def _wide_coeff(rnd):
+    """A series with 200-bit numerators over 2^k 3^k, on a window from
+    h^-2 to h^1 on, or an int or Fraction of that size, now and then 0."""
+    def num():
+        return rnd.randint(-2 ** 200, 2 ** 200)
+
+    def den():
+        k = rnd.randint(0, 12)
+        return 2 ** k * 3 ** k
+
+    r = rnd.random()
+    if r < 0.08:
+        return rnd.choice((0, Fr(0)))
+    if r < 0.2:
+        return num()
+    if r < 0.32:
+        return Fr(num(), den())
+    val = rnd.randint(-2, 1)
+    return TruncLaurent(val, [Fr(num(), den())
+                              for _ in range(rnd.randint(1, 5))],
+                        val + rnd.randint(1, 5))
+
+
+def _with_pole_rows(ctx):
+    """ctx with a pole added to two of its row series: h^-1 in T_1's row
+    on index 3, h^-2 in the last letter's row on the last index."""
+    for l, i, pole in ((ctx.letters[0], 3, TruncLaurent(-1, (Fr(1, 2), 1), 2)),
+                       (ctx.letters[-1], len(ctx.words) - 1,
+                        TruncLaurent(-2, (Fr(3, 7), 1), 4))):
+        den, ((j, c), *rest) = ctx._rows[l][i]
+        ctx._rows[l][i] = (den, ((j, c + pole), *rest))
+    return ctx
+
+
+@pytest.mark.parametrize("regime, omega", [(1, 5), (2, Fr(7, 2))],
+                         ids=["1-5", "2-7_2"])
+def test_packed_fold_on_wide_coefficients_and_pole_rows(regime, omega):
+    # 200-bit numerators over 2^k 3^k, ints and Fractions (zeros too) on
+    # both sides, empty right words and rows with poles, against the
+    # products listed per key, every coefficient as stored and in order
+    ctx = _with_pole_rows(AlgebraContext(3, laurent_params(regime, omega),
+                                         verify=False))
+    rnd = random.Random("wide-%d-%s" % (regime, omega))
+    for _ in range(12):
+        left = {rnd.choice(ctx.words): _wide_coeff(rnd)
+                for _ in range(rnd.randint(1, 8))}
+        rights = [{tuple(rnd.choice(ctx.letters)
+                         for _ in range(rnd.randint(0, 5))): _wide_coeff(rnd)
+                   for _ in range(rnd.randint(0, 6))} for _ in range(3)]
+        got = fold_products(ctx, left, rights)
+        want = _fold_by_product_lists(ctx, left, rights)
+        assert [list(p) for p in got] == [list(p) for p in want]
+        assert _stored(lambda: got) == _stored(lambda: want)
+    table = _series_table(ctx)
+    assert table[ctx.letters[0]][1] == -1 and table[ctx.letters[-1]][1] == -2
+    # the digits outgrew 64 bits and the vectors were repacked
+    assert any(max(t[3]) > 64 for t in table.values())
+
+
+def test_a_rebuild_forms_the_series_table_again(tmp_path):
+    # the verified build folds over the edited table of its cache hit
+    # before it rebuilds the rows cold: later folds must not read the rows
+    # packed from the edited table
+    fresh, path = _laurent_file(tmp_path)
+    data = json.loads(fresh)
+    s = _series_of(data)
+    s[:] = [0, s[1], 1, [2] + [0] * (s[1] - 1)]
+    with open(path, "w") as f:
+        json.dump(data, f)
+    ctx = AlgebraContext(3, laurent_params(1, 5), cache_dir=str(tmp_path),
+                         verify=True)
+    assert ctx.stats["cache"] == "corrupt"
+    cold = AlgebraContext(3, laurent_params(1, 5), verify=False)
+    rnd = random.Random("rebuild")
+    left = {w: _pole_coeff(rnd) for w in ctx.words}
+    rights = [{w: _pole_coeff(rnd)} for w in ctx.words]
+    assert _stored(fold_products, ctx, left, rights) == \
+        _stored(fold_products, cold, left, rights)
 
 
 def _jm_by_products(ctx, k):

@@ -179,23 +179,22 @@ def test_laurent_context_relations():
 
 
 def test_contraction_idempotents_complete_system():
-    omega = Fr(5)
-    for regime in (1, 2):
-        for n in (2, 3):
-            params = laurent_params(regime, omega, 4)
-            ctx = AlgebraContext(n, params, verify=False)
-            brauer = BrauerAlgebra(n, omega)
-            tabs = enumerate_tableaux(n)
-            idems = [brauer_idempotent_via_contraction(
-                t, regime, omega, ctx=ctx) for t in tabs]
-            total = brauer.zero()
-            for i, e in enumerate(idems):
-                assert (e * e - e).is_zero()
-                total = total + e
-                for j, f in enumerate(idems):
-                    if i != j:
-                        assert (e * f).is_zero()
-            assert (total - brauer.one()).is_zero()
+    # each E: E E = E and E F = 0 for every other F of the system, as one
+    # fold_products batch on the Brauer algebra, and the E sum to 1
+    for omega, ns in ((Fr(5), (2, 3, 4)), (Fr(7, 2), (4,))):
+        for regime in (1, 2):
+            for n in ns:
+                ctx = AlgebraContext(n, laurent_params(regime, omega, 4),
+                                     verify=False)
+                brauer = BrauerAlgebra(n, omega)
+                idems = [brauer_idempotent_via_contraction(
+                    t, regime, omega, ctx=ctx) for t in enumerate_tableaux(n)]
+                rights = [{brauer.spell(d): c for d, c in f.terms.items()}
+                          for f in idems]
+                for i, e in enumerate(idems):
+                    assert fold_products(brauer, e.terms, rights) == [
+                        e.terms if j == i else {} for j in range(len(idems))]
+                assert sum(idems, brauer.zero()) == brauer.one()
 
 
 def test_laurent_spectrum_collision_not_generic():
@@ -305,7 +304,7 @@ def test_laurent_n5_below_default_truncation_rejected():
 
 def test_regime2_equals_regime1_on_transpose():
     omega = Fr(7, 2)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         p1 = laurent_params(1, omega, 4)
         p2 = laurent_params(2, omega, 4)
         c1 = AlgebraContext(n, p1, verify=False)

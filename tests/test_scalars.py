@@ -129,7 +129,27 @@ def test_laurent_invert():
 @pytest.mark.parametrize("x, prec", [(1, -1), (0, 0)])
 def test_laurent_precision_below_valuation(x, prec):
     with pytest.raises(NegativeValuation):
-        TruncLaurent.const(x, prec)
+        TruncLaurent(0, (x,), prec)
+
+
+def _fields(x):
+    return x.val, x.prec, x.den, x.nums
+
+
+@pytest.mark.parametrize("prec", [-3, -1, 0])
+def test_a_constant_beyond_its_window_is_the_empty_window(prec):
+    # const, exp_h and s ** 0 meet h^0 as s + 1 and s * 1 do: beyond the
+    # window it is lost, and the series is zero on [prec, prec); they
+    # raised NEGATIVE_VALUATION at prec < 0
+    empty = (prec, prec, 1, ())
+    for x in (1, 0, Fr(-2, 3)):
+        assert _fields(TruncLaurent.const(x, prec)) == empty
+    assert _fields(TruncLaurent.exp_h(2, prec)) == empty
+    s = TruncLaurent(prec - 2, (2, 1), prec)
+    assert _fields(s ** 0) == empty
+    assert _fields(s + TruncLaurent.const(1, prec)) == _fields(s + 1) == \
+        _fields(s)
+    assert _fields(s * 1) == _fields(s)
 
 
 def test_exact_scalar_keeps_the_window():
@@ -339,7 +359,7 @@ class _RefLaurent:
 
     def __pow__(self, e):
         if e == 0:
-            return _RefLaurent(0, [1], self.prec)
+            return self.coerce(1)      # as const(1, prec)
         base = self if e > 0 else self.invert()
         out = base
         for _ in range(abs(e) - 1):
