@@ -1171,36 +1171,47 @@ def _unpack(X, B, n):
     return out
 
 
-def _series_table(algebra):
-    """{letter l: [L_l, m_l, C_l, {B: packed rows}]} for the series rows
-    of ``algebra``: L_l is the lcm of the denominators of l's row series,
-    m_l their least valuation and C_l the largest column sum, max over j
-    of the sum of |numerator| * L_l / den over every series at j in l's
-    rows.  ``packed[B][i]`` is l's row on index i as ((j, val, prec, P),
-    ...), P the numerators over L_l packed from h^m_l on with B-bit digits
-    (``_pack``), formed the first time a fold runs at that B.  The table
-    is formed on the first Laurent fold and kept with the ``_rows`` it was
-    formed from: a rebuild that replaces them forms it again."""
-    got = algebra.__dict__.get("_series_rows")
+def _row_table(algebra):
+    """{letter l: (L_l, m_l, C_l, rows, packed)}, the row scaling that the
+    fusion row pass and the series fold share.  L_l is the lcm of the
+    denominators of l's rows (of their series, in a Laurent context), m_l
+    the least valuation of those series (0 for integer rows) and C_l the
+    largest column sum, max over j of the sum of |numerator| * L_l / den
+    over every entry at j in l's rows.  Integer rows have ``rows[i]``, l's
+    row on index i over L_l as ((j, numerator), ...), and ``packed`` None.
+    Series rows have ``rows`` None and ``packed[B][i]`` l's row on index i
+    as ((j, val, prec, P), ...), P the numerators over L_l packed from
+    h^m_l on with B-bit digits (``_pack``), formed from ``_rows`` the first
+    time a fold runs at that B.  The table is formed on first use and
+    kept with the ``_rows`` it was formed from: a rebuild that replaces
+    them forms it again."""
+    got = algebra.__dict__.get("_table")
     if got is None or got[0] is not algebra._rows:
         table = {}
         for l, row_of in algebra._rows.items():
-            xs = [x for _, pairs in row_of for _, x in pairs]
-            L = math.lcm(*(x.den for x in xs))
+            if algebra.rational:
+                L = math.lcm(*(d for d, _ in row_of))
+                rows = [tuple((j, x * (L // d)) for j, x in pairs)
+                        for d, pairs in row_of]
+                m, packed = 0, None
+                weights = ((j, abs(x)) for row in rows for j, x in row)
+            else:
+                xs = [x for _, pairs in row_of for _, x in pairs]
+                L = math.lcm(*(x.den for x in xs))
+                rows, m, packed = None, min((x.val for x in xs), default=0), {}
+                weights = ((j, sum(map(abs, x.nums)) * (L // x.den))
+                           for _, pairs in row_of for j, x in pairs)
             cols = {}
-            for _, pairs in row_of:
-                for j, x in pairs:
-                    cols[j] = cols.get(j, 0) + \
-                        sum(map(abs, x.nums)) * (L // x.den)
-            table[l] = [L, min((x.val for x in xs), default=0),
-                        max(cols.values(), default=0), {}]
-        got = algebra._series_rows = (algebra._rows, table)
+            for j, w in weights:
+                cols[j] = cols.get(j, 0) + w
+            table[l] = L, m, max(cols.values(), default=0), rows, packed
+        got = algebra._table = (algebra._rows, table)
     return got[1]
 
 
 def _packed_rows(algebra, l, entry, B):
-    """The rows of letter l packed at B (see ``_series_table``)."""
-    L, m, _, packed = entry
+    """The rows of letter l packed at B (see ``_row_table``)."""
+    L, m, _, _, packed = entry
     rows = packed.get(B)
     if rows is None:
         rows = packed[B] = [
@@ -1240,7 +1251,7 @@ def _repack(vec, K):
 def _series_step(vec, rows, entry, zeros):
     """The packed vector times the rows of one letter (``_fold_series``)."""
     D, V0, B, M, coeffs = vec
-    L, m, C, _ = entry
+    L, m, C, _, _ = entry
     acc = {}
     get = acc.get
     for i, (av, ap, X) in coeffs.items():
@@ -1284,7 +1295,7 @@ def _fold_series(algebra, left, rights, trie):
     min(ap + xv, xp + av) of the two series, and one balanced residue per
     output index cuts the sum to its window; the lowest set bit gives its
     valuation.  The step multiplies D by L_l, moves V0 by m_l and M by C_l
-    (``_series_table``): every digit of the sum at j is at most M times
+    (``_row_table``): every digit of the sum at j is at most M times
     the column sum at j.  A node repacks its vector (``_repack``) only
     when M K reaches 2^(B-1), K the largest C_l of its letters and T_k of
     its leaves, T_k the sum of the |numerators| of right factor k over
@@ -1300,7 +1311,7 @@ def _fold_series(algebra, left, rights, trie):
     series' window, and two of them multiply as rationals.  A zero one
     bounds the window as the zero series on its factor's window does, the
     windows of TruncLaurent arithmetic."""
-    table = _series_table(algebra)
+    table = _row_table(algebra)
     vmin, T, dens = [], [], []
     for r in rights:
         cs = [_digits(c) for c in r.values()]

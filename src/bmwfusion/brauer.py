@@ -14,6 +14,7 @@ from fractions import Fraction
 from .bmwcore import (K_KIND, T_KIND, RowAlgebra, SparseElement, _walk_basis,
                       letter)
 from .combinatorics import check_strands
+from .scalars import _rational
 
 Diagram = frozenset  # of sorted 2-tuples covering {0..2n-1}
 
@@ -127,7 +128,7 @@ class BrauerAlgebra(RowAlgebra):
     def __init__(self, n: int, omega):
         check_strands(n)
         self.n = n
-        self.omega = Fraction(omega)
+        self.omega = _rational(omega)
         (self.words, self.word_index, self._spellings, self._diagram_of,
          self._rows) = _table(n, self.omega)
 

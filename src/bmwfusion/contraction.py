@@ -30,7 +30,7 @@ from .brauer import BrauerAlgebra, BrauerElement, diagram_mul
 from .combinatorics import UpDownTableau
 from .errors import DomainMismatch
 from .fusion import _jm_interpolation
-from .scalars import TruncLaurent
+from .scalars import TruncLaurent, _rational
 
 
 @functools.cache
@@ -57,7 +57,7 @@ def _check_laurent(ctx, omega, regimes=(1, 2)):
 def laurent_params(regime: int, omega, prec: int = DEFAULT_TRUNCATION
                    ) -> LaurentParams:
     """The (q, nu) series of the chosen contraction regime."""
-    omega = Fraction(omega)
+    omega = _rational(omega)
     label, = _regime_labels(omega.numerator, omega.denominator, (regime,))
     if regime == 1:
         q = TruncLaurent.exp_h(1, prec)
@@ -71,7 +71,7 @@ def laurent_params(regime: int, omega, prec: int = DEFAULT_TRUNCATION
 def spectral_series(regime: int, theta, omega,
                     prec: int = DEFAULT_TRUNCATION) -> TruncLaurent:
     """u(theta): the Laurent series of a rational spectral parameter."""
-    theta, omega = Fraction(theta), Fraction(omega)
+    theta, omega = _rational(theta), _rational(omega)
     if regime == 1:
         return TruncLaurent.exp_h(2 * (theta - (omega - 1) / 2), prec)
     if regime == 2:
@@ -81,7 +81,7 @@ def spectral_series(regime: int, theta, omega,
 
 def _expected_blocks(regime, i, th1, th2, omega, brauer):
     """The limiting blocks of the paper's two regimes as Brauer elements."""
-    th1, th2, omega = Fraction(th1), Fraction(th2), Fraction(omega)
+    th1, th2, omega = _rational(th1), _rational(th2), _rational(omega)
     s, e, one = brauer.s(i), brauer.e(i), brauer.one()
     if regime == 1:
         q_block = s - e.scale(1 / (th1 + th2))
@@ -182,7 +182,7 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     ``bmwcore.fold_products``: over the h^0 parts of the rows when every
     row coefficient has valuation >= 0 (``_constant_rows``), over the
     series otherwise."""
-    omega = Fraction(omega)
+    omega = _rational(omega)
     _check_laurent(ctx, omega)
     n = ctx.n
     brauer = BrauerAlgebra(n, omega)
@@ -224,7 +224,7 @@ def brauer_idempotent_via_contraction(tab: UpDownTableau, regime: int,
     DOMAIN_MISMATCH is raised; without one the context is built at
     ``default_truncation(len(tab))`` series terms."""
     n = len(tab)
-    omega = Fraction(omega)
+    omega = _rational(omega)
     if ctx is None:
         ctx = AlgebraContext(n, laurent_params(regime, omega,
                                                default_truncation(n)),

@@ -12,9 +12,10 @@ Individual factors may vanish at the evaluation point c_k, so the step
 runs at u = c_k + h, fraction-free, and takes no polynomial gcd: the
 numerator is one vector of integer h-polynomials over one common
 denominator, multiplied factor by factor over the algebra's row table
-(each letter's integer rows over one denominator, with their largest
-column sum C, formed once), and the factors' own h-polynomials and
-values are integers over one denominator too.  Within a pass each
+(``bmwcore._row_table``, which the series fold reads too: each letter's
+integer rows over one denominator, with their largest column sum C,
+formed once), and the factors' own h-polynomials and values are
+integers over one denominator too.  Within a pass each
 h-polynomial p is the one integer p(2^B) (Kronecker substitution), B the
 bits of the vector's largest coefficient, of the largest scaled factor
 and of m + 1 times the parts' summed C, plus a sign bit.  The value is
@@ -31,13 +32,14 @@ from itertools import chain
 from operator import lshift
 
 from .bmwcore import (K_KIND, T_KIND, AlgebraContext, AlgebraElement,
-                      _over_common_denominator, check_jm_index,
+                      _over_common_denominator, _row_table, check_jm_index,
                       fold_products, jm_word, letter)
 from .combinatorics import (UpDownTableau, enumerate_tableaux,
                             extension_spectrum, quantum_contents)
 from .errors import (BmwError, DomainMismatch, NonInvertible,
                      PoleAtEvaluation, PoleError)
-from .scalars import ParamSet, format_rational, q_factorial, q_number
+from .scalars import (ParamSet, _rational, format_rational, q_factorial,
+                      q_number)
 
 
 @dataclass(frozen=True)
@@ -144,34 +146,19 @@ def Y_script(ctx, j: int, contents, u, view) -> AlgebraElement:
     return E
 
 
-def _bounded_rows(ctx):
-    """{letter l: (L_l, rows, C_l)}, formed once per algebra (rows never
-    change after build): rows[j] is l's row on basis index j over L_l, the
-    lcm of l's row denominators, as ((j2, numerator), ...), and C_l is the
-    largest column sum, max over j2 of sum_j |numerator of j2 in rows[j]|.
-    The key None is the scalar part, (1, None, 1): rows over 1 with column
-    sums 1."""
-    got = ctx._shared.get("rows")
-    if got is None:
-        got = ctx._shared["rows"] = {None: (1, None, 1)}
-        for l, rows in ctx._rows.items():
-            L = math.lcm(*(d for d, _ in rows))
-            rows = [tuple((j2, x * (L // d)) for j2, x in row)
-                    for d, row in rows]
-            cols = {}
-            for j2, x in chain.from_iterable(rows):
-                cols[j2] = cols.get(j2, 0) + abs(x)
-            got[l] = L, rows, max(cols.values())
-    return got
+# the scalar part of a factor as an entry of ``bmwcore._row_table``: rows
+# over 1 with column sums 1
+_SCALAR = (1, 0, 1, None, None)
 
 
 def _apply_block(D, vec, parts):
     """The vector D, vec = {basis index: h-polynomial to h^m} (integer
     numerators over D) times the sum of f l over ``parts`` = [(f, l's
-    entry of ``_bounded_rows``)], each f an h-polynomial over its own
-    denominator fden, as such a vector with its content divided out.  The
-    output is over bden L, bden the lcm of the fden and L that of the
-    parts' L_l, so each part takes the one scale bden // fden (L // L_l).
+    entry of ``bmwcore._row_table``, ``_SCALAR`` for l = 1)], each f an
+    h-polynomial over its own denominator fden, as such a vector with its
+    content divided out.  The output is over bden L, bden the lcm of the
+    fden and L that of the parts' L_l, so each part takes the one scale
+    bden // fden (L // L_l).
 
     Each polynomial p runs packed as the one integer P = p(2^B) (Kronecker
     substitution): each (index, part) pair costs one product P F, each row
@@ -187,21 +174,21 @@ def _apply_block(D, vec, parts):
     So B adds the bits of the largest coefficient of vec, of the largest
     scaled f and of (m + 1) times the summed C_l, and one sign bit."""
     bden = math.lcm(*(fden for (fden, _), _ in parts))
-    L = math.lcm(*(Ll for _, (Ll, _, _) in parts))
-    ks = [bden // fden * (L // Ll) for (fden, _), (Ll, _, _) in parts]
+    L = math.lcm(*(Ll for _, (Ll, _, _, _, _) in parts))
+    ks = [bden // fden * (L // Ll) for (fden, _), (Ll, _, _, _, _) in parts]
     m1 = len(parts[0][0][1])
     B = max(map(abs, chain.from_iterable(vec.values())),
             default=0).bit_length() \
         + max(max(map(abs, f)) * k for ((_, f), _), k in zip(parts, ks)
               ).bit_length() \
-        + (m1 * sum(C for _, (_, _, C) in parts)).bit_length() + 1
+        + (m1 * sum(C for _, (_, _, C, _, _) in parts)).bit_length() + 1
     shifts = range(0, m1 * B, B)
     half = 1 << m1 * B - 1
     mask = 2 * half - 1
     packed = {j: sum(map(lshift, p, shifts)) for j, p in vec.items()}
     out = {}
     get = out.get
-    for ((_, f), (_, rows, _)), k in zip(parts, ks):
+    for ((_, f), (_, _, _, rows, _)), k in zip(parts, ks):
         F = sum(map(lshift, f, shifts)) * k
         if rows is None:                # the scalar part: f p at j
             for j, P in packed.items():
@@ -282,7 +269,7 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
         snum *= value or slope
         sden *= g
 
-    rows = _bounded_rows(ctx)
+    rows = _row_table(ctx)
     kappa = letter(K_KIND, 1) in rows    # a Hecke algebra has no kappa_i
 
     def term(coeff, f, g):
@@ -317,7 +304,7 @@ def fusion_step(E_prev, contents, k: int, ctx, view):
     D, vec = _over_common_denominator(E_prev.terms)
     vec = {ctx.word_index[w]: [x] + [0] * m for w, x in vec.items()}
     for i, t, s, kap in blocks:
-        parts = [(poly(t), rows[letter(T_KIND, i)]), (poly(s), rows[None])]
+        parts = [(poly(t), rows[letter(T_KIND, i)]), (poly(s), _SCALAR)]
         if kappa:
             parts.append((poly(kap), rows[letter(K_KIND, i)]))
         D, vec = _apply_block(D, vec, parts)
@@ -670,7 +657,7 @@ def L_operator(ctx, j, u):
     check_jm_index(j, ctx.n)
     if not ctx.rational:
         raise DomainMismatch("L_j(u) needs rational parameters")
-    u = Fraction(u)
+    u = _rational(u)
     spectrum = dict.fromkeys(quantum_contents(tab, ctx.params)[j - 1]
                              for tab in enumerate_tableaux(j))
     m = [Fraction(1)]             # coefficients of m(t), lowest first
@@ -704,7 +691,7 @@ def check_reflection(ctx, j, u, v, which="L", contents=None) -> bool:
     which="L" on a Laurent context raises DomainMismatch (``L_operator``).
     """
     view = SpectralView.of(ctx.params)
-    u, v = Fraction(u), Fraction(v)
+    u, v = _rational(u), _rational(v)
     c = view.c
     Tm = baxterized_T_one_arg(ctx, j, 1 / (c * u * v), view)
     Tr = baxterized_T_one_arg(ctx, j, u / v, view)

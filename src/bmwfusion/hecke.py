@@ -12,15 +12,13 @@ right products by the T_i that reaches w, a reduced word.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .bmwcore import (AlgebraContext, AlgebraElement, RowAlgebra, T_KIND,
                       SparseElement, _walk_basis, fold_products, letter,
                       letter_index, letter_kind)
 from .combinatorics import UpDownTableau, check_strands, quantum_contents
 from .errors import DivisionByZero, DomainMismatch, NotGeneric
 from .fusion import SpectralView, consecutive_evaluation
-from .scalars import format_rational
+from .scalars import _rational, format_rational
 
 
 def apply_s_right(w, i: int):
@@ -54,7 +52,7 @@ class HeckeAlgebra(RowAlgebra):
     def __init__(self, n: int, q):
         check_strands(n)
         self.n = n
-        self.q = Fraction(q)
+        self.q = _rational(q)
         if not self.q:
             raise DivisionByZero("the Hecke algebra needs q != 0")
         self.delta = self.q - 1 / self.q
@@ -124,7 +122,7 @@ def hecke_family_idempotent(tab: UpDownTableau, c_param, hecke: HeckeAlgebra,
     if hecke.q != params.q:
         raise DomainMismatch("algebra at q = %s, parameters at q = %s"
                              % (hecke.q, params.q))
-    c = Fraction(c_param)
+    c = _rational(c_param)
     contents = quantum_contents(tab, params)
     for a, ca in enumerate(contents):
         for cb in contents[a:]:

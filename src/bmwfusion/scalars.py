@@ -12,13 +12,13 @@ of algebra:
   context folds them, mixed with Fractions and ints.
 
 ``TruncLaurent`` is stored fraction-free: integer numerators over one
-positive denominator, with their common content divided out.  Its sums
-and products run on raw series, the same fields with no gcd taken: the
-window rules live in ``_mul_raw`` (a product's window) and ``_dot_raw``
-(a sum of products formed in one pass, which ``_sum_raw`` also sums
-through).  The element fold does not run here: ``bmwcore._fold_series``
-folds series packed, each one integer, by the same window rules, and
-normalises each output coefficient once (``_window``).
+positive denominator, with their common content divided out
+(``_window``).  Its sums and products compute on those fields, by the
+window rules of ``__add__`` and ``__mul__``.  The element fold does not
+run here: ``bmwcore._fold_series`` folds series packed, each one
+integer, by the same window rules, and normalises each output
+coefficient once.  A parameter from the caller enters as an int or a
+Fraction (``_rational``); a float raises DomainMismatch.
 :class:`RatFunc`, gcd-normalised rational functions, is folded by no
 algebra; it remains as public API (the baxterized elements take it as a
 spectral argument, their products do not) and as a target of the traced
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import check_strands
-from .errors import (DivisionByZero, NegativeValuation, NonInvertible,
-                     NotGeneric, PoleAtEvaluation)
+from .errors import (DivisionByZero, DomainMismatch, NegativeValuation,
+                     NonInvertible, NotGeneric, PoleAtEvaluation)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -44,6 +44,14 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
+
+
+def _rational(x) -> Fraction:
+    """A parameter as a Fraction: an int or a Fraction.  Anything else, a
+    float among them, raises DomainMismatch, as the arithmetic is exact."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise DomainMismatch("%r is not an int or a Fraction" % (x,))
 
 
 def format_rational(x: Fraction) -> str:
@@ -345,11 +353,11 @@ class RatFunc:
 # truncated Laurent series in h
 # ---------------------------------------------------------------------------
 
-def _window(val, prec, den, nums, normal=True):
-    """(val, prec, den, nums) of the series nums / den from h^val on: no
-    leading zero, a valuation above prec raises, nums cut or zero-padded
-    to [val, prec), val == prec when zero.  A raw series, or ``normal``
-    with the content divided out (see :class:`TruncLaurent`)."""
+def _window(val, prec, den, nums):
+    """(val, prec, den, nums) of the series nums / den from h^val on, in
+    the normal form of :class:`TruncLaurent`: no leading zero, nums cut or
+    zero-padded to [val, prec), the content divided out, and val == prec
+    when zero; a valuation above prec raises."""
     lead, n = 0, len(nums)
     while lead < n and not nums[lead]:
         lead += 1
@@ -361,149 +369,10 @@ def _window(val, prec, den, nums, normal=True):
         return prec, prec, 1, ()
     if lead or n != prec - val:
         nums = [*nums[lead:lead + prec - val]] + [0] * (prec - val - n + lead)
-    if not normal:
-        return val, prec, den, nums
     g = math.gcd(den, *nums)
     if g > 1:
         return val, prec, den // g, tuple(x // g for x in nums)
     return val, prec, den, tuple(nums)
-
-
-def _raw(x):
-    """A TruncLaurent as a raw series, an int or Fraction as it is, or None."""
-    if x.__class__ is TruncLaurent:
-        return x.val, x.prec, x.den, x.nums
-    return x if isinstance(x, (int, Fraction)) else None
-
-
-def _lift(x, prec):
-    """A scalar where it meets a series: the raw const(x, prec), or the
-    empty window [prec, prec) when h^0 lies beyond it."""
-    if prec <= 0:
-        return prec, prec, 1, ()
-    return _window(0, prec, x.denominator, [x.numerator], False)
-
-
-def _mul_raw(a, b):
-    """The product of raw series (see ``_window``), no gcd taken: of two,
-    on the window min(a.prec + b.val, b.prec + a.val), which a zero factor
-    keeps too; of a series and a nonzero scalar, on the series' window.
-    Two scalars (ints or Fractions) multiply as rationals."""
-    if a.__class__ is not tuple:
-        if b.__class__ is not tuple:
-            return a * b
-        a, b = b, a
-    av, ap, ad, an = a
-    if b.__class__ is not tuple:
-        if b:   # an exact scalar: the window stays
-            p = b.numerator
-            return av, ap, ad * b.denominator, [x * p for x in an]
-        b = _lift(b, ap)
-    bv, bp, bd, bn = b
-    prec = ap + bv if ap + bv < bp + av else bp + av
-    if not an or not bn:
-        return prec, prec, 1, ()
-    val = av + bv
-    n = prec - val
-    out = [0] * n
-    for i in range(n):
-        x = an[i]
-        if x:
-            for j in range(n - i):
-                out[i + j] += x * bn[j]
-    return val, prec, ad * bd, out
-
-
-def _sum_raw(terms):
-    """The sum of raw series and scalars, no gcd taken, as the sums in
-    their order would give it: the window is the minimum of the series'
-    windows, a zero series included; a scalar meets the series summed so
-    far as const(x, prec), the scalars before the first series as their
-    sum.  Scalars alone (ints and Fractions) sum as rationals."""
-    series, prec, s = [], None, None
-    for t in terms:
-        if t.__class__ is tuple:
-            if prec is None:
-                if s is not None:
-                    series.append(_lift(s, t[1]))
-                prec = t[1]
-            elif t[1] < prec:
-                prec = t[1]
-            series.append(t)
-        elif prec is None:
-            s = t if s is None else s + t
-        else:
-            series.append(_lift(t, prec))
-    if prec is None or len(series) == 1:
-        return s if prec is None else series[0]
-    # _mul_raw(t, 1) is t on its window and denominator
-    return _dot_raw([(t, 1) for t in series])
-
-
-def _dot_raw(pairs):
-    """The sum of the products over ``pairs`` [(a, b), ...], exactly
-    ``_sum_raw([_mul_raw(a, b) for a, b in pairs])``, with no product
-    formed alone.  A header pass takes each product's window, valuation
-    and denominator as ``_mul_raw`` would (a zero product bounds the
-    window only); one pass then convolves every pair straight into one
-    integer array over the lcm of the denominators.  A pair of two
-    scalars (ints or Fractions) sends the whole sum through ``_sum_raw``
-    of the products, which sums those as rationals."""
-    if len(pairs) == 1:
-        return _mul_raw(*pairs[0])
-    prec, heads = None, []
-    for a, b in pairs:
-        if a.__class__ is not tuple:
-            if b.__class__ is not tuple:
-                return _sum_raw([_mul_raw(a, b) for a, b in pairs])
-            a, b = b, a
-        av, ap, ad, an = a
-        if b.__class__ is not tuple:
-            if b:   # an exact scalar: the window stays, its numerator scales
-                p = ap
-                heads.append((av, ad * b.denominator, an, b.numerator))
-            else:   # times const(0, ap), the zero series on [ap, ap)
-                p = ap + (av if av < ap else ap)
-        else:
-            bv, bp, bd, bn = b
-            p = ap + bv if ap + bv < bp + av else bp + av
-            if an and bn:
-                heads.append((av + bv, ad * bd, an, bn))
-        if prec is None or p < prec:
-            prec = p
-    val, den = prec, 1
-    for tv, td, _, _ in heads:
-        if tv < val:
-            val = tv
-        if den % td:
-            den = math.lcm(den, td)
-    out = [0] * (prec - val)
-    for tv, td, an, bn in heads:
-        n = prec - tv      # the terms of this product inside the window
-        if n <= 0:
-            continue
-        f, k = den // td, tv - val
-        if bn.__class__ is int:
-            f *= bn
-            for x in an[:n]:
-                out[k] += x * f
-                k += 1
-            continue
-        for i in range(n):
-            x = an[i]
-            if x:
-                if f != 1:
-                    x *= f
-                j = k + i
-                for y in bn[:n - i]:
-                    out[j] += x * y
-                    j += 1
-    return _window(val, prec, den, out, False)
-
-
-def _normal(x):
-    """A raw series as a TruncLaurent; any other value stays as it is."""
-    return TruncLaurent._make(*_window(*x)) if x.__class__ is tuple else x
 
 
 class TruncLaurent:
@@ -519,7 +388,7 @@ class TruncLaurent:
     __slots__ = ("val", "prec", "den", "nums")
 
     def __init__(self, val, coeffs, prec=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_rational(c) for c in coeffs]
         if prec is None:
             prec = val + len(coeffs)
         den = math.lcm(*(c.denominator for c in coeffs))
@@ -543,17 +412,19 @@ class TruncLaurent:
     @classmethod
     def const(cls, x, prec):
         """x on [0, prec), or the zero series on the empty window
-        [prec, prec) when h^0 lies beyond it, as a scalar meets a series
-        (``_lift``)."""
-        return cls._make(*_window(*_lift(Fraction(x), prec)))
+        [prec, prec) when h^0 lies beyond it, as a scalar meets a series."""
+        x = _rational(x)
+        if prec <= 0:
+            return cls.zero(prec)
+        return cls._make(*_window(0, prec, x.denominator, [x.numerator]))
 
     @classmethod
     def exp_h(cls, r, prec):
         """exp(r h) truncated: 1, r, r^2/2, ... on [0, prec), or the zero
         series on [prec, prec) when prec <= 0, as ``const``."""
+        r = _rational(r)
         if prec <= 0:
             return cls.zero(prec)
-        r = Fraction(r)
         c, out = Fraction(1), []
         for k in range(prec):
             out.append(c)
@@ -580,9 +451,23 @@ class TruncLaurent:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = _raw(other)
-        return NotImplemented if o is None else \
-            _normal(_sum_raw((_raw(self), o)))
+        """The sum on the lesser window; an int or Fraction x meets the
+        series as const(x, prec)."""
+        if other.__class__ is not TruncLaurent:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = TruncLaurent.const(other, self.prec)
+        prec = min(self.prec, other.prec)
+        val = min(self.val, other.val, prec)
+        den = math.lcm(self.den, other.den)
+        out = [0] * (prec - val)
+        for t in (self, other):
+            if t.val < prec:
+                f, k = den // t.den, t.val - val
+                for x in t.nums[:prec - t.val]:
+                    out[k] += x * f
+                    k += 1
+        return TruncLaurent._make(*_window(val, prec, den, out))
 
     __radd__ = __add__
 
@@ -591,15 +476,41 @@ class TruncLaurent:
                                   tuple(-x for x in self.nums))
 
     def __sub__(self, other):
-        return NotImplemented if _raw(other) is None else self + -other
+        if isinstance(other, (TruncLaurent, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        return NotImplemented if _raw(other) is None else -self + other
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        o = _raw(other)
-        return NotImplemented if o is None else \
-            _normal(_mul_raw(_raw(self), o))
+        """The product on min(a.prec + b.val, b.prec + a.val); a nonzero
+        int or Fraction keeps the series' window, and zero is the zero
+        series on it."""
+        if other.__class__ is not TruncLaurent:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if other:
+                p = other.numerator
+                return TruncLaurent._make(*_window(
+                    self.val, self.prec, self.den * other.denominator,
+                    [x * p for x in self.nums]))
+            other = TruncLaurent.zero(self.prec)
+        av, an, bv, bn = self.val, self.nums, other.val, other.nums
+        prec = min(self.prec + bv, other.prec + av)
+        if not an or not bn:
+            return TruncLaurent.zero(prec)
+        n = prec - av - bv
+        out = [0] * n
+        for i in range(n):
+            x = an[i]
+            if x:
+                for j in range(n - i):
+                    out[i + j] += x * bn[j]
+        return TruncLaurent._make(*_window(av + bv, prec,
+                                           self.den * other.den, out))
 
     __rmul__ = __mul__
 
@@ -629,15 +540,16 @@ class TruncLaurent:
         """By a series, or by a nonzero int or Fraction x as * (1/x)."""
         if isinstance(other, TruncLaurent):
             return self * other.invert()
-        if _raw(other) is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if not other:
             raise NonInvertible("division of a series by zero")
         return self * (1 / Fraction(other))
 
     def __rtruediv__(self, other):
-        return NotImplemented if _raw(other) is None else \
-            self.invert() * other
+        if isinstance(other, (int, Fraction)):
+            return self.invert() * other
+        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -767,7 +679,7 @@ def genericity_check(q: Fraction, nu: Fraction, n: int):
 
 def make_params(q, nu, n: int) -> ParamSet:
     """Build a certified parameter set; raises NotGeneric on failure."""
-    q, nu = Fraction(q), Fraction(nu)
+    q, nu = _rational(q), _rational(nu)
     bad = genericity_check(q, nu, n)
     if bad is not None:
         raise NotGeneric(bad)

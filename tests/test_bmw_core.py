@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import types
@@ -14,12 +15,11 @@ from bmwfusion import (AlgebraContext, AlgebraElement, BrauerAlgebra,
                        brauer_idempotent_via_contraction, build_context,
                        enumerate_tableaux, hecke_quotient, laurent_params,
                        make_params)
-from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, _series_table,
+from bmwfusion.bmwcore import (CLOSURE_PLANS, _read_plan, _row_table,
                                double_factorial, fold_products, jm_word,
                                letter, word_name, K_KIND, T_KIND)
 from bmwfusion.combinatorics import extension_spectrum, quantum_contents
 from bmwfusion.errors import NegativeValuation
-from bmwfusion.scalars import _mul_raw, _normal, _raw, _sum_raw
 from closure_plan import plan_text
 from conftest import (REWRITING_STATE, RulesContext, SearchRulesContext,
                       closure_rows)
@@ -382,21 +382,27 @@ def test_fold_keeps_the_windows_of_term_by_term_products(case, lctx3, lctx4):
                            [r.terms for r in rights]) == [p for p, in alone]
 
 
+def _sum_in_order(ts):
+    """ts[0] + ts[1] + ..., left to right: a scalar meets the window of
+    the series summed before it."""
+    return sum(ts[1:], ts[0])
+
+
 def _sum_rows_by_products(got):
     """The fold's row step over series rows, every row over 1, each key
-    keeping the list of its products a * x, summed once by ``_sum_raw``."""
+    keeping the list of its products a * x, summed in list order."""
     nxt = {}
     for a, (d, row) in got:
         assert d == 1
         for j, x in row:
-            nxt.setdefault(j, []).append(_mul_raw(a, _raw(x)))
-    return {j: _sum_raw(ts) for j, ts in nxt.items()}
+            nxt.setdefault(j, []).append(a * x)
+    return {j: _sum_in_order(ts) for j, ts in nxt.items()}
 
 
 def _fold_by_product_lists(ctx, left, rights):
     """``fold_products`` over series coefficients with the products of
-    each key in a list, as the fold was written before its fused kernel:
-    the same trie, row steps and leaves."""
+    each key in a list, by TruncLaurent ``*`` and ``+``: the same trie,
+    row steps and leaves as the packed fold."""
     trie = {}
     for k, right in enumerate(rights):
         for w, c in right.items():
@@ -405,7 +411,7 @@ def _fold_by_product_lists(ctx, left, rights):
                 node = node.setdefault(l, {})
             node.setdefault(None, []).append((k, c))
     groups = [{} for _ in rights]
-    stack = [(trie, {ctx.word_index[w]: _raw(a) for w, a in left.items()})]
+    stack = [(trie, {ctx.word_index[w]: a for w, a in left.items()})]
     while stack:
         node, nums = stack.pop()
         for l, child in node.items():
@@ -415,8 +421,8 @@ def _fold_by_product_lists(ctx, left, rights):
                 continue
             for k, c2 in child:
                 for j, a in nums.items():
-                    groups[k].setdefault(j, []).append(_mul_raw(a, _raw(c2)))
-    return [{ctx.words[j]: _normal(_sum_raw(ts)) for j, ts in g.items()}
+                    groups[k].setdefault(j, []).append(a * c2)
+    return [{ctx.words[j]: _sum_in_order(ts) for j, ts in g.items()}
             for g in groups]
 
 
@@ -473,7 +479,7 @@ def test_packed_fold_at_its_bound(bits, B):
         _stored(_fold_by_product_lists, alg, left, rights)
     # the digit M C over D = 3
     assert got[0]["w0"][2] == Fr(big * 3 * n * length * x, 3)
-    assert min(_series_table(alg)["a"][3]) == B
+    assert min(_row_table(alg)["a"][4]) == B
 
 
 def _wide_coeff(rnd):
@@ -529,10 +535,10 @@ def test_packed_fold_on_wide_coefficients_and_pole_rows(regime, omega):
         want = _fold_by_product_lists(ctx, left, rights)
         assert [list(p) for p in got] == [list(p) for p in want]
         assert _stored(lambda: got) == _stored(lambda: want)
-    table = _series_table(ctx)
+    table = _row_table(ctx)
     assert table[ctx.letters[0]][1] == -1 and table[ctx.letters[-1]][1] == -2
     # the digits outgrew 64 bits and the vectors were repacked
-    assert any(max(t[3]) > 64 for t in table.values())
+    assert any(max(t[4]) > 64 for t in table.values())
 
 
 def test_a_rebuild_forms_the_series_table_again(tmp_path):
@@ -554,6 +560,41 @@ def test_a_rebuild_forms_the_series_table_again(tmp_path):
     rights = [{w: _pole_coeff(rnd)} for w in ctx.words]
     assert _stored(fold_products, ctx, left, rights) == \
         _stored(fold_products, cold, left, rights)
+
+
+# {letter: (L_l, m_l, C_l)} of three Laurent row tables, pinned
+_LAURENT_TABLES = {
+    (3, 1, Fr(5)): {2: (3, 0, 389), 3: (3, 0, 279), 4: (3, 0, 229),
+                    5: (3, 0, 200)},
+    (3, 2, Fr(7, 2)): {2: (48, 0, 3083), 3: (48, 0, 2019),
+                       4: (48, 0, 1747), 5: (48, 0, 1367)},
+    (4, 1, Fr(5)): {2: (3, 0, 1756), 3: (3, 0, 1132), 4: (3, 0, 792),
+                    5: (3, 0, 724), 6: (3, 0, 876), 7: (3, 0, 645)},
+}
+
+
+@pytest.mark.parametrize("n, regime, omega", list(_LAURENT_TABLES),
+                         ids=str)
+def test_row_table_of_a_laurent_context(n, regime, omega):
+    # L_l the lcm of the series denominators, m_l their least valuation
+    # and C_l / L_l the largest column sum of |coefficients| as rationals;
+    # no integer rows, and the series rows packed per B on demand
+    ctx = AlgebraContext(n, laurent_params(regime, omega), verify=False)
+    table = _row_table(ctx)
+    assert _row_table(ctx) is table
+    assert {l: e[:3] for l, e in table.items()} == \
+        _LAURENT_TABLES[n, regime, omega]
+    for l, row_of in ctx._rows.items():
+        xs = [x for _, pairs in row_of for _, x in pairs]
+        cols = {}
+        for _, pairs in row_of:
+            for j, x in pairs:
+                cols[j] = cols.get(j, 0) + sum(map(abs, x.coeffs))
+        L, m, C, rows, packed = table[l]
+        assert L == math.lcm(*(x.den for x in xs))
+        assert m == min(x.val for x in xs)
+        assert Fr(C, L) == max(cols.values())
+        assert rows is None and packed == {}
 
 
 def _jm_by_products(ctx, k):

@@ -19,7 +19,8 @@ from bmwfusion import (BrauerAlgebra, DomainMismatch, HeckeAlgebra,
                        laurent_params, make_params, quantum_contents,
                        symmetrizer, verify_idempotent)
 from bmwfusion import fusion
-from bmwfusion.bmwcore import T_KIND, AlgebraContext, AlgebraElement, letter
+from bmwfusion.bmwcore import (T_KIND, AlgebraContext, AlgebraElement,
+                               _row_table, letter)
 from bmwfusion.combinatorics import extension_spectrum
 from bmwfusion.errors import BmwError, NonInvertible
 from bmwfusion.fusion import (L_operator, baxterized_T_one_arg,
@@ -654,19 +655,21 @@ def test_fusion_step_makes_2k_minus_3_passes(ctx4, params4, monkeypatch):
 @pytest.mark.parametrize("point", ["6/5,7/3", "-5/6,3/7", "hecke"])
 def test_row_table_scales_each_letter_to_one_denominator(point):
     # each letter's rows over the lcm L_l of their denominators, equal as
-    # rationals, with C_l the largest column sum of their numerators
+    # rationals, with C_l the largest column sum of their numerators, m_l
+    # 0 and no packed series rows
     if point == "hecke":
         alg = HeckeAlgebra(4, Fr(6, 5))
     else:
         q, nu = map(Fr, point.split(","))
         alg = build_context(4, q=q, nu=nu)
-    table = fusion._bounded_rows(alg)
-    assert fusion._bounded_rows(alg) is table
-    assert table[None] == (1, None, 1)
-    assert table.keys() == alg._rows.keys() | {None}
+    table = _row_table(alg)
+    assert _row_table(alg) is table
+    assert fusion._SCALAR == (1, 0, 1, None, None)
+    assert table.keys() == alg._rows.keys()
     mixed = False
     for l, row_of in alg._rows.items():
-        L, rows, C = table[l]
+        L, m, C, rows, packed = table[l]
+        assert m == 0 and packed is None
         dens = {d for d, _ in row_of}
         mixed |= len(dens) > 1
         assert L == math.lcm(*dens)
@@ -725,8 +728,9 @@ def list_apply_block(D, vec, parts):
 def both_passes(algebra, D, vec, parts):
     """The packed pass and the list-form one on ``parts`` = [(f, letter
     or None)] of the algebra's rows."""
-    table = fusion._bounded_rows(algebra)
-    return (fusion._apply_block(D, vec, [(f, table[l]) for f, l in parts]),
+    table = _row_table(algebra)
+    return (fusion._apply_block(D, vec, [
+        (f, fusion._SCALAR if l is None else table[l]) for f, l in parts]),
             list_apply_block(D, vec, [(f, l and algebra._rows[l])
                                       for f, l in parts]))
 
@@ -787,8 +791,8 @@ def test_packed_pass_at_its_bound(m1):
     # one bit smaller overflows
     n, length, x = 15 // m1, 8, 2 ** 20 - 1
     rows = [(1, ((0, x),) * length) for _ in range(n)]
-    algebra = types.SimpleNamespace(_rows={"a": rows}, _shared={})
-    assert fusion._bounded_rows(algebra)["a"][2] == n * length * x
+    algebra = types.SimpleNamespace(rational=True, _rows={"a": rows})
+    assert _row_table(algebra)["a"][2] == n * length * x
     big, f = 2 ** 200 - 1, (1, [2 ** 64 - 1] * m1)
     vec = {j: [big] * m1 for j in range(n)}
     packed, listed = both_passes(algebra, 1, vec,

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmwfusion import (CapExceeded, DivisionByZero, NotGeneric,
-                       PoleAtEvaluation, RatFunc, TruncLaurent, make_params,
-                       q_factorial, q_number)
+from bmwfusion import (AlgebraContext, BrauerAlgebra, CapExceeded,
+                       DivisionByZero, DomainMismatch, HeckeAlgebra,
+                       NotGeneric, PoleAtEvaluation, RatFunc, TruncLaurent,
+                       brauer_idempotent_via_contraction, build_context,
+                       check_reflection, contraction_block_check,
+                       enumerate_tableaux, hecke_family_idempotent,
+                       laurent_params, make_params, q_factorial, q_number,
+                       structure_constant_oracle)
+from bmwfusion.contraction import spectral_series
+from bmwfusion.fusion import L_operator
 from bmwfusion.errors import NegativeValuation, NonInvertible
 from bmwfusion.jsonio import laurent_to_json
-from bmwfusion.scalars import (_dot_raw, _mul_raw, _normal, _sum_raw,
-                               format_rational, genericity_check,
+from bmwfusion.scalars import (format_rational, genericity_check,
                                parse_rational, suggest_params)
 
 rationals = st.fractions(
@@ -244,6 +250,41 @@ def test_suggest_params_outside_the_strand_range(n):
         suggest_params(n)
 
 
+def _tab2():
+    return next(t for t in enumerate_tableaux(2) if t.is_standard())
+
+
+# every entry point that takes a parameter value, given a float there
+_FLOAT_SITES = {
+    "make_params": lambda ctx: make_params(1.2, Fr(7, 3), 3),
+    "build_context": lambda ctx: build_context(3, q=1.2, nu=Fr(7, 3)),
+    "TruncLaurent": lambda ctx: TruncLaurent(0, [0.1]),
+    "const": lambda ctx: TruncLaurent.const(0.1, 2),
+    "exp_h": lambda ctx: TruncLaurent.exp_h(0.1, 2),
+    "HeckeAlgebra": lambda ctx: HeckeAlgebra(2, 1.2),
+    "hecke_family_idempotent": lambda ctx: hecke_family_idempotent(
+        _tab2(), 0.5, HeckeAlgebra(2, ctx.params.q), ctx.params),
+    "BrauerAlgebra": lambda ctx: BrauerAlgebra(2, 5.0),
+    "laurent_params": lambda ctx: laurent_params(1, 5.0),
+    "spectral_series": lambda ctx: spectral_series(1, 0.5, 5),
+    "contraction_block_check": lambda ctx: contraction_block_check(
+        1, 1, 0.5, Fr(1, 3), 5),
+    "structure_constant_oracle": lambda ctx: structure_constant_oracle(
+        AlgebraContext(2, laurent_params(1, 5), verify=False), 5.0),
+    "brauer_idempotent_via_contraction":
+        lambda ctx: brauer_idempotent_via_contraction(_tab2(), 1, 5.0),
+    "L_operator": lambda ctx: L_operator(ctx, 1, 0.5),
+    "check_reflection": lambda ctx: check_reflection(ctx, 1, 0.5, Fr(1, 3)),
+}
+
+
+@pytest.mark.parametrize("site", list(_FLOAT_SITES))
+def test_a_float_parameter_raises_domain_mismatch(site, ctx2):
+    # no floats: Fraction(1.2) would be 5404319552844595/4503599627370496
+    with pytest.raises(DomainMismatch):
+        _FLOAT_SITES[site](ctx2)
+
+
 @given(a=rationals, b=rationals, c=rationals, s=st.integers(-2, 2))
 @settings(max_examples=40, deadline=None)
 def test_laurent_ring_axioms(a, b, c, s):
@@ -465,6 +506,20 @@ def test_laurent_arithmetic_matches_reference(x, y, c, i, e, k):
     for s in (c, i):
         assert _outcome(lambda: s * a) == _outcome(lambda: ra * s)
     assert _outcome(lambda: c - a) == _outcome(lambda: -ra + c)
+    # sums in their order: a scalar meets the window of the series summed
+    # before it, and the scalars before the first series meet it as their
+    # sum
+    for s in (c, i):
+        assert _outcome(lambda: b + s + a) == _outcome(lambda: rb + s + ra)
+        assert _outcome(lambda: s + s + a + b) == \
+            _outcome(lambda: ra + (s + s) + rb)
+    # a series on the empty window [k, k) bounds every window it meets
+    z, rz = TruncLaurent.zero(k), _RefLaurent(k, [], k)
+    for name, f in _BINARY.items():
+        assert _outcome(f, a, z) == _outcome(f, ra, rz), name + " empty"
+        assert _outcome(f, z, a) == _outcome(f, rz, ra), name + " empty"
+        for s in (c, i):
+            assert _outcome(f, z, s) == _outcome(f, rz, s), name + " empty"
     assert _outcome(lambda: a == 0) == _outcome(lambda: ra == 0)
     assert _outcome(lambda: a != 0) == _outcome(lambda: not ra == 0)
     assert _outcome(lambda: a.invert()) == _outcome(lambda: ra.invert())
@@ -473,69 +528,3 @@ def test_laurent_arithmetic_matches_reference(x, y, c, i, e, k):
     assert laurent_to_json(a) == {
         "val": ra.val, "N": ra.prec - ra.val,
         "coeffs": [format_rational(v) for v in ra.c]}
-
-
-def _unreduced(t, m):
-    """The raw series of t with a common factor m left in: the kernel takes
-    no gcd, so its inputs need not be in normal form."""
-    return t.val, t.prec, t.den * m, [x * m for x in t.nums]
-
-
-def _raw_outcome(f):
-    """_outcome of the raw series f returns, normalised once; a raw
-    series must already show its true valuation and whole window."""
-    def normalised():
-        out = f()
-        if out.__class__ is tuple:
-            val, prec, den, nums = out
-            assert den > 0 and len(nums) == prec - val
-            assert nums[0] != 0 if nums else val == prec
-        return _normal(out)
-    return _outcome(normalised)
-
-
-@given(x=laurent_args, y=laurent_args, z=laurent_args, c=rationals,
-       i=st.one_of(st.sampled_from((0, 1, -1)), st.integers(-30, 30)),
-       m=st.integers(1, 6),
-       picks=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                      min_size=1, max_size=4))
-@settings(max_examples=300, deadline=None)
-def test_raw_kernel_matches_reference(x, y, z, c, i, m, picks):
-    pairs = [_pair(t) for t in (x, y, z)]
-    if None in pairs:
-        return
-    raws = [_unreduced(t, m) for t, _ in pairs]
-    (a, b, _), (ra, rb, rc) = raws, [r for _, r in pairs]
-    assert _raw_outcome(lambda: _mul_raw(a, b)) == _outcome(lambda: ra * rb)
-    # three series summed in one pass, against two sums
-    assert _raw_outcome(lambda: _sum_raw(raws)) == \
-        _outcome(lambda: ra + rb + rc)
-    # Fraction and int scalars, on either side
-    for s in (c, i):
-        want = _outcome(lambda: ra * s)
-        assert _raw_outcome(lambda: _mul_raw(a, s)) == want
-        assert _raw_outcome(lambda: _mul_raw(s, a)) == want
-        want = _outcome(lambda: ra + s)
-        assert _raw_outcome(lambda: _sum_raw([a, s])) == want
-        assert _raw_outcome(lambda: _sum_raw([s, a])) == want
-        # in a longer sum, as the sums in their order: a scalar meets the
-        # window of the series before it, the scalars before the first
-        # series meet it as their sum
-        assert _raw_outcome(lambda: _sum_raw([b, s, a])) == \
-            _outcome(lambda: rb + s + ra)
-        assert _raw_outcome(lambda: _sum_raw([s, s, a, b])) == \
-            _outcome(lambda: ra + (s + s) + rb)
-    # scalars alone keep their own arithmetic
-    for got, want in ((_mul_raw(c, i), c * i), (_sum_raw([i, c]), i + c),
-                      (_sum_raw([i, i]), i + i)):
-        assert got == want and type(got) is type(want)
-    # the fused multiply-sum is its definition, field by field as raw
-    # series: unreduced series, zero ones (with an empty window too) and
-    # scalars on either side, or scalars alone in their own type
-    values = [*raws, c, i, 0, (a[1], a[1], 1, ())]
-    pairs = [(values[u], values[v]) for u, v in picks]
-    got = _dot_raw(pairs)
-    want = _sum_raw([_mul_raw(u, v) for u, v in pairs])
-    assert got == want and type(got) is type(want)
-    if got.__class__ is tuple:
-        assert type(got[3]) is type(want[3])
