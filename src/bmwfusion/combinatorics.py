@@ -10,7 +10,6 @@ the Jucys-Murphy elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapExceeded, NotGeneric
 
@@ -222,7 +221,8 @@ def classical_contents(tab: UpDownTableau, omega, t_classical=False):
     """Classical contents: +-((b-a) + (omega-1)/2); the t-classical flavour
     uses the transposed box, i.e. -(b-a) + (omega-1)/2 for added boxes and
     (b-a) - (omega-1)/2 for removed ones."""
-    omega = Fraction(omega)
+    from .scalars import _rational  # scalars imports this module
+    omega = _rational(omega)
     half = (omega - 1) / 2
     out = []
     for st in tab.steps:

@@ -12,21 +12,20 @@ Two contraction regimes are implemented:
 Brauer idempotents are obtained as constant terms of whole BMW
 computations over Laurent parameters (the Jucys-Murphy interpolation run
 with series scalars); first-order cancellations are handled by the
-Laurent valuations.  The structure-constant oracle folds the h^0 parts of
-the rows in rational arithmetic when every row coefficient has valuation
->= 0, where the h^0 term is a ring map, and the series otherwise.
+Laurent valuations.  The structure-constant oracle walks the prefix tree
+of the words, one row step per pair, on the Brauer rows and on the h^0
+parts of the rows when the h^0 term is a ring map on them.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .bmwcore import (DEFAULT_TRUNCATION, AlgebraContext, AlgebraElement,
-                      LaurentParams, _over_common_denominator,
+                      LaurentParams, _over_common_denominator, _sum_rows,
                       default_truncation, fold_products, word_name)
-from .brauer import BrauerAlgebra, BrauerElement, diagram_mul
+from .brauer import BrauerAlgebra, BrauerElement
 from .combinatorics import UpDownTableau
 from .errors import DomainMismatch
 from .fusion import _jm_interpolation
@@ -153,10 +152,10 @@ def constant_term_element(elem, brauer: BrauerAlgebra) -> BrauerElement:
 
 
 def _constant_rows(ctx):
-    """The h^0 parts of ``ctx._rows`` as integer rows, on an object that
-    ``fold_products`` folds in rational arithmetic, or None unless every
-    row coefficient has valuation >= 0 and a known h^0.  On such series
-    the h^0 coefficient is a ring map, so these rows fold to the constant
+    """The h^0 parts of ``ctx._rows`` as integer rows {letter: [(den,
+    ((index, numerator), ...)) per basis index]}, or None unless every row
+    coefficient has valuation >= 0 and a known h^0.  On such series the
+    h^0 coefficient is a ring map, so these rows multiply the constant
     terms of the series products."""
     rows = {}
     for l, row_of in ctx._rows.items():
@@ -166,8 +165,24 @@ def _constant_rows(ctx):
                 return None
             d, nums = _over_common_denominator({j: x[0] for j, x in pairs})
             out.append((d * den, tuple((j, a) for j, a in nums.items() if a)))
-    return SimpleNamespace(rational=True, words=ctx.words,
-                           word_index=ctx.word_index, _rows=rows)
+    return rows
+
+
+def _basis_products(rows, tree, i):
+    """Basis vector i times every word, in basis order, as (den, {index:
+    numerator}) over the integer ``rows``: word k > 0 is word p times the
+    letter l for (p, l) = tree[k - 1], p < k, one row step per product."""
+    out = [(1, {i: 1})]
+    for p, l in tree:
+        den, nums = out[p]
+        out.append(_sum_rows(den, [(a, rows[l][j]) for j, a in nums.items()]))
+    return out
+
+
+def _terms(keys, den, nums):
+    """{keys[j]: a / den for j, a in nums}, an int when den is 1."""
+    return {keys[j]: a if den == 1 else Fraction(a, den)
+            for j, a in nums.items()}
 
 
 def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
@@ -175,37 +190,40 @@ def structure_constant_oracle(ctx: AlgebraContext, omega) -> dict:
     independent Brauer multiplication under T -> s, K -> e.
 
     Also asserts that the canonical words are exactly the Brauer
-    spellings: each a loop-free word of its own diagram, so the words map
-    bijectively onto diagrams.  ``ctx`` must be the Laurent context of
-    either regime at this omega, or DOMAIN_MISMATCH is raised.  The
-    products of one left word with every basis word run as one batch of
-    ``bmwcore.fold_products``: over the h^0 parts of the rows when every
-    row coefficient has valuation >= 0 (``_constant_rows``), over the
-    series otherwise."""
+    spellings, each a loop-free word of its own diagram and its parent's
+    plus one letter, the parent first.  ``ctx`` must be the Laurent
+    context of either regime at this omega, or DOMAIN_MISMATCH is raised.
+    Each left word times every word walks that prefix tree
+    (``_basis_products``) on the Brauer rows, filled by ``diagram_mul``,
+    and on the h^0 rows (``_constant_rows``); a row with a pole or no
+    known h^0 leaves one ``fold_products`` batch of series per left word."""
     omega = _rational(omega)
     _check_laurent(ctx, omega)
-    n = ctx.n
-    brauer = BrauerAlgebra(n, omega)
-    diag_of = brauer._diagram_of
-    if ctx.word_index.keys() != diag_of.keys():
+    brauer = BrauerAlgebra(ctx.n, omega)
+    diag_of, words, index = brauer._diagram_of, ctx.words, ctx.word_index
+    same = index.keys() == diag_of.keys() and not words[0] and all(
+        index.get(w) == k for k, w in enumerate(words))
+    tree = [(index[w[:-1]], w[-1]) for w in words[1:]] if same else ()
+    if not same or any(p >= k for k, (p, _) in enumerate(tree, 1)):
         return {"ok": False,
                 "reason": "canonical words are not the Brauer spellings"}
-    const = _constant_rows(ctx)
-    alg, one = (ctx, ctx._one) if const is None else (const, 1)
-    rights = [{w: one} for w in ctx.words]
-    checked = 0
-    for w1 in ctx.words:
-        prods = fold_products(alg, {w1: one}, rights)
-        for w2, p in zip(ctx.words, prods):
+    const, bwords = _constant_rows(ctx), brauer.words
+    rights = [{w: ctx._one} for w in words]
+    for i, w1 in enumerate(words):
+        want = _basis_products(brauer._rows, tree,
+                               brauer.word_index[diag_of[w1]])
+        if const is None:
+            prods = fold_products(ctx, {w1: ctx._one}, rights)
+        else:
+            prods = (_terms(words, *d)
+                     for d in _basis_products(const, tree, i))
+        for w2, p, d in zip(words, prods, want):
             got = constant_term_element(AlgebraElement(ctx, p), brauer)
-            d, loops = diagram_mul(n, diag_of[w1], diag_of[w2])
-            c = brauer.omega ** loops
-            if got.terms != ({d: c} if c else {}):
+            if got.terms != _terms(bwords, *d):
                 return {"ok": False,
                         "reason": "structure constants differ at (%r, %r)"
                         % (w1, w2)}
-            checked += 1
-    return {"ok": True, "pairs": checked}
+    return {"ok": True, "pairs": len(words) ** 2}
 
 
 # ---------------------------------------------------------------------------

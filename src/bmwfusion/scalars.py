@@ -228,7 +228,7 @@ class RatFunc:
 
     @classmethod
     def const(cls, x, var="u"):
-        x = Fraction(x)
+        x = _rational(x)
         return cls((x.numerator,), (x.denominator,), var=var)
 
     @classmethod
@@ -321,7 +321,7 @@ class RatFunc:
 
     def evaluate_at(self, x) -> Fraction:
         """Exact value at a rational point; raises on a pole."""
-        x = Fraction(x)
+        x = _rational(x)
         d = _peval(self.den, x)
         if d == 0:
             raise PoleAtEvaluation("pole of rational function at %s"

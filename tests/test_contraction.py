@@ -7,7 +7,7 @@ import pytest
 from bmwfusion import (BrauerAlgebra, DimensionMismatch, DomainMismatch,
                        NegativeValuation, NonInvertible, NotGeneric,
                        TruncLaurent,
-                       brauer_idempotent_via_contraction,
+                       brauer_idempotent_via_contraction, contraction,
                        contraction_block_check, enumerate_tableaux,
                        jm_oracle_idempotent, laurent_params, make_params,
                        structure_constant_oracle)
@@ -159,6 +159,42 @@ def test_oracle_ignores_a_row_corrupted_at_h1():
     assert _constant_rows(ctx) is not None
     assert structure_constant_oracle(ctx, 5) == series_oracle(ctx, 5) == \
         {"ok": True, "pairs": 225}
+
+
+def test_oracle_calls_constant_term_element_once_per_pair(monkeypatch):
+    # the traced benchmark counts one constant term per pair
+    calls = []
+    real = contraction.constant_term_element
+    monkeypatch.setattr(contraction, "constant_term_element",
+                        lambda *a: calls.append(1) or real(*a))
+    ctx = AlgebraContext(3, laurent_params(1, 5, 4), verify=False)
+    assert structure_constant_oracle(ctx, 5) == {"ok": True, "pairs": 225}
+    assert len(calls) == 225
+
+
+def test_oracle_sees_an_inner_row_corrupted_at_h0():
+    # regime 2 at omega = 7/2, whose Brauer rows are over powers of 2; the
+    # row of a letter on a middle word, which many prefix walks pass
+    omega = Fr(7, 2)
+    ctx = AlgebraContext(3, laurent_params(2, omega, 4), verify=False)
+    l, i = ctx.letters[1], len(ctx.words) // 2
+    den, ((j, c), *rest) = ctx._rows[l][i]
+    ctx._rows[l][i] = (den, ((j, c + ctx._one), *rest))
+    got = structure_constant_oracle(ctx, omega)
+    assert got == series_oracle(ctx, omega)
+    assert not got["ok"] and "differ" in got["reason"]
+
+
+def test_oracle_sees_a_word_before_its_parent():
+    # a context whose words are reordered, the index with them: the prefix
+    # walk would read a product not yet formed
+    ctx = AlgebraContext(3, laurent_params(1, 5, 4), verify=False)
+    words = list(ctx.words)
+    k = next(k for k, w in enumerate(words) if w[:-1] == words[1])
+    words[1], words[k] = words[k], words[1]
+    ctx.words, ctx.word_index = words, {w: k for k, w in enumerate(words)}
+    assert structure_constant_oracle(ctx, 5) == {
+        "ok": False, "reason": "canonical words are not the Brauer spellings"}
 
 
 def test_constant_term_element_takes_exact_coefficients():

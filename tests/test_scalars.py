@@ -9,7 +9,8 @@ from bmwfusion import (AlgebraContext, BrauerAlgebra, CapExceeded,
                        DivisionByZero, DomainMismatch, HeckeAlgebra,
                        NotGeneric, PoleAtEvaluation, RatFunc, TruncLaurent,
                        brauer_idempotent_via_contraction, build_context,
-                       check_reflection, contraction_block_check,
+                       check_reflection, classical_contents,
+                       contraction_block_check,
                        enumerate_tableaux, hecke_family_idempotent,
                        laurent_params, make_params, q_factorial, q_number,
                        structure_constant_oracle)
@@ -275,6 +276,9 @@ _FLOAT_SITES = {
         lambda ctx: brauer_idempotent_via_contraction(_tab2(), 1, 5.0),
     "L_operator": lambda ctx: L_operator(ctx, 1, 0.5),
     "check_reflection": lambda ctx: check_reflection(ctx, 1, 0.5, Fr(1, 3)),
+    "classical_contents": lambda ctx: classical_contents(_tab2(), 0.1),
+    "RatFunc.const": lambda ctx: RatFunc.const(0.1),
+    "evaluate_at": lambda ctx: RatFunc.variable().evaluate_at(0.1),
 }
 
 
